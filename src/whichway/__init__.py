@@ -29,6 +29,7 @@ from .instrument import (
     apply_aperture,
     assignment_probability,
     auto_exposure,
+    flux_vector,
     image_slits,
     load_scan_csv,
     pooled_assignment,

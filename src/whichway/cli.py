@@ -11,20 +11,21 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import ConfigurationError, DataError, NumericalError, WhichwayError
+from .errors import ConfigurationError, DataError, WhichwayError
 from .instrument import (
-    _bin_intensity,
     assignment_probability,
+    bin_to_pixels,
     load_scan_csv,
+    pooled_assignment,
 )
-from .metrics import distinguishability, duality_check, match_profiles, visibility
-from .optics import IntensityProfile, propagate_fresnel
+from .metrics import duality_check, match_profiles, visibility
+from .optics import IntensityProfile
 from .pipeline import (
     direct_fringe_profile,
-    make_source,
     reconstruct_tables,
     result_profile,
     run_all_scans,
+    stack_layout,
 )
 from .reconstruct import full_rank_dims
 
@@ -88,14 +89,7 @@ def cmd_fringes(cfg: RunConfig, args) -> int:
     """Direct image of the interference fringes at the near plane D."""
     t0 = time.perf_counter()
     out = _out_dir(cfg)
-    source = make_source(cfg)
-    fine = direct_fringe_profile(cfg, source)
-    det = cfg.detector
-    edges = (np.arange(det.n_pixels + 1) - det.n_pixels / 2) * det.pixel_pitch
-    values = _bin_intensity(fine.values, fine.origin, fine.pitch, edges)
-    profile = IntensityProfile(
-        -(det.n_pixels - 1) / 2 * det.pixel_pitch, det.pixel_pitch, values
-    )
+    profile = bin_to_pixels(direct_fringe_profile(cfg), cfg.detector)
     csv_path = out / "fringes.csv"
     profile.to_csv(csv_path)
     script = out / "fringes_plot.py"
@@ -107,7 +101,7 @@ def cmd_fringes(cfg: RunConfig, args) -> int:
 
 def _scan_sidecar(series, cfg: RunConfig) -> dict:
     contamination, p, d = assignment_probability(series, cfg.guard_px)
-    total = float(sum(r.detector_profile.values.sum() for r in series.records))
+    total = sum(r.detector_profile.total for r in series.records)
     sc = series.config
     return {
         "aperture_width_m": sc.aperture_width,
@@ -148,26 +142,38 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _sidecar_exposure(csv_path: Path, default: float) -> float:
+    """Exposure recorded in the JSON sidecar next to a scan CSV, if any."""
+    sidecar = csv_path.with_suffix(".json")
+    if not sidecar.exists():
+        return default
+    return float(json.loads(sidecar.read_text()).get("exposure_s", default))
+
+
 def _discover_scans(cfg: RunConfig, out: Path):
-    paths, widths, exposures, openings, anchors = [], [], [], [], []
+    """Tables, widths (m) and exposures of the configured scans' outputs."""
+    tables, exposures = [], []
     for scan in cfg.scans:
-        tag = _scan_tag(scan.aperture_width)
-        csv_path = out / f"scan_{tag}.csv"
+        csv_path = out / f"scan_{_scan_tag(scan.aperture_width)}.csv"
         if not csv_path.exists():
             raise DataError(f"missing scan output: {csv_path}")
-        sidecar_path = out / f"scan_{tag}.json"
-        exposure = scan.exposure or 1.0
-        if sidecar_path.exists():
-            sidecar = json.loads(sidecar_path.read_text())
-            exposure = float(sidecar.get("exposure_s", exposure))
-        paths.append(csv_path)
-        widths.append(scan.width_elems())
-        exposures.append(exposure)
-        openings.append(scan.opening)
-        anchors.append(scan.anchor_elems)
-    if len(set(openings)) != 1 or len(set(anchors)) != 1:
-        raise ConfigurationError("stacked scans must share opening and anchor")
-    return paths, widths, exposures, openings[0], anchors[0]
+        tables.append(load_scan_csv(csv_path))
+        exposures.append(_sidecar_exposure(csv_path, scan.exposure or 1.0))
+    return tables, [scan.aperture_width for scan in cfg.scans], exposures
+
+
+def _reconstruct(cfg: RunConfig, tables, widths, exposures, signal: str = "F"):
+    opening, anchor = stack_layout(cfg.scans)
+    return reconstruct_tables(
+        tables,
+        widths,
+        exposures,
+        signal=signal,
+        opening=opening,
+        anchor=anchor,
+        cutoff=cfg.recon_cutoff,
+        smoothing_rms=cfg.smoothing_rms,
+    )
 
 
 def cmd_reconstruct(cfg: RunConfig, args) -> int:
@@ -180,40 +186,18 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
             raise ConfigurationError(
                 "--widths-mm is required when flux CSVs are given explicitly"
             )
-        widths_mm = [float(w) for w in args.widths_mm.split(",")]
-        if len(widths_mm) != len(paths):
+        try:
+            widths = [float(w) * 1e-3 for w in args.widths_mm.split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(f"--widths-mm: {exc}") from exc
+        if len(widths) != len(paths):
             raise ConfigurationError("need one width per flux CSV")
-        step = cfg.scans[0].step
-        widths = []
-        for w_mm in widths_mm:
-            w = w_mm * 1e-3 / step
-            if abs(w - round(w)) > 1e-6:
-                raise ConfigurationError(
-                    f"width {w_mm} mm is not an integer multiple of the scan step"
-                )
-            widths.append(int(round(w)))
-        exposures = [1.0] * len(paths)
-        for p, w_mm in zip(paths, widths_mm):
-            sidecar = p.with_suffix(".json")
-            if sidecar.exists():
-                exposures[paths.index(p)] = float(
-                    json.loads(sidecar.read_text()).get("exposure_s", 1.0)
-                )
-        opening, anchor = cfg.scans[0].opening, cfg.scans[0].anchor_elems
+        # the scan step comes from the CSVs' s_mm column, not the config
+        tables = [load_scan_csv(p) for p in paths]
+        exposures = [_sidecar_exposure(p, 1.0) for p in paths]
     else:
-        paths, widths, exposures, opening, anchor = _discover_scans(cfg, out)
-    tables = [load_scan_csv(p) for p in paths]
-    if len(set(widths)) < len(widths):
-        raise ConfigurationError("stacked scans must use distinct aperture widths")
-    result = reconstruct_tables(
-        tables,
-        widths,
-        exposures,
-        opening=opening,
-        anchor=anchor,
-        cutoff=cfg.recon_cutoff,
-        smoothing_rms=cfg.smoothing_rms,
-    )
+        tables, widths, exposures = _discover_scans(cfg, out)
+    result = _reconstruct(cfg, tables, widths, exposures)
     n = tables[0]["F"].size
     if len(widths) == 1 and result.effective_rank < n:
         print(
@@ -265,16 +249,10 @@ def cmd_report(cfg: RunConfig, args) -> int:
     profile = _load_reconstruction(out)
     vis = visibility(profile, cfg.peak_selector)
 
-    wrong = total = 0.0
-    per_scan_d = {}
-    for sidecar_path in sidecars:
-        sidecar = json.loads(sidecar_path.read_text())
-        t = float(sidecar["total_flux_sum"])
-        wrong += float(sidecar["contamination"]) * t
-        total += t
-        per_scan_d[sidecar_path.stem] = float(sidecar["distinguishability"])
-    p = 1.0 - wrong / total
-    d = distinguishability(p)
+    entries = {path.stem: json.loads(path.read_text()) for path in sidecars}
+    _, _, d = pooled_assignment(
+        (float(e["contamination"]), float(e["total_flux_sum"])) for e in entries.values()
+    )
 
     report = duality_check(
         min(vis.value, 1.0),
@@ -286,21 +264,11 @@ def cmd_report(cfg: RunConfig, args) -> int:
     report.write_json(duality_path)
 
     # left/right-signal reconstructions (which-way split of the pattern)
-    paths, widths, exposures, opening, anchor = _discover_scans(cfg, out)
-    tables = [load_scan_csv(p) for p in paths]
+    tables, widths, exposures = _discover_scans(cfg, out)
     lr_files = []
     lr_profiles = {}
     for signal in ("left", "right"):
-        res = reconstruct_tables(
-            tables,
-            widths,
-            exposures,
-            signal=signal,
-            opening=opening,
-            anchor=anchor,
-            cutoff=cfg.recon_cutoff,
-            smoothing_rms=cfg.smoothing_rms,
-        )
+        res = _reconstruct(cfg, tables, widths, exposures, signal)
         path = out / f"reconstruction_{signal}.csv"
         res.to_csv(path)
         lr_files.append(path)
@@ -328,8 +296,8 @@ def cmd_report(cfg: RunConfig, args) -> int:
         f"V^2 + D^2 = {report.duality:.4f}  -> "
         + ("VIOLATED (> 1)" if report.violated else "within the bound"),
     ]
-    for name, value in sorted(per_scan_d.items()):
-        lines.append(f"  {name}: D = {value:.4f}")
+    for name, entry in sorted(entries.items()):
+        lines.append(f"  {name}: D = {float(entry['distinguishability']):.4f}")
     if match is not None:
         lines.append(
             f"profile match vs direct fringes: shift = {match.shift * 1e3:+.3f} mm, "

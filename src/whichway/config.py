@@ -10,8 +10,19 @@ from .errors import ConfigurationError, DataError
 from .instrument import DetectorConfig, ScanConfig
 from .optics import Geometry, GridSpec
 
+# JSON key -> dataclass field, one table per config block
+_GEOMETRY_KEYS = {
+    "wavelength_m": "wavelength",
+    "slit_width_m": "slit_width",
+    "slit_sep_m": "slit_sep",
+    "l_slits_lens_m": "dist_slits_lens",
+    "l_lens_det_m": "dist_lens_detector",
+    "d_direct_m": "dist_slits_direct",
+    "focal_m": "focal_length",
+}
+
 DEFAULT_CONFIG = {
-    "geometry": Geometry().to_dict(),
+    "geometry": {key: getattr(Geometry(), attr) for key, attr in _GEOMETRY_KEYS.items()},
     "source": {
         "illumination_tilt": 0.1,
         "grid_n": 2**17,
@@ -74,6 +85,14 @@ def _check_keys(block: dict, allowed, where: str) -> None:
         )
 
 
+def _build(cls, block, keys: dict, where: str):
+    """Construct cls from a JSON block, mapping its keys to field names."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be an object")
+    _check_keys(block, keys, where)
+    return cls(**{attr: block[key] for key, attr in keys.items() if key in block})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration for one reproducible run."""
@@ -114,7 +133,7 @@ def _parse(raw: dict) -> RunConfig:
         else:
             merged[key] = value
 
-    geometry = Geometry.from_dict({**DEFAULT_CONFIG["geometry"], **raw.get("geometry", {})})
+    geometry = _build(Geometry, merged["geometry"], _GEOMETRY_KEYS, "geometry block")
 
     src = merged["source"]
     _check_keys(src, DEFAULT_CONFIG["source"], "source block")
@@ -122,22 +141,20 @@ def _parse(raw: dict) -> RunConfig:
 
     seed = int(merged["seed"])
 
-    det_block = merged["detector"]
-    _check_keys(det_block, _DETECTOR_KEYS, "detector block")
-    det_kwargs = {attr: det_block[key] for key, attr in _DETECTOR_KEYS.items() if key in det_block}
-    det_kwargs.setdefault("rng_seed", seed)
-    detector = DetectorConfig(**det_kwargs)
+    detector = _build(
+        DetectorConfig,
+        {"rng_seed": seed, **merged["detector"]},
+        _DETECTOR_KEYS,
+        "detector block",
+    )
 
     scans_raw = merged["scans"]
     if not isinstance(scans_raw, list) or not scans_raw:
         raise ConfigurationError("config needs at least one scan")
-    scans = []
-    for idx, block in enumerate(scans_raw):
-        _check_keys(block, _SCAN_KEYS, f"scans[{idx}]")
-        kwargs = {attr: block[key] for key, attr in _SCAN_KEYS.items() if key in block}
-        if "aperture_width" not in kwargs:
-            raise ConfigurationError(f"scans[{idx}] is missing 'aperture_width_m'")
-        scans.append(ScanConfig(**kwargs))
+    scans = [
+        _build(ScanConfig, block, _SCAN_KEYS, f"scans[{idx}]")
+        for idx, block in enumerate(scans_raw)
+    ]
 
     rec = merged["reconstruction"]
     _check_keys(rec, DEFAULT_CONFIG["reconstruction"], "reconstruction block")
@@ -194,7 +211,10 @@ def load_config(
         raw = {**raw, "seed": int(seed)}
     if output_dir is not None:
         raw = {**raw, "output_dir": str(output_dir)}
-    cfg = _parse(raw)
+    try:
+        cfg = _parse(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path or 'config'}: invalid value ({exc})") from exc
     if no_noise:
         cfg = replace(cfg, detector=replace(cfg.detector, noise_enabled=False))
     return cfg

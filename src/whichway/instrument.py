@@ -13,14 +13,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.fft import fft, fftfreq, ifft
+from numpy.fft import ifft
 
 from .errors import ConfigurationError, DataError, NumericalError
+from .metrics import distinguishability
 from .optics import (
     Geometry,
     IntensityProfile,
     SampledField,
-    check_wraparound,
+    fresnel_spectrum,
+    propagate_fresnel,
 )
 
 # camera full-well stand-in used by auto exposure (intensity units = electrons
@@ -29,6 +31,16 @@ FULL_WELL = 1e5
 AUTO_EXPOSURE_FRACTION = 0.7
 
 _OPENINGS = ("rightward", "leftward", "centered")
+
+
+def width_in_steps(width: float, step: float) -> int:
+    """Aperture width in scan-step elements; must divide evenly."""
+    w = width / step
+    if abs(w - round(w)) > 1e-6:
+        raise ConfigurationError(
+            f"aperture width {width} is not an integer multiple of the scan step {step}"
+        )
+    return int(round(w))
 
 
 @dataclass(frozen=True)
@@ -64,18 +76,8 @@ class ScanConfig:
         if self.midline not in ("center", "centroid"):
             raise ConfigurationError("midline must be 'center' or 'centroid'")
 
-    def slit_positions(self) -> np.ndarray:
-        return self.s_start + self.step * np.arange(self.n_steps)
-
     def width_elems(self) -> int:
-        """Aperture width in scan-step elements; must divide evenly."""
-        w = self.aperture_width / self.step
-        if abs(w - round(w)) > 1e-6:
-            raise ConfigurationError(
-                f"aperture width {self.aperture_width} is not an integer "
-                f"multiple of the scan step {self.step}"
-            )
-        return int(round(w))
+        return width_in_steps(self.aperture_width, self.step)
 
     def aperture_left_edge(self) -> float:
         """Fixed lab-frame left edge of the aperture interval.
@@ -130,6 +132,18 @@ class ScanStepRecord:
     right_signal: float
 
 
+_CSV_HEADER = ["step", "s_mm", "F", "left", "right"]
+
+# scan-table column -> ScanStepRecord attribute
+_TABLE_COLUMNS = {
+    "step": "step_index",
+    "s": "slit_position",
+    "F": "total_flux",
+    "left": "left_signal",
+    "right": "right_signal",
+}
+
+
 @dataclass(frozen=True)
 class ScanSeries:
     config: ScanConfig
@@ -139,32 +153,17 @@ class ScanSeries:
         if len(self.records) != self.config.n_steps:
             raise ConfigurationError("record count must equal n_steps")
 
-    def slit_positions(self) -> np.ndarray:
-        return np.array([r.slit_position for r in self.records])
-
-    def flux_vector(self, signal: str = "total") -> tuple[np.ndarray, np.ndarray]:
-        """Fluxes ordered by ascending pupil offset u = -s.
-
-        Returns (offsets, fluxes).  The aperture samples the pupil pattern
-        at offset -s, so ascending-offset order is the reversed step order;
-        this is the ordering the aperture matrices assume.
-        """
-        attr = {
-            "total": "total_flux",
-            "left": "left_signal",
-            "right": "right_signal",
+    def table(self) -> dict:
+        """The scan as the column dict that load_scan_csv returns."""
+        return {
+            key: np.array([getattr(r, attr) for r in self.records])
+            for key, attr in _TABLE_COLUMNS.items()
         }
-        if signal not in attr:
-            raise ConfigurationError(f"unknown signal {signal!r}")
-        values = np.array([getattr(r, attr[signal]) for r in self.records])
-        offsets = -self.slit_positions()
-        order = np.argsort(offsets, kind="stable")
-        return offsets[order], values[order]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step", "s_mm", "F", "left", "right"])
+            writer.writerow(_CSV_HEADER)
             for r in self.records:
                 writer.writerow(
                     [
@@ -191,42 +190,52 @@ class ScanSeries:
 
 def load_scan_csv(path) -> dict:
     """Read a scan CSV back into arrays; malformed rows name their line."""
-    steps, s_mm, flux, left, right = [], [], [], [], []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read scan file ({exc.strerror})") from exc
+    rows = []
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "step",
-            "s_mm",
-            "F",
-            "left",
-            "right",
-        ]:
-            raise DataError(f"{path}: expected header 'step,s_mm,F,left,right'")
+        if header is None or [h.strip() for h in header] != _CSV_HEADER:
+            raise DataError(f"{path}: expected header '{','.join(_CSV_HEADER)}'")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                steps.append(int(row[0]))
-                s_mm.append(float(row[1]))
-                flux.append(float(row[2]))
-                left.append(float(row[3]))
-                right.append(float(row[4]))
+                values = [float(row[i]) for i in range(1, 5)]
+                rows.append((int(row[0]), *values))
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: corrupt row at line {lineno}") from exc
-    if not steps:
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{path}: non-finite value at line {lineno}")
+    if not rows:
         raise DataError(f"{path}: no data rows")
-    return {
-        "step": np.array(steps),
-        "s": np.array(s_mm) * 1e-3,
-        "F": np.array(flux),
-        "left": np.array(left),
-        "right": np.array(right),
-    }
+    steps, s_mm, flux, left, right = (np.array(col) for col in zip(*rows))
+    return {"step": steps, "s": s_mm * 1e-3, "F": flux, "left": left, "right": right}
 
 
-def flux_vector_from_table(table: dict, signal: str = "F") -> tuple[np.ndarray, np.ndarray]:
-    """Ascending-pupil-offset ordering for a loaded scan table."""
+def scan_step(table: dict) -> float:
+    """The slit-position step of a scan table, which must be uniform."""
+    s = table["s"]
+    step = float(s[-1] - s[0]) / max(s.size - 1, 1)
+    # scan CSVs keep 10 significant digits of each position
+    tol = 1e-6 * step + 1e-9 * float(np.abs(s).max())
+    if not step > 0 or not np.allclose(np.diff(s), step, rtol=0, atol=tol):
+        raise DataError("scan slit positions must increase in uniform steps")
+    return step
+
+
+def flux_vector(table: dict, signal: str = "F") -> tuple[np.ndarray, np.ndarray]:
+    """Fluxes of a scan table ordered by ascending pupil offset u = -s.
+
+    signal is "F", "left" or "right".  Returns (offsets, fluxes).  The
+    aperture samples the pupil pattern at offset -s, so ascending-offset
+    order is the reversed step order; the aperture matrices assume it.
+    """
+    if signal not in ("F", "left", "right"):
+        raise ConfigurationError(f"unknown signal {signal!r}")
     offsets = -table["s"]
     order = np.argsort(offsets, kind="stable")
     return offsets[order], table[signal][order]
@@ -291,19 +300,14 @@ def image_slits(
     geom: Geometry,
     detector: DetectorConfig,
     detector_center_offset: float = 0.0,
-    exposure: float = 1.0,
-    rng: np.random.Generator | None = None,
 ) -> IntensityProfile:
     """Image the masked pupil through the thin lens onto the camera.
 
-    Thin-lens phase exp(-i pi u^2 / (lambda f)) followed by Fresnel
-    propagation over L_C; per-pixel values integrate |field|^2 over each
-    pixel footprint and scale with the exposure.  Poisson photon noise
-    plus Gaussian readout noise are added per frame when the detector has
-    noise enabled, then frames are averaged.
-
-    The returned profile uses detector-local coordinates (pixel centers
-    relative to the detector center).
+    Thin-lens phase exp(-i pi u^2 / (lambda f)) followed by unguarded
+    Fresnel propagation over L_C; per-pixel values integrate |field|^2
+    over each pixel footprint, for unit exposure and without noise:
+    run_scan applies the exposure and the detector noise.  The profile is
+    in detector-local coordinates (see bin_to_pixels).
     """
     if geom.lens_defect > 0.05:
         warnings.warn(
@@ -314,29 +318,29 @@ def image_slits(
     u = masked_pupil.positions
     lens = np.exp(-1j * np.pi * u**2 / (geom.wavelength * geom.focal_length))
     after_lens = replace(masked_pupil, amplitudes=masked_pupil.amplitudes * lens)
-    from .optics import _propagate_unchecked
-
-    at_detector = _propagate_unchecked(
-        after_lens, geom.dist_lens_detector, geom.wavelength
+    at_detector = propagate_fresnel(
+        after_lens, geom.dist_lens_detector, geom.wavelength, guard=False
     )
-    intensity = np.abs(at_detector.amplitudes) ** 2
+    return bin_to_pixels(at_detector.intensity(), detector, detector_center_offset)
+
+
+def bin_to_pixels(
+    fine: IntensityProfile, detector: DetectorConfig, center_offset: float = 0.0
+) -> IntensityProfile:
+    """Integrate a fine-grid intensity over the camera pixels.
+
+    The detector center sits at center_offset on the fine grid; the
+    returned profile uses detector-local coordinates (pixel centers
+    relative to the detector center).
+    """
     edges = (
-        detector_center_offset
+        center_offset
         + (np.arange(detector.n_pixels + 1) - detector.n_pixels / 2)
         * detector.pixel_pitch
     )
-    counts = _bin_intensity(intensity, at_detector.origin, at_detector.pitch, edges)
-    values = counts * exposure
-    if detector.noise_enabled:
-        # single noisy frame; run_scan handles frame averaging itself
-        if rng is None:
-            rng = np.random.default_rng(detector.rng_seed)
-        electrons = np.clip(values * detector.gain, 0.0, None)
-        noisy = rng.poisson(electrons).astype(float)
-        noisy += rng.normal(0.0, detector.readout_noise, electrons.size)
-        values = noisy / detector.gain
+    counts = _bin_intensity(fine.values, fine.origin, fine.pitch, edges)
     local_origin = -detector.center_index * detector.pixel_pitch
-    return IntensityProfile(local_origin, detector.pixel_pitch, values)
+    return IntensityProfile(local_origin, detector.pixel_pitch, counts)
 
 
 def split_signals(
@@ -402,17 +406,6 @@ def auto_exposure(
     return fraction * full_well / peak
 
 
-def _pupil_spectrum(source_field: SampledField, geom: Geometry):
-    n, pitch = source_field.n, source_field.pitch
-    spectrum = fft(source_field.amplitudes)
-    check_wraparound(spectrum, pitch, geom.dist_slits_lens, geom.wavelength)
-    f = fftfreq(n, pitch)
-    kernel = np.exp(
-        -1j * np.pi * geom.wavelength * geom.dist_slits_lens * f**2
-    )
-    return spectrum * kernel, f
-
-
 def _noiseless_step(
     source_field: SampledField,
     geom: Geometry,
@@ -423,18 +416,16 @@ def _noiseless_step(
     freqs=None,
 ) -> IntensityProfile:
     if pupil_spec is None:
-        pupil_spec, freqs = _pupil_spectrum(source_field, geom)
+        pupil_spec, freqs = fresnel_spectrum(
+            source_field, geom.dist_slits_lens, geom.wavelength
+        )
     shifted = ifft(pupil_spec * np.exp(-2j * np.pi * freqs * s))
     pupil = replace(source_field, amplitudes=shifted)
     masked = apply_aperture(
         pupil, scan.aperture_left_edge(), scan.aperture_width, "rightward"
     )
     return image_slits(
-        masked,
-        geom,
-        replace(detector, noise_enabled=False),
-        detector_center_offset=-scan.stage_ratio * s,
-        exposure=1.0,
+        masked, geom, detector, detector_center_offset=-scan.stage_ratio * s
     )
 
 
@@ -451,7 +442,9 @@ def run_scan(
     aperture stop, imaged, and binned into camera pixels riding the
     counter-moving stage.
     """
-    pupil_spec, freqs = _pupil_spectrum(source_field, geom)
+    pupil_spec, freqs = fresnel_spectrum(
+        source_field, geom.dist_slits_lens, geom.wavelength
+    )
     exposure = scan.exposure
     if exposure is None:
         exposure = auto_exposure(source_field, geom, scan, detector)
@@ -493,7 +486,7 @@ def assignment_probability(
     Flux landing more than guard_px pixels from the midline sits on the
     wrong side of the opposite slit image and bounds the mis-assignment:
     contamination = (guard-exceeding flux summed over steps) / (total
-    flux), p = 1 - contamination, D = 2 (p - 1/2).
+    flux), p = 1 - contamination, and D from metrics.distinguishability.
 
     The midline follows the scan's configured placement: the fixed
     detector center, or the per-step flux centroid, which tracks the
@@ -501,8 +494,7 @@ def assignment_probability(
     """
     if guard_px < 0:
         raise ConfigurationError("guard_px must be >= 0")
-    wrong = 0.0
-    total = 0.0
+    wrong = total = 0.0
     for r in series.records:
         profile = r.detector_profile
         center = (profile.n - 1) / 2
@@ -510,26 +502,25 @@ def assignment_probability(
         idx = np.arange(profile.n)
         wrong += float(profile.values[np.abs(idx - midline) > guard_px].sum())
         total += float(profile.values.sum())
+    return _assignment(wrong, total)
+
+
+def pooled_assignment(pairs) -> tuple[float, float, float]:
+    """Contamination pooled over several scans (all flux in one budget).
+
+    pairs holds one (contamination, total_flux) per scan, as
+    assignment_probability and the scan sidecars report them.
+    """
+    wrong = total = 0.0
+    for contamination, flux in pairs:
+        wrong += contamination * flux
+        total += flux
+    return _assignment(wrong, total)
+
+
+def _assignment(wrong: float, total: float) -> tuple[float, float, float]:
     if total <= 0:
         raise NumericalError("zero total flux; assignment statistics undefined")
     contamination = wrong / total
     p = 1.0 - contamination
-    d = 2.0 * (p - 0.5)
-    return contamination, p, d
-
-
-def pooled_assignment(
-    series_list, guard_px: int = 20
-) -> tuple[float, float, float]:
-    """Contamination pooled over several scans (all flux in one budget)."""
-    wrong = 0.0
-    total = 0.0
-    for series in series_list:
-        c, _, _ = assignment_probability(series, guard_px)
-        t = sum(r.detector_profile.values.sum() for r in series.records)
-        wrong += c * t
-        total += t
-    if total <= 0:
-        raise NumericalError("zero total flux; assignment statistics undefined")
-    p = 1.0 - wrong / total
-    return wrong / total, p, 2.0 * (p - 0.5)
+    return contamination, p, distinguishability(p)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
@@ -21,17 +21,6 @@ from .errors import ConfigurationError
 
 def _sinc(u):
     return np.sinc(np.asarray(u) / np.pi)
-
-
-_GEOMETRY_KEYS = {
-    "wavelength_m": "wavelength",
-    "slit_width_m": "slit_width",
-    "slit_sep_m": "slit_sep",
-    "l_slits_lens_m": "dist_slits_lens",
-    "l_lens_det_m": "dist_lens_detector",
-    "d_direct_m": "dist_slits_direct",
-    "focal_m": "focal_length",
-}
 
 
 @dataclass(frozen=True)
@@ -81,19 +70,6 @@ class Geometry:
             * self.focal_length
         )
 
-    def to_dict(self) -> dict:
-        return {key: getattr(self, attr) for key, attr in _GEOMETRY_KEYS.items()}
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "Geometry":
-        unknown = set(block) - set(_GEOMETRY_KEYS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown geometry key(s): {', '.join(sorted(unknown))}"
-            )
-        kwargs = {attr: float(block[key]) for key, attr in _GEOMETRY_KEYS.items() if key in block}
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -130,14 +106,6 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def _write_two_column_csv(path, header, x, y):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for xi, yi in zip(x, y):
-            writer.writerow([f"{xi:.12e}", f"{yi:.12e}"])
-
-
 @dataclass(frozen=True)
 class SampledField:
     """Complex scalar amplitude sampled on a uniform grid (meters)."""
@@ -172,22 +140,6 @@ class SampledField:
             self.origin, self.pitch, np.abs(self.amplitudes) ** 2
         )
 
-    def to_csv(self, path, kind: str = "intensity") -> None:
-        """Export as two-column CSV (position_m, value).
-
-        kind selects the exported value: "intensity" (|a|^2), "real", or
-        "abs".
-        """
-        if kind == "intensity":
-            values = np.abs(self.amplitudes) ** 2
-        elif kind == "real":
-            values = self.amplitudes.real
-        elif kind == "abs":
-            values = np.abs(self.amplitudes)
-        else:
-            raise ConfigurationError(f"unknown field export kind {kind!r}")
-        _write_two_column_csv(path, ["position_m", "value"], self.positions, values)
-
 
 @dataclass(frozen=True)
 class IntensityProfile:
@@ -218,7 +170,11 @@ class IntensityProfile:
         return float(self.values.sum())
 
     def to_csv(self, path) -> None:
-        _write_two_column_csv(path, ["position_m", "value"], self.positions, self.values)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["position_m", "value"])
+            for x, v in zip(self.positions, self.values):
+                writer.writerow([f"{x:.12e}", f"{v:.12e}"])
 
     @classmethod
     def from_csv(cls, path) -> "IntensityProfile":
@@ -299,42 +255,39 @@ def check_wraparound(
     )
 
 
-def _propagate_unchecked(
-    field_in: SampledField, distance: float, wavelength: float
-) -> SampledField:
-    """Fresnel transfer-function step without the wrap-around guard.
+def fresnel_spectrum(
+    field_in: SampledField, distance: float, wavelength: float, guard: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the field times H(f) = exp(-i pi lambda z f^2), and f.
 
-    Used for the imaging leg, where residual high-frequency leakage from
-    the upstream propagation is physically negligible but would trip the
-    relative spectral test; that leg enforces detector coverage instead.
+    guard enforces the wrap-around bound (see check_wraparound).  The
+    imaging leg turns it off: residual high-frequency leakage from the
+    upstream propagation is physically negligible there but would trip the
+    relative spectral test, and that leg enforces detector coverage instead.
     """
-    if distance == 0:
-        return replace(field_in, amplitudes=field_in.amplitudes.copy())
+    spectrum = fft(field_in.amplitudes)
+    if guard:
+        check_wraparound(spectrum, field_in.pitch, distance, wavelength)
     f = fftfreq(field_in.n, field_in.pitch)
+    # keep the kernel named: as an unnamed temporary, numpy's elision swaps
+    # the operands of the complex multiply and changes the last output bits
     kernel = np.exp(-1j * np.pi * wavelength * distance * f**2)
-    out = ifft(fft(field_in.amplitudes) * kernel)
-    return replace(field_in, amplitudes=out)
+    return spectrum * kernel, f
 
 
 def propagate_fresnel(
-    field_in: SampledField, distance: float, wavelength: float
+    field_in: SampledField, distance: float, wavelength: float, guard: bool = True
 ) -> SampledField:
     """Fresnel propagation by `distance` via the transfer-function method.
 
-    H(f) = exp(-i pi lambda z f^2) is unimodular, so total power is
-    conserved exactly.  Grids too small for the distance fail the
-    wrap-around bound (see check_wraparound) with a configuration error
-    naming the minimum grid size.
+    H(f) is unimodular, so total power is conserved exactly.  With the
+    guard on, grids too small for the distance fail the wrap-around bound
+    with a configuration error naming the minimum grid size.
     """
     if distance == 0:
         return replace(field_in, amplitudes=field_in.amplitudes.copy())
-    n, pitch = field_in.n, field_in.pitch
-    spectrum = fft(field_in.amplitudes)
-    check_wraparound(spectrum, pitch, distance, wavelength)
-    f = fftfreq(n, pitch)
-    kernel = np.exp(-1j * np.pi * wavelength * distance * f**2)
-    out = ifft(spectrum * kernel)
-    return replace(field_in, amplitudes=out)
+    spectrum, _ = fresnel_spectrum(field_in, distance, wavelength, guard)
+    return replace(field_in, amplitudes=ifft(spectrum))
 
 
 def fresnel_number(geom: Geometry, screen_distance: float) -> float:

@@ -1,22 +1,20 @@
 """End-to-end glue: source -> pupil -> scans -> reconstruction -> report."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .instrument import (
     ScanSeries,
     _bin_intensity,
-    flux_vector_from_table,
+    flux_vector,
     run_scan,
+    scan_step,
+    width_in_steps,
 )
-from .metrics import duality_check, match_profiles, visibility
 from .optics import (
     Geometry,
-    GridSpec,
     IntensityProfile,
     SampledField,
     double_slit_field,
@@ -66,49 +64,38 @@ def run_all_scans(cfg: RunConfig, source: SampledField | None = None) -> list[Sc
     return [run_scan(source, cfg.geometry, scan, cfg.detector) for scan in cfg.scans]
 
 
-def matrices_for(series_list: list[ScanSeries]):
-    """Aperture matrices matching a set of scans (shared step grid)."""
-    n = series_list[0].config.n_steps
-    step = series_list[0].config.step
-    for series in series_list[1:]:
-        if series.config.n_steps != n or series.config.step != step:
-            raise ConfigurationError("scans must share n_steps and step to be stacked")
-    return [
-        build_aperture_matrix(
-            n,
-            series.config.width_elems(),
-            series.config.opening,
-            series.config.anchor_elems,
-        )
-        for series in series_list
-    ]
+def stack_layout(scans) -> tuple[str, int]:
+    """The (opening, anchor_elems) that all stacked scan configs must share."""
+    layouts = {(scan.opening, scan.anchor_elems) for scan in scans}
+    if len(layouts) != 1:
+        raise ConfigurationError("stacked scans must share opening and anchor")
+    return layouts.pop()
 
 
 def reconstruct_series(
     series_list: list[ScanSeries],
-    signal: str = "total",
+    signal: str = "F",
     cutoff: float = 1e-10,
     smoothing_rms: float = 0.0,
 ) -> ReconstructionResult:
     """Stacked least-squares reconstruction from in-memory scan series."""
-    mats = matrices_for(series_list)
-    offsets = None
-    fluxes = []
-    for series in series_list:
-        off, flux = series.flux_vector(signal)
-        if offsets is None:
-            offsets = off
-        fluxes.append(flux)
-    exposures = [series.config.exposure for series in series_list]
-    result = solve_stacked(mats, fluxes, exposures, grid=offsets, cutoff=cutoff)
-    if smoothing_rms > 0:
-        result = gaussian_smooth(result, smoothing_rms)
-    return result
+    configs = [series.config for series in series_list]
+    opening, anchor = stack_layout(configs)
+    return reconstruct_tables(
+        [series.table() for series in series_list],
+        [scan.aperture_width for scan in configs],
+        [scan.exposure for scan in configs],
+        signal,
+        opening,
+        anchor,
+        cutoff,
+        smoothing_rms,
+    )
 
 
 def reconstruct_tables(
     tables: list[dict],
-    widths_elems: list[int],
+    widths: list[float],
     exposures: list[float],
     signal: str = "F",
     opening: str = "rightward",
@@ -116,20 +103,25 @@ def reconstruct_tables(
     cutoff: float = 1e-10,
     smoothing_rms: float = 0.0,
 ) -> ReconstructionResult:
-    """Reconstruction from scan CSV tables (the file-based route)."""
-    n = tables[0]["F"].size
+    """Stacked least-squares reconstruction from scan tables.
+
+    tables are column dicts as load_scan_csv and ScanSeries.table return
+    them; all must share one uniform set of slit positions.  widths are
+    the aperture widths in meters, converted to elements of that step.
+    """
+    s = tables[0]["s"]
+    step = scan_step(tables[0])
     for t in tables[1:]:
-        if t["F"].size != n:
-            raise ConfigurationError("flux series must all have the same length")
-    mats = [build_aperture_matrix(n, w, opening, anchor) for w in widths_elems]
-    offsets = None
-    fluxes = []
-    for t in tables:
-        off, flux = flux_vector_from_table(t, signal)
-        if offsets is None:
-            offsets = off
-        fluxes.append(flux)
-    result = solve_stacked(mats, fluxes, exposures, grid=offsets, cutoff=cutoff)
+        if t["s"].shape != s.shape or np.abs(t["s"] - s).max() > 1e-6 * step:
+            raise DataError("stacked scans must be sampled at the same slit positions")
+    elems = [width_in_steps(w, step) for w in widths]
+    if len(set(elems)) < len(elems):
+        raise ConfigurationError("stacked scans must use distinct aperture widths")
+    mats = [build_aperture_matrix(s.size, w, opening, anchor) for w in elems]
+    vectors = [flux_vector(t, signal) for t in tables]
+    result = solve_stacked(
+        mats, [f for _, f in vectors], exposures, grid=vectors[0][0], cutoff=cutoff
+    )
     if smoothing_rms > 0:
         result = gaussian_smooth(result, smoothing_rms)
     return result

@@ -45,16 +45,10 @@ class ApertureMatrix:
     def width_elems(self) -> int:
         return self.band_left + self.band_right
 
-    def row_columns(self, i: int) -> range:
-        """1-based columns with a 1 in 1-based row i."""
-        return range(max(1, i - self.band_left + 1), min(self.n, i + self.band_right) + 1)
-
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i in range(1, self.n + 1):
-            cols = self.row_columns(i)
-            a[i - 1, cols.start - 1 : cols.stop - 1] = 1.0
-        return a
+        idx = np.arange(self.n)
+        lag = idx[:, None] - idx  # row index minus column index
+        return ((lag < self.band_left) & (lag >= -self.band_right)).astype(float)
 
     def dot(self, pattern: np.ndarray) -> np.ndarray:
         pattern = np.asarray(pattern, dtype=float)

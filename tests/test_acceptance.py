@@ -98,7 +98,7 @@ def test_criterion_4_geometry_constants(capsys, quiet_series):
 
     widths = []
     for series in quiet_series:
-        offsets, flux = series.flux_vector()
+        offsets, flux = ww.flux_vector(series.table())
         widths.append(curve_width_at_half_max(offsets, flux))
     width_diff = widths[1] - widths[0]
     diff_ok = 0.8e-3 <= width_diff <= 1.2e-3

@@ -151,3 +151,76 @@ def test_duality_report_artifact(cli_run):
     assert report["duality"] == pytest.approx(
         report["V"] ** 2 + report["D"] ** 2, rel=1e-12
     )
+
+
+def _rewrite_s_mm(src, dst, shift):
+    """Copy a scan CSV, moving row i's s_mm by shift(i) millimetres."""
+    lines = src.read_text().splitlines()
+    rows = [lines[0]]
+    for i, line in enumerate(lines[1:]):
+        step, s_mm, *rest = line.split(",")
+        rows.append(",".join([step, f"{float(s_mm) + shift(i):.9e}", *rest]))
+    dst.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize(
+    "shift, stacked, match",
+    [
+        (lambda i: 0.05, True, "same slit positions"),  # every position moved
+        (lambda i: 0.03 * (i == 7), False, "uniform steps"),  # one position moved
+    ],
+    ids=["shifted", "non-uniform"],
+)
+def test_explicit_csvs_with_mismatched_slit_positions_exit_3(
+    cli_run, tmp_path, capsys, shift, stacked, match
+):
+    moved = tmp_path / "scan_a5mm.csv"
+    _rewrite_s_mm(cli_run / "scan_a5mm.csv", moved, shift)
+    csvs = [str(cli_run / "scan_a4mm.csv"), str(moved)] if stacked else [str(moved)]
+    widths = "4,5" if stacked else "5"
+    rc = main(["reconstruct", *csvs, "--widths-mm", widths, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert match in capsys.readouterr().err
+
+
+def test_explicit_csvs_take_the_step_from_the_data(cli_run, tmp_path):
+    # the configured step (0.2 mm) disagrees with the 0.1 mm CSVs; the
+    # CSVs win, so the default run's reconstruction comes back unchanged
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "geometry": {},
+                "scans": [
+                    {"aperture_width_m": 4e-3, "step_m": 2e-4},
+                    {"aperture_width_m": 5e-3, "step_m": 2e-4},
+                ],
+            }
+        )
+    )
+    out = tmp_path / "explicit"
+    argv = [str(cli_run / "scan_a4mm.csv"), str(cli_run / "scan_a5mm.csv")]
+    rc = main(["reconstruct", *argv, "--widths-mm", "4,5", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    assert (out / "reconstruction.csv").read_bytes() == (
+        cli_run / "reconstruction.csv"
+    ).read_bytes()
+    for bad_widths in ("4.05,5", "4,x"):
+        assert main(["reconstruct", *argv, "--widths-mm", bad_widths, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"geometry": {"wavelength_m": "abc"}},
+        {"geometry": {}, "scans": [5]},
+        {"geometry": {}, "scans": [{"aperture_width_m": 4e-3, "n_steps": "x"}]},
+        {"geometry": {}, "detector": {"n_pixels": "x"}},
+    ],
+    ids=["geometry", "scan-not-object", "scan-field", "detector-field"],
+)
+def test_mistyped_config_values_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(config))
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -8,7 +8,6 @@ from whichway.instrument import (
     ScanStepRecord,
     _bin_intensity,
     _noiseless_step,
-    flux_vector_from_table,
 )
 from whichway.optics import GridSpec
 
@@ -123,19 +122,21 @@ def test_run_scan_record_structure(quiet_series):
     assert len(series.records) == series.config.n_steps
     for r in series.records[:5]:
         assert r.total_flux == pytest.approx(r.left_signal + r.right_signal)
-    s = series.slit_positions()
+    s = series.table()["s"]
     assert s[0] == pytest.approx(series.config.s_start)
     assert np.allclose(np.diff(s), series.config.step)
 
 
 def test_flux_vector_is_the_reversed_step_order(quiet_series):
     series = quiet_series[0]
-    offsets, flux = series.flux_vector()
+    offsets, flux = ww.flux_vector(series.table())
     assert np.all(np.diff(offsets) > 0)
     assert flux[0] == series.records[-1].total_flux
     assert flux[-1] == series.records[0].total_flux
+    _, right = ww.flux_vector(series.table(), "right")
+    assert right[0] == series.records[-1].right_signal
     with pytest.raises(ww.ConfigurationError):
-        series.flux_vector("sideways")
+        ww.flux_vector(series.table(), "sideways")
 
 
 def test_scan_csv_roundtrip(tmp_path, quiet_series):
@@ -144,8 +145,8 @@ def test_scan_csv_roundtrip(tmp_path, quiet_series):
     series.to_csv(path)
     table = ww.load_scan_csv(path)
     assert table["step"].size == series.config.n_steps
-    off_a, flux_a = series.flux_vector()
-    off_b, flux_b = flux_vector_from_table(table)
+    off_a, flux_a = ww.flux_vector(series.table())
+    off_b, flux_b = ww.flux_vector(table)
     assert np.allclose(off_a, off_b, atol=1e-12)
     assert np.allclose(flux_a, flux_b, rtol=1e-8)
 
@@ -166,20 +167,13 @@ def test_load_scan_csv_rejects_bad_files(tmp_path):
     with pytest.raises(ww.DataError, match="no data"):
         ww.load_scan_csv(empty)
 
+    non_finite = tmp_path / "n.csv"
+    non_finite.write_text("step,s_mm,F,left,right\n0,0.0,1.0,0.5,0.5\n1,0.1,nan,1,1\n")
+    with pytest.raises(ww.DataError, match="non-finite value at line 3"):
+        ww.load_scan_csv(non_finite)
 
-def test_image_slits_noise_is_seed_deterministic(quiet_cfg, source):
-    geom = quiet_cfg.geometry
-    pupil = ww.propagate_fresnel(source, geom.dist_slits_lens, geom.wavelength)
-    masked = ww.apply_aperture(pupil, -1.95e-3, 4e-3, "rightward")
-    det = ww.DetectorConfig(noise_enabled=True)
-
-    def run(seed):
-        rng = np.random.default_rng(seed)
-        return ww.image_slits(masked, geom, det, exposure=1e9, rng=rng)
-
-    a, b, c = run(11), run(11), run(12)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    with pytest.raises(ww.DataError, match="cannot read"):
+        ww.load_scan_csv(tmp_path / "missing.csv")
 
 
 def test_run_scan_noise_reproducible(quiet_cfg, source):
@@ -233,6 +227,13 @@ class TestAssignmentProbability:
         c, _, d = ww.assignment_probability(series, guard_px=20)
         assert c == 0.0 and d == 1.0
 
+    def test_majority_contamination_is_a_data_error(self):
+        values = np.zeros(101)
+        values[50] = 4.0
+        values[95] = 6.0  # most flux beyond the guard band: p < 1/2
+        with pytest.raises(ww.DataError):
+            ww.assignment_probability(_single_step_series(values), guard_px=20)
+
     def test_zero_flux_raises(self):
         with pytest.raises(ww.NumericalError):
             ww.assignment_probability(_single_step_series(np.zeros(101)), 20)
@@ -248,6 +249,12 @@ def test_pooled_assignment_matches_flux_weighted_average():
     values[50] = 8.0
     values[5] = 2.0
     dim = _single_step_series(values)
-    c_pool, p, d = ww.pooled_assignment([bright, dim], guard_px=20)
+    pairs = [
+        (ww.assignment_probability(series, 20)[0], series.records[0].detector_profile.total)
+        for series in (bright, dim)
+    ]
+    c_pool, p, d = ww.pooled_assignment(pairs)
     assert c_pool == pytest.approx(2.0 / 19.0)
     assert d == pytest.approx(2 * (p - 0.5))
+    with pytest.raises(ww.NumericalError):
+        ww.pooled_assignment([(0.0, 0.0)])

@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.signal import find_peaks
 
 import whichway as ww
+from whichway.config import load_config
 from whichway.optics import GridSpec, check_wraparound
 
 
@@ -25,11 +27,14 @@ def test_geometry_validation():
         ww.Geometry(slit_sep=50e-6)  # slits would overlap
 
 
-def test_geometry_dict_roundtrip():
-    g = ww.Geometry(focal_length=0.25)
-    assert ww.Geometry.from_dict(g.to_dict()) == g
-    with pytest.raises(ww.ConfigurationError):
-        ww.Geometry.from_dict({"banana_m": 1.0})
+def test_geometry_config_block(tmp_path):
+    assert load_config().geometry == ww.Geometry()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"geometry": {"focal_m": 0.25}}))
+    assert load_config(str(path)).geometry == ww.Geometry(focal_length=0.25)
+    path.write_text(json.dumps({"geometry": {"banana_m": 1.0}}))
+    with pytest.raises(ww.ConfigurationError, match="banana_m"):
+        load_config(str(path))
 
 
 def test_fringe_scale_value():
@@ -167,12 +172,3 @@ def test_intensity_profile_csv_roundtrip(tmp_path):
     assert back.origin == pytest.approx(prof.origin)
     assert back.pitch == pytest.approx(prof.pitch)
     assert np.allclose(back.values, prof.values)
-
-
-def test_sampled_field_csv_kinds(tmp_path):
-    grid = GridSpec(16, 1e-3)
-    f = ww.SampledField(grid.origin, grid.pitch, np.ones(16) * (1 + 1j))
-    for kind in ("intensity", "real", "abs"):
-        f.to_csv(tmp_path / f"{kind}.csv", kind=kind)
-    with pytest.raises(ww.ConfigurationError):
-        f.to_csv(tmp_path / "bad.csv", kind="imaginary")

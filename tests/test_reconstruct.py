@@ -7,19 +7,24 @@ import whichway as ww
 from whichway.reconstruct import ApertureMatrix
 
 
+def _row_columns(matrix, i):
+    """1-based columns holding a 1 in 1-based row i of the dense matrix."""
+    return list(np.flatnonzero(matrix.to_dense()[i - 1]) + 1)
+
+
 class TestApertureMatrix:
     def test_forty_element_band(self):
         a = ww.build_aperture_matrix(301, 40)
         assert (a.band_left, a.band_right) == (20, 20)
         # 1-based row i holds ones at i - 20 < j <= i + 20
-        assert a.row_columns(150) == range(131, 171)
-        assert a.row_columns(1) == range(1, 22)  # clipped at the edge
-        assert a.row_columns(301) == range(282, 302)
+        assert _row_columns(a, 150) == list(range(131, 171))
+        assert _row_columns(a, 1) == list(range(1, 22))  # clipped at the edge
+        assert _row_columns(a, 301) == list(range(282, 302))
 
     def test_fifty_element_band_shares_the_fixed_edge(self):
         a = ww.build_aperture_matrix(301, 50)
         assert (a.band_left, a.band_right) == (20, 30)
-        assert a.row_columns(150) == range(131, 181)
+        assert _row_columns(a, 150) == list(range(131, 181))
 
     def test_centered_opening(self):
         a = ww.build_aperture_matrix(100, 6, opening="centered")
@@ -43,6 +48,14 @@ class TestApertureMatrix:
         a = ww.build_aperture_matrix(301, 40)
         dense = a.to_dense()
         assert np.all(dense.sum(axis=1)[20:281] == 40)
+
+    @pytest.mark.parametrize("n, band_left, band_right", [(301, 20, 30), (10, 0, 3), (7, 7, 0), (1, 1, 0)])
+    def test_dense_matches_the_defining_loop(self, n, band_left, band_right):
+        reference = np.zeros((n, n))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                reference[i - 1, j - 1] = i - band_left < j <= i + band_right
+        assert np.array_equal(ApertureMatrix(n, band_left, band_right).to_dense(), reference)
 
     @given(
         n=st.integers(5, 60),
