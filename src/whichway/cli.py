@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, DataError, WhichwayError
 from .instrument import (
@@ -51,6 +51,21 @@ plt.show()
 """
 
 
+# profile CSVs: header and cell formats; positions in metres resp. millimetres
+_PROFILE_CSV = (("position_m", "value"), (".12e", ".12e"))
+_RECONSTRUCTION_CSV = (("position_mm", "P_hat"), (".9e", ".9e"))
+
+# the sidecar numbers that reconstruct and report read back
+_SIDECAR_NUMBERS = ("exposure_s", "contamination", "total_flux_sum", "distinguishability")
+
+
+def _read_profile(path: Path, header, to_m: float) -> IntensityProfile:
+    """A profile CSV with positions scaled to metres and negatives clipped."""
+    x, values = read_csv(path, header, min_rows=2).values()
+    x = x * to_m
+    return IntensityProfile(float(x[0]), float(x[1] - x[0]), np.clip(values, 0.0, None))
+
+
 def _scan_tag(width_m: float) -> str:
     return f"a{width_m * 1e3:g}mm"
 
@@ -63,20 +78,19 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _update_manifest(cfg: RunConfig, out: Path, stage: str, files, seconds: float):
     path = out / "run_manifest.json"
-    manifest = {}
-    if path.exists():
-        try:
-            manifest = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            manifest = {}
+    try:
+        manifest = read_json(path)
+    except DataError:  # a missing or corrupt manifest is started afresh
+        manifest = {}
     manifest["config_hash"] = cfg.config_hash()
     manifest["artifact_version"] = __version__
-    stages = manifest.setdefault("stages", {})
+    stages = manifest.get("stages")
+    manifest["stages"] = stages = stages if isinstance(stages, dict) else {}
     stages[stage] = {
         "files": [str(Path(f).name) for f in files],
         "seconds": round(seconds, 3),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
 
 
 def _write_plot_script(path: Path, csv_name: str, title: str):
@@ -91,7 +105,7 @@ def cmd_fringes(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     profile = bin_to_pixels(direct_fringe_profile(cfg), cfg.detector)
     csv_path = out / "fringes.csv"
-    profile.to_csv(csv_path)
+    write_csv(csv_path, *_PROFILE_CSV, (profile.positions, profile.values))
     script = out / "fringes_plot.py"
     _write_plot_script(script, csv_path.name, "direct double-slit fringes")
     _update_manifest(cfg, out, "fringes", [csv_path, script], time.perf_counter() - t0)
@@ -131,34 +145,34 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         csv_path = out / f"scan_{tag}.csv"
         series.to_csv(csv_path)
         sidecar = out / f"scan_{tag}.json"
-        sidecar.write_text(
-            json.dumps(_scan_sidecar(series, cfg), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(sidecar, _scan_sidecar(series, cfg))
         files += [csv_path, sidecar]
         if args.profiles:
-            series.export_profiles(out / f"profiles_{tag}")
+            directory = out / f"profiles_{tag}"
+            directory.mkdir(exist_ok=True)
+            for r in series.records:
+                prof = r.detector_profile
+                path = directory / f"step_{r.step_index:04d}.csv"
+                write_csv(path, *_PROFILE_CSV, (prof.positions, prof.values))
         print(f"wrote {csv_path}")
     _update_manifest(cfg, out, "scan", files, time.perf_counter() - t0)
     return 0
 
 
-def _sidecar_exposure(csv_path: Path, default: float) -> float:
-    """Exposure recorded in the JSON sidecar next to a scan CSV, if any."""
-    sidecar = csv_path.with_suffix(".json")
-    if not sidecar.exists():
-        return default
-    return float(json.loads(sidecar.read_text()).get("exposure_s", default))
+def _read_scans(csv_paths, exposures):
+    """Scan tables and exposures; a CSV's sidecar, if any, sets its exposure."""
+    sidecars = [path.with_suffix(".json") for path in csv_paths]
+    exposures = [
+        float(read_json(s, _SIDECAR_NUMBERS)["exposure_s"]) if s.exists() else e
+        for s, e in zip(sidecars, exposures)
+    ]
+    return [load_scan_csv(path) for path in csv_paths], exposures
 
 
 def _discover_scans(cfg: RunConfig, out: Path):
     """Tables, widths (m) and exposures of the configured scans' outputs."""
-    tables, exposures = [], []
-    for scan in cfg.scans:
-        csv_path = out / f"scan_{_scan_tag(scan.aperture_width)}.csv"
-        if not csv_path.exists():
-            raise DataError(f"missing scan output: {csv_path}")
-        tables.append(load_scan_csv(csv_path))
-        exposures.append(_sidecar_exposure(csv_path, scan.exposure or 1.0))
+    paths = [out / f"scan_{_scan_tag(scan.aperture_width)}.csv" for scan in cfg.scans]
+    tables, exposures = _read_scans(paths, [scan.exposure or 1.0 for scan in cfg.scans])
     return tables, [scan.aperture_width for scan in cfg.scans], exposures
 
 
@@ -193,8 +207,7 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
         if len(widths) != len(paths):
             raise ConfigurationError("need one width per flux CSV")
         # the scan step comes from the CSVs' s_mm column, not the config
-        tables = [load_scan_csv(p) for p in paths]
-        exposures = [_sidecar_exposure(p, 1.0) for p in paths]
+        tables, exposures = _read_scans(paths, [1.0] * len(paths))
     else:
         tables, widths, exposures = _discover_scans(cfg, out)
     result = _reconstruct(cfg, tables, widths, exposures)
@@ -206,9 +219,17 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
             file=sys.stderr,
         )
     csv_path = out / "reconstruction.csv"
-    result.to_csv(csv_path)
+    write_csv(csv_path, *_RECONSTRUCTION_CSV, (result.grid * 1e3, result.p_hat))
     sidecar = out / "reconstruction.json"
-    result.write_sidecar(sidecar)
+    write_json(
+        sidecar,
+        {
+            "residual_norm": result.residual_norm,
+            "effective_rank": result.effective_rank,
+            "cutoff": result.cutoff,
+            "smoothing_rms_m": result.smoothing_rms,
+        },
+    )
     script = out / "reconstruction_plot.py"
     _write_plot_script(script, csv_path.name, "reconstructed pupil pattern")
     _update_manifest(
@@ -218,38 +239,37 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_reconstruction(out: Path) -> IntensityProfile:
-    path = out / "reconstruction.csv"
-    if not path.exists():
-        raise DataError(f"missing reconstruction output: {path}")
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    x = np.atleast_1d(data["position_mm"]) * 1e-3
-    v = np.clip(np.atleast_1d(data["P_hat"]), 0.0, None)
-    return IntensityProfile(float(x[0]), float(x[1] - x[0]), v)
-
-
 def cmd_report(cfg: RunConfig, args) -> int:
     """Duality report: V from the reconstruction, D from the scans."""
     t0 = time.perf_counter()
     out = _out_dir(cfg)
-    missing = []
     recon_csv = out / "reconstruction.csv"
-    if not recon_csv.exists():
-        missing.append(str(recon_csv))
-    sidecars = []
-    for scan in cfg.scans:
-        tag = _scan_tag(scan.aperture_width)
-        for name in (f"scan_{tag}.csv", f"scan_{tag}.json"):
-            if not (out / name).exists():
-                missing.append(str(out / name))
-        sidecars.append(out / f"scan_{tag}.json")
+    sidecars = [out / f"scan_{_scan_tag(scan.aperture_width)}.json" for scan in cfg.scans]
+    inputs = [recon_csv, *sidecars, *(p.with_suffix(".csv") for p in sidecars)]
+    missing = [str(p) for p in inputs if not p.exists()]
     if missing:
         raise DataError("missing report inputs: " + ", ".join(missing))
 
-    profile = _load_reconstruction(out)
-    vis = visibility(profile, cfg.peak_selector)
+    profile = _read_profile(recon_csv, _RECONSTRUCTION_CSV[0], 1e-3)
+    entries = {path.stem: read_json(path, _SIDECAR_NUMBERS) for path in sidecars}
+    tables, widths, exposures = _discover_scans(cfg, out)
 
-    entries = {path.stem: json.loads(path.read_text()) for path in sidecars}
+    # match the reconstruction against the direct fringe image, scaled
+    # from the near plane to the pupil plane
+    match = None
+    fringes_csv = out / "fringes.csv"
+    if fringes_csv.exists():
+        reference = _read_profile(fringes_csv, _PROFILE_CSV[0], 1.0)
+        in_pixels = IntensityProfile(
+            reference.origin / cfg.detector.pixel_pitch,
+            reference.pitch / cfg.detector.pixel_pitch,
+            reference.values,
+        )
+        match = match_profiles(
+            profile, in_pixels, cfg.h_scale, half_window=cfg.window_half
+        )
+
+    vis = visibility(profile, cfg.peak_selector)
     _, _, d = pooled_assignment(
         (float(e["contamination"]), float(e["total_flux_sum"])) for e in entries.values()
     )
@@ -261,33 +281,17 @@ def cmd_report(cfg: RunConfig, args) -> int:
         d_method=f"guard_px:{cfg.guard_px};pooled-contamination",
     )
     duality_path = out / "duality.json"
-    report.write_json(duality_path)
+    write_json(duality_path, report.to_json_dict())
 
     # left/right-signal reconstructions (which-way split of the pattern)
-    tables, widths, exposures = _discover_scans(cfg, out)
     lr_files = []
     lr_profiles = {}
     for signal in ("left", "right"):
         res = _reconstruct(cfg, tables, widths, exposures, signal)
         path = out / f"reconstruction_{signal}.csv"
-        res.to_csv(path)
+        write_csv(path, *_RECONSTRUCTION_CSV, (res.grid * 1e3, res.p_hat))
         lr_files.append(path)
         lr_profiles[signal] = result_profile(res)
-
-    # match the reconstruction against the direct fringe image, scaled
-    # from the near plane to the pupil plane
-    match = None
-    fringes_csv = out / "fringes.csv"
-    if fringes_csv.exists():
-        reference = IntensityProfile.from_csv(fringes_csv)
-        in_pixels = IntensityProfile(
-            reference.origin / cfg.detector.pixel_pitch,
-            reference.pitch / cfg.detector.pixel_pitch,
-            reference.values,
-        )
-        match = match_profiles(
-            profile, in_pixels, cfg.h_scale, half_window=cfg.window_half
-        )
 
     lines = [
         f"whichway run report (config {cfg.config_hash()[:12]})",

@@ -47,8 +47,6 @@ DEFAULT_CONFIG = {
     "metrics": {
         "peak_selector": "second_third",
         "guard_px": 20,
-        # pixel pitch scaled from the direct-image plane to the pupil plane
-        "h_scale_m_per_pix": 13e-6 * 0.58 / 0.25,
     },
     "output_dir": "runs/default",
     "seed": 0,
@@ -107,10 +105,15 @@ class RunConfig:
     window_half: float
     peak_selector: str
     guard_px: int
-    h_scale: float
     output_dir: str
     seed: int
     raw: dict
+
+    @property
+    def h_scale(self) -> float:
+        """Camera pixel pitch scaled from the direct-image plane to the pupil."""
+        geom = self.geometry
+        return self.detector.pixel_pitch * geom.dist_slits_lens / geom.dist_slits_direct
 
     def config_hash(self) -> str:
         # output_dir is excluded: it names where artifacts land, not what
@@ -172,7 +175,6 @@ def _parse(raw: dict) -> RunConfig:
         window_half=float(rec["window_half_m"]),
         peak_selector=str(met["peak_selector"]),
         guard_px=int(met["guard_px"]),
-        h_scale=float(met["h_scale_m_per_pix"]),
         output_dir=str(merged["output_dir"]),
         seed=seed,
         raw=merged,

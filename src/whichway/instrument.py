@@ -8,13 +8,13 @@ pattern at offset -s_k, which is what the reconstruction module assumes.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import ifft
 
+from .artifacts import read_csv, write_csv
 from .errors import ConfigurationError, DataError, NumericalError
 from .metrics import distinguishability
 from .optics import (
@@ -24,13 +24,12 @@ from .optics import (
     fresnel_spectrum,
     propagate_fresnel,
 )
+from .reconstruct import OPENINGS, band_left_elems
 
 # camera full-well stand-in used by auto exposure (intensity units = electrons
 # at unit gain); exposures default to putting the peak pixel at 70% of it
 FULL_WELL = 1e5
 AUTO_EXPOSURE_FRACTION = 0.7
-
-_OPENINGS = ("rightward", "leftward", "centered")
 
 
 def width_in_steps(width: float, step: float) -> int:
@@ -71,8 +70,8 @@ class ScanConfig:
             raise ConfigurationError("exposure must be > 0")
         if self.frames_per_step < 1:
             raise ConfigurationError("frames_per_step must be >= 1")
-        if self.opening not in _OPENINGS:
-            raise ConfigurationError(f"opening must be one of {_OPENINGS}")
+        if self.opening not in OPENINGS:
+            raise ConfigurationError(f"opening must be one of {OPENINGS}")
         if self.midline not in ("center", "centroid"):
             raise ConfigurationError("midline must be 'center' or 'centroid'")
 
@@ -86,14 +85,8 @@ class ScanConfig:
         matching aperture matrix: edges land on the boundaries of the
         step-sized pattern bins.
         """
-        w = self.aperture_width / self.step
-        if self.opening == "rightward":
-            band_left = min(self.anchor_elems, w)
-        elif self.opening == "leftward":
-            band_left = w - min(self.anchor_elems, w)
-        else:
-            band_left = np.floor(w / 2)
-        return -(band_left - 0.5) * self.step
+        left = band_left_elems(self.width_elems(), self.opening, self.anchor_elems)
+        return -(left - 0.5) * self.step
 
 
 @dataclass(frozen=True)
@@ -133,6 +126,7 @@ class ScanStepRecord:
 
 
 _CSV_HEADER = ["step", "s_mm", "F", "left", "right"]
+_CSV_FORMATS = ["d", ".9e", ".9e", ".9e", ".9e"]
 
 # scan-table column -> ScanStepRecord attribute
 _TABLE_COLUMNS = {
@@ -161,59 +155,18 @@ class ScanSeries:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for r in self.records:
-                writer.writerow(
-                    [
-                        r.step_index,
-                        f"{r.slit_position * 1e3:.9e}",
-                        f"{r.total_flux:.9e}",
-                        f"{r.left_signal:.9e}",
-                        f"{r.right_signal:.9e}",
-                    ]
-                )
-
-    def export_profiles(self, directory) -> list:
-        """One per-step CSV of the detector profile in a named directory."""
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        paths = []
-        for r in self.records:
-            path = os.path.join(directory, f"step_{r.step_index:04d}.csv")
-            r.detector_profile.to_csv(path)
-            paths.append(path)
-        return paths
+        t = self.table()
+        columns = [t["step"], t["s"] * 1e3, t["F"], t["left"], t["right"]]
+        write_csv(path, _CSV_HEADER, _CSV_FORMATS, columns)
 
 
 def load_scan_csv(path) -> dict:
     """Read a scan CSV back into arrays; malformed rows name their line."""
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read scan file ({exc.strerror})") from exc
-    rows = []
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _CSV_HEADER:
-            raise DataError(f"{path}: expected header '{','.join(_CSV_HEADER)}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values = [float(row[i]) for i in range(1, 5)]
-                rows.append((int(row[0]), *values))
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: corrupt row at line {lineno}") from exc
-            if not np.all(np.isfinite(values)):
-                raise DataError(f"{path}: non-finite value at line {lineno}")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    steps, s_mm, flux, left, right = (np.array(col) for col in zip(*rows))
-    return {"step": steps, "s": s_mm * 1e-3, "F": flux, "left": left, "right": right}
+    table = read_csv(path, _CSV_HEADER)
+    step = table.pop("step")
+    if not np.array_equal(step, np.round(step)):
+        raise DataError(f"{path}: step numbers must be whole")
+    return {"step": step.astype(int), "s": table.pop("s_mm") * 1e-3, **table}
 
 
 def scan_step(table: dict) -> float:
@@ -242,27 +195,14 @@ def flux_vector(table: dict, signal: str = "F") -> tuple[np.ndarray, np.ndarray]
 
 
 def apply_aperture(
-    field_in: SampledField,
-    center_offset: float,
-    width: float,
-    opening: str = "centered",
+    field_in: SampledField, left_edge: float, width: float
 ) -> SampledField:
-    """Multiply the field by the indicator of the aperture interval.
+    """Multiply the field by the indicator of [left_edge, left_edge + width).
 
-    "rightward" places the interval [center_offset, center_offset + width):
-    the fixed edge is the left one.  "leftward" mirrors it; "centered"
-    straddles center_offset.  Edge cells get sqrt(coverage) weighting so
-    transmitted power equals the integral of |field|^2 over the interval.
+    Edge cells get sqrt(coverage) weighting so transmitted power equals
+    the integral of |field|^2 over the interval.
     """
-    if opening == "rightward":
-        lo = center_offset
-    elif opening == "leftward":
-        lo = center_offset - width
-    elif opening == "centered":
-        lo = center_offset - width / 2
-    else:
-        raise ConfigurationError(f"opening must be one of {_OPENINGS}")
-    hi = lo + width
+    lo, hi = left_edge, left_edge + width
     x = field_in.positions
     p = field_in.pitch
     frac = np.clip(
@@ -421,9 +361,7 @@ def _noiseless_step(
         )
     shifted = ifft(pupil_spec * np.exp(-2j * np.pi * freqs * s))
     pupil = replace(source_field, amplitudes=shifted)
-    masked = apply_aperture(
-        pupil, scan.aperture_left_edge(), scan.aperture_width, "rightward"
-    )
+    masked = apply_aperture(pupil, scan.aperture_left_edge(), scan.aperture_width)
     return image_slits(
         masked, geom, detector, detector_center_offset=-scan.stage_ratio * s
     )

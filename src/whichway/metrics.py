@@ -1,7 +1,6 @@
 """Visibility, distinguishability, the duality quantity, and profile matching."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,11 +109,6 @@ class DualityReport:
             "V_method": self.v_method,
             "D_method": self.d_method,
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def duality_check(

@@ -6,7 +6,6 @@ far-field formulas are provided as independent cross-checks.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
@@ -168,21 +167,6 @@ class IntensityProfile:
     @property
     def total(self) -> float:
         return float(self.values.sum())
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["position_m", "value"])
-            for x, v in zip(self.positions, self.values):
-                writer.writerow([f"{x:.12e}", f"{v:.12e}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "IntensityProfile":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        x = np.atleast_1d(data["position_m"])
-        v = np.atleast_1d(data["value"])
-        pitch = float(x[1] - x[0]) if x.size > 1 else 1.0
-        return cls(float(x[0]), pitch, v)
 
 
 def double_slit_field(

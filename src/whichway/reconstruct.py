@@ -7,7 +7,6 @@ and the minimum-norm least-squares solution recovers the pattern.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -63,28 +62,39 @@ class ApertureMatrix:
         return cum[hi] - cum[lo]
 
 
+OPENINGS = ("rightward", "leftward", "centered")
+
+
+def band_left_elems(width_elems: int, opening: str = "rightward", anchor: int = 20) -> int:
+    """Elements of an aperture band left of its reference point.
+
+    "rightward" puts the left edge `anchor` elements out (clipped for very
+    narrow apertures), so all widths share it; "leftward" mirrors it;
+    "centered" splits the band evenly.
+    """
+    if opening == "rightward":
+        return min(anchor, width_elems)
+    if opening == "leftward":
+        return width_elems - min(anchor, width_elems)
+    if opening == "centered":
+        return width_elems // 2
+    raise ConfigurationError(f"opening must be one of {OPENINGS}; got {opening!r}")
+
+
 def build_aperture_matrix(
     n: int, width_elems: int, opening: str = "rightward", anchor: int = 20
 ) -> ApertureMatrix:
     """Banded summation matrix for an aperture of `width_elems` elements.
 
-    "rightward" fixes the left edge at the reference half-width `anchor`
-    (clipped for very narrow apertures), so different widths share the
-    same "i - anchor < j" condition; "centered" splits the band evenly.
+    The band's split around row i follows band_left_elems; with the
+    "rightward" opening every width shares the "i - anchor < j" condition.
     """
     if width_elems < 1 or width_elems > n:
         raise ConfigurationError(
             f"width_elems must be in [1, n]; got {width_elems} with n = {n}"
         )
-    if opening == "rightward":
-        band_left = min(anchor, width_elems)
-    elif opening == "leftward":
-        band_left = width_elems - min(anchor, width_elems)
-    elif opening == "centered":
-        band_left = width_elems // 2
-    else:
-        raise ConfigurationError(f"unknown opening {opening!r}")
-    return ApertureMatrix(n, band_left, width_elems - band_left)
+    left = band_left_elems(width_elems, opening, anchor)
+    return ApertureMatrix(n, left, width_elems - left)
 
 
 def rank_of(matrix: ApertureMatrix, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:
@@ -133,28 +143,6 @@ class ReconstructionResult:
     @property
     def pitch(self) -> float:
         return float(self.grid[1] - self.grid[0]) if self.grid.size > 1 else 1.0
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["position_mm", "P_hat"])
-            for x, v in zip(self.grid, self.p_hat):
-                writer.writerow([f"{x * 1e3:.9e}", f"{v:.9e}"])
-
-    def sidecar_dict(self) -> dict:
-        return {
-            "residual_norm": self.residual_norm,
-            "effective_rank": self.effective_rank,
-            "cutoff": self.cutoff,
-            "smoothing_rms_m": self.smoothing_rms,
-        }
-
-    def write_sidecar(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.sidecar_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def solve_stacked(

@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import pytest
 
 from whichway.cli import build_parser, main
+from whichway.config import load_config
 
 EXPECTED_ARTIFACTS = [
     "fringes.csv",
@@ -116,6 +118,89 @@ def test_missing_config_file_exits_3(tmp_path):
 def test_report_with_missing_inputs_exits_3(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 3
     assert "missing report inputs" in capsys.readouterr().err
+
+
+def _replace_cell(text, line, column, cell):
+    lines = text.splitlines()
+    cells = lines[line].split(",")
+    cells[column] = cell
+    lines[line] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _edit_json(edit):
+    def corrupt(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+
+    return corrupt
+
+
+# (artifact, corruption, commands that read it): each command must reject the
+# corrupt artifact with exit 3 and one error line naming the file
+CORRUPTIONS = {
+    "recon-one-row": (
+        "reconstruction.csv",
+        lambda t: "\n".join(t.splitlines()[:2]) + "\n",
+        ["report"],
+    ),
+    "recon-header": (
+        "reconstruction.csv",
+        lambda t: t.replace("position_mm", "x_mm", 1),
+        ["report"],
+    ),
+    "fringes-header": (
+        "fringes.csv",
+        lambda t: t.replace("position_m", "x_m", 1),
+        ["report"],
+    ),
+    "recon-non-numeric": (
+        "reconstruction.csv",
+        lambda t: _replace_cell(t, 150, 1, "abc"),
+        ["report"],
+    ),
+    "fringes-nan": ("fringes.csv", lambda t: _replace_cell(t, 512, 1, "nan"), ["report"]),
+    "sidecar-truncated": (
+        "scan_a4mm.json",
+        lambda t: t[: len(t) // 2],
+        ["report", "reconstruct"],
+    ),
+    "sidecar-no-contamination": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.pop("contamination")),
+        ["report", "reconstruct"],
+    ),
+    "sidecar-list": ("scan_a4mm.json", lambda t: "[1, 2]\n", ["report", "reconstruct"]),
+    "sidecar-exposure-string": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.update(exposure_s="x")),
+        ["report", "reconstruct"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_corrupted_artifacts_exit_3(cli_run, tmp_path, capsys, case):
+    name, corrupt, commands = CORRUPTIONS[case]
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    path = run / name
+    path.write_text(corrupt(path.read_text()))
+    for cmd in commands:
+        assert main([cmd, "--out", str(run), "--seed", "0"]) == 3, cmd
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+def test_h_scale_follows_the_geometry(tmp_path, capsys):
+    assert load_config().h_scale == 13e-6 * 0.58 / 0.25
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"geometry": {"d_direct_m": 0.5}}))
+    assert load_config(str(path)).h_scale == 13e-6 * 0.58 / 0.5
+    path.write_text(json.dumps({"geometry": {}, "metrics": {"h_scale_m_per_pix": 3e-5}}))
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "h_scale_m_per_pix" in capsys.readouterr().err
 
 
 def test_explicit_csvs_require_widths(cli_run, tmp_path):

@@ -162,13 +162,3 @@ def test_constraint_report_verdicts():
     assert ww.constraint_report(geom, 5e-3).verdict == "separates-slits"
     with pytest.raises(ww.ConfigurationError):
         ww.constraint_report(geom, 0.0)
-
-
-def test_intensity_profile_csv_roundtrip(tmp_path):
-    prof = ww.IntensityProfile(-1e-3, 1e-4, np.arange(21, dtype=float))
-    path = tmp_path / "prof.csv"
-    prof.to_csv(path)
-    back = ww.IntensityProfile.from_csv(path)
-    assert back.origin == pytest.approx(prof.origin)
-    assert back.pitch == pytest.approx(prof.pitch)
-    assert np.allclose(back.values, prof.values)

@@ -168,20 +168,3 @@ class TestGaussianSmooth:
     def test_negative_rms_raises(self):
         with pytest.raises(ww.ConfigurationError):
             ww.gaussian_smooth(self._result(np.ones(10)), -1.0)
-
-
-def test_reconstruction_result_csv_and_sidecar(tmp_path):
-    res = ww.ReconstructionResult(
-        np.linspace(-1e-3, 1e-3, 21), np.linspace(0, 1, 21), 0.5, 21, 1e-10
-    )
-    res.to_csv(tmp_path / "r.csv")
-    res.write_sidecar(tmp_path / "r.json")
-    data = np.genfromtxt(tmp_path / "r.csv", delimiter=",", names=True)
-    assert np.allclose(data["position_mm"], res.grid * 1e3)
-    assert np.allclose(data["P_hat"], res.p_hat)
-    import json
-
-    sidecar = json.loads((tmp_path / "r.json").read_text())
-    assert sidecar["effective_rank"] == 21
-    with pytest.raises(ww.ConfigurationError):
-        ww.ReconstructionResult(np.ones(3), np.ones(4), 0.0, 3, 1e-10)
