@@ -17,6 +17,7 @@ from .instrument import (
     bin_to_pixels,
     load_scan_csv,
     pooled_assignment,
+    uniform_step,
 )
 from .metrics import duality_check, match_profiles, visibility
 from .optics import IntensityProfile
@@ -25,7 +26,6 @@ from .pipeline import (
     reconstruct_tables,
     result_profile,
     run_all_scans,
-    stack_layout,
 )
 from .reconstruct import full_rank_dims
 
@@ -62,8 +62,8 @@ _SIDECAR_NUMBERS = ("exposure_s", "contamination", "total_flux_sum", "distinguis
 def _read_profile(path: Path, header, to_m: float) -> IntensityProfile:
     """A profile CSV with positions scaled to metres and negatives clipped."""
     x, values = read_csv(path, header, min_rows=2).values()
-    x = x * to_m
-    return IntensityProfile(float(x[0]), float(x[1] - x[0]), np.clip(values, 0.0, None))
+    step = uniform_step(x, f"{path}: positions")
+    return IntensityProfile(float(x[0] * to_m), step * to_m, np.clip(values, 0.0, None))
 
 
 def _scan_tag(width_m: float) -> str:
@@ -159,35 +159,23 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _read_scans(csv_paths, exposures):
-    """Scan tables and exposures; a CSV's sidecar, if any, sets its exposure."""
-    sidecars = [path.with_suffix(".json") for path in csv_paths]
-    exposures = [
-        float(read_json(s, _SIDECAR_NUMBERS)["exposure_s"]) if s.exists() else e
-        for s, e in zip(sidecars, exposures)
+def _scan_paths(cfg: RunConfig, out: Path) -> list[Path]:
+    """The CSV outputs of the configured scans."""
+    return [out / f"scan_{_scan_tag(scan.aperture_width)}.csv" for scan in cfg.scans]
+
+
+def _read_scans(csv_paths, sidecars_required: bool):
+    """Scan tables, sidecars and exposures, each file read once.
+
+    Unless sidecars_required, a CSV with no sidecar next to it has sidecar
+    None and exposure 1.0.
+    """
+    sidecars = [
+        read_json(s, _SIDECAR_NUMBERS) if sidecars_required or s.exists() else None
+        for s in (path.with_suffix(".json") for path in csv_paths)
     ]
-    return [load_scan_csv(path) for path in csv_paths], exposures
-
-
-def _discover_scans(cfg: RunConfig, out: Path):
-    """Tables, widths (m) and exposures of the configured scans' outputs."""
-    paths = [out / f"scan_{_scan_tag(scan.aperture_width)}.csv" for scan in cfg.scans]
-    tables, exposures = _read_scans(paths, [scan.exposure or 1.0 for scan in cfg.scans])
-    return tables, [scan.aperture_width for scan in cfg.scans], exposures
-
-
-def _reconstruct(cfg: RunConfig, tables, widths, exposures, signal: str = "F"):
-    opening, anchor = stack_layout(cfg.scans)
-    return reconstruct_tables(
-        tables,
-        widths,
-        exposures,
-        signal=signal,
-        opening=opening,
-        anchor=anchor,
-        cutoff=cfg.recon_cutoff,
-        smoothing_rms=cfg.smoothing_rms,
-    )
+    exposures = [1.0 if s is None else float(s["exposure_s"]) for s in sidecars]
+    return [load_scan_csv(path) for path in csv_paths], sidecars, exposures
 
 
 def cmd_reconstruct(cfg: RunConfig, args) -> int:
@@ -206,11 +194,12 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
             raise ConfigurationError(f"--widths-mm: {exc}") from exc
         if len(widths) != len(paths):
             raise ConfigurationError("need one width per flux CSV")
-        # the scan step comes from the CSVs' s_mm column, not the config
-        tables, exposures = _read_scans(paths, [1.0] * len(paths))
     else:
-        tables, widths, exposures = _discover_scans(cfg, out)
-    result = _reconstruct(cfg, tables, widths, exposures)
+        paths = _scan_paths(cfg, out)
+        widths = [scan.aperture_width for scan in cfg.scans]
+    # the scan step comes from the CSVs' s_mm column, not the config
+    tables, _, exposures = _read_scans(paths, sidecars_required=not args.flux_csv)
+    result = reconstruct_tables(cfg, tables, widths, exposures)
     n = tables[0]["F"].size
     if len(widths) == 1 and result.effective_rank < n:
         print(
@@ -244,15 +233,14 @@ def cmd_report(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     out = _out_dir(cfg)
     recon_csv = out / "reconstruction.csv"
-    sidecars = [out / f"scan_{_scan_tag(scan.aperture_width)}.json" for scan in cfg.scans]
-    inputs = [recon_csv, *sidecars, *(p.with_suffix(".csv") for p in sidecars)]
+    paths = _scan_paths(cfg, out)
+    inputs = [recon_csv, *(p.with_suffix(".json") for p in paths), *paths]
     missing = [str(p) for p in inputs if not p.exists()]
     if missing:
         raise DataError("missing report inputs: " + ", ".join(missing))
 
     profile = _read_profile(recon_csv, _RECONSTRUCTION_CSV[0], 1e-3)
-    entries = {path.stem: read_json(path, _SIDECAR_NUMBERS) for path in sidecars}
-    tables, widths, exposures = _discover_scans(cfg, out)
+    tables, sidecars, exposures = _read_scans(paths, sidecars_required=True)
 
     # match the reconstruction against the direct fringe image, scaled
     # from the near plane to the pupil plane
@@ -271,8 +259,14 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
     vis = visibility(profile, cfg.peak_selector)
     _, _, d = pooled_assignment(
-        (float(e["contamination"]), float(e["total_flux_sum"])) for e in entries.values()
+        (float(s["contamination"]), float(s["total_flux_sum"])) for s in sidecars
     )
+    # left/right-signal reconstructions (which-way split of the pattern)
+    widths = [scan.aperture_width for scan in cfg.scans]
+    lr_results = {
+        signal: reconstruct_tables(cfg, tables, widths, exposures, signal)
+        for signal in ("left", "right")
+    }
 
     report = duality_check(
         min(vis.value, 1.0),
@@ -283,15 +277,11 @@ def cmd_report(cfg: RunConfig, args) -> int:
     duality_path = out / "duality.json"
     write_json(duality_path, report.to_json_dict())
 
-    # left/right-signal reconstructions (which-way split of the pattern)
     lr_files = []
-    lr_profiles = {}
-    for signal in ("left", "right"):
-        res = _reconstruct(cfg, tables, widths, exposures, signal)
+    for signal, res in lr_results.items():
         path = out / f"reconstruction_{signal}.csv"
         write_csv(path, *_RECONSTRUCTION_CSV, (res.grid * 1e3, res.p_hat))
         lr_files.append(path)
-        lr_profiles[signal] = result_profile(res)
 
     lines = [
         f"whichway run report (config {cfg.config_hash()[:12]})",
@@ -300,6 +290,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         f"V^2 + D^2 = {report.duality:.4f}  -> "
         + ("VIOLATED (> 1)" if report.violated else "within the bound"),
     ]
+    entries = {path.stem: sidecar for path, sidecar in zip(paths, sidecars)}
     for name, entry in sorted(entries.items()):
         lines.append(f"  {name}: D = {float(entry['distinguishability']):.4f}")
     if match is not None:
@@ -307,7 +298,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
             f"profile match vs direct fringes: shift = {match.shift * 1e3:+.3f} mm, "
             f"v_scale = {match.v_scale:.4g}, normalized RMS = {match.rms_residual:.4f}"
         )
-    left, right = lr_profiles["left"], lr_profiles["right"]
+    left, right = (result_profile(res) for res in lr_results.values())
     lp = left.values / max(left.values.max(), 1e-300)
     rp = right.values / max(right.values.max(), 1e-300)
     lines.append(

@@ -3,92 +3,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+import sys
+import typing
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError
 from .instrument import DetectorConfig, ScanConfig
+from .metrics import DEFAULT_MATCH_HALF_WINDOW
 from .optics import Geometry, GridSpec
-
-# JSON key -> dataclass field, one table per config block
-_GEOMETRY_KEYS = {
-    "wavelength_m": "wavelength",
-    "slit_width_m": "slit_width",
-    "slit_sep_m": "slit_sep",
-    "l_slits_lens_m": "dist_slits_lens",
-    "l_lens_det_m": "dist_lens_detector",
-    "d_direct_m": "dist_slits_direct",
-    "focal_m": "focal_length",
-}
-
-DEFAULT_CONFIG = {
-    "geometry": {key: getattr(Geometry(), attr) for key, attr in _GEOMETRY_KEYS.items()},
-    "source": {
-        "illumination_tilt": 0.1,
-        "grid_n": 2**17,
-        "grid_half_span_m": 40e-3,
-    },
-    "scans": [
-        {"aperture_width_m": 4e-3, "midline": "centroid"},
-        {"aperture_width_m": 5e-3, "midline": "centroid"},
-    ],
-    "detector": {
-        "pixel_pitch_m": 13e-6,
-        "n_pixels": 1024,
-        "readout_noise_e": 6.0,
-        "gain_e_per_unit": 1.0,
-        "noise_enabled": True,
-    },
-    "reconstruction": {
-        "cutoff": 1e-10,
-        "smoothing_rms_m": 0.15e-3,
-        "window_half_m": 5e-3,
-    },
-    "metrics": {
-        "peak_selector": "second_third",
-        "guard_px": 20,
-    },
-    "output_dir": "runs/default",
-    "seed": 0,
-}
-
-_SCAN_KEYS = {
-    "aperture_width_m": "aperture_width",
-    "step_m": "step",
-    "n_steps": "n_steps",
-    "s_start_m": "s_start",
-    "stage_ratio": "stage_ratio",
-    "exposure_s": "exposure",
-    "frames_per_step": "frames_per_step",
-    "opening": "opening",
-    "anchor_elems": "anchor_elems",
-    "midline": "midline",
-}
-
-_DETECTOR_KEYS = {
-    "pixel_pitch_m": "pixel_pitch",
-    "n_pixels": "n_pixels",
-    "readout_noise_e": "readout_noise",
-    "gain_e_per_unit": "gain",
-    "noise_enabled": "noise_enabled",
-    "rng_seed": "rng_seed",
-}
-
-
-def _check_keys(block: dict, allowed, where: str) -> None:
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) in {where}: {', '.join(sorted(unknown))}"
-        )
-
-
-def _build(cls, block, keys: dict, where: str):
-    """Construct cls from a JSON block, mapping its keys to field names."""
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"{where} must be an object")
-    _check_keys(block, keys, where)
-    return cls(**{attr: block[key] for key, attr in keys.items() if key in block})
+from .reconstruct import DEFAULT_RANK_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -106,8 +32,7 @@ class RunConfig:
     peak_selector: str
     guard_px: int
     output_dir: str
-    seed: int
-    raw: dict
+    raw: dict  # the merged config with typed values, as hashed
 
     @property
     def h_scale(self) -> float:
@@ -124,60 +49,155 @@ class RunConfig:
         ).hexdigest()
 
 
+# JSON key -> (dataclass, field), one table per config block
+_BLOCKS = {
+    "geometry": {
+        "wavelength_m": (Geometry, "wavelength"),
+        "slit_width_m": (Geometry, "slit_width"),
+        "slit_sep_m": (Geometry, "slit_sep"),
+        "l_slits_lens_m": (Geometry, "dist_slits_lens"),
+        "l_lens_det_m": (Geometry, "dist_lens_detector"),
+        "d_direct_m": (Geometry, "dist_slits_direct"),
+        "focal_m": (Geometry, "focal_length"),
+    },
+    "source": {
+        "illumination_tilt": (RunConfig, "illumination_tilt"),
+        "grid_n": (GridSpec, "n"),
+        "grid_half_span_m": (GridSpec, "half_span"),
+    },
+    "detector": {
+        "pixel_pitch_m": (DetectorConfig, "pixel_pitch"),
+        "n_pixels": (DetectorConfig, "n_pixels"),
+        "readout_noise_e": (DetectorConfig, "readout_noise"),
+        "gain_e_per_unit": (DetectorConfig, "gain"),
+        "noise_enabled": (DetectorConfig, "noise_enabled"),
+    },
+    "reconstruction": {
+        "cutoff": (RunConfig, "recon_cutoff"),
+        "smoothing_rms_m": (RunConfig, "smoothing_rms"),
+        "window_half_m": (RunConfig, "window_half"),
+    },
+    "metrics": {
+        "peak_selector": (RunConfig, "peak_selector"),
+        "guard_px": (RunConfig, "guard_px"),
+    },
+}
+
+# every entry of the "scans" list
+_SCAN_KEYS = {
+    "aperture_width_m": (ScanConfig, "aperture_width"),
+    "step_m": (ScanConfig, "step"),
+    "n_steps": (ScanConfig, "n_steps"),
+    "s_start_m": (ScanConfig, "s_start"),
+    "stage_ratio": (ScanConfig, "stage_ratio"),
+    "exposure_s": (ScanConfig, "exposure"),
+    "frames_per_step": (ScanConfig, "frames_per_step"),
+    "opening": (ScanConfig, "opening"),
+    "anchor_elems": (ScanConfig, "anchor_elems"),
+    "midline": (ScanConfig, "midline"),
+}
+
+# top-level values; the seed is the detector noise model's only seed
+_TOP_KEYS = {"output_dir": (RunConfig, "output_dir"), "seed": (DetectorConfig, "rng_seed")}
+
+
+# the library's defaults, plus the reference bench's own choices: noise on,
+# a tilted illumination, two centroid scans, smoothing, the peak selector,
+# the guard band and the output directory
+DEFAULT_CONFIG = {
+    "geometry": {key: getattr(Geometry(), a) for key, (_, a) in _BLOCKS["geometry"].items()},
+    "source": {
+        "illumination_tilt": 0.1,
+        "grid_n": GridSpec().n,
+        "grid_half_span_m": GridSpec().half_span,
+    },
+    "scans": [
+        {"aperture_width_m": 4e-3, "midline": "centroid"},
+        {"aperture_width_m": 5e-3, "midline": "centroid"},
+    ],
+    "detector": {
+        **{key: getattr(DetectorConfig(), a) for key, (_, a) in _BLOCKS["detector"].items()},
+        "noise_enabled": True,
+    },
+    "reconstruction": {
+        "cutoff": DEFAULT_RANK_CUTOFF,
+        "smoothing_rms_m": 0.15e-3,
+        "window_half_m": DEFAULT_MATCH_HALF_WINDOW,
+    },
+    "metrics": {"peak_selector": "second_third", "guard_px": 20},
+    "output_dir": "runs/default",
+    "seed": DetectorConfig().rng_seed,
+}
+
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+_KINDS[float | None] = "a finite number or null"
+
+
+def _typed(value, cls, attr: str, where: str):
+    """A JSON value checked against the annotation of cls.attr.
+
+    int takes a JSON integer, float a finite number (an integer is stored
+    as float), bool true or false, str a string, float | None also null.
+    """
+    hint = typing.get_type_hints(cls)[attr]
+    optional = hint == float | None
+    if optional and value is None:
+        return None
+    kind = float if optional else hint
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    raise ConfigurationError(f"{where} must be {_KINDS[hint]}, got {json.dumps(value)}")
+
+
+def _check_keys(block: dict, allowed, where: str) -> None:
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) in {where}: {', '.join(map(json.dumps, sorted(unknown)))}"
+        )
+
+
+def _typed_block(block, defaults: dict, keys: dict, where: str, fields) -> dict:
+    """A JSON block merged over its defaults, typed; fields[cls][attr] gets each value."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{where} must be an object")
+    _check_keys(block, keys, where)
+    typed = {}
+    for key, value in {**defaults, **block}.items():
+        cls, attr = keys[key]
+        typed[key] = fields[cls][attr] = _typed(value, cls, attr, f"{where}.{key}")
+    return typed
+
+
 def _parse(raw: dict) -> RunConfig:
     _check_keys(raw, DEFAULT_CONFIG, "config")
-    merged = {}
-    for key, default in DEFAULT_CONFIG.items():
-        value = raw.get(key, default)
-        if isinstance(default, dict) and key != "scans":
-            if not isinstance(value, dict):
-                raise ConfigurationError(f"config block '{key}' must be an object")
-            merged[key] = {**default, **value}
-        else:
-            merged[key] = value
+    fields = defaultdict(dict)
+    merged = {
+        name: _typed_block(raw.get(name, {}), DEFAULT_CONFIG[name], keys, name, fields)
+        for name, keys in _BLOCKS.items()
+    }
+    for key, (cls, attr) in _TOP_KEYS.items():
+        value = raw.get(key, DEFAULT_CONFIG[key])
+        merged[key] = fields[cls][attr] = _typed(value, cls, attr, key)
 
-    geometry = _build(Geometry, merged["geometry"], _GEOMETRY_KEYS, "geometry block")
-
-    src = merged["source"]
-    _check_keys(src, DEFAULT_CONFIG["source"], "source block")
-    grid = GridSpec(int(src["grid_n"]), float(src["grid_half_span_m"]))
-
-    seed = int(merged["seed"])
-
-    detector = _build(
-        DetectorConfig,
-        {"rng_seed": seed, **merged["detector"]},
-        _DETECTOR_KEYS,
-        "detector block",
-    )
-
-    scans_raw = merged["scans"]
-    if not isinstance(scans_raw, list) or not scans_raw:
+    blocks = raw.get("scans", DEFAULT_CONFIG["scans"])
+    if not isinstance(blocks, list) or not blocks:
         raise ConfigurationError("config needs at least one scan")
-    scans = [
-        _build(ScanConfig, block, _SCAN_KEYS, f"scans[{idx}]")
-        for idx, block in enumerate(scans_raw)
+    scan_fields = [defaultdict(dict) for _ in blocks]
+    merged["scans"] = [
+        _typed_block(block, {}, _SCAN_KEYS, f"scans[{idx}]", scan_fields[idx])
+        for idx, block in enumerate(blocks)
     ]
 
-    rec = merged["reconstruction"]
-    _check_keys(rec, DEFAULT_CONFIG["reconstruction"], "reconstruction block")
-    met = merged["metrics"]
-    _check_keys(met, DEFAULT_CONFIG["metrics"], "metrics block")
-
     return RunConfig(
-        geometry=geometry,
-        grid=grid,
-        illumination_tilt=float(src["illumination_tilt"]),
-        scans=tuple(scans),
-        detector=detector,
-        recon_cutoff=float(rec["cutoff"]),
-        smoothing_rms=float(rec["smoothing_rms_m"]),
-        window_half=float(rec["window_half_m"]),
-        peak_selector=str(met["peak_selector"]),
-        guard_px=int(met["guard_px"]),
-        output_dir=str(merged["output_dir"]),
-        seed=seed,
+        geometry=Geometry(**fields[Geometry]),
+        grid=GridSpec(**fields[GridSpec]),
+        scans=tuple(ScanConfig(**f[ScanConfig]) for f in scan_fields),
+        detector=DetectorConfig(**fields[DetectorConfig]),
         raw=merged,
+        **fields[RunConfig],
     )
 
 
@@ -191,7 +211,9 @@ def load_config(
 
     Without a file the built-in defaults reproduce the lab setup.  A file,
     when given, must at least contain the 'geometry' block; any other
-    block may be partial and is merged over the defaults.
+    block may be partial and is merged over the defaults.  seed, output_dir
+    and no_noise edit it before parsing, so they are checked (and hashed,
+    output_dir aside) like the file's values.
     """
     if path is None:
         raw = {}
@@ -210,13 +232,13 @@ def load_config(
                 f"{path}: config is missing the required 'geometry' block"
             )
     if seed is not None:
-        raw = {**raw, "seed": int(seed)}
+        raw = {**raw, "seed": seed}
     if output_dir is not None:
-        raw = {**raw, "output_dir": str(output_dir)}
+        raw = {**raw, "output_dir": output_dir}
+    detector = raw.get("detector", {})
+    if no_noise and isinstance(detector, dict):  # a non-object fails in _parse
+        raw = {**raw, "detector": {**detector, "noise_enabled": False}}
     try:
-        cfg = _parse(raw)
+        return _parse(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path or 'config'}: invalid value ({exc})") from exc
-    if no_noise:
-        cfg = replace(cfg, detector=replace(cfg.detector, noise_enabled=False))
-    return cfg

@@ -109,6 +109,8 @@ class DetectorConfig:
             raise ConfigurationError("readout_noise must be >= 0")
         if not self.gain > 0:
             raise ConfigurationError("gain must be > 0")
+        if self.rng_seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     @property
     def center_index(self) -> float:
@@ -169,14 +171,13 @@ def load_scan_csv(path) -> dict:
     return {"step": step.astype(int), "s": table.pop("s_mm") * 1e-3, **table}
 
 
-def scan_step(table: dict) -> float:
-    """The slit-position step of a scan table, which must be uniform."""
-    s = table["s"]
-    step = float(s[-1] - s[0]) / max(s.size - 1, 1)
-    # scan CSVs keep 10 significant digits of each position
-    tol = 1e-6 * step + 1e-9 * float(np.abs(s).max())
-    if not step > 0 or not np.allclose(np.diff(s), step, rtol=0, atol=tol):
-        raise DataError("scan slit positions must increase in uniform steps")
+def uniform_step(positions: np.ndarray, what: str) -> float:
+    """The step of positions; DataError, naming what they are, unless uniform."""
+    step = float(positions[-1] - positions[0]) / max(positions.size - 1, 1)
+    # CSV artifacts keep at least 10 significant digits of each position
+    tol = 1e-6 * step + 1e-9 * float(np.abs(positions).max())
+    if not step > 0 or not np.allclose(np.diff(positions), step, rtol=0, atol=tol):
+        raise DataError(f"{what} must increase in uniform steps")
     return step
 
 
@@ -417,7 +418,7 @@ def run_scan(
 
 
 def assignment_probability(
-    series: ScanSeries, guard_px: int = 20
+    series: ScanSeries, guard_px: int
 ) -> tuple[float, float, float]:
     """Which-way statistics from the guard-band contamination bound.
 

@@ -10,7 +10,7 @@ from .instrument import (
     _bin_intensity,
     flux_vector,
     run_scan,
-    scan_step,
+    uniform_step,
     width_in_steps,
 )
 from .optics import (
@@ -64,53 +64,37 @@ def run_all_scans(cfg: RunConfig, source: SampledField | None = None) -> list[Sc
     return [run_scan(source, cfg.geometry, scan, cfg.detector) for scan in cfg.scans]
 
 
-def stack_layout(scans) -> tuple[str, int]:
-    """The (opening, anchor_elems) that all stacked scan configs must share."""
-    layouts = {(scan.opening, scan.anchor_elems) for scan in scans}
-    if len(layouts) != 1:
-        raise ConfigurationError("stacked scans must share opening and anchor")
-    return layouts.pop()
-
-
 def reconstruct_series(
-    series_list: list[ScanSeries],
-    signal: str = "F",
-    cutoff: float = 1e-10,
-    smoothing_rms: float = 0.0,
+    cfg: RunConfig, series_list: list[ScanSeries], signal: str = "F"
 ) -> ReconstructionResult:
     """Stacked least-squares reconstruction from in-memory scan series."""
-    configs = [series.config for series in series_list]
-    opening, anchor = stack_layout(configs)
-    return reconstruct_tables(
-        [series.table() for series in series_list],
-        [scan.aperture_width for scan in configs],
-        [scan.exposure for scan in configs],
-        signal,
-        opening,
-        anchor,
-        cutoff,
-        smoothing_rms,
-    )
+    scans = [series.config for series in series_list]
+    widths, exposures = [s.aperture_width for s in scans], [s.exposure for s in scans]
+    tables = [series.table() for series in series_list]
+    return reconstruct_tables(cfg, tables, widths, exposures, signal)
 
 
 def reconstruct_tables(
+    cfg: RunConfig,
     tables: list[dict],
     widths: list[float],
     exposures: list[float],
     signal: str = "F",
-    opening: str = "rightward",
-    anchor: int = 20,
-    cutoff: float = 1e-10,
-    smoothing_rms: float = 0.0,
 ) -> ReconstructionResult:
     """Stacked least-squares reconstruction from scan tables.
 
     tables are column dicts as load_scan_csv and ScanSeries.table return
     them; all must share one uniform set of slit positions.  widths are
     the aperture widths in meters, converted to elements of that step.
+    The cutoff, the smoothing width and the opening and anchor, which all
+    of cfg's scans must share, come from cfg.
     """
+    layouts = {(scan.opening, scan.anchor_elems) for scan in cfg.scans}
+    if len(layouts) != 1:
+        raise ConfigurationError("stacked scans must share opening and anchor")
+    ((opening, anchor),) = layouts
     s = tables[0]["s"]
-    step = scan_step(tables[0])
+    step = uniform_step(s, "scan slit positions")
     for t in tables[1:]:
         if t["s"].shape != s.shape or np.abs(t["s"] - s).max() > 1e-6 * step:
             raise DataError("stacked scans must be sampled at the same slit positions")
@@ -120,10 +104,10 @@ def reconstruct_tables(
     mats = [build_aperture_matrix(s.size, w, opening, anchor) for w in elems]
     vectors = [flux_vector(t, signal) for t in tables]
     result = solve_stacked(
-        mats, [f for _, f in vectors], exposures, grid=vectors[0][0], cutoff=cutoff
+        mats, [f for _, f in vectors], exposures, grid=vectors[0][0], cutoff=cfg.recon_cutoff
     )
-    if smoothing_rms > 0:
-        result = gaussian_smooth(result, smoothing_rms)
+    if cfg.smoothing_rms > 0:
+        result = gaussian_smooth(result, cfg.smoothing_rms)
     return result
 
 

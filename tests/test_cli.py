@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 
 import pytest
@@ -128,6 +129,19 @@ def _replace_cell(text, line, column, cell):
     return "\n".join(lines) + "\n"
 
 
+def _shift_cell(text, line, column, delta):
+    cell = float(text.splitlines()[line].split(",")[column])
+    return _replace_cell(text, line, column, f"{cell + delta:.9e}")
+
+
+def _swap_cells(text, line_a, line_b, column):
+    lines = text.splitlines()
+    a, b = lines[line_a].split(","), lines[line_b].split(",")
+    a[column], b[column] = b[column], a[column]
+    lines[line_a], lines[line_b] = ",".join(a), ",".join(b)
+    return "\n".join(lines) + "\n"
+
+
 def _edit_json(edit):
     def corrupt(text):
         data = json.loads(text)
@@ -158,6 +172,16 @@ CORRUPTIONS = {
     "recon-non-numeric": (
         "reconstruction.csv",
         lambda t: _replace_cell(t, 150, 1, "abc"),
+        ["report"],
+    ),
+    "recon-swapped-positions": (
+        "reconstruction.csv",
+        lambda t: _swap_cells(t, 1, 2, 0),
+        ["report"],
+    ),
+    "recon-non-uniform": (
+        "reconstruction.csv",
+        lambda t: _shift_cell(t, 150, 0, 0.03),
         ["report"],
     ),
     "fringes-nan": ("fringes.csv", lambda t: _replace_cell(t, 512, 1, "nan"), ["report"]),
@@ -191,6 +215,16 @@ def test_corrupted_artifacts_exit_3(cli_run, tmp_path, capsys, case):
         assert main([cmd, "--out", str(run), "--seed", "0"]) == 3, cmd
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+def test_configured_reconstruct_requires_the_sidecars(cli_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    sidecar = run / "scan_a4mm.json"
+    sidecar.unlink()
+    assert main(["reconstruct", "--out", str(run), "--seed", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar}: ") and err.count("\n") == 1, err
 
 
 def test_h_scale_follows_the_geometry(tmp_path, capsys):
@@ -294,18 +328,58 @@ def test_explicit_csvs_take_the_step_from_the_data(cli_run, tmp_path):
         assert main(["reconstruct", *argv, "--widths-mm", bad_widths, "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        {"geometry": {"wavelength_m": "abc"}},
-        {"geometry": {}, "scans": [5]},
-        {"geometry": {}, "scans": [{"aperture_width_m": 4e-3, "n_steps": "x"}]},
-        {"geometry": {}, "detector": {"n_pixels": "x"}},
-    ],
-    ids=["geometry", "scan-not-object", "scan-field", "detector-field"],
-)
-def test_mistyped_config_values_exit_2(tmp_path, capsys, config):
+def _with(block, **keys):
+    """The smallest config, an empty geometry block, plus one block."""
+    return {"geometry": {}, block: [{"aperture_width_m": 4e-3, **keys}] if block == "scans" else keys}
+
+
+# (config, the block and key that its one error line must name)
+MISTYPED = {
+    "geometry": (_with("geometry", wavelength_m="abc"), "geometry.wavelength_m"),
+    "scan-not-object": ({"geometry": {}, "scans": [5]}, "scans[0]"),
+    "scan-field": (_with("scans", n_steps="x"), "scans[0].n_steps"),
+    "detector-field": (_with("detector", n_pixels="x"), "detector.n_pixels"),
+    "scan-fractional-steps": (_with("scans", n_steps=3.5), "scans[0].n_steps"),
+    "scan-fractional-frames": (_with("scans", frames_per_step=2.5), "scans[0].frames_per_step"),
+    "scan-fractional-anchor": (_with("scans", anchor_elems=20.5), "scans[0].anchor_elems"),
+    "geometry-infinity": (_with("geometry", wavelength_m=math.inf), "geometry.wavelength_m"),
+    "source-nan": (_with("source", illumination_tilt=math.nan), "source.illumination_tilt"),
+    "source-numeric-string": (_with("source", grid_n="65536"), "source.grid_n"),
+    "detector-fractional-pixels": (_with("detector", n_pixels=1024.5), "detector.n_pixels"),
+    "detector-string-bool": (_with("detector", noise_enabled="no"), "detector.noise_enabled"),
+    "detector-rng-seed": (_with("detector", rng_seed=7), "rng_seed"),
+    "reconstruction-numeric-string": (_with("reconstruction", cutoff="1e-9"), "reconstruction.cutoff"),
+    "metrics-fractional-guard": (_with("metrics", guard_px=20.7), "metrics.guard_px"),
+    "metrics-bool-guard": (_with("metrics", guard_px=True), "metrics.guard_px"),
+    "metrics-string-guard": (_with("metrics", guard_px="20"), "metrics.guard_px"),
+    "seed-fractional": ({"geometry": {}, "seed": 1.9}, "seed"),
+    "seed-negative": ({"geometry": {}, "seed": -1}, "seed"),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED)
+def test_mistyped_config_values_exit_2(tmp_path, capsys, case):
+    config, name = MISTYPED[case]
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(config))
-    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    # report stops at its missing inputs (exit 3) once the config is accepted
+    assert main(["report", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and name in err, err
+
+
+def test_config_hash_covers_the_overrides(tmp_path):
+    noisy = load_config()
+    assert noisy.config_hash().startswith("75c9edb7b8d1")
+    assert load_config(seed=0).config_hash() == noisy.config_hash()
+    assert load_config(no_noise=True).config_hash() != noisy.config_hash()
+    assert load_config(seed=3).detector.rng_seed == 3
+    # an integer is accepted for a float key and hashed as that float
+    path = tmp_path / "cfg.json"
+    hashes = []
+    for value in (1, 1.0):
+        path.write_text(json.dumps({"geometry": {"l_slits_lens_m": value}}))
+        cfg = load_config(str(path))
+        assert type(cfg.geometry.dist_slits_lens) is float
+        hashes.append(cfg.config_hash())
+    assert hashes[0] == hashes[1]
