@@ -70,8 +70,12 @@ def read_csv(path, header, min_rows: int = 1) -> dict:
 
 
 def write_json(path, data: dict) -> None:
-    """Write an object with sorted keys, a 2-space indent and a final newline."""
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Write an object with sorted keys, a 2-space indent and a final newline.
+
+    A non-finite number raises ValueError: JSON has no NaN or Infinity.
+    """
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path, required=()) -> dict:

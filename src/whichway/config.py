@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, DataError
 from .instrument import DetectorConfig, ScanConfig
-from .metrics import DEFAULT_MATCH_HALF_WINDOW
+from .metrics import DEFAULT_MATCH_HALF_WINDOW, PEAK_SELECTORS
 from .optics import Geometry, GridSpec
 from .reconstruct import DEFAULT_RANK_CUTOFF
 
@@ -33,6 +33,20 @@ class RunConfig:
     guard_px: int
     output_dir: str
     raw: dict  # the merged config with typed values, as hashed
+
+    def __post_init__(self):
+        # checked at load, so a value out of range stops a run before it
+        # has written anything
+        if not 0 < self.recon_cutoff < 1:
+            raise ConfigurationError("reconstruction.cutoff must lie in (0, 1)")
+        if not self.smoothing_rms >= 0:
+            raise ConfigurationError("reconstruction.smoothing_rms_m must be >= 0")
+        if not self.window_half > 0:
+            raise ConfigurationError("reconstruction.window_half_m must be > 0")
+        if self.peak_selector not in PEAK_SELECTORS:
+            raise ConfigurationError(f"metrics.peak_selector must be one of {PEAK_SELECTORS}")
+        if self.guard_px < 0:
+            raise ConfigurationError("metrics.guard_px must be >= 0")
 
     @property
     def h_scale(self) -> float:

@@ -8,11 +8,13 @@ pattern at offset -s_k, which is what the reconstruction module assumes.
 """
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.fft import ifft
+from numpy.fft import fft, ifft
 
 from .artifacts import read_csv, write_csv
 from .errors import ConfigurationError, DataError, NumericalError
@@ -23,6 +25,7 @@ from .optics import (
     SampledField,
     fresnel_spectrum,
     propagate_fresnel,
+    transfer_kernel,
 )
 from .reconstruct import OPENINGS, band_left_elems
 
@@ -168,6 +171,8 @@ def load_scan_csv(path) -> dict:
     step = table.pop("step")
     if not np.array_equal(step, np.round(step)):
         raise DataError(f"{path}: step numbers must be whole")
+    if not np.all(np.abs(step) < 2.0**63):
+        raise DataError(f"{path}: step numbers must lie within the 64-bit integer range")
     return {"step": step.astype(int), "s": table.pop("s_mm") * 1e-3, **table}
 
 
@@ -203,19 +208,25 @@ def apply_aperture(
     Edge cells get sqrt(coverage) weighting so transmitted power equals
     the integral of |field|^2 over the interval.
     """
+    weights = _aperture_weights(field_in.positions, field_in.pitch, left_edge, width)
+    return replace(field_in, amplitudes=field_in.amplitudes * weights)
+
+
+def _aperture_weights(
+    x: np.ndarray, pitch: float, left_edge: float, width: float
+) -> np.ndarray:
+    """sqrt of the coverage of each grid cell by [left_edge, left_edge + width)."""
     lo, hi = left_edge, left_edge + width
-    x = field_in.positions
-    p = field_in.pitch
     frac = np.clip(
-        (np.minimum(x + p / 2, hi) - np.maximum(x - p / 2, lo)) / p, 0.0, 1.0
+        (np.minimum(x + pitch / 2, hi) - np.maximum(x - pitch / 2, lo)) / pitch, 0.0, 1.0
     )
     if not frac.any():
         warnings.warn(
             "aperture interval lies entirely outside the field grid; "
             "returning an all-zero field",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return replace(field_in, amplitudes=field_in.amplitudes * np.sqrt(frac))
+    return np.sqrt(frac)
 
 
 def _bin_intensity(
@@ -225,15 +236,41 @@ def _bin_intensity(
     edges: np.ndarray,
 ) -> np.ndarray:
     """Integrate a fine-grid intensity over arbitrary contiguous bins."""
-    cell_edges = origin - pitch / 2 + pitch * np.arange(intensity.size + 1)
-    if edges[0] < cell_edges[0] or edges[-1] > cell_edges[-1]:
+    lo, hi = _bin_window(intensity.size, origin, pitch, edges)
+    cum = np.empty(hi + 1)
+    np.cumsum(intensity[:hi], out=cum[1:])
+    return _bin_cumulative(cum, origin, pitch, lo, edges)
+
+
+def _bin_window(n: int, origin: float, pitch: float, edges: np.ndarray) -> tuple[int, int]:
+    """Cells [lo, hi) of the n-cell grid whose edges bracket the bin edges."""
+    start = origin - pitch / 2  # left edge of cell 0
+    if edges[0] < start or edges[-1] > start + pitch * n:
         raise ConfigurationError(
             "requested bins not covered by the simulation grid "
             f"(bins span [{edges[0]:.4g}, {edges[-1]:.4g}] m, grid spans "
-            f"[{cell_edges[0]:.4g}, {cell_edges[-1]:.4g}] m)"
+            f"[{start:.4g}, {start + pitch * n:.4g}] m)"
         )
-    cum = np.concatenate(([0.0], np.cumsum(intensity) * pitch))
-    return np.clip(np.diff(np.interp(edges, cell_edges, cum)), 0.0, None)
+    lo = max(int((edges[0] - start) // pitch) - 1, 0)
+    hi = min(int((edges[-1] - start) // pitch) + 2, n)
+    return lo, hi
+
+
+def _bin_cumulative(
+    cum: np.ndarray, origin: float, pitch: float, lo: int, edges: np.ndarray
+) -> np.ndarray:
+    """Bin integrals from cum[1:], the running sum of the first cells' intensity.
+
+    Cell edges lo to cum.size - 1 must bracket the bin edges (_bin_window).
+    Only those entries are read; they are scaled by the pitch in place.
+    The result equals interpolating over all cells: np.interp uses only the
+    two entries that bracket each bin edge.
+    """
+    cum[0] = 0.0
+    window = cum[lo:]
+    np.multiply(window, pitch, out=window)
+    cell_edges = origin - pitch / 2 + pitch * np.arange(lo, cum.size)
+    return np.clip(np.diff(np.interp(edges, cell_edges, window)), 0.0, None)
 
 
 def image_slits(
@@ -250,19 +287,23 @@ def image_slits(
     run_scan applies the exposure and the detector noise.  The profile is
     in detector-local coordinates (see bin_to_pixels).
     """
-    if geom.lens_defect > 0.05:
-        warnings.warn(
-            f"lens-equation defect {geom.lens_defect:.3f} exceeds 5%; "
-            "slit images will be noticeably defocused",
-            stacklevel=2,
-        )
-    u = masked_pupil.positions
-    lens = np.exp(-1j * np.pi * u**2 / (geom.wavelength * geom.focal_length))
+    lens = _lens_phase(masked_pupil.positions, geom)
     after_lens = replace(masked_pupil, amplitudes=masked_pupil.amplitudes * lens)
     at_detector = propagate_fresnel(
         after_lens, geom.dist_lens_detector, geom.wavelength, guard=False
     )
     return bin_to_pixels(at_detector.intensity(), detector, detector_center_offset)
+
+
+def _lens_phase(u: np.ndarray, geom: Geometry) -> np.ndarray:
+    """Thin-lens phase exp(-i pi u^2 / (lambda f)); warns when defocused."""
+    if geom.lens_defect > 0.05:
+        warnings.warn(
+            f"lens-equation defect {geom.lens_defect:.3f} exceeds 5%; "
+            "slit images will be noticeably defocused",
+            stacklevel=3,
+        )
+    return np.exp(-1j * np.pi * u**2 / (geom.wavelength * geom.focal_length))
 
 
 def bin_to_pixels(
@@ -274,14 +315,21 @@ def bin_to_pixels(
     returned profile uses detector-local coordinates (pixel centers
     relative to the detector center).
     """
-    edges = (
-        center_offset
-        + (np.arange(detector.n_pixels + 1) - detector.n_pixels / 2)
-        * detector.pixel_pitch
-    )
+    edges = center_offset + _pixel_edge_offsets(detector)
     counts = _bin_intensity(fine.values, fine.origin, fine.pitch, edges)
-    local_origin = -detector.center_index * detector.pixel_pitch
-    return IntensityProfile(local_origin, detector.pixel_pitch, counts)
+    return _pixel_profile(detector, counts)
+
+
+def _pixel_edge_offsets(detector: DetectorConfig) -> np.ndarray:
+    """Pixel edges relative to the detector center."""
+    return (np.arange(detector.n_pixels + 1) - detector.n_pixels / 2) * detector.pixel_pitch
+
+
+def _pixel_profile(detector: DetectorConfig, values: np.ndarray) -> IntensityProfile:
+    """Pixel values as a profile in detector-local coordinates."""
+    return IntensityProfile(
+        -detector.center_index * detector.pixel_pitch, detector.pixel_pitch, values
+    )
 
 
 def split_signals(
@@ -340,32 +388,93 @@ def auto_exposure(
     fraction: float = AUTO_EXPOSURE_FRACTION,
 ) -> float:
     """Exposure placing the peak pixel of the central step at 70% full well."""
-    profile = _noiseless_step(source_field, geom, scan, detector, 0.0)
-    peak = profile.values.max() * detector.gain
-    if peak <= 0:
-        raise NumericalError("no flux reaches the detector; cannot set exposure")
-    return fraction * full_well / peak
+    return _ScanOptics(source_field, geom, scan, detector).exposure(full_well, fraction)
 
 
-def _noiseless_step(
-    source_field: SampledField,
-    geom: Geometry,
-    scan: ScanConfig,
-    detector: DetectorConfig,
-    s: float,
-    pupil_spec=None,
-    freqs=None,
-) -> IntensityProfile:
-    if pupil_spec is None:
-        pupil_spec, freqs = fresnel_spectrum(
+class _ScanOptics:
+    """The step-invariant optics of one scan; step(s) images the slits at s.
+
+    Built once per scan: the pupil spectrum, the Fourier-shift phase, the
+    L_C transfer kernel, the aperture support with its sqrt(coverage)
+    weights, the lens phase on that support and the pixel edge offsets.
+    Outside the support the masked pupil is exactly zero, so only the
+    support is masked and phased, and only the cells up to the detector
+    window are binned.  Up to `workers` steps may run at once, each in its
+    own pair of reused buffers.  The operations and their operand order are
+    those of apply_aperture and image_slits, so the pixel values are the
+    same to the last bit.
+    """
+
+    def __init__(
+        self,
+        source_field: SampledField,
+        geom: Geometry,
+        scan: ScanConfig,
+        detector: DetectorConfig,
+        workers: int = 1,
+    ):
+        self.origin, self.pitch, n = source_field.origin, source_field.pitch, source_field.n
+        self.pupil_spec, f = fresnel_spectrum(
             source_field, geom.dist_slits_lens, geom.wavelength
         )
-    shifted = ifft(pupil_spec * np.exp(-2j * np.pi * freqs * s))
-    pupil = replace(source_field, amplitudes=shifted)
-    masked = apply_aperture(pupil, scan.aperture_left_edge(), scan.aperture_width)
-    return image_slits(
-        masked, geom, detector, detector_center_offset=-scan.stage_ratio * s
-    )
+        self.shift_phase = -2j * np.pi * f  # times s: the Fourier shift to s
+        self.kernel = transfer_kernel(n, self.pitch, geom.wavelength, geom.dist_lens_detector)
+        u = source_field.positions
+        weights = _aperture_weights(u, self.pitch, scan.aperture_left_edge(), scan.aperture_width)
+        inside = np.flatnonzero(weights)
+        self.support = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+        self.weights = weights[self.support]
+        self.lens = _lens_phase(u[self.support], geom)
+        self.edge_offsets = _pixel_edge_offsets(detector)
+        self.stage_ratio = scan.stage_ratio
+        self.gain = detector.gain
+        # allocated here, not in the worker threads, so that the scan's
+        # buffers come from and return to one allocator arena
+        self._buffers = [(np.empty(n, complex), np.empty(n + 1)) for _ in range(workers)]
+
+    def step(self, s: float) -> np.ndarray:
+        """Noiseless pixel values at slit position s, for unit exposure."""
+        buffers = self._buffers.pop()  # list.pop and append are atomic
+        try:
+            return self._step(s, *buffers)
+        finally:
+            self._buffers.append(buffers)
+
+    def _step(self, s: float, buf: np.ndarray, cum: np.ndarray) -> np.ndarray:
+        edges = -self.stage_ratio * s + self.edge_offsets
+        lo, hi = _bin_window(buf.size, self.origin, self.pitch, edges)
+        np.multiply(self.shift_phase, s, out=buf)
+        np.exp(buf, out=buf)
+        # exp * spectrum: the operand order numpy's temporary elision gives
+        # the unnamed product, which decides the last bits
+        np.multiply(buf, self.pupil_spec, out=buf)
+        ifft(buf, out=buf)
+        pupil = buf[self.support] * self.weights
+        np.multiply(pupil, self.lens, out=pupil)
+        buf.fill(0)
+        buf[self.support] = pupil
+        fft(buf, out=buf)
+        np.multiply(buf, self.kernel, out=buf)
+        ifft(buf, out=buf)
+        intensity = cum[1 : hi + 1]
+        np.abs(buf[:hi], out=intensity)
+        np.square(intensity, out=intensity)  # what np.abs(buf) ** 2 computes
+        np.cumsum(intensity, out=intensity)
+        return _bin_cumulative(cum[: hi + 1], self.origin, self.pitch, lo, edges)
+
+    def exposure(self, full_well: float, fraction: float) -> float:
+        peak = self.step(0.0).max() * self.gain
+        if peak <= 0:
+            raise NumericalError("no flux reaches the detector; cannot set exposure")
+        return fraction * full_well / peak
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_scan(
@@ -379,42 +488,49 @@ def run_scan(
     The slit-plane source field is translated to each slit position via an
     exact Fourier shift, propagated to the pupil, masked by the fixed
     aperture stop, imaged, and binned into camera pixels riding the
-    counter-moving stage.
+    counter-moving stage.  Steps run on every CPU the process may use; the
+    noise of step k is keyed by (seed, k), so the records do not depend on
+    the number of workers.
     """
-    pupil_spec, freqs = fresnel_spectrum(
-        source_field, geom.dist_slits_lens, geom.wavelength
-    )
+    workers = min(_worker_count(), scan.n_steps)
+    optics = _ScanOptics(source_field, geom, scan, detector, workers)
     exposure = scan.exposure
     if exposure is None:
-        exposure = auto_exposure(source_field, geom, scan, detector)
-    records = []
-    for k in range(scan.n_steps):
+        exposure = optics.exposure(FULL_WELL, AUTO_EXPOSURE_FRACTION)
+
+    def record(k: int) -> ScanStepRecord:
         s = scan.s_start + k * scan.step
         try:
-            profile = _noiseless_step(
-                source_field, geom, scan, detector, s, pupil_spec, freqs
-            )
+            counts = optics.step(s)
         except ConfigurationError as exc:
             raise ConfigurationError(f"scan step {k} (s = {s:.4g} m): {exc}") from exc
-        values = profile.values * exposure
+        values = counts * exposure
         if detector.noise_enabled:
             values = _noisy_average(
                 values, detector, scan.frames_per_step, _step_rng(detector.rng_seed, k)
             )
-        profile = replace(profile, values=values)
+        profile = _pixel_profile(detector, values)
         midline = _profile_midline(profile, scan.midline, detector.center_index)
         left, right = split_signals(profile, midline)
-        records.append(
-            ScanStepRecord(
-                step_index=k,
-                slit_position=s,
-                detector_profile=profile,
-                total_flux=left + right,
-                left_signal=left,
-                right_signal=right,
-            )
+        return ScanStepRecord(
+            step_index=k,
+            slit_position=s,
+            detector_profile=profile,
+            total_flux=left + right,
+            left_signal=left,
+            right_signal=right,
         )
-    return ScanSeries(config=replace(scan, exposure=exposure), records=tuple(records))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(record, k) for k in range(scan.n_steps)]
+        try:
+            records = tuple(future.result() for future in futures)
+        except BaseException:
+            # the first failing step in step order is raised; later steps
+            # that have not started are dropped
+            pool.shutdown(cancel_futures=True)
+            raise
+    return ScanSeries(config=replace(scan, exposure=exposure), records=records)
 
 
 def assignment_probability(

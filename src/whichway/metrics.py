@@ -13,6 +13,7 @@ from .optics import IntensityProfile
 
 PEAK_PROMINENCE_FRACTION = 0.02
 DEFAULT_MATCH_HALF_WINDOW = 5e-3
+PEAK_SELECTORS = ("central", "second_third")
 
 
 class VisibilityResult(NamedTuple):

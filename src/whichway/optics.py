@@ -252,11 +252,17 @@ def fresnel_spectrum(
     spectrum = fft(field_in.amplitudes)
     if guard:
         check_wraparound(spectrum, field_in.pitch, distance, wavelength)
-    f = fftfreq(field_in.n, field_in.pitch)
-    # keep the kernel named: as an unnamed temporary, numpy's elision swaps
-    # the operands of the complex multiply and changes the last output bits
-    kernel = np.exp(-1j * np.pi * wavelength * distance * f**2)
-    return spectrum * kernel, f
+    # in place, spectrum times kernel: the operand order of the complex
+    # multiply decides the last output bits
+    spectrum *= transfer_kernel(field_in.n, field_in.pitch, wavelength, distance)
+    return spectrum, fftfreq(field_in.n, field_in.pitch)
+
+
+def transfer_kernel(n: int, pitch: float, wavelength: float, distance: float) -> np.ndarray:
+    """Fresnel transfer function H(f) = exp(-i pi lambda z f^2) on the FFT frequencies."""
+    f = fftfreq(n, pitch)
+    phase = -1j * np.pi * wavelength * distance * f**2
+    return np.exp(phase, out=phase)
 
 
 def propagate_fresnel(

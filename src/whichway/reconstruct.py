@@ -177,12 +177,20 @@ def solve_stacked(
         raise ConfigurationError("need one exposure per flux vector")
     if any(not e > 0 for e in exposures):
         raise ConfigurationError("exposures must be > 0")
-    b = np.concatenate([f / e for f, e in zip(fluxes, exposures)])
-    if not np.any(b):
-        raise NumericalError("all fluxes are zero; reconstruction is degenerate")
-    a = np.vstack([m.to_dense() for m in matrices])
-    x, _, rank, _ = lstsq(a, b, cond=cutoff, lapack_driver="gelsd")
-    residual = float(np.linalg.norm(a @ x - b))
+    # an overflow is raised below as a NumericalError, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.concatenate([f / e for f, e in zip(fluxes, exposures)])
+        if not np.all(np.isfinite(b)):
+            raise NumericalError("fluxes divided by their exposures overflow")
+        if not np.any(b):
+            raise NumericalError("all fluxes are zero; reconstruction is degenerate")
+        a = np.vstack([m.to_dense() for m in matrices])
+        x, _, rank, _ = lstsq(a, b, cond=cutoff, lapack_driver="gelsd")
+        residual = float(np.linalg.norm(a @ x - b))
+    if not (np.all(np.isfinite(x)) and math.isfinite(residual)):
+        raise NumericalError(
+            "stacked least-squares solve overflows: non-finite solution or residual"
+        )
     if grid is None:
         grid = np.arange(n, dtype=float)
     return ReconstructionResult(

@@ -151,8 +151,9 @@ def _edit_json(edit):
     return corrupt
 
 
-# (artifact, corruption, commands that read it): each command must reject the
-# corrupt artifact with exit 3 and one error line naming the file
+# (artifact, corruption, commands that read it[, exit code]): each command
+# must reject the corrupt artifact with one error line, naming the file for
+# exit 3 (the default), and leave every file of the run as it was
 CORRUPTIONS = {
     "recon-one-row": (
         "reconstruction.csv",
@@ -201,20 +202,46 @@ CORRUPTIONS = {
         _edit_json(lambda d: d.update(exposure_s="x")),
         ["report", "reconstruct"],
     ),
+    "scan-huge-step": (
+        "scan_a4mm.csv",
+        lambda t: _replace_cell(t, 100, 0, "1e300"),
+        ["report", "reconstruct"],
+    ),
+    # finite but absurd numbers overflow the solve: a numerical failure
+    "scan-flux-overflow": (
+        "scan_a4mm.csv",
+        lambda t: _replace_cell(t, 100, 2, "1e300"),
+        ["reconstruct"],
+        4,
+    ),
+    "sidecar-subnormal-exposure": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.update(exposure_s=1e-310)),
+        ["report", "reconstruct"],
+        4,
+    ),
 }
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
 
 
 @pytest.mark.parametrize("case", CORRUPTIONS)
 def test_corrupted_artifacts_exit_3(cli_run, tmp_path, capsys, case):
-    name, corrupt, commands = CORRUPTIONS[case]
+    name, corrupt, commands, *code = CORRUPTIONS[case]
+    code = code[0] if code else 3
     run = tmp_path / "run"
     shutil.copytree(cli_run, run)
     path = run / name
     path.write_text(corrupt(path.read_text()))
+    before = _snapshot(run)
     for cmd in commands:
-        assert main([cmd, "--out", str(run), "--seed", "0"]) == 3, cmd
+        assert main([cmd, "--out", str(run), "--seed", "0"]) == code, cmd
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {path}: " if code == 3 else "error: "), err
+        assert err.count("\n") == 1, err
+        assert _snapshot(run) == before, cmd
 
 
 def test_configured_reconstruct_requires_the_sidecars(cli_run, tmp_path, capsys):
@@ -355,6 +382,30 @@ MISTYPED = {
     "seed-fractional": ({"geometry": {}, "seed": 1.9}, "seed"),
     "seed-negative": ({"geometry": {}, "seed": -1}, "seed"),
 }
+
+
+# (block, key, value) in range for its type but not for its use
+OUT_OF_RANGE = {
+    "metrics-negative-guard": ("metrics", "guard_px", -1),
+    "reconstruction-cutoff-one": ("reconstruction", "cutoff", 1.0),
+    "reconstruction-negative-smoothing": ("reconstruction", "smoothing_rms_m", -1e-4),
+    "reconstruction-zero-window": ("reconstruction", "window_half_m", 0.0),
+    "metrics-unknown-selector": ("metrics", "peak_selector", "brightest"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_config_values_exit_2_before_any_scan(tmp_path, capsys, case):
+    block, key, value = OUT_OF_RANGE[case]
+    config = _with("scans", n_steps=3, s_start_m=-1e-4)
+    config[block] = {key: value}
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and f"{block}.{key}" in err, err
+    assert not list(out.glob("scan_*"))
 
 
 @pytest.mark.parametrize("case", MISTYPED)

@@ -1,15 +1,25 @@
+import os
+import sys
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from numpy.fft import ifft
 
 import whichway as ww
+from whichway import instrument
 from whichway.instrument import (
     AUTO_EXPOSURE_FRACTION,
     FULL_WELL,
     ScanStepRecord,
     _bin_intensity,
-    _noiseless_step,
+    _noisy_average,
+    _profile_midline,
+    _step_rng,
 )
-from whichway.optics import GridSpec
+from whichway.optics import GridSpec, fresnel_spectrum
+from whichway.reconstruct import OPENINGS
 
 
 def _flat_field(n=2048, half=2e-3):
@@ -101,15 +111,113 @@ def test_split_signals():
         ww.split_signals(prof, 10.0)
 
 
+def _reference_profiles(source, geom, scan, det, positions):
+    """Noiseless unit-exposure profiles composed from the public layers."""
+    spectrum, f = fresnel_spectrum(source, geom.dist_slits_lens, geom.wavelength)
+    profiles = []
+    for s in positions:
+        pupil = replace(source, amplitudes=ifft(spectrum * np.exp(-2j * np.pi * f * s)))
+        masked = ww.apply_aperture(pupil, scan.aperture_left_edge(), scan.aperture_width)
+        profiles.append(ww.image_slits(masked, geom, det, -scan.stage_ratio * s))
+    return profiles
+
+
+def _reference_scan(profiles, scan, det):
+    """run_scan's exposure and records, rebuilt from the reference profiles.
+
+    profiles[0] is the profile at s = 0, profiles[1 + k] that of step k.
+    """
+    exposure = AUTO_EXPOSURE_FRACTION * FULL_WELL / (profiles[0].values.max() * det.gain)
+    records = []
+    for k, profile in enumerate(profiles[1:]):
+        values = profile.values * exposure
+        if det.noise_enabled:
+            values = _noisy_average(values, det, scan.frames_per_step, _step_rng(det.rng_seed, k))
+        profile = replace(profile, values=values)
+        midline = _profile_midline(profile, scan.midline, det.center_index)
+        left, right = ww.split_signals(profile, midline)
+        records.append((scan.s_start + k * scan.step, profile.values, left, right))
+    return exposure, records
+
+
 def test_auto_exposure_targets_the_full_well_fraction(quiet_cfg, source):
     geom = quiet_cfg.geometry
     scan = quiet_cfg.scans[0]
     det = quiet_cfg.detector
     exposure = ww.auto_exposure(source, geom, scan, det)
-    peak = _noiseless_step(source, geom, scan, det, 0.0).values.max()
-    assert peak * exposure * det.gain == pytest.approx(
+    (profile,) = _reference_profiles(source, geom, scan, det, [0.0])
+    assert profile.values.max() * exposure * det.gain == pytest.approx(
         AUTO_EXPOSURE_FRACTION * FULL_WELL, rel=1e-9
     )
+
+
+@pytest.fixture(scope="module")
+def small_source(quiet_cfg):
+    return ww.double_slit_field(
+        quiet_cfg.geometry, GridSpec(2**16, quiet_cfg.grid.half_span), quiet_cfg.illumination_tilt
+    )
+
+
+def _assert_scan_equals_reference(series, exposure, reference):
+    assert series.config.exposure == exposure
+    for r, (s, values, left, right) in zip(series.records, reference, strict=True):
+        assert r.slit_position == s
+        assert np.array_equal(r.detector_profile.values, values)
+        assert (r.left_signal, r.right_signal, r.total_flux) == (left, right, left + right)
+
+
+@pytest.mark.parametrize("opening", OPENINGS)
+@pytest.mark.parametrize("width", [2e-3, 4e-3, 8e-3])
+def test_run_scan_matches_the_public_layers_bit_for_bit(quiet_cfg, small_source, width, opening):
+    geom = quiet_cfg.geometry
+    base = ww.ScanConfig(aperture_width=width, step=5e-4, n_steps=12, s_start=-3e-3, opening=opening)
+    positions = [0.0, *(base.s_start + k * base.step for k in range(base.n_steps))]
+    profiles = _reference_profiles(small_source, geom, base, quiet_cfg.detector, positions)
+    for midline in ("center", "centroid"):
+        for noise in (False, True):
+            scan = replace(base, midline=midline)
+            det = ww.DetectorConfig(noise_enabled=noise, rng_seed=11)
+            series = ww.run_scan(small_source, geom, scan, det)
+            _assert_scan_equals_reference(series, *_reference_scan(profiles, scan, det))
+
+
+def test_run_scan_does_not_depend_on_the_worker_count(quiet_cfg, small_source, monkeypatch):
+    geom = quiet_cfg.geometry
+    scan = ww.ScanConfig(aperture_width=4e-3, n_steps=8, s_start=-4e-4, midline="centroid")
+    det = ww.DetectorConfig(noise_enabled=True, rng_seed=3)
+    series = {}
+    for cpus in (1, 8):  # one worker, and more workers than this machine has cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert instrument._worker_count() == cpus
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-step
+        try:
+            series[cpus] = ww.run_scan(small_source, geom, scan, det)
+        finally:
+            sys.setswitchinterval(interval)
+    assert series[1].config == series[8].config
+    for a, b in zip(series[1].records, series[8].records, strict=True):
+        assert np.array_equal(a.detector_profile.values, b.detector_profile.values)
+        assert (a.left_signal, a.right_signal) == (b.left_signal, b.right_signal)
+
+
+def test_scan_step_leaving_the_grid_names_the_first_such_step(quiet_cfg, small_source, monkeypatch):
+    # the 13.3 mm camera window rides at -1.07 s and leaves the +-40 mm grid
+    # from s = 31.5 mm on, which is step 3 of this scan
+    scan = ww.ScanConfig(aperture_width=4e-3, step=5e-4, n_steps=200, s_start=30e-3, exposure=1.0)
+    calls = []
+    step = instrument._ScanOptics.step
+
+    def counted(self, s):
+        calls.append(s)
+        time.sleep(0.005)  # a failing step returns at once; keep steps pending
+        return step(self, s)
+
+    monkeypatch.setattr(instrument._ScanOptics, "step", counted)
+    with pytest.raises(ww.ConfigurationError, match=r"^scan step 3 \(s = 0\.0315 m\): requested bins"):
+        ww.run_scan(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector)
+    # the steps still pending when step 3 failed were cancelled
+    assert len(calls) < 50
 
 
 def test_run_scan_resolves_the_exposure(quiet_series):
