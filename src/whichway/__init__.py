@@ -14,7 +14,6 @@ from .optics import (
     GridSpec,
     IntensityProfile,
     SampledField,
-    constraint_report,
     double_slit_field,
     fraunhofer_intensity,
     fresnel_number,
@@ -25,7 +24,6 @@ from .instrument import (
     DetectorConfig,
     ScanConfig,
     ScanSeries,
-    ScanStepRecord,
     apply_aperture,
     assignment_probability,
     auto_exposure,

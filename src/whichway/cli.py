@@ -13,6 +13,7 @@ from .artifacts import read_csv, read_json, write_csv, write_json
 from .config import RunConfig, load_config
 from .errors import ConfigurationError, DataError, WhichwayError
 from .instrument import (
+    _pixel_profile,
     assignment_probability,
     bin_to_pixels,
     load_scan_csv,
@@ -115,7 +116,8 @@ def cmd_fringes(cfg: RunConfig, args) -> int:
 
 def _scan_sidecar(series, cfg: RunConfig) -> dict:
     contamination, p, d = assignment_probability(series, cfg.guard_px)
-    total = sum(r.detector_profile.total for r in series.records)
+    # row totals summed in step order: a whole-matrix sum rounds differently
+    total = sum(float(row.sum()) for row in series.profiles)
     sc = series.config
     return {
         "aperture_width_m": sc.aperture_width,
@@ -150,9 +152,9 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         if args.profiles:
             directory = out / f"profiles_{tag}"
             directory.mkdir(exist_ok=True)
-            for r in series.records:
-                prof = r.detector_profile
-                path = directory / f"step_{r.step_index:04d}.csv"
+            for k, values in enumerate(series.profiles):
+                prof = _pixel_profile(cfg.detector, values)
+                path = directory / f"step_{k:04d}.csv"
                 write_csv(path, *_PROFILE_CSV, (prof.positions, prof.values))
         print(f"wrote {csv_path}")
     _update_manifest(cfg, out, "scan", files, time.perf_counter() - t0)

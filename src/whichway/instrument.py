@@ -8,6 +8,7 @@ pattern at offset -s_k, which is what the reconstruction module assumes.
 """
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,6 @@ from .optics import (
     IntensityProfile,
     SampledField,
     fresnel_spectrum,
-    propagate_fresnel,
     transfer_kernel,
 )
 from .reconstruct import OPENINGS, band_left_elems
@@ -120,43 +120,37 @@ class DetectorConfig:
         return (self.n_pixels - 1) / 2
 
 
-@dataclass(frozen=True)
-class ScanStepRecord:
-    step_index: int
-    slit_position: float
-    detector_profile: IntensityProfile
-    total_flux: float
-    left_signal: float
-    right_signal: float
-
-
 _CSV_HEADER = ["step", "s_mm", "F", "left", "right"]
 _CSV_FORMATS = ["d", ".9e", ".9e", ".9e", ".9e"]
-
-# scan-table column -> ScanStepRecord attribute
-_TABLE_COLUMNS = {
-    "step": "step_index",
-    "s": "slit_position",
-    "F": "total_flux",
-    "left": "left_signal",
-    "right": "right_signal",
-}
 
 
 @dataclass(frozen=True)
 class ScanSeries:
+    """One scan as a table.
+
+    records is a numpy record array with one row per step and the fields
+    step_index, slit_position, total_flux, left_signal and right_signal;
+    profiles is the (n_steps, n_pixels) matrix whose row k holds the pixel
+    values of step k in detector-local coordinates.
+    """
+
     config: ScanConfig
-    records: tuple
+    records: np.recarray
+    profiles: np.ndarray
 
     def __post_init__(self):
-        if len(self.records) != self.config.n_steps:
-            raise ConfigurationError("record count must equal n_steps")
+        if not len(self.records) == len(self.profiles) == self.config.n_steps:
+            raise ConfigurationError("record and profile counts must equal n_steps")
 
     def table(self) -> dict:
-        """The scan as the column dict that load_scan_csv returns."""
+        """The scan as the column dict that load_scan_csv returns (views of records)."""
+        r = self.records
         return {
-            key: np.array([getattr(r, attr) for r in self.records])
-            for key, attr in _TABLE_COLUMNS.items()
+            "step": r.step_index,
+            "s": r.slit_position,
+            "F": r.total_flux,
+            "left": r.left_signal,
+            "right": r.right_signal,
         }
 
     def to_csv(self, path) -> None:
@@ -281,17 +275,25 @@ def image_slits(
 ) -> IntensityProfile:
     """Image the masked pupil through the thin lens onto the camera.
 
-    Thin-lens phase exp(-i pi u^2 / (lambda f)) followed by unguarded
-    Fresnel propagation over L_C; per-pixel values integrate |field|^2
-    over each pixel footprint, for unit exposure and without noise:
-    run_scan applies the exposure and the detector noise.  The profile is
-    in detector-local coordinates (see bin_to_pixels).
+    Thin-lens phase exp(-i pi u^2 / (lambda f)) followed by Fresnel
+    propagation over L_C; per-pixel values integrate |field|^2 over each
+    pixel footprint, for unit exposure and without noise: run_scan applies
+    the exposure and the detector noise.  The profile is in detector-local
+    coordinates (see bin_to_pixels).
+
+    This leg is not held to the wrap-around bound: residual high-frequency
+    leakage from the upstream propagation is physically negligible here
+    but would trip the relative spectral test; bin_to_pixels enforces
+    detector coverage instead.
     """
     lens = _lens_phase(masked_pupil.positions, geom)
-    after_lens = replace(masked_pupil, amplitudes=masked_pupil.amplitudes * lens)
-    at_detector = propagate_fresnel(
-        after_lens, geom.dist_lens_detector, geom.wavelength, guard=False
+    spectrum = fft(masked_pupil.amplitudes * lens)
+    # in place, spectrum times kernel: the operand order of the complex
+    # multiply decides the last output bits
+    spectrum *= transfer_kernel(
+        masked_pupil.n, masked_pupil.pitch, geom.wavelength, geom.dist_lens_detector
     )
+    at_detector = replace(masked_pupil, amplitudes=ifft(spectrum))
     return bin_to_pixels(at_detector.intensity(), detector, detector_center_offset)
 
 
@@ -332,31 +334,36 @@ def _pixel_profile(detector: DetectorConfig, values: np.ndarray) -> IntensityPro
     )
 
 
-def split_signals(
-    profile: IntensityProfile, midline: float
-) -> tuple[float, float]:
-    """Split a detector profile at a midline given in pixel-index units.
+def split_signals(values: np.ndarray, midline: float) -> tuple[float, float]:
+    """Split one step's pixel values at a midline given in pixel-index units.
 
     left = sum of pixels with index strictly below the midline, right the
-    remainder; the two always add up to the profile total exactly.
+    remainder; the two always add up to the row total exactly.
     """
-    if midline < 0 or midline > profile.n - 1:
+    if midline < 0 or midline > values.size - 1:
         raise ConfigurationError(
-            f"midline {midline} outside profile range [0, {profile.n - 1}]"
+            f"midline {midline} outside profile range [0, {values.size - 1}]"
         )
-    idx = np.arange(profile.n)
-    left = float(profile.values[idx < midline].sum())
-    total = float(profile.values.sum())
+    left = float(values[: math.ceil(midline)].sum())
+    total = float(values.sum())
     return left, total - left
 
 
-def _profile_midline(profile: IntensityProfile, mode: str, center: float) -> float:
-    if mode == "center":
-        return center
-    total = profile.values.sum()
-    if total <= 0:
-        return center
-    return float(np.sum(np.arange(profile.n) * profile.values) / total)
+def _midlines(profiles: np.ndarray, mode: str) -> np.ndarray:
+    """Midline of each row of profiles, in pixel-index units.
+
+    "center" is the detector center; "centroid" the row's flux centroid,
+    or the center where the row holds no flux.
+    """
+    n_steps, n = profiles.shape
+    midlines = np.full(n_steps, (n - 1) / 2)
+    if mode == "centroid":
+        idx = np.arange(n)
+        for k, row in enumerate(profiles):
+            total = row.sum()
+            if total > 0:
+                midlines[k] = np.sum(idx * row) / total
+    return midlines
 
 
 def _step_rng(seed: int, step_index: int) -> np.random.Generator:
@@ -483,7 +490,7 @@ def run_scan(
     scan: ScanConfig,
     detector: DetectorConfig,
 ) -> ScanSeries:
-    """Execute a full scan and record per-step profiles and signals.
+    """Execute a full scan and record per-step pixel values and signals.
 
     The slit-plane source field is translated to each slit position via an
     exact Fourier shift, propagated to the pupil, masked by the fixed
@@ -497,9 +504,11 @@ def run_scan(
     exposure = scan.exposure
     if exposure is None:
         exposure = optics.exposure(FULL_WELL, AUTO_EXPOSURE_FRACTION)
+    positions = scan.s_start + np.arange(scan.n_steps) * scan.step
+    profiles = np.empty((scan.n_steps, detector.n_pixels))
 
-    def record(k: int) -> ScanStepRecord:
-        s = scan.s_start + k * scan.step
+    def expose(k: int) -> None:
+        s = positions[k]
         try:
             counts = optics.step(s)
         except ConfigurationError as exc:
@@ -509,28 +518,25 @@ def run_scan(
             values = _noisy_average(
                 values, detector, scan.frames_per_step, _step_rng(detector.rng_seed, k)
             )
-        profile = _pixel_profile(detector, values)
-        midline = _profile_midline(profile, scan.midline, detector.center_index)
-        left, right = split_signals(profile, midline)
-        return ScanStepRecord(
-            step_index=k,
-            slit_position=s,
-            detector_profile=profile,
-            total_flux=left + right,
-            left_signal=left,
-            right_signal=right,
-        )
+        profiles[k] = values
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(record, k) for k in range(scan.n_steps)]
+        futures = [pool.submit(expose, k) for k in range(scan.n_steps)]
         try:
-            records = tuple(future.result() for future in futures)
+            for future in futures:
+                future.result()
         except BaseException:
             # the first failing step in step order is raised; later steps
             # that have not started are dropped
             pool.shutdown(cancel_futures=True)
             raise
-    return ScanSeries(config=replace(scan, exposure=exposure), records=records)
+    midlines = _midlines(profiles, scan.midline)
+    left, right = np.array([split_signals(row, m) for row, m in zip(profiles, midlines)]).T
+    records = np.rec.fromarrays(
+        [np.arange(scan.n_steps), positions, left + right, left, right],
+        names="step_index,slit_position,total_flux,left_signal,right_signal",
+    )
+    return ScanSeries(replace(scan, exposure=exposure), records, profiles)
 
 
 def assignment_probability(
@@ -549,14 +555,12 @@ def assignment_probability(
     """
     if guard_px < 0:
         raise ConfigurationError("guard_px must be >= 0")
+    profiles = series.profiles
+    idx = np.arange(profiles.shape[1])
     wrong = total = 0.0
-    for r in series.records:
-        profile = r.detector_profile
-        center = (profile.n - 1) / 2
-        midline = _profile_midline(profile, series.config.midline, center)
-        idx = np.arange(profile.n)
-        wrong += float(profile.values[np.abs(idx - midline) > guard_px].sum())
-        total += float(profile.values.sum())
+    for row, midline in zip(profiles, _midlines(profiles, series.config.midline)):
+        wrong += float(row[np.abs(idx - midline) > guard_px].sum())
+        total += float(row.sum())
     return _assignment(wrong, total)
 
 

@@ -164,10 +164,6 @@ class IntensityProfile:
     def positions(self) -> np.ndarray:
         return self.origin + self.pitch * np.arange(self.n)
 
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 def double_slit_field(
     geom: Geometry,
@@ -240,18 +236,14 @@ def check_wraparound(
 
 
 def fresnel_spectrum(
-    field_in: SampledField, distance: float, wavelength: float, guard: bool = True
+    field_in: SampledField, distance: float, wavelength: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectrum of the field times H(f) = exp(-i pi lambda z f^2), and f.
 
-    guard enforces the wrap-around bound (see check_wraparound).  The
-    imaging leg turns it off: residual high-frequency leakage from the
-    upstream propagation is physically negligible there but would trip the
-    relative spectral test, and that leg enforces detector coverage instead.
+    Enforces the wrap-around bound (see check_wraparound).
     """
     spectrum = fft(field_in.amplitudes)
-    if guard:
-        check_wraparound(spectrum, field_in.pitch, distance, wavelength)
+    check_wraparound(spectrum, field_in.pitch, distance, wavelength)
     # in place, spectrum times kernel: the operand order of the complex
     # multiply decides the last output bits
     spectrum *= transfer_kernel(field_in.n, field_in.pitch, wavelength, distance)
@@ -266,17 +258,17 @@ def transfer_kernel(n: int, pitch: float, wavelength: float, distance: float) ->
 
 
 def propagate_fresnel(
-    field_in: SampledField, distance: float, wavelength: float, guard: bool = True
+    field_in: SampledField, distance: float, wavelength: float
 ) -> SampledField:
     """Fresnel propagation by `distance` via the transfer-function method.
 
-    H(f) is unimodular, so total power is conserved exactly.  With the
-    guard on, grids too small for the distance fail the wrap-around bound
-    with a configuration error naming the minimum grid size.
+    H(f) is unimodular, so total power is conserved exactly.  Grids too
+    small for the distance fail the wrap-around bound with a configuration
+    error naming the minimum grid size.
     """
     if distance == 0:
         return replace(field_in, amplitudes=field_in.amplitudes.copy())
-    spectrum, _ = fresnel_spectrum(field_in, distance, wavelength, guard)
+    spectrum, _ = fresnel_spectrum(field_in, distance, wavelength)
     return replace(field_in, amplitudes=ifft(spectrum))
 
 
@@ -309,37 +301,3 @@ def fraunhofer_intensity(geom: Geometry, screen_distance: float, x):
 def fringe_scale(geom: Geometry) -> float:
     """Characteristic fringe period at the lens: W = lambda * L_S / d."""
     return geom.wavelength * geom.dist_slits_lens / geom.slit_sep
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Aperture-width sanity check against the fringe scale."""
-
-    aperture_width: float
-    fringe_scale: float
-    ratio_to_fringe: float
-    resolution_ratio: float
-    verdict: str
-
-
-def constraint_report(geom: Geometry, aperture_width: float) -> ConstraintReport:
-    """Classify an aperture width against the two conflicting requirements.
-
-    An aperture much narrower than the fringe scale W resolves the fringes;
-    one much wider separates the slit images.  Thresholds 1/3 and 3 are
-    artifact choices.
-    """
-    if not aperture_width > 0:
-        raise ConfigurationError("aperture width must be > 0")
-    w_scale = fringe_scale(geom)
-    ratio = aperture_width / w_scale
-    resolution = (
-        aperture_width * geom.slit_sep / (geom.wavelength * geom.dist_slits_lens)
-    )
-    if ratio < 1 / 3:
-        verdict = "resolves-fringes"
-    elif ratio > 3:
-        verdict = "separates-slits"
-    else:
-        verdict = "conflict zone"
-    return ConstraintReport(aperture_width, w_scale, ratio, resolution, verdict)

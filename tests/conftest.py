@@ -3,7 +3,6 @@ so everything derived from them is session-scoped and computed once."""
 import numpy as np
 import pytest
 
-import whichway as ww
 from whichway import pipeline
 from whichway.config import load_config
 

@@ -4,7 +4,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.signal import find_peaks
 
 import whichway as ww
@@ -85,10 +84,8 @@ def test_criterion_4_geometry_constants(capsys, quiet_series):
 
     # slit-image separation from the central step of the 4 mm scan
     series4 = quiet_series[0]
-    central = min(
-        series4.records, key=lambda r: abs(r.slit_position)
-    ).detector_profile
-    peaks, _ = find_peaks(central.values, prominence=0.1 * central.values.max())
+    central = series4.profiles[np.argmin(np.abs(series4.records.slit_position))]
+    peaks, _ = find_peaks(central, prominence=0.1 * central.max())
     separation = int(np.ptp(peaks)) if peaks.size >= 2 else 0
     sep_ok = peaks.size == 2 and 19 <= separation <= 21
 

@@ -2,10 +2,13 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
+from whichway.artifacts import read_csv
 from whichway.cli import build_parser, main
 from whichway.config import load_config
+from whichway.pipeline import run_all_scans
 
 EXPECTED_ARTIFACTS = [
     "fringes.csv",
@@ -269,6 +272,31 @@ def test_explicit_csvs_require_widths(cli_run, tmp_path):
         ["reconstruct", str(cli_run / "scan_a4mm.csv"), "--out", str(tmp_path / "x")]
     )
     assert rc == 2
+
+
+def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(
+        json.dumps(
+            {
+                "geometry": {},
+                "source": {"grid_n": 2**16},
+                "scans": [{"aperture_width_m": 4e-3, "n_steps": 7, "s_start_m": -3e-4}],
+            }
+        )
+    )
+    out = tmp_path / "o"
+    assert main(["scan", "--profiles", "--config", str(path), "--out", str(out)]) == 0
+    cfg = load_config(str(path))
+    (series,) = run_all_scans(cfg)
+    files = sorted((out / "profiles_a4mm").iterdir())
+    assert [f.name for f in files] == [f"step_{k:04d}.csv" for k in range(7)]
+    det = cfg.detector
+    centres = (np.arange(det.n_pixels) - det.center_index) * det.pixel_pitch
+    for k, csv_path in enumerate(files):
+        x, values = read_csv(csv_path, ("position_m", "value")).values()
+        assert np.allclose(x, centres, rtol=1e-11, atol=0)
+        assert np.allclose(values, series.profiles[k], rtol=1e-11, atol=0)
 
 
 def test_undersized_grid_exits_2(tmp_path, capsys):

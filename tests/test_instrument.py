@@ -12,10 +12,9 @@ from whichway import instrument
 from whichway.instrument import (
     AUTO_EXPOSURE_FRACTION,
     FULL_WELL,
-    ScanStepRecord,
     _bin_intensity,
+    _midlines,
     _noisy_average,
-    _profile_midline,
     _step_rng,
 )
 from whichway.optics import GridSpec, fresnel_spectrum
@@ -101,14 +100,14 @@ def test_detector_validation():
 
 
 def test_split_signals():
-    prof = ww.IntensityProfile(0.0, 1.0, np.array([1.0, 2.0, 3.0, 4.0]))
-    left, right = ww.split_signals(prof, 2.0)
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    left, right = ww.split_signals(values, 2.0)
     assert left == 3.0 and right == 7.0
-    assert left + right == prof.total
-    left, right = ww.split_signals(prof, 2.5)
+    assert left + right == values.sum()
+    left, right = ww.split_signals(values, 2.5)
     assert left == 6.0 and right == 4.0
     with pytest.raises(ww.ConfigurationError):
-        ww.split_signals(prof, 10.0)
+        ww.split_signals(values, 10.0)
 
 
 def _reference_profiles(source, geom, scan, det, positions):
@@ -123,21 +122,20 @@ def _reference_profiles(source, geom, scan, det, positions):
 
 
 def _reference_scan(profiles, scan, det):
-    """run_scan's exposure and records, rebuilt from the reference profiles.
+    """run_scan's exposure, pixel matrix and signals, rebuilt from the reference profiles.
 
     profiles[0] is the profile at s = 0, profiles[1 + k] that of step k.
     """
     exposure = AUTO_EXPOSURE_FRACTION * FULL_WELL / (profiles[0].values.max() * det.gain)
-    records = []
+    rows = []
     for k, profile in enumerate(profiles[1:]):
         values = profile.values * exposure
         if det.noise_enabled:
             values = _noisy_average(values, det, scan.frames_per_step, _step_rng(det.rng_seed, k))
-        profile = replace(profile, values=values)
-        midline = _profile_midline(profile, scan.midline, det.center_index)
-        left, right = ww.split_signals(profile, midline)
-        records.append((scan.s_start + k * scan.step, profile.values, left, right))
-    return exposure, records
+        rows.append(values)
+    rows = np.array(rows)
+    signals = [ww.split_signals(row, m) for row, m in zip(rows, _midlines(rows, scan.midline))]
+    return exposure, rows, signals
 
 
 def test_auto_exposure_targets_the_full_well_fraction(quiet_cfg, source):
@@ -158,12 +156,18 @@ def small_source(quiet_cfg):
     )
 
 
-def _assert_scan_equals_reference(series, exposure, reference):
-    assert series.config.exposure == exposure
-    for r, (s, values, left, right) in zip(series.records, reference, strict=True):
-        assert r.slit_position == s
-        assert np.array_equal(r.detector_profile.values, values)
-        assert (r.left_signal, r.right_signal, r.total_flux) == (left, right, left + right)
+def _assert_scan_equals_reference(series, exposure, rows, signals):
+    scan = series.config
+    assert scan.exposure == exposure
+    assert np.array_equal(series.records.step_index, np.arange(scan.n_steps))
+    assert series.records.slit_position.tolist() == [
+        scan.s_start + k * scan.step for k in range(scan.n_steps)
+    ]
+    assert np.array_equal(series.profiles, rows)
+    left, right = np.array(signals).T
+    assert np.array_equal(series.records.left_signal, left)
+    assert np.array_equal(series.records.right_signal, right)
+    assert np.array_equal(series.records.total_flux, left + right)
 
 
 @pytest.mark.parametrize("opening", OPENINGS)
@@ -196,9 +200,8 @@ def test_run_scan_does_not_depend_on_the_worker_count(quiet_cfg, small_source, m
         finally:
             sys.setswitchinterval(interval)
     assert series[1].config == series[8].config
-    for a, b in zip(series[1].records, series[8].records, strict=True):
-        assert np.array_equal(a.detector_profile.values, b.detector_profile.values)
-        assert (a.left_signal, a.right_signal) == (b.left_signal, b.right_signal)
+    assert np.array_equal(series[1].profiles, series[8].profiles)
+    assert np.array_equal(series[1].records, series[8].records)
 
 
 def test_scan_step_leaving_the_grid_names_the_first_such_step(quiet_cfg, small_source, monkeypatch):
@@ -226,12 +229,18 @@ def test_run_scan_resolves_the_exposure(quiet_series):
         assert series.config.exposure > 0
 
 
-def test_run_scan_record_structure(quiet_series):
+def test_run_scan_record_structure(quiet_series, quiet_cfg):
     series = quiet_series[0]
-    assert len(series.records) == series.config.n_steps
-    for r in series.records[:5]:
-        assert r.total_flux == pytest.approx(r.left_signal + r.right_signal)
-    s = series.table()["s"]
+    records, table = series.records, series.table()
+    assert len(records) == series.config.n_steps
+    for key, field in [("step", "step_index"), ("s", "slit_position"), ("F", "total_flux"),
+                       ("left", "left_signal"), ("right", "right_signal")]:
+        assert np.array_equal(table[key], records[field])
+    assert np.array_equal(records.step_index, np.arange(series.config.n_steps))
+    assert np.array_equal(records.total_flux, records.left_signal + records.right_signal)
+    assert series.profiles.shape == (series.config.n_steps, quiet_cfg.detector.n_pixels)
+    assert np.allclose(series.profiles.sum(axis=1), records.total_flux, rtol=1e-12, atol=0)
+    s = table["s"]
     assert s[0] == pytest.approx(series.config.s_start)
     assert np.allclose(np.diff(s), series.config.step)
 
@@ -291,27 +300,20 @@ def test_run_scan_noise_reproducible(quiet_cfg, source):
     det = ww.DetectorConfig(noise_enabled=True, rng_seed=5)
     one = ww.run_scan(source, geom, scan, det)
     two = ww.run_scan(source, geom, scan, det)
-    for ra, rb in zip(one.records, two.records):
-        assert np.array_equal(ra.detector_profile.values, rb.detector_profile.values)
+    assert np.array_equal(one.profiles, two.profiles)
     other = ww.run_scan(source, geom, scan, ww.DetectorConfig(noise_enabled=True, rng_seed=6))
-    assert not np.array_equal(
-        one.records[0].detector_profile.values,
-        other.records[0].detector_profile.values,
-    )
+    assert not np.array_equal(one.profiles[0], other.profiles[0])
 
 
 def _single_step_series(values, midline="center"):
-    prof = ww.IntensityProfile(0.0, 1.0, np.asarray(values, dtype=float))
-    rec = ScanStepRecord(
-        step_index=0,
-        slit_position=0.0,
-        detector_profile=prof,
-        total_flux=float(prof.total),
-        left_signal=0.0,
-        right_signal=float(prof.total),
+    values = np.asarray(values, dtype=float)
+    total = values.sum()
+    records = np.rec.fromarrays(
+        [[0], [0.0], [total], [0.0], [total]],
+        names="step_index,slit_position,total_flux,left_signal,right_signal",
     )
     cfg = ww.ScanConfig(aperture_width=4e-3, n_steps=1, midline=midline)
-    return ww.ScanSeries(config=cfg, records=(rec,))
+    return ww.ScanSeries(cfg, records, values[np.newaxis])
 
 
 class TestAssignmentProbability:
@@ -359,7 +361,7 @@ def test_pooled_assignment_matches_flux_weighted_average():
     values[5] = 2.0
     dim = _single_step_series(values)
     pairs = [
-        (ww.assignment_probability(series, 20)[0], series.records[0].detector_profile.total)
+        (ww.assignment_probability(series, 20)[0], series.profiles.sum())
         for series in (bright, dim)
     ]
     c_pool, p, d = ww.pooled_assignment(pairs)

@@ -1,6 +1,5 @@
 import json
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -153,12 +152,3 @@ def test_fraunhofer_warns_in_the_near_field():
     geom = ww.Geometry()
     with pytest.warns(UserWarning, match="far-field"):
         ww.fraunhofer_intensity(geom, 0.02, np.array([0.0]))
-
-
-def test_constraint_report_verdicts():
-    geom = ww.Geometry()
-    assert ww.constraint_report(geom, 0.4e-3).verdict == "resolves-fringes"
-    assert ww.constraint_report(geom, 3e-3).verdict == "conflict zone"
-    assert ww.constraint_report(geom, 5e-3).verdict == "separates-slits"
-    with pytest.raises(ww.ConfigurationError):
-        ww.constraint_report(geom, 0.0)
