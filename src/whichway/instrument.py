@@ -13,9 +13,11 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.fft import fft, ifft
+from scipy.signal import CZT
 
 from .artifacts import read_csv, write_csv
 from .errors import ConfigurationError, DataError, NumericalError
@@ -24,7 +26,7 @@ from .optics import (
     Geometry,
     IntensityProfile,
     SampledField,
-    fresnel_spectrum,
+    fresnel_field,
     transfer_kernel,
 )
 from .reconstruct import OPENINGS, band_left_elems
@@ -202,25 +204,17 @@ def apply_aperture(
     Edge cells get sqrt(coverage) weighting so transmitted power equals
     the integral of |field|^2 over the interval.
     """
-    weights = _aperture_weights(field_in.positions, field_in.pitch, left_edge, width)
-    return replace(field_in, amplitudes=field_in.amplitudes * weights)
-
-
-def _aperture_weights(
-    x: np.ndarray, pitch: float, left_edge: float, width: float
-) -> np.ndarray:
-    """sqrt of the coverage of each grid cell by [left_edge, left_edge + width)."""
-    lo, hi = left_edge, left_edge + width
+    x, pitch, hi = field_in.positions, field_in.pitch, left_edge + width
     frac = np.clip(
-        (np.minimum(x + pitch / 2, hi) - np.maximum(x - pitch / 2, lo)) / pitch, 0.0, 1.0
+        (np.minimum(x + pitch / 2, hi) - np.maximum(x - pitch / 2, left_edge)) / pitch, 0.0, 1.0
     )
     if not frac.any():
         warnings.warn(
             "aperture interval lies entirely outside the field grid; "
             "returning an all-zero field",
-            stacklevel=3,
+            stacklevel=2,
         )
-    return np.sqrt(frac)
+    return replace(field_in, amplitudes=field_in.amplitudes * np.sqrt(frac))
 
 
 def _bin_intensity(
@@ -230,41 +224,17 @@ def _bin_intensity(
     edges: np.ndarray,
 ) -> np.ndarray:
     """Integrate a fine-grid intensity over arbitrary contiguous bins."""
-    lo, hi = _bin_window(intensity.size, origin, pitch, edges)
-    cum = np.empty(hi + 1)
-    np.cumsum(intensity[:hi], out=cum[1:])
-    return _bin_cumulative(cum, origin, pitch, lo, edges)
-
-
-def _bin_window(n: int, origin: float, pitch: float, edges: np.ndarray) -> tuple[int, int]:
-    """Cells [lo, hi) of the n-cell grid whose edges bracket the bin edges."""
     start = origin - pitch / 2  # left edge of cell 0
+    n = intensity.size
     if edges[0] < start or edges[-1] > start + pitch * n:
         raise ConfigurationError(
             "requested bins not covered by the simulation grid "
             f"(bins span [{edges[0]:.4g}, {edges[-1]:.4g}] m, grid spans "
             f"[{start:.4g}, {start + pitch * n:.4g}] m)"
         )
-    lo = max(int((edges[0] - start) // pitch) - 1, 0)
-    hi = min(int((edges[-1] - start) // pitch) + 2, n)
-    return lo, hi
-
-
-def _bin_cumulative(
-    cum: np.ndarray, origin: float, pitch: float, lo: int, edges: np.ndarray
-) -> np.ndarray:
-    """Bin integrals from cum[1:], the running sum of the first cells' intensity.
-
-    Cell edges lo to cum.size - 1 must bracket the bin edges (_bin_window).
-    Only those entries are read; they are scaled by the pitch in place.
-    The result equals interpolating over all cells: np.interp uses only the
-    two entries that bracket each bin edge.
-    """
-    cum[0] = 0.0
-    window = cum[lo:]
-    np.multiply(window, pitch, out=window)
-    cell_edges = origin - pitch / 2 + pitch * np.arange(lo, cum.size)
-    return np.clip(np.diff(np.interp(edges, cell_edges, window)), 0.0, None)
+    cum = np.concatenate(([0.0], np.cumsum(intensity))) * pitch
+    cell_edges = start + pitch * np.arange(n + 1)
+    return np.clip(np.diff(np.interp(edges, cell_edges, cum)), 0.0, None)
 
 
 def image_slits(
@@ -317,14 +287,10 @@ def bin_to_pixels(
     returned profile uses detector-local coordinates (pixel centers
     relative to the detector center).
     """
-    edges = center_offset + _pixel_edge_offsets(detector)
+    n = detector.n_pixels
+    edges = center_offset + (np.arange(n + 1) - n / 2) * detector.pixel_pitch
     counts = _bin_intensity(fine.values, fine.origin, fine.pitch, edges)
     return _pixel_profile(detector, counts)
-
-
-def _pixel_edge_offsets(detector: DetectorConfig) -> np.ndarray:
-    """Pixel edges relative to the detector center."""
-    return (np.arange(detector.n_pixels + 1) - detector.n_pixels / 2) * detector.pixel_pitch
 
 
 def _pixel_profile(detector: DetectorConfig, values: np.ndarray) -> IntensityProfile:
@@ -353,7 +319,8 @@ def _midlines(profiles: np.ndarray, mode: str) -> np.ndarray:
     """Midline of each row of profiles, in pixel-index units.
 
     "center" is the detector center; "centroid" the row's flux centroid,
-    or the center where the row holds no flux.
+    or the center where the row holds no flux or (a dim noisy row can) a
+    centroid off the detector.
     """
     n_steps, n = profiles.shape
     midlines = np.full(n_steps, (n - 1) / 2)
@@ -362,7 +329,9 @@ def _midlines(profiles: np.ndarray, mode: str) -> np.ndarray:
         for k, row in enumerate(profiles):
             total = row.sum()
             if total > 0:
-                midlines[k] = np.sum(idx * row) / total
+                centroid = np.sum(idx * row) / total
+                if 0 <= centroid <= n - 1:
+                    midlines[k] = centroid
     return midlines
 
 
@@ -394,80 +363,86 @@ def auto_exposure(
     full_well: float = FULL_WELL,
     fraction: float = AUTO_EXPOSURE_FRACTION,
 ) -> float:
-    """Exposure placing the peak pixel of the central step at 70% full well."""
+    """Exposure placing the peak pixel of the step at s = 0 at 70% full well."""
     return _ScanOptics(source_field, geom, scan, detector).exposure(full_well, fraction)
+
+
+# Scan imaging: the aperture is cut into cells of at most SUPPORT_PITCH that
+# divide the scan step, and each pixel gets SUBSAMPLES image points.  The
+# sampling guard allows the integrand MAX_CYCLES_PER_CELL cycles per cell.
+SUPPORT_PITCH = 2.5e-6
+SUBSAMPLES = 4
+MAX_CYCLES_PER_CELL = 0.25
 
 
 class _ScanOptics:
     """The step-invariant optics of one scan; step(s) images the slits at s.
 
-    Built once per scan: the pupil spectrum, the Fourier-shift phase, the
-    L_C transfer kernel, the aperture support with its sqrt(coverage)
-    weights, the lens phase on that support and the pixel edge offsets.
-    Outside the support the masked pupil is exactly zero, so only the
-    support is masked and phased, and only the cells up to the detector
-    window are binned.  Up to `workers` steps may run at once, each in its
-    own pair of reused buffers.  The operations and their operand order are
-    those of apply_aperture and image_slits, so the pixel values are the
-    same to the last bit.
+    No simulation grid is involved.  Cells of width h centred at u_j tile
+    the aperture, so every aperture weight is 1.  The pupil U(u_j - s) is
+    the source's Fresnel-integral field (optics.fresnel_field), tabulated
+    once for the scan's positions; other s are evaluated directly.  Up to a
+    unimodular factor the camera field is V(x) = h / sqrt(lambda L_C) sum_j
+    U(u_j - s) lens(u_j) exp(i pi u_j^2 / (lambda L_C) - 2 pi i x u_j /
+    (lambda L_C)).  One chirp-z transform evaluates it at SUBSAMPLES points
+    per pixel plus one beyond each end of the detector, whose offset
+    -stage_ratio s is a linear phase on the cells.  A pixel sums |V|^2 over
+    its points with the Euler-Maclaurin end correction from its neighbours.
     """
 
-    def __init__(
-        self,
-        source_field: SampledField,
-        geom: Geometry,
-        scan: ScanConfig,
-        detector: DetectorConfig,
-        workers: int = 1,
-    ):
-        self.origin, self.pitch, n = source_field.origin, source_field.pitch, source_field.n
-        self.pupil_spec, f = fresnel_spectrum(
-            source_field, geom.dist_slits_lens, geom.wavelength
-        )
-        self.shift_phase = -2j * np.pi * f  # times s: the Fourier shift to s
-        self.kernel = transfer_kernel(n, self.pitch, geom.wavelength, geom.dist_lens_detector)
-        u = source_field.positions
-        weights = _aperture_weights(u, self.pitch, scan.aperture_left_edge(), scan.aperture_width)
-        inside = np.flatnonzero(weights)
-        self.support = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
-        self.weights = weights[self.support]
-        self.lens = _lens_phase(u[self.support], geom)
-        self.edge_offsets = _pixel_edge_offsets(detector)
-        self.stage_ratio = scan.stage_ratio
+    def __init__(self, source_field: SampledField, geom: Geometry, scan: ScanConfig,
+                 detector: DetectorConfig):
+        lam, l_s, l_c = geom.wavelength, geom.dist_slits_lens, geom.dist_lens_detector
+        per_step = math.ceil(scan.step / SUPPORT_PITCH * (1 - 1e-12))
+        self.h = h = scan.step / per_step
+        left = scan.aperture_left_edge()
+        self.u = left + h * (np.arange(scan.width_elems() * per_step) + 0.5)
+        self.pupil = partial(fresnel_field, source_field, l_s, lam)
+        # the pupil at u_j - s for s = s_start + q h, q = 0 .. last, starts at last - q
+        self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
+        self.table = self.pupil(self.u[0] - scan.s_start + h * np.arange(-self.last, self.u.size))
+        sub = detector.pixel_pitch / SUBSAMPLES
+        self.weights = _lens_phase(self.u, geom) * np.exp(1j * np.pi * self.u**2 / (lam * l_c))
+        self.weights *= h * np.sqrt(sub / (lam * l_c))
+        self.tilt = 2 * np.pi * scan.stage_ratio / (lam * l_c) * self.u  # times s
+        first = -detector.n_pixels * detector.pixel_pitch / 2 - sub / 2
+        k = 2 * np.pi * h / (lam * l_c)
+        self.czt = CZT(self.u.size, detector.n_pixels * SUBSAMPLES + 2,
+                       w=np.exp(-1j * k * sub), a=np.exp(1j * k * first))
+        # ray optics: the integrand's local frequency is affine in the lit
+        # source point, the cell and the detector point -stage_ratio s + xi
+        lit = source_field.positions[source_field.amplitudes != 0]
+        defocus = 1 / l_s + 1 / l_c - 1 / geom.focal_length
+        terms = [np.array([left, left + scan.aperture_width]) * defocus,
+                 -np.array([lit.min(initial=0.0), lit.max(initial=0.0)]) / l_s,
+                 np.array([first, -first]) / l_c]
+        self.freq = np.array([sum(t.min() for t in terms), sum(t.max() for t in terms)]) / lam
+        self.freq_slope = (scan.stage_ratio / l_c - 1 / l_s) / lam
         self.gain = detector.gain
-        # allocated here, not in the worker threads, so that the scan's
-        # buffers come from and return to one allocator arena
-        self._buffers = [(np.empty(n, complex), np.empty(n + 1)) for _ in range(workers)]
 
     def step(self, s: float) -> np.ndarray:
         """Noiseless pixel values at slit position s, for unit exposure."""
-        buffers = self._buffers.pop()  # list.pop and append are atomic
-        try:
-            return self._step(s, *buffers)
-        finally:
-            self._buffers.append(buffers)
-
-    def _step(self, s: float, buf: np.ndarray, cum: np.ndarray) -> np.ndarray:
-        edges = -self.stage_ratio * s + self.edge_offsets
-        lo, hi = _bin_window(buf.size, self.origin, self.pitch, edges)
-        np.multiply(self.shift_phase, s, out=buf)
-        np.exp(buf, out=buf)
-        # exp * spectrum: the operand order numpy's temporary elision gives
-        # the unnamed product, which decides the last bits
-        np.multiply(buf, self.pupil_spec, out=buf)
-        ifft(buf, out=buf)
-        pupil = buf[self.support] * self.weights
-        np.multiply(pupil, self.lens, out=pupil)
-        buf.fill(0)
-        buf[self.support] = pupil
-        fft(buf, out=buf)
-        np.multiply(buf, self.kernel, out=buf)
-        ifft(buf, out=buf)
-        intensity = cum[1 : hi + 1]
-        np.abs(buf[:hi], out=intensity)
-        np.square(intensity, out=intensity)  # what np.abs(buf) ** 2 computes
-        np.cumsum(intensity, out=intensity)
-        return _bin_cumulative(cum[: hi + 1], self.origin, self.pitch, lo, edges)
+        cycles = self.h * np.abs(self.freq + self.freq_slope * s).max()
+        if cycles > MAX_CYCLES_PER_CELL:
+            raise ConfigurationError(
+                f"imaging sampling bound violated: {cycles:.3g} cycles per aperture cell "
+                f"(at most {MAX_CYCLES_PER_CELL}); the detector lies too far from the slit image"
+            )
+        q = (s - self.s_start) / self.h
+        i = self.last - round(q)
+        if abs(q - round(q)) < 1e-6 and 0 <= i <= self.last:
+            pupil = self.table[i : i + self.u.size]
+        else:
+            pupil = self.pupil(self.u - s)
+        field = pupil * self.weights
+        field *= np.exp(1j * s * self.tilt)
+        points = self.czt(field)
+        power = points.real**2 + points.imag**2
+        pixels = power[1:-1].reshape(-1, SUBSAMPLES).sum(axis=1)
+        # a pixel's midpoint sum misses d^2 (f'(b) - f'(a)) / 24; d f' at an
+        # edge is the difference of the two points around it
+        pixels += np.diff(np.diff(power)[::SUBSAMPLES]) / 24
+        return np.maximum(pixels, 0.0, out=pixels)
 
     def exposure(self, full_well: float, fraction: float) -> float:
         peak = self.step(0.0).max() * self.gain
@@ -492,15 +467,14 @@ def run_scan(
 ) -> ScanSeries:
     """Execute a full scan and record per-step pixel values and signals.
 
-    The slit-plane source field is translated to each slit position via an
-    exact Fourier shift, propagated to the pupil, masked by the fixed
-    aperture stop, imaged, and binned into camera pixels riding the
-    counter-moving stage.  Steps run on every CPU the process may use; the
-    noise of step k is keyed by (seed, k), so the records do not depend on
-    the number of workers.
+    At each slit position the source field's Fresnel-integral pupil is
+    masked by the fixed aperture stop and imaged onto the camera pixels
+    riding the counter-moving stage (see _ScanOptics).  Steps run on every
+    CPU the process may use; the noise of step k is keyed by (seed, k), so
+    the records do not depend on the number of workers.
     """
     workers = min(_worker_count(), scan.n_steps)
-    optics = _ScanOptics(source_field, geom, scan, detector, workers)
+    optics = _ScanOptics(source_field, geom, scan, detector)
     exposure = scan.exposure
     if exposure is None:
         exposure = optics.exposure(FULL_WELL, AUTO_EXPOSURE_FRACTION)

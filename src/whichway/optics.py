@@ -1,7 +1,9 @@
 """1-D coherent fields for the double-slit bench and their free-space transport.
 
-Everything lives on uniform spatial grids along the scan direction.  The
-propagator is the standard Fresnel transfer-function method; analytic
+Fields are sampled on uniform spatial grids along the scan direction.  Two
+propagators share one Fresnel convention: the transfer-function method on
+the grid (propagate_fresnel), and Fresnel integrals of the field read as
+piecewise constant, evaluated at any positions (fresnel_field).  Analytic
 far-field formulas are provided as independent cross-checks.
 """
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
+from scipy.special import fresnel
 
 from .errors import ConfigurationError
 
@@ -76,8 +79,8 @@ class GridSpec:
 
     The default spans +-40 mm at 0.61 um pitch: wide enough that periodic
     wrap-around leakage stays below the far-field oracle tolerance for the
-    58 cm slits-to-lens propagation, and that the camera window fits at
-    every scan step.
+    58 cm slits-to-lens propagation by propagate_fresnel.  Scans take only
+    the slit edges from the grid (fresnel_field), not its span.
     """
 
     n: int = 2**17
@@ -235,21 +238,6 @@ def check_wraparound(
     )
 
 
-def fresnel_spectrum(
-    field_in: SampledField, distance: float, wavelength: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of the field times H(f) = exp(-i pi lambda z f^2), and f.
-
-    Enforces the wrap-around bound (see check_wraparound).
-    """
-    spectrum = fft(field_in.amplitudes)
-    check_wraparound(spectrum, field_in.pitch, distance, wavelength)
-    # in place, spectrum times kernel: the operand order of the complex
-    # multiply decides the last output bits
-    spectrum *= transfer_kernel(field_in.n, field_in.pitch, wavelength, distance)
-    return spectrum, fftfreq(field_in.n, field_in.pitch)
-
-
 def transfer_kernel(n: int, pitch: float, wavelength: float, distance: float) -> np.ndarray:
     """Fresnel transfer function H(f) = exp(-i pi lambda z f^2) on the FFT frequencies."""
     f = fftfreq(n, pitch)
@@ -268,8 +256,39 @@ def propagate_fresnel(
     """
     if distance == 0:
         return replace(field_in, amplitudes=field_in.amplitudes.copy())
-    spectrum, _ = fresnel_spectrum(field_in, distance, wavelength)
+    spectrum = fft(field_in.amplitudes)
+    check_wraparound(spectrum, field_in.pitch, distance, wavelength)
+    # in place, spectrum times kernel: the operand order of the complex
+    # multiply decides the last output bits
+    spectrum *= transfer_kernel(field_in.n, field_in.pitch, wavelength, distance)
     return replace(field_in, amplitudes=ifft(spectrum))
+
+
+# fresnel_field costs one Fresnel integral per amplitude step and position;
+# a double slit has four steps
+MAX_AMPLITUDE_STEPS = 64
+
+
+def fresnel_field(field_in: SampledField, distance: float, wavelength: float, x) -> np.ndarray:
+    """Field at positions x after Fresnel propagation by distance > 0.
+
+    Exact for field_in read as constant over each cell (and zero outside its
+    grid): a step of a (left minus right value) at cell edge e contributes
+    a (C + iS)(sqrt(2 / (lambda z)) (e - x)) e^{-i pi/4} / sqrt(2), with the
+    Fresnel integrals C and S.  The convention is propagate_fresnel's.
+    """
+    padded = np.concatenate(([0], field_in.amplitudes, [0]))
+    at = np.flatnonzero(np.diff(padded))  # between cells at - 1 and at
+    if at.size > MAX_AMPLITUDE_STEPS:
+        raise ConfigurationError(
+            f"source field has {at.size} amplitude steps; Fresnel-integral "
+            f"propagation takes piecewise-constant fields of at most {MAX_AMPLITUDE_STEPS}"
+        )
+    t = np.sqrt(2.0 / (wavelength * distance)) * (
+        field_in.origin + (at - 0.5) * field_in.pitch - np.asarray(x, dtype=float)[..., np.newaxis]
+    )
+    s, c = fresnel(t)
+    return (c + 1j * s) @ (padded[at] - padded[at + 1]) * (np.exp(-0.25j * np.pi) / np.sqrt(2.0))
 
 
 def fresnel_number(geom: Geometry, screen_distance: float) -> float:

@@ -7,7 +7,6 @@ from .config import RunConfig
 from .errors import ConfigurationError, DataError
 from .instrument import (
     ScanSeries,
-    _bin_intensity,
     flux_vector,
     run_scan,
     uniform_step,
@@ -18,6 +17,7 @@ from .optics import (
     IntensityProfile,
     SampledField,
     double_slit_field,
+    fresnel_field,
     propagate_fresnel,
 )
 from .reconstruct import (
@@ -49,13 +49,15 @@ def pupil_truth(
     """Directly computed pupil intensity, integrated per scan-step bin.
 
     This is the ground truth the reconstruction should recover: the pupil
-    illumination pattern binned at the scan resolution.
+    illumination pattern integrated over [p - step/2, p + step/2] for each
+    position p.  The field is the source's exact Fresnel-integral pupil
+    (optics.fresnel_field), integrated by 8-point Gauss-Legendre quadrature
+    per bin.
     """
-    pupil = propagate_fresnel(source, geom.dist_slits_lens, geom.wavelength)
-    edges = np.concatenate((positions - step / 2, [positions[-1] + step / 2]))
-    return _bin_intensity(
-        np.abs(pupil.amplitudes) ** 2, pupil.origin, pupil.pitch, edges
-    )
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    u = np.asarray(positions, dtype=float)[:, np.newaxis] + 0.5 * step * nodes
+    field = fresnel_field(source, geom.dist_slits_lens, geom.wavelength, u)
+    return (field.real**2 + field.imag**2) @ (0.5 * step * weights)
 
 
 def run_all_scans(cfg: RunConfig, source: SampledField | None = None) -> list[ScanSeries]:

@@ -300,6 +300,7 @@ def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
 
 
 def test_undersized_grid_exits_2(tmp_path, capsys):
+    # the direct fringe image still propagates on the grid
     cfg = tmp_path / "small.json"
     cfg.write_text(
         json.dumps(
@@ -309,9 +310,33 @@ def test_undersized_grid_exits_2(tmp_path, capsys):
             }
         )
     )
-    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(["fringes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "samples" in err
+
+
+def test_scan_records_do_not_depend_on_the_grid_span(tmp_path):
+    # scans read only the slit edges from the grid: a +-5 mm grid of the
+    # default pitch holds the same edges as the default +-40 mm grid, up to
+    # the rounding of its origin (about 1e-17 m)
+    records = []
+    for grid_n, half_span in ((2**17, 40e-3), (2**14, 5e-3)):
+        path = tmp_path / f"grid{grid_n}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "geometry": {},
+                    "source": {"grid_n": grid_n, "grid_half_span_m": half_span},
+                    "scans": [{"aperture_width_m": 4e-3, "n_steps": 31, "s_start_m": -15e-3}],
+                }
+            )
+        )
+        (series,) = run_all_scans(load_config(str(path), no_noise=True))
+        records.append(series.records)
+    default, narrow = records
+    for field in default.dtype.names:
+        scale = np.abs(default[field]).max()
+        assert np.abs(narrow[field] - default[field]).max() <= 1e-12 * scale, field
 
 
 def test_parser_rejects_unknown_subcommand():
@@ -325,6 +350,14 @@ def test_duality_report_artifact(cli_run):
     assert report["duality"] == pytest.approx(
         report["V"] ** 2 + report["D"] ** 2, rel=1e-12
     )
+
+
+def test_seed_0_duality_values_are_pinned(cli_run):
+    # a change to the forward model or the estimators moves these on purpose
+    report = json.loads((cli_run / "duality.json").read_text())
+    assert report["V"] == pytest.approx(0.830168219197873, rel=1e-9)
+    assert report["D"] == pytest.approx(0.894737619451041, rel=1e-9)
+    assert report["duality"] == pytest.approx(1.4897346798270836, rel=1e-9)
 
 
 def _rewrite_s_mm(src, dst, shift):

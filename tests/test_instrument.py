@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.fft import ifft
 
 import whichway as ww
 from whichway import instrument
@@ -17,7 +16,7 @@ from whichway.instrument import (
     _noisy_average,
     _step_rng,
 )
-from whichway.optics import GridSpec, fresnel_spectrum
+from whichway.optics import GridSpec, fresnel_field
 from whichway.reconstruct import OPENINGS
 
 
@@ -110,43 +109,57 @@ def test_split_signals():
         ww.split_signals(values, 10.0)
 
 
-def _reference_profiles(source, geom, scan, det, positions):
-    """Noiseless unit-exposure profiles composed from the public layers."""
-    spectrum, f = fresnel_spectrum(source, geom.dist_slits_lens, geom.wavelength)
-    profiles = []
-    for s in positions:
-        pupil = replace(source, amplitudes=ifft(spectrum * np.exp(-2j * np.pi * f * s)))
-        masked = ww.apply_aperture(pupil, scan.aperture_left_edge(), scan.aperture_width)
-        profiles.append(ww.image_slits(masked, geom, det, -scan.stage_ratio * s))
-    return profiles
+# The direct-quadrature oracle of a scan step.  Nothing is periodic and no
+# FFT is used.  The aperture is cut into 10 um panels of 5 Gauss-Legendre
+# nodes each (mean node spacing 2 um, finer than the engine's 2.5 um
+# cells), which end exactly at the aperture edges.  The pupil at each node
+# is the Fresnel-integral field, itself checked against quadrature of the
+# Fresnel kernel in test_optics.  Each pixel integrates |V|^2 over 8
+# Gauss-Legendre points.
+ORACLE_PANEL = 10e-6
+ORACLE_PANEL_NODES = 5
+ORACLE_PIXEL_NODES = 8
+# the scan engine must match the oracle to these fractions of each step's
+# peak pixel and of its flux
+ORACLE_PEAK_TOL = 1e-3
+ORACLE_FLUX_TOL = 1e-3
 
 
-def _reference_scan(profiles, scan, det):
-    """run_scan's exposure, pixel matrix and signals, rebuilt from the reference profiles.
+def _oracle_profiles(geom, scan, det, steps):
+    """Noiseless unit-exposure pixel values, one row per (source, s) in steps."""
+    lam, l_c = geom.wavelength, geom.dist_lens_detector
+    k = 2 * np.pi / (lam * l_c)
+    nodes, weights = np.polynomial.legendre.leggauss(ORACLE_PANEL_NODES)
+    n_panels = round(scan.aperture_width / ORACLE_PANEL)
+    starts = scan.aperture_left_edge() + ORACLE_PANEL * np.arange(n_panels)
+    u = (starts[:, np.newaxis] + ORACLE_PANEL / 2 * (nodes + 1)).ravel()
+    # thin lens, L_C chirp, quadrature weight and the kernel's 1/sqrt(lambda L_C)
+    base = np.exp(1j * np.pi * u**2 * (1 / l_c - 1 / geom.focal_length) / lam)
+    base *= np.tile(ORACLE_PANEL / 2 * weights, n_panels) / np.sqrt(lam * l_c)
+    centres = (np.arange(det.n_pixels) - det.center_index) * det.pixel_pitch
+    nodes, weights = np.polynomial.legendre.leggauss(ORACLE_PIXEL_NODES)
+    in_pixel = det.pixel_pitch / 2 * nodes
+    columns = []
+    for source, s in steps:
+        # the camera point x = -stage_ratio s + centre + in_pixel
+        g = fresnel_field(source, geom.dist_slits_lens, lam, u - s) * base
+        g *= np.exp(1j * k * scan.stage_ratio * s * u)
+        columns.append(g[:, np.newaxis] * np.exp(-1j * k * np.outer(u, in_pixel)))
+    g = np.concatenate(columns, axis=1)
+    field = np.zeros((det.n_pixels, g.shape[1]), complex)
+    for j in range(0, u.size, 1024):  # blocks keep the kernel matrix small
+        field += np.exp(-1j * k * np.outer(centres, u[j : j + 1024])) @ g[j : j + 1024]
+    power = field.real**2 + field.imag**2
+    power = power.reshape(det.n_pixels, len(steps), ORACLE_PIXEL_NODES)
+    return np.einsum("psq,q->sp", power, det.pixel_pitch / 2 * weights)
 
-    profiles[0] is the profile at s = 0, profiles[1 + k] that of step k.
-    """
-    exposure = AUTO_EXPOSURE_FRACTION * FULL_WELL / (profiles[0].values.max() * det.gain)
-    rows = []
-    for k, profile in enumerate(profiles[1:]):
-        values = profile.values * exposure
-        if det.noise_enabled:
-            values = _noisy_average(values, det, scan.frames_per_step, _step_rng(det.rng_seed, k))
-        rows.append(values)
-    rows = np.array(rows)
-    signals = [ww.split_signals(row, m) for row, m in zip(rows, _midlines(rows, scan.midline))]
-    return exposure, rows, signals
 
-
-def test_auto_exposure_targets_the_full_well_fraction(quiet_cfg, source):
-    geom = quiet_cfg.geometry
-    scan = quiet_cfg.scans[0]
-    det = quiet_cfg.detector
-    exposure = ww.auto_exposure(source, geom, scan, det)
-    (profile,) = _reference_profiles(source, geom, scan, det, [0.0])
-    assert profile.values.max() * exposure * det.gain == pytest.approx(
-        AUTO_EXPOSURE_FRACTION * FULL_WELL, rel=1e-9
-    )
+def _assert_within_oracle(rows, oracle):
+    """Per row: the largest pixel error over the peak pixel, and the flux error."""
+    peak = np.abs(rows - oracle).max(axis=1) / oracle.max(axis=1)
+    flux = np.abs(rows.sum(axis=1) / oracle.sum(axis=1) - 1)
+    assert peak.max() <= ORACLE_PEAK_TOL, f"peak-pixel errors {peak}"
+    assert flux.max() <= ORACLE_FLUX_TOL, f"flux errors {flux}"
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +169,58 @@ def small_source(quiet_cfg):
     )
 
 
-def _assert_scan_equals_reference(series, exposure, rows, signals):
+@pytest.mark.parametrize("width", [2e-3, 4e-3, 8e-3])
+def test_scan_engine_matches_the_oracle(quiet_cfg, width):
+    geom, det = quiet_cfg.geometry, quiet_cfg.detector
+    scan = ww.ScanConfig(aperture_width=width)  # the default 301-step scan
+    positions = [scan.s_start + k * scan.step for k in (0, 75, 150, 225, 300)]
+    rows, steps = [], []
+    for grid_n in (2**16, 2**17, 2**18):
+        source = ww.double_slit_field(
+            geom, GridSpec(grid_n, quiet_cfg.grid.half_span), quiet_cfg.illumination_tilt
+        )
+        optics = instrument._ScanOptics(source, geom, scan, det)
+        rows += [optics.step(s) for s in positions]
+        steps += [(source, s) for s in positions]
+    _assert_within_oracle(np.array(rows), _oracle_profiles(geom, scan, det, steps))
+
+
+def test_auto_exposure_targets_the_full_well_fraction(quiet_cfg, source):
+    geom = quiet_cfg.geometry
+    scan = quiet_cfg.scans[0]
+    det = quiet_cfg.detector
+    exposure = ww.auto_exposure(source, geom, scan, det)
+    peak = instrument._ScanOptics(source, geom, scan, det).step(0.0).max()
+    target = AUTO_EXPOSURE_FRACTION * FULL_WELL
+    assert peak * exposure * det.gain == pytest.approx(target, rel=1e-12)
+    (oracle,) = _oracle_profiles(geom, scan, det, [(source, 0.0)])
+    assert peak == pytest.approx(oracle.max(), rel=ORACLE_PEAK_TOL)
+
+
+def test_steps_off_the_scan_positions_evaluate_the_pupil_directly(quiet_cfg, small_source):
+    geom, det = quiet_cfg.geometry, quiet_cfg.detector
+    scan = ww.ScanConfig(aperture_width=4e-3, n_steps=3, s_start=-1e-3)
+    s = scan.s_start + scan.step
+    tabulated = instrument._ScanOptics(small_source, geom, scan, det).step(s)
+    # a scan shifted by a third of an aperture cell has no position at s
+    shifted = replace(scan, s_start=scan.s_start + instrument.SUPPORT_PITCH / 3)
+    direct = instrument._ScanOptics(small_source, geom, shifted, det).step(s)
+    assert np.allclose(direct, tabulated, rtol=1e-9, atol=1e-12 * tabulated.max())
+
+
+def _expected_scan(quiet_profiles, scan, det):
+    """run_scan's pixel matrix and signals, rebuilt from its noiseless rows."""
+    rows = quiet_profiles
+    if det.noise_enabled:
+        rows = np.array([
+            _noisy_average(row, det, scan.frames_per_step, _step_rng(det.rng_seed, k))
+            for k, row in enumerate(quiet_profiles)
+        ])
+    signals = [ww.split_signals(row, m) for row, m in zip(rows, _midlines(rows, scan.midline))]
+    return rows, signals
+
+
+def _assert_scan_equals_expected(series, exposure, rows, signals):
     scan = series.config
     assert scan.exposure == exposure
     assert np.array_equal(series.records.step_index, np.arange(scan.n_steps))
@@ -172,17 +236,27 @@ def _assert_scan_equals_reference(series, exposure, rows, signals):
 
 @pytest.mark.parametrize("opening", OPENINGS)
 @pytest.mark.parametrize("width", [2e-3, 4e-3, 8e-3])
-def test_run_scan_matches_the_public_layers_bit_for_bit(quiet_cfg, small_source, width, opening):
+def test_run_scan_matches_the_oracle(quiet_cfg, small_source, width, opening):
     geom = quiet_cfg.geometry
     base = ww.ScanConfig(aperture_width=width, step=5e-4, n_steps=12, s_start=-3e-3, opening=opening)
-    positions = [0.0, *(base.s_start + k * base.step for k in range(base.n_steps))]
-    profiles = _reference_profiles(small_source, geom, base, quiet_cfg.detector, positions)
+    quiet_det = ww.DetectorConfig()
+    quiet = ww.run_scan(small_source, geom, base, quiet_det)
+    exposure = quiet.config.exposure
+    checked = [0, 5, 11]
+    positions = [0.0, *(base.s_start + k * base.step for k in checked)]
+    oracle = _oracle_profiles(geom, base, quiet_det, [(small_source, s) for s in positions])
+    assert exposure * oracle[0].max() == pytest.approx(
+        AUTO_EXPOSURE_FRACTION * FULL_WELL, rel=ORACLE_PEAK_TOL
+    )
+    _assert_within_oracle(quiet.profiles[checked] / exposure, oracle[1:])
+    # exposure, noise, midline and split on top of the noiseless rows
     for midline in ("center", "centroid"):
         for noise in (False, True):
             scan = replace(base, midline=midline)
             det = ww.DetectorConfig(noise_enabled=noise, rng_seed=11)
             series = ww.run_scan(small_source, geom, scan, det)
-            _assert_scan_equals_reference(series, *_reference_scan(profiles, scan, det))
+            expected = _expected_scan(quiet.profiles, scan, det)
+            _assert_scan_equals_expected(series, exposure, *expected)
 
 
 def test_run_scan_does_not_depend_on_the_worker_count(quiet_cfg, small_source, monkeypatch):
@@ -205,9 +279,13 @@ def test_run_scan_does_not_depend_on_the_worker_count(quiet_cfg, small_source, m
 
 
 def test_scan_step_leaving_the_grid_names_the_first_such_step(quiet_cfg, small_source, monkeypatch):
-    # the 13.3 mm camera window rides at -1.07 s and leaves the +-40 mm grid
-    # from s = 31.5 mm on, which is step 3 of this scan
-    scan = ww.ScanConfig(aperture_width=4e-3, step=5e-4, n_steps=200, s_start=30e-3, exposure=1.0)
+    # a stage ratio of 0.2 leaves the camera behind the slit image, which
+    # rides at about -1.09 s: from s = 38.5 mm on, the camera window leaves
+    # the span the aperture cells resolve (the integrand turns more than a
+    # quarter cycle per cell), so step 3 (s = 39 mm) fails the guard first
+    scan = ww.ScanConfig(
+        aperture_width=4e-3, step=1e-3, n_steps=200, s_start=36e-3, exposure=1.0, stage_ratio=0.2
+    )
     calls = []
     step = instrument._ScanOptics.step
 
@@ -217,10 +295,29 @@ def test_scan_step_leaving_the_grid_names_the_first_such_step(quiet_cfg, small_s
         return step(self, s)
 
     monkeypatch.setattr(instrument._ScanOptics, "step", counted)
-    with pytest.raises(ww.ConfigurationError, match=r"^scan step 3 \(s = 0\.0315 m\): requested bins"):
+    with pytest.raises(
+        ww.ConfigurationError, match=r"^scan step 3 \(s = 0\.039 m\): imaging sampling bound"
+    ):
         ww.run_scan(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector)
     # the steps still pending when step 3 failed were cancelled
     assert len(calls) < 50
+
+
+def test_centroid_midline_off_the_detector_falls_back_to_the_center(quiet_cfg, small_source):
+    # at this exposure readout noise swamps the light: some rows sum to a
+    # small positive total whose centroid lies far off the detector
+    scan = ww.ScanConfig(aperture_width=4e-3, n_steps=20, exposure=1e-9, midline="centroid")
+    det = ww.DetectorConfig(noise_enabled=True)
+    series = ww.run_scan(small_source, quiet_cfg.geometry, scan, det)
+    idx = np.arange(det.n_pixels)
+    totals = series.profiles.sum(axis=1)
+    centroids = series.profiles @ idx / totals
+    off = (totals > 0) & ((centroids < 0) | (centroids > idx[-1]))
+    on = (totals > 0) & ~off
+    assert off.any() and on.any()
+    midlines = _midlines(series.profiles, "centroid")
+    assert np.all(midlines[off] == det.center_index)
+    assert np.allclose(midlines[on], centroids[on], rtol=1e-12)
 
 
 def test_run_scan_resolves_the_exposure(quiet_series):

@@ -3,11 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.signal import find_peaks
 
 import whichway as ww
+from whichway import pipeline
 from whichway.config import load_config
-from whichway.optics import GridSpec, check_wraparound
+from whichway.optics import GridSpec, check_wraparound, fresnel_field
 
 
 def test_geometry_defaults():
@@ -115,6 +117,58 @@ def test_wraparound_guard_names_a_sufficient_grid_size():
 
 def test_check_wraparound_ignores_empty_spectrum():
     check_wraparound(np.zeros(64, dtype=complex), 1e-6, 1.0, 650e-9)
+
+
+def test_fresnel_field_matches_quadrature_of_the_kernel():
+    geom = ww.Geometry()
+    lam, z = geom.wavelength, geom.dist_slits_lens
+    source = ww.double_slit_field(geom, GridSpec(2**14, 5e-3), illumination_tilt=0.1)
+    # each slit is a run of lit cells
+    lit = np.flatnonzero(source.amplitudes)
+    split = int(np.flatnonzero(np.diff(lit) > 1)[0])
+    slits = [
+        (source.positions[first] - source.pitch / 2, source.positions[last] + source.pitch / 2,
+         source.amplitudes[first].real)
+        for first, last in ((lit[0], lit[split]), (lit[split + 1], lit[-1]))
+    ]
+
+    def by_quadrature(x):
+        # exp(i pi (x - t)^2 / (lambda z)) / sqrt(i lambda z) over each slit
+        def kernel(t, trig):
+            return trig(np.pi * (x - t) ** 2 / (lam * z))
+
+        field = 0j
+        for a, b, amp in slits:
+            re, im = (quad(kernel, a, b, (trig,), epsabs=0)[0] for trig in (np.cos, np.sin))
+            field += amp * (re + 1j * im)
+        return field / np.sqrt(1j * lam * z)
+
+    x = np.array([0.0, 0.7e-3, -3.1e-3, 9e-3, -17e-3])
+    expected = np.array([by_quadrature(xi) for xi in x])
+    got = fresnel_field(source, z, lam, x)
+    assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def test_pupil_truth_integrates_the_fresnel_pupil_over_each_bin(quiet_cfg, source):
+    geom = quiet_cfg.geometry
+    positions, step = np.array([-12.3e-3, -0.1e-3, 0.0, 2.2e-3, 7.5e-3]), 0.1e-3
+    truth = pipeline.pupil_truth(geom, source, positions, step)
+
+    def intensity(u):
+        field = fresnel_field(source, geom.dist_slits_lens, geom.wavelength, u)
+        return abs(field) ** 2
+
+    expected = [
+        quad(intensity, p - step / 2, p + step / 2, epsabs=0, epsrel=1e-12)[0] for p in positions
+    ]
+    assert np.allclose(truth, expected, rtol=1e-10, atol=0)
+
+
+def test_fresnel_field_rejects_fields_of_many_amplitude_steps():
+    grid = GridSpec(256, 1e-3)
+    ramp = ww.SampledField(grid.origin, grid.pitch, np.arange(256.0))
+    with pytest.raises(ww.ConfigurationError, match="256 amplitude steps"):
+        fresnel_field(ramp, 0.5, 650e-9, np.zeros(3))
 
 
 def test_pupil_fringe_peaks_match_the_analytic_pattern(quiet_cfg, pupil):
