@@ -386,6 +386,10 @@ def main(argv=None) -> int:
     except WhichwayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -9,9 +9,7 @@ pattern at offset -s_k, which is what the reconstruction module assumes.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -336,7 +334,8 @@ def _midlines(profiles: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _step_rng(seed: int, step_index: int) -> np.random.Generator:
-    # per-step stream keyed by (seed, step) so parallel and serial runs agree
+    # per-step stream keyed by (seed, step): a step's noise does not depend
+    # on the other steps of the scan
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(step_index))))
 
 
@@ -451,14 +450,6 @@ class _ScanOptics:
         return fraction * full_well / peak
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def run_scan(
     source_field: SampledField,
     geom: Geometry,
@@ -469,41 +460,28 @@ def run_scan(
 
     At each slit position the source field's Fresnel-integral pupil is
     masked by the fixed aperture stop and imaged onto the camera pixels
-    riding the counter-moving stage (see _ScanOptics).  Steps run on every
-    CPU the process may use; the noise of step k is keyed by (seed, k), so
-    the records do not depend on the number of workers.
+    riding the counter-moving stage (see _ScanOptics).  A forward pass
+    images every step without noise; a detector pass then applies the
+    exposure and the noise of step k, drawn from a stream keyed by
+    (seed, k).
     """
-    workers = min(_worker_count(), scan.n_steps)
     optics = _ScanOptics(source_field, geom, scan, detector)
     exposure = scan.exposure
     if exposure is None:
         exposure = optics.exposure(FULL_WELL, AUTO_EXPOSURE_FRACTION)
     positions = scan.s_start + np.arange(scan.n_steps) * scan.step
     profiles = np.empty((scan.n_steps, detector.n_pixels))
-
-    def expose(k: int) -> None:
-        s = positions[k]
+    for k, s in enumerate(positions):
         try:
-            counts = optics.step(s)
+            profiles[k] = optics.step(s)
         except ConfigurationError as exc:
             raise ConfigurationError(f"scan step {k} (s = {s:.4g} m): {exc}") from exc
-        values = counts * exposure
-        if detector.noise_enabled:
-            values = _noisy_average(
-                values, detector, scan.frames_per_step, _step_rng(detector.rng_seed, k)
+    profiles *= exposure
+    if detector.noise_enabled:
+        for k, row in enumerate(profiles):
+            profiles[k] = _noisy_average(
+                row, detector, scan.frames_per_step, _step_rng(detector.rng_seed, k)
             )
-        profiles[k] = values
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(expose, k) for k in range(scan.n_steps)]
-        try:
-            for future in futures:
-                future.result()
-        except BaseException:
-            # the first failing step in step order is raised; later steps
-            # that have not started are dropped
-            pool.shutdown(cancel_futures=True)
-            raise
     midlines = _midlines(profiles, scan.midline)
     left, right = np.array([split_signals(row, m) for row, m in zip(profiles, midlines)]).T
     records = np.rec.fromarrays(

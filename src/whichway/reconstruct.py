@@ -112,6 +112,8 @@ def full_rank_dims(
     anchor: int = 20,
 ) -> list[int]:
     """All dimensions n in [width_elems, n_max] where the matrix is full rank."""
+    if width_elems < 1:
+        raise ConfigurationError(f"width_elems must be >= 1; got {width_elems}")
     if n_max < width_elems:
         raise ConfigurationError("n_max must be >= width_elems")
     dims = []
@@ -213,7 +215,13 @@ def gaussian_smooth(result: ReconstructionResult, rms: float) -> ReconstructionR
     if rms == 0:
         return result
     sigma = rms / result.pitch
-    radius = int(math.ceil(5 * sigma))
+    radius = math.ceil(5 * sigma)
+    # np.convolve's "same" mode returns the longer of pattern and kernel
+    if 2 * radius + 1 > result.p_hat.size:
+        raise ConfigurationError(
+            f"smoothing rms {rms:g} needs a {2 * radius + 1}-element kernel, wider than "
+            f"the {result.p_hat.size}-element grid"
+        )
     k = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (k / sigma) ** 2)
     kernel /= kernel.sum()

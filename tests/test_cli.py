@@ -100,6 +100,8 @@ def test_rank_command(capsys):
     assert main(["rank", "-w", "40", "--n-max", "121"]) == 0
     printed = capsys.readouterr().out.strip()
     assert printed == "40, 41, 80, 81, 120, 121"
+    assert main(["rank", "-w", "0", "--n-max", "0"]) == 2
+    assert capsys.readouterr().err == "error: width_elems must be >= 1; got 0\n"
 
 
 def test_config_without_geometry_exits_2(tmp_path, capsys):
@@ -313,6 +315,16 @@ def test_undersized_grid_exits_2(tmp_path, capsys):
     assert main(["fringes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "samples" in err
+
+
+def test_out_of_memory_exits_4(tmp_path, capsys):
+    # 2^50 grid positions take 8 PiB, more than any address space holds,
+    # so the allocation fails at once
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"geometry": {}, "source": {"grid_n": 2**50}}))
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
 
 
 def test_scan_records_do_not_depend_on_the_grid_span(tmp_path):

@@ -168,3 +168,10 @@ class TestGaussianSmooth:
     def test_negative_rms_raises(self):
         with pytest.raises(ww.ConfigurationError):
             ww.gaussian_smooth(self._result(np.ones(10)), -1.0)
+        # a kernel wider than the grid names the rms and the grid size; at
+        # rms = pitch the kernel has 11 elements
+        assert ww.gaussian_smooth(self._result(np.ones(11)), 1e-4).p_hat.size == 11
+        with pytest.raises(ww.ConfigurationError, match=r"rms 0\.0001 .* 10-element grid"):
+            ww.gaussian_smooth(self._result(np.ones(10)), 1e-4)
+        with pytest.raises(ww.ConfigurationError, match=r"rms 1 .* 10-element grid"):
+            ww.gaussian_smooth(self._result(np.ones(10)), 1.0)
