@@ -333,37 +333,14 @@ def _midlines(profiles: np.ndarray, mode: str) -> np.ndarray:
     return midlines
 
 
-def _step_rng(seed: int, step_index: int) -> np.random.Generator:
-    # per-step stream keyed by (seed, step): a step's noise does not depend
-    # on the other steps of the scan
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(step_index))))
-
-
-def _noisy_average(
-    noiseless: np.ndarray,
-    detector: DetectorConfig,
-    frames: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    electrons = np.clip(noiseless * detector.gain, 0.0, None)
-    acc = np.zeros_like(electrons)
-    for _ in range(frames):
-        frame = rng.poisson(electrons).astype(float)
-        frame += rng.normal(0.0, detector.readout_noise, electrons.size)
-        acc += frame
-    return acc / frames / detector.gain
-
-
 def auto_exposure(
     source_field: SampledField,
     geom: Geometry,
     scan: ScanConfig,
     detector: DetectorConfig,
-    full_well: float = FULL_WELL,
-    fraction: float = AUTO_EXPOSURE_FRACTION,
 ) -> float:
     """Exposure placing the peak pixel of the step at s = 0 at 70% full well."""
-    return _ScanOptics(source_field, geom, scan, detector).exposure(full_well, fraction)
+    return _ScanOptics(source_field, geom, scan, detector).exposure()
 
 
 # Scan imaging: the aperture is cut into cells of at most SUPPORT_PITCH that
@@ -443,11 +420,11 @@ class _ScanOptics:
         pixels += np.diff(np.diff(power)[::SUBSAMPLES]) / 24
         return np.maximum(pixels, 0.0, out=pixels)
 
-    def exposure(self, full_well: float, fraction: float) -> float:
+    def exposure(self) -> float:
         peak = self.step(0.0).max() * self.gain
         if peak <= 0:
             raise NumericalError("no flux reaches the detector; cannot set exposure")
-        return fraction * full_well / peak
+        return AUTO_EXPOSURE_FRACTION * FULL_WELL / peak
 
 
 def run_scan(
@@ -462,13 +439,13 @@ def run_scan(
     masked by the fixed aperture stop and imaged onto the camera pixels
     riding the counter-moving stage (see _ScanOptics).  A forward pass
     images every step without noise; a detector pass then applies the
-    exposure and the noise of step k, drawn from a stream keyed by
-    (seed, k).
+    exposure and, with noise on, the mean of frames_per_step frames for the
+    whole scan, drawn from one stream seeded by (seed, width_elems).
     """
     optics = _ScanOptics(source_field, geom, scan, detector)
     exposure = scan.exposure
     if exposure is None:
-        exposure = optics.exposure(FULL_WELL, AUTO_EXPOSURE_FRACTION)
+        exposure = optics.exposure()
     positions = scan.s_start + np.arange(scan.n_steps) * scan.step
     profiles = np.empty((scan.n_steps, detector.n_pixels))
     for k, s in enumerate(positions):
@@ -478,10 +455,20 @@ def run_scan(
             raise ConfigurationError(f"scan step {k} (s = {s:.4g} m): {exc}") from exc
     profiles *= exposure
     if detector.noise_enabled:
-        for k, row in enumerate(profiles):
-            profiles[k] = _noisy_average(
-                row, detector, scan.frames_per_step, _step_rng(detector.rng_seed, k)
-            )
+        # K frames of Poisson(e) shot noise sum to Poisson(K e), and K readouts
+        # of rms sigma to N(0, K sigma^2): one draw of each gives the K-frame sum
+        frames = scan.frames_per_step
+        rng = np.random.default_rng((detector.rng_seed, scan.width_elems()))
+        try:
+            profiles *= frames * detector.gain
+            counts = rng.poisson(profiles).astype(float)
+        except (OverflowError, ValueError) as exc:  # K past the float range; "lam value too large"
+            raise ConfigurationError(
+                f"scan a{scan.aperture_width * 1e3:g}mm: exposure_s {exposure:g}, gain_e_per_unit"
+                f" {detector.gain:g} and frames_per_step {frames} give too many electrons ({exc})"
+            ) from exc
+        counts += rng.normal(0.0, detector.readout_noise * math.sqrt(frames), profiles.shape)
+        np.divide(counts, frames * detector.gain, out=profiles)
     midlines = _midlines(profiles, scan.midline)
     left, right = np.array([split_signals(row, m) for row, m in zip(profiles, midlines)]).T
     records = np.rec.fromarrays(

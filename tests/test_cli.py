@@ -327,6 +327,25 @@ def test_out_of_memory_exits_4(tmp_path, capsys):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("exposure_s", 1e30), ("frames_per_step", 10**30), ("frames_per_step", 10**400)],
+    ids=["exposure", "frames", "frames-beyond-float"],
+)
+def test_too_many_electrons_for_the_noise_model_exit_2(tmp_path, capsys, key, value):
+    # numpy's Poisson draw refuses a mean beyond about 9.2e18, and 10^400
+    # frames have no float value
+    path = tmp_path / "bright.json"
+    path.write_text(json.dumps(_with("scans", n_steps=3, s_start_m=-1e-4, **{key: value})))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan a4mm: ") and err.count("\n") == 1, err
+    for name in ("exposure_s", "gain_e_per_unit", "frames_per_step"):
+        assert name in err, err
+    assert not list(out.glob("scan_*.csv"))
+
+
 def test_scan_records_do_not_depend_on_the_grid_span(tmp_path):
     # scans read only the slit edges from the grid: a +-5 mm grid of the
     # default pitch holds the same edges as the default +-40 mm grid, up to
@@ -365,11 +384,12 @@ def test_duality_report_artifact(cli_run):
 
 
 def test_seed_0_duality_values_are_pinned(cli_run):
-    # a change to the forward model or the estimators moves these on purpose
+    # a change to the forward model, the noise draw or the estimators moves
+    # these on purpose
     report = json.loads((cli_run / "duality.json").read_text())
-    assert report["V"] == pytest.approx(0.830168219197873, rel=1e-9)
-    assert report["D"] == pytest.approx(0.894737619451041, rel=1e-9)
-    assert report["duality"] == pytest.approx(1.4897346798270836, rel=1e-9)
+    assert report["V"] == pytest.approx(0.8366947171545788, rel=1e-9)
+    assert report["D"] == pytest.approx(0.8945171050998821, rel=1e-9)
+    assert report["duality"] == pytest.approx(1.5002189010306541, rel=1e-9)
 
 
 def _rewrite_s_mm(src, dst, shift):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import whichway as ww
-from whichway import instrument
+from whichway import instrument, pipeline
+from whichway.config import load_config
 from whichway.instrument import (
     AUTO_EXPOSURE_FRACTION,
     FULL_WELL,
     _bin_intensity,
     _midlines,
-    _noisy_average,
-    _step_rng,
 )
 from whichway.optics import GridSpec, fresnel_field
 from whichway.reconstruct import OPENINGS
@@ -209,10 +208,13 @@ def _expected_scan(quiet_profiles, scan, det):
     """run_scan's pixel matrix and signals, rebuilt from its noiseless rows."""
     rows = quiet_profiles
     if det.noise_enabled:
-        rows = np.array([
-            _noisy_average(row, det, scan.frames_per_step, _step_rng(det.rng_seed, k))
-            for k, row in enumerate(quiet_profiles)
-        ])
+        # the K-frame sum: one Poisson and one readout draw per pixel, from
+        # the scan's (seed, width) stream
+        frames, scale = scan.frames_per_step, scan.frames_per_step * det.gain
+        rng = np.random.default_rng((det.rng_seed, scan.width_elems()))
+        counts = rng.poisson(quiet_profiles * scale).astype(float)
+        counts += rng.normal(0.0, det.readout_noise * np.sqrt(frames), rows.shape)
+        rows = counts / scale
     signals = [ww.split_signals(row, m) for row, m in zip(rows, _midlines(rows, scan.midline))]
     return rows, signals
 
@@ -377,6 +379,37 @@ def test_run_scan_noise_reproducible(quiet_cfg, source):
     assert np.array_equal(one.profiles, two.profiles)
     other = ww.run_scan(source, geom, scan, ww.DetectorConfig(noise_enabled=True, rng_seed=6))
     assert not np.array_equal(one.profiles[0], other.profiles[0])
+
+
+def test_noise_has_the_moments_of_the_frame_mean(quiet_cfg, source, quiet_series):
+    # each pixel is the mean of K frames of Poisson(g P) electrons plus
+    # N(0, sigma^2) readout, divided by the gain g
+    quiet = quiet_series[0]
+    det = replace(quiet_cfg.detector, noise_enabled=True)
+    noisy = ww.run_scan(source, quiet_cfg.geometry, quiet.config, det)
+    g, frames = det.gain, quiet.config.frames_per_step
+    var = (g * quiet.profiles + det.readout_noise**2) / (frames * g**2)
+    z = (noisy.profiles - quiet.profiles) / np.sqrt(var)
+    assert abs(z.mean()) < 0.01
+    assert 0.985 <= z.var() <= 1.015
+
+
+def test_a_billion_frames_average_the_noise_away(quiet_cfg, source):
+    scan = ww.ScanConfig(aperture_width=4e-3, n_steps=3, s_start=-1e-4, frames_per_step=10**9)
+    det = replace(quiet_cfg.detector, noise_enabled=True)
+    noisy = ww.run_scan(source, quiet_cfg.geometry, scan, det)
+    quiet = ww.run_scan(source, quiet_cfg.geometry, scan, quiet_cfg.detector)
+    assert np.allclose(noisy.profiles, quiet.profiles, rtol=1e-3, atol=1e-2)
+
+
+def test_the_scans_of_a_run_draw_independent_noise(source):
+    # at this exposure the readout noise swamps the light, so scans drawn
+    # from one stream would repeat each other row for row
+    cfg = load_config()
+    cfg = replace(cfg, scans=tuple(replace(scan, exposure=1e-3) for scan in cfg.scans))
+    four, five = (series.profiles for series in pipeline.run_all_scans(cfg, source))
+    assert not any(np.array_equal(a, b) for a, b in zip(four, five))
+    assert abs(np.corrcoef(four.ravel(), five.ravel())[0, 1]) < 0.01
 
 
 def _single_step_series(values, midline="center"):
