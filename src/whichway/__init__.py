@@ -35,7 +35,6 @@ from .instrument import (
     split_signals,
 )
 from .reconstruct import (
-    ApertureMatrix,
     ReconstructionResult,
     build_aperture_matrix,
     full_rank_dims,

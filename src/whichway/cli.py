@@ -15,7 +15,6 @@ from .errors import ConfigurationError, DataError, WhichwayError
 from .instrument import (
     _pixel_profile,
     assignment_probability,
-    bin_to_pixels,
     load_scan_csv,
     pooled_assignment,
     uniform_step,
@@ -104,7 +103,7 @@ def cmd_fringes(cfg: RunConfig, args) -> int:
     """Direct image of the interference fringes at the near plane D."""
     t0 = time.perf_counter()
     out = _out_dir(cfg)
-    profile = bin_to_pixels(direct_fringe_profile(cfg), cfg.detector)
+    profile = direct_fringe_profile(cfg)
     csv_path = out / "fringes.csv"
     write_csv(csv_path, *_PROFILE_CSV, (profile.positions, profile.values))
     script = out / "fringes_plot.py"
@@ -169,13 +168,20 @@ def _scan_paths(cfg: RunConfig, out: Path) -> list[Path]:
 def _read_scans(csv_paths, sidecars_required: bool):
     """Scan tables, sidecars and exposures, each file read once.
 
-    Unless sidecars_required, a CSV with no sidecar next to it has sidecar
-    None and exposure 1.0.
+    Unless sidecars_required, CSVs with no sidecar next to them have
+    sidecar None and exposure 1.0, but only if none of them has one.
     """
-    sidecars = [
-        read_json(s, _SIDECAR_NUMBERS) if sidecars_required or s.exists() else None
-        for s in (path.with_suffix(".json") for path in csv_paths)
-    ]
+    jsons = [path.with_suffix(".json") for path in csv_paths]
+    lacking = [str(path) for path, s in zip(csv_paths, jsons) if not s.exists()]
+    if sidecars_required or not lacking:
+        sidecars = [read_json(s, _SIDECAR_NUMBERS) for s in jsons]
+    elif len(lacking) == len(jsons):
+        sidecars = [None] * len(jsons)
+    else:
+        raise DataError(
+            "either every scan CSV has a JSON sidecar or none does; no sidecar next to "
+            + ", ".join(lacking)
+        )
     exposures = [1.0 if s is None else float(s["exposure_s"]) for s in sidecars]
     return [load_scan_csv(path) for path in csv_paths], sidecars, exposures
 

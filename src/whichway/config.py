@@ -206,13 +206,21 @@ def _parse(raw: dict) -> RunConfig:
     ]
 
     return RunConfig(
-        geometry=Geometry(**fields[Geometry]),
-        grid=GridSpec(**fields[GridSpec]),
-        scans=tuple(ScanConfig(**f[ScanConfig]) for f in scan_fields),
-        detector=DetectorConfig(**fields[DetectorConfig]),
+        geometry=_build(Geometry, fields, "geometry"),
+        grid=_build(GridSpec, fields, "source"),
+        scans=tuple(_build(ScanConfig, f, f"scans[{i}]") for i, f in enumerate(scan_fields)),
+        detector=_build(DetectorConfig, fields, "detector"),
         raw=merged,
         **fields[RunConfig],
     )
+
+
+def _build(cls, fields, where: str):
+    """cls from its typed fields; a range error names the config block."""
+    try:
+        return cls(**fields[cls])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def load_config(

@@ -38,7 +38,7 @@ AUTO_EXPOSURE_FRACTION = 0.7
 def width_in_steps(width: float, step: float) -> int:
     """Aperture width in scan-step elements; must divide evenly."""
     w = width / step
-    if abs(w - round(w)) > 1e-6:
+    if not (math.isfinite(w) and abs(w - round(w)) <= 1e-6):
         raise ConfigurationError(
             f"aperture width {width} is not an integer multiple of the scan step {step}"
         )
@@ -77,6 +77,10 @@ class ScanConfig:
             raise ConfigurationError(f"opening must be one of {OPENINGS}")
         if self.midline not in ("center", "centroid"):
             raise ConfigurationError("midline must be 'center' or 'centroid'")
+        if self.anchor_elems < 0:
+            raise ConfigurationError("anchor_elems must be >= 0")
+        if self.width_elems() < 1:  # which also needs a whole number of steps
+            raise ConfigurationError(f"aperture width {self.aperture_width} is below one scan step")
 
     def width_elems(self) -> int:
         return width_in_steps(self.aperture_width, self.step)
@@ -246,13 +250,14 @@ def image_slits(
     Thin-lens phase exp(-i pi u^2 / (lambda f)) followed by Fresnel
     propagation over L_C; per-pixel values integrate |field|^2 over each
     pixel footprint, for unit exposure and without noise: run_scan applies
-    the exposure and the detector noise.  The profile is in detector-local
-    coordinates (see bin_to_pixels).
+    the exposure and the detector noise.  The detector center sits at
+    detector_center_offset on the grid; the profile is in detector-local
+    coordinates (pixel centers relative to the detector center).
 
     This leg is not held to the wrap-around bound: residual high-frequency
     leakage from the upstream propagation is physically negligible here
-    but would trip the relative spectral test; bin_to_pixels enforces
-    detector coverage instead.
+    but would trip the relative spectral test; the pixels must lie on the
+    grid instead.
     """
     lens = _lens_phase(masked_pupil.positions, geom)
     spectrum = fft(masked_pupil.amplitudes * lens)
@@ -261,8 +266,11 @@ def image_slits(
     spectrum *= transfer_kernel(
         masked_pupil.n, masked_pupil.pitch, geom.wavelength, geom.dist_lens_detector
     )
-    at_detector = replace(masked_pupil, amplitudes=ifft(spectrum))
-    return bin_to_pixels(at_detector.intensity(), detector, detector_center_offset)
+    intensity = np.abs(ifft(spectrum)) ** 2
+    n = detector.n_pixels
+    edges = detector_center_offset + (np.arange(n + 1) - n / 2) * detector.pixel_pitch
+    counts = _bin_intensity(intensity, masked_pupil.origin, masked_pupil.pitch, edges)
+    return _pixel_profile(detector, counts)
 
 
 def _lens_phase(u: np.ndarray, geom: Geometry) -> np.ndarray:
@@ -274,21 +282,6 @@ def _lens_phase(u: np.ndarray, geom: Geometry) -> np.ndarray:
             stacklevel=3,
         )
     return np.exp(-1j * np.pi * u**2 / (geom.wavelength * geom.focal_length))
-
-
-def bin_to_pixels(
-    fine: IntensityProfile, detector: DetectorConfig, center_offset: float = 0.0
-) -> IntensityProfile:
-    """Integrate a fine-grid intensity over the camera pixels.
-
-    The detector center sits at center_offset on the fine grid; the
-    returned profile uses detector-local coordinates (pixel centers
-    relative to the detector center).
-    """
-    n = detector.n_pixels
-    edges = center_offset + (np.arange(n + 1) - n / 2) * detector.pixel_pitch
-    counts = _bin_intensity(fine.values, fine.origin, fine.pitch, edges)
-    return _pixel_profile(detector, counts)
 
 
 def _pixel_profile(detector: DetectorConfig, values: np.ndarray) -> IntensityProfile:

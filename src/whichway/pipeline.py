@@ -7,6 +7,7 @@ from .config import RunConfig
 from .errors import ConfigurationError, DataError
 from .instrument import (
     ScanSeries,
+    _pixel_profile,
     flux_vector,
     run_scan,
     uniform_step,
@@ -40,6 +41,17 @@ def pupil_field(cfg: RunConfig, source: SampledField | None = None) -> SampledFi
     )
 
 
+def _binned_power(
+    source: SampledField, distance: float, wavelength: float, centres, width: float
+) -> np.ndarray:
+    """|fresnel_field|^2 at distance integrated over [c - width/2, c + width/2]
+    for each centre c, by 8-point Gauss-Legendre quadrature."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    u = np.asarray(centres, dtype=float)[:, np.newaxis] + 0.5 * width * nodes
+    field = fresnel_field(source, distance, wavelength, u)
+    return (field.real**2 + field.imag**2) @ (0.5 * width * weights)
+
+
 def pupil_truth(
     geom: Geometry,
     source: SampledField,
@@ -51,13 +63,9 @@ def pupil_truth(
     This is the ground truth the reconstruction should recover: the pupil
     illumination pattern integrated over [p - step/2, p + step/2] for each
     position p.  The field is the source's exact Fresnel-integral pupil
-    (optics.fresnel_field), integrated by 8-point Gauss-Legendre quadrature
-    per bin.
+    (optics.fresnel_field).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    u = np.asarray(positions, dtype=float)[:, np.newaxis] + 0.5 * step * nodes
-    field = fresnel_field(source, geom.dist_slits_lens, geom.wavelength, u)
-    return (field.real**2 + field.imag**2) @ (0.5 * step * weights)
+    return _binned_power(source, geom.dist_slits_lens, geom.wavelength, positions, step)
 
 
 def run_all_scans(cfg: RunConfig, source: SampledField | None = None) -> list[ScanSeries]:
@@ -121,13 +129,18 @@ def result_profile(result: ReconstructionResult) -> IntensityProfile:
 
 
 def direct_fringe_profile(cfg: RunConfig, source: SampledField | None = None) -> IntensityProfile:
-    """Fringe profile imaged directly at the near plane D (no lens)."""
+    """Camera pixels at the near plane D (no lens), in detector-local coordinates.
+
+    Each pixel integrates the source's exact Fresnel-integral field at D
+    (optics.fresnel_field) over its footprint.
+    """
     if source is None:
         source = make_source(cfg)
-    at_screen = propagate_fresnel(
-        source, cfg.geometry.dist_slits_direct, cfg.geometry.wavelength
-    )
-    return at_screen.intensity()
+    det = cfg.detector
+    centres = (np.arange(det.n_pixels) - det.center_index) * det.pixel_pitch
+    geom = cfg.geometry
+    values = _binned_power(source, geom.dist_slits_direct, geom.wavelength, centres, det.pixel_pitch)
+    return _pixel_profile(det, values)
 
 
 def curve_width_at_half_max(x: np.ndarray, y: np.ndarray) -> float:

@@ -16,52 +16,6 @@ from scipy.linalg import lstsq, svdvals
 from .errors import ConfigurationError, NumericalError
 
 DEFAULT_RANK_CUTOFF = 1e-10
-
-
-@dataclass(frozen=True)
-class ApertureMatrix:
-    """Implicit n x n 0/1 band: A_ij = 1 iff i - band_left < j <= i + band_right.
-
-    Indices are 1-based in that defining condition, matching the usual
-    written form; rows near the edges are clipped to [1, n].
-    """
-
-    n: int
-    band_left: int
-    band_right: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError("matrix dimension must be >= 1")
-        if self.band_left < 0 or self.band_right < 0:
-            raise ConfigurationError("band extents must be >= 0")
-        if self.band_left + self.band_right > self.n:
-            raise ConfigurationError(
-                f"band width {self.band_left + self.band_right} exceeds dimension {self.n}"
-            )
-
-    @property
-    def width_elems(self) -> int:
-        return self.band_left + self.band_right
-
-    def to_dense(self) -> np.ndarray:
-        idx = np.arange(self.n)
-        lag = idx[:, None] - idx  # row index minus column index
-        return ((lag < self.band_left) & (lag >= -self.band_right)).astype(float)
-
-    def dot(self, pattern: np.ndarray) -> np.ndarray:
-        pattern = np.asarray(pattern, dtype=float)
-        if pattern.size != self.n:
-            raise ConfigurationError(
-                f"pattern length {pattern.size} does not match matrix dimension {self.n}"
-            )
-        cum = np.concatenate(([0.0], np.cumsum(pattern)))
-        i = np.arange(1, self.n + 1)
-        lo = np.clip(i - self.band_left, 0, self.n)
-        hi = np.clip(i + self.band_right, 0, self.n)
-        return cum[hi] - cum[lo]
-
-
 OPENINGS = ("rightward", "leftward", "centered")
 
 
@@ -83,23 +37,28 @@ def band_left_elems(width_elems: int, opening: str = "rightward", anchor: int = 
 
 def build_aperture_matrix(
     n: int, width_elems: int, opening: str = "rightward", anchor: int = 20
-) -> ApertureMatrix:
-    """Banded summation matrix for an aperture of `width_elems` elements.
+) -> np.ndarray:
+    """Dense n x n 0/1 summation matrix for an aperture of `width_elems` elements.
 
-    The band's split around row i follows band_left_elems; with the
-    "rightward" opening every width shares the "i - anchor < j" condition.
+    With left = band_left_elems(width_elems, opening, anchor), 1-based row
+    i holds ones at i - left < j <= i - left + width_elems, clipped to
+    [1, n]; with the "rightward" opening every width shares "i - anchor < j".
     """
     if width_elems < 1 or width_elems > n:
         raise ConfigurationError(
             f"width_elems must be in [1, n]; got {width_elems} with n = {n}"
         )
+    if anchor < 0:
+        raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
     left = band_left_elems(width_elems, opening, anchor)
-    return ApertureMatrix(n, left, width_elems - left)
+    idx = np.arange(n)
+    lag = idx[:, None] - idx  # row index minus column index
+    return ((lag < left) & (lag >= left - width_elems)).astype(float)
 
 
-def rank_of(matrix: ApertureMatrix, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:
+def rank_of(matrix: np.ndarray, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:
     """Numerical rank via singular values with a relative threshold."""
-    s = svdvals(matrix.to_dense())
+    s = svdvals(matrix)
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > cutoff * s[0]))
@@ -164,13 +123,13 @@ def solve_stacked(
     fluxes = [np.asarray(f, dtype=float) for f in fluxes]
     if not matrices or len(matrices) != len(fluxes):
         raise ConfigurationError("need one flux vector per aperture matrix")
-    n = matrices[0].n
-    if any(m.n != n for m in matrices):
+    n = matrices[0].shape[1]
+    if any(m.shape[1] != n for m in matrices):
         raise ConfigurationError("all aperture matrices must share the dimension n")
     for m, f in zip(matrices, fluxes):
-        if f.size != m.n:
+        if f.size != len(m):
             raise ConfigurationError(
-                f"flux vector length {f.size} does not match matrix rows {m.n}"
+                f"flux vector length {f.size} does not match matrix rows {len(m)}"
             )
     if exposures is None:
         exposures = [1.0] * len(matrices)
@@ -186,7 +145,7 @@ def solve_stacked(
             raise NumericalError("fluxes divided by their exposures overflow")
         if not np.any(b):
             raise NumericalError("all fluxes are zero; reconstruction is degenerate")
-        a = np.vstack([m.to_dense() for m in matrices])
+        a = np.vstack(matrices)
         x, _, rank, _ = lstsq(a, b, cond=cutoff, lapack_driver="gelsd")
         residual = float(np.linalg.norm(a @ x - b))
     if not (np.all(np.isfinite(x)) and math.isfinite(residual)):

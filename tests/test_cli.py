@@ -4,10 +4,12 @@ import shutil
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from whichway.artifacts import read_csv
 from whichway.cli import build_parser, main
 from whichway.config import load_config
+from whichway.optics import fresnel_field
 from whichway.pipeline import run_all_scans
 
 EXPECTED_ARTIFACTS = [
@@ -259,6 +261,24 @@ def test_configured_reconstruct_requires_the_sidecars(cli_run, tmp_path, capsys)
     assert err.startswith(f"error: {sidecar}: ") and err.count("\n") == 1, err
 
 
+def test_explicit_csvs_need_every_sidecar_or_none(cli_run, tmp_path, capsys):
+    # a CSV without a sidecar is taken at exposure 1.0; stacked with one at
+    # its true exposure, the solve would mix the two scales
+    for name in ("scan_a4mm.csv", "scan_a4mm.json", "scan_a5mm.csv"):
+        shutil.copy(cli_run / name, tmp_path / name)
+    csvs = [str(tmp_path / "scan_a4mm.csv"), str(tmp_path / "scan_a5mm.csv")]
+    out = tmp_path / "o"
+    argv = ["reconstruct", *csvs, "--widths-mm", "4,5", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert csvs[1] in err and csvs[0] not in err, err
+    assert not list(out.glob("reconstruction*"))
+    # without any sidecar every exposure is 1.0
+    (tmp_path / "scan_a4mm.json").unlink()
+    assert main(argv) == 0
+
+
 def test_h_scale_follows_the_geometry(tmp_path, capsys):
     assert load_config().h_scale == 13e-6 * 0.58 / 0.25
     path = tmp_path / "near.json"
@@ -302,19 +322,28 @@ def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
 
 
 def test_undersized_grid_exits_2(tmp_path, capsys):
-    # the direct fringe image still propagates on the grid
+    # the grid samples the slit mask: 1024 samples over +-40 mm put 78 um
+    # between samples, about one per 89 um slit
     cfg = tmp_path / "small.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "geometry": {},
-                "source": {"grid_n": 4096, "grid_half_span_m": 2.5e-3},
-            }
-        )
-    )
+    cfg.write_text(json.dumps({"geometry": {}, "source": {"grid_n": 1024}}))
     assert main(["fringes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "samples" in err
+    assert "16 samples per slit width" in err and err.count("\n") == 1, err
+
+
+def test_fringe_pixels_integrate_the_exact_near_field(cli_run, quiet_cfg, source):
+    # each pixel is |fresnel_field|^2 at the direct-image plane integrated
+    # over the pixel; adaptive quadrature of the same intensity agrees
+    geom, det = quiet_cfg.geometry, quiet_cfg.detector
+
+    def intensity(u):
+        return abs(fresnel_field(source, geom.dist_slits_direct, geom.wavelength, u)) ** 2
+
+    x, values = read_csv(cli_run / "fringes.csv", ("position_m", "value")).values()
+    for k in (0, 300, 511, 512, 700, 1023):
+        lo, hi = x[k] - det.pixel_pitch / 2, x[k] + det.pixel_pitch / 2
+        expected, _ = quad(intensity, lo, hi, epsabs=0, epsrel=1e-13)
+        assert values[k] == pytest.approx(expected, rel=1e-10, abs=0), k
 
 
 def test_out_of_memory_exits_4(tmp_path, capsys):
@@ -415,6 +444,8 @@ def test_explicit_csvs_with_mismatched_slit_positions_exit_3(
 ):
     moved = tmp_path / "scan_a5mm.csv"
     _rewrite_s_mm(cli_run / "scan_a5mm.csv", moved, shift)
+    # stacked with a CSV that has its sidecar, the moved CSV needs one too
+    shutil.copy(cli_run / "scan_a5mm.json", tmp_path / "scan_a5mm.json")
     csvs = [str(cli_run / "scan_a4mm.csv"), str(moved)] if stacked else [str(moved)]
     widths = "4,5" if stacked else "5"
     rc = main(["reconstruct", *csvs, "--widths-mm", widths, "--out", str(tmp_path / "o")])
@@ -498,6 +529,42 @@ def test_out_of_range_config_values_exit_2_before_any_scan(tmp_path, capsys, cas
     assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and f"{block}.{key}" in err, err
+    assert not list(out.glob("scan_*"))
+
+
+def _two_scans(**second):
+    """Two short scans, the second with its keys replaced by second."""
+    short = {"n_steps": 3, "s_start_m": -1e-4}
+    return {
+        "geometry": {},
+        "scans": [{"aperture_width_m": 4e-3, **short}, {"aperture_width_m": 5e-3, **short, **second}],
+    }
+
+
+# (config, the block and the field its one error line must name): a value
+# in range for its type that its dataclass rejects
+BLOCK_OUT_OF_RANGE = {
+    "scan-negative-anchor": (_two_scans(anchor_elems=-5), "scans[1]", "anchor_elems"),
+    "scan-width-between-steps": (_two_scans(aperture_width_m=4.05e-3), "scans[1]", "aperture width"),
+    "scan-width-below-a-step": (_two_scans(aperture_width_m=1e-11), "scans[1]", "aperture width"),
+    "scan-no-steps": (_two_scans(n_steps=0), "scans[1]", "n_steps"),
+    "detector-few-pixels": ({**_two_scans(), "detector": {"n_pixels": 10}}, "detector", "n_pixels"),
+    "geometry-negative-wavelength": (
+        {**_two_scans(), "geometry": {"wavelength_m": -1e-7}}, "geometry", "wavelength"
+    ),
+    "source-one-sample": ({**_two_scans(), "source": {"grid_n": 1}}, "source", "grid"),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_OUT_OF_RANGE)
+def test_dataclass_range_errors_name_their_block(tmp_path, capsys, case):
+    config, block, field = BLOCK_OUT_OF_RANGE[case]
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}: ") and err.count("\n") == 1 and field in err, err
     assert not list(out.glob("scan_*"))
 
 

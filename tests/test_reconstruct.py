@@ -4,18 +4,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import whichway as ww
-from whichway.reconstruct import ApertureMatrix
 
 
 def _row_columns(matrix, i):
-    """1-based columns holding a 1 in 1-based row i of the dense matrix."""
-    return list(np.flatnonzero(matrix.to_dense()[i - 1]) + 1)
+    """1-based columns holding a 1 in 1-based row i of the matrix."""
+    return list(np.flatnonzero(matrix[i - 1]) + 1)
+
+
+# (n, width_elems, opening, anchor, band_left, band_right): 1-based row i of
+# the matrix holds ones at i - band_left < j <= i + band_right, clipped to [1, n]
+BANDS = [
+    (301, 50, "rightward", 20, 20, 30),
+    (10, 3, "rightward", 0, 0, 3),
+    (7, 7, "leftward", 0, 7, 0),
+    (1, 1, "rightward", 20, 1, 0),
+    (10, 8, "rightward", 5, 5, 3),
+    (301, 50, "leftward", 20, 30, 20),
+    (10, 8, "leftward", 5, 3, 5),
+    (50, 8, "leftward", 20, 0, 8),
+    (100, 6, "centered", 20, 3, 3),
+    (7, 7, "centered", 0, 3, 4),
+]
 
 
 class TestApertureMatrix:
     def test_forty_element_band(self):
         a = ww.build_aperture_matrix(301, 40)
-        assert (a.band_left, a.band_right) == (20, 20)
+        assert isinstance(a, np.ndarray) and a.shape == (301, 301)
         # 1-based row i holds ones at i - 20 < j <= i + 20
         assert _row_columns(a, 150) == list(range(131, 171))
         assert _row_columns(a, 1) == list(range(1, 22))  # clipped at the edge
@@ -23,57 +38,41 @@ class TestApertureMatrix:
 
     def test_fifty_element_band_shares_the_fixed_edge(self):
         a = ww.build_aperture_matrix(301, 50)
-        assert (a.band_left, a.band_right) == (20, 30)
         assert _row_columns(a, 150) == list(range(131, 181))
 
     def test_centered_opening(self):
         a = ww.build_aperture_matrix(100, 6, opening="centered")
-        assert (a.band_left, a.band_right) == (3, 3)
+        assert _row_columns(a, 50) == list(range(48, 54))
 
     def test_narrow_aperture_clips_the_anchor(self):
         a = ww.build_aperture_matrix(50, 8)
-        assert (a.band_left, a.band_right) == (8, 0)
+        assert _row_columns(a, 20) == list(range(13, 21))
 
     def test_validation(self):
-        with pytest.raises(ww.ConfigurationError):
+        with pytest.raises(ww.ConfigurationError, match="width_elems"):
             ww.build_aperture_matrix(10, 0)
-        with pytest.raises(ww.ConfigurationError):
+        with pytest.raises(ww.ConfigurationError, match="width_elems"):
             ww.build_aperture_matrix(10, 11)
-        with pytest.raises(ww.ConfigurationError):
+        with pytest.raises(ww.ConfigurationError, match="opening"):
             ww.build_aperture_matrix(10, 5, opening="diagonal")
-        with pytest.raises(ww.ConfigurationError):
-            ApertureMatrix(10, 7, 7)
+        with pytest.raises(ww.ConfigurationError, match="anchor"):
+            ww.build_aperture_matrix(10, 5, anchor=-1)
 
     def test_dense_rows_sum_to_the_width_in_the_interior(self):
         a = ww.build_aperture_matrix(301, 40)
-        dense = a.to_dense()
-        assert np.all(dense.sum(axis=1)[20:281] == 40)
+        assert np.all(a.sum(axis=1)[20:281] == 40)
 
-    @pytest.mark.parametrize("n, band_left, band_right", [(301, 20, 30), (10, 0, 3), (7, 7, 0), (1, 1, 0)])
-    def test_dense_matches_the_defining_loop(self, n, band_left, band_right):
+    @pytest.mark.parametrize(
+        "n, width, opening, anchor, band_left, band_right",
+        BANDS,
+        ids=[f"{n}-{left}-{right}" for n, _, _, _, left, right in BANDS],
+    )
+    def test_dense_matches_the_defining_loop(self, n, width, opening, anchor, band_left, band_right):
         reference = np.zeros((n, n))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 reference[i - 1, j - 1] = i - band_left < j <= i + band_right
-        assert np.array_equal(ApertureMatrix(n, band_left, band_right).to_dense(), reference)
-
-    @given(
-        n=st.integers(5, 60),
-        width=st.integers(1, 20),
-        opening=st.sampled_from(["rightward", "leftward", "centered"]),
-        seed=st.integers(0, 2**31),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_implicit_dot_matches_the_dense_product(self, n, width, opening, seed):
-        if width > n:
-            width = n
-        a = ww.build_aperture_matrix(n, width, opening)
-        pattern = np.random.default_rng(seed).normal(size=n)
-        assert np.allclose(a.dot(pattern), a.to_dense() @ pattern, atol=1e-9)
-
-    def test_dot_rejects_wrong_length(self):
-        with pytest.raises(ww.ConfigurationError):
-            ww.build_aperture_matrix(10, 3).dot(np.ones(9))
+        assert np.array_equal(ww.build_aperture_matrix(n, width, opening, anchor), reference)
 
 
 class TestRank:
@@ -83,7 +82,7 @@ class TestRank:
         if width > n:
             width = n
         a = ww.build_aperture_matrix(n, width)
-        assert ww.rank_of(a) == np.linalg.matrix_rank(a.to_dense())
+        assert ww.rank_of(a) == np.linalg.matrix_rank(a)
 
     def test_full_rank_dims_is_consistent_with_rank_of(self):
         dims = ww.full_rank_dims(5, 30)
@@ -102,7 +101,7 @@ class TestSolveStacked:
         rng = np.random.default_rng(0)
         truth = rng.random(n)
         mats = [ww.build_aperture_matrix(n, w) for w in (7, 9)]
-        fluxes = [m.dot(truth) for m in mats]
+        fluxes = [m @ truth for m in mats]
         res = ww.solve_stacked(mats, fluxes)
         assert res.effective_rank == n
         assert np.allclose(res.p_hat, truth, atol=1e-9)
@@ -112,7 +111,7 @@ class TestSolveStacked:
         n = 40
         truth = np.linspace(0.0, 1.0, n)
         mats = [ww.build_aperture_matrix(n, w) for w in (5, 6)]
-        fluxes = [2.5 * m.dot(truth) for m in mats]
+        fluxes = [2.5 * m @ truth for m in mats]
         res = ww.solve_stacked(mats, fluxes, exposures=[2.5, 2.5])
         assert np.allclose(res.p_hat, truth, atol=1e-9)
 
@@ -120,11 +119,11 @@ class TestSolveStacked:
         n = 60
         truth = np.random.default_rng(1).random(n)
         mat = ww.build_aperture_matrix(n, 40)
-        flux = mat.dot(truth)
+        flux = mat @ truth
         res = ww.solve_stacked([mat], [flux])
         assert res.effective_rank < n
         # consistent system: the minimum-norm solution still fits the data
-        assert np.allclose(mat.dot(res.p_hat), flux, atol=1e-8)
+        assert np.allclose(mat @ res.p_hat, flux, atol=1e-8)
         assert np.linalg.norm(res.p_hat) <= np.linalg.norm(truth) + 1e-8
 
     def test_validation(self):
