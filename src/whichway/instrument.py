@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 from numpy.fft import fft, ifft
-from scipy.signal import CZT
+from scipy import fft as scipy_fft
 
 from .artifacts import read_csv, write_csv
 from .errors import ConfigurationError, DataError, NumericalError
@@ -344,6 +344,23 @@ SUBSAMPLES = 4
 MAX_CYCLES_PER_CELL = 0.25
 
 
+def _chirp_z(n: int, m: int, w: complex, a: complex):
+    """Bluestein chirp-z transform: x of length n -> sum_j x_j a^-j w^(j k),
+    k = 0 .. m - 1.  A chirp premultiply, one FFT convolution and a chirp
+    postmultiply, computed as scipy.signal.CZT(n, m, w, a) computes them."""
+    k = np.arange(max(m, n))
+    wk2 = w ** (k**2 / 2.0)
+    awk2 = a ** -k[:n] * wk2[:n]
+    nfft = scipy_fft.next_fast_len(n + m - 1)
+    fwk2 = scipy_fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
+
+    def transform(x: np.ndarray) -> np.ndarray:
+        y = scipy_fft.ifft(fwk2 * scipy_fft.fft(x * awk2, nfft))
+        return y[n - 1 : n + m - 1] * wk2[:m]
+
+    return transform
+
+
 class _ScanOptics:
     """The step-invariant optics of one scan; step(s) images the slits at s.
 
@@ -376,8 +393,8 @@ class _ScanOptics:
         self.tilt = 2 * np.pi * scan.stage_ratio / (lam * l_c) * self.u  # times s
         first = -detector.n_pixels * detector.pixel_pitch / 2 - sub / 2
         k = 2 * np.pi * h / (lam * l_c)
-        self.czt = CZT(self.u.size, detector.n_pixels * SUBSAMPLES + 2,
-                       w=np.exp(-1j * k * sub), a=np.exp(1j * k * first))
+        self.czt = _chirp_z(self.u.size, detector.n_pixels * SUBSAMPLES + 2,
+                            w=np.exp(-1j * k * sub), a=np.exp(1j * k * first))
         # ray optics: the integrand's local frequency is affine in the lit
         # source point, the cell and the detector point -stage_ratio s + xi
         lit = source_field.positions[source_field.amplitudes != 0]

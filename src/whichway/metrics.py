@@ -5,8 +5,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import find_peaks
 
 from .errors import ConfigurationError, DataError, NumericalError
 from .optics import IntensityProfile
@@ -23,11 +21,52 @@ class VisibilityResult(NamedTuple):
     i_min: float
 
 
+def _bases(heights: list, valleys: list) -> list:
+    """For each peak, the lowest of valleys[j] for j from just past the
+    nearest strictly higher peak on its left (or from 0) up to its own
+    index; valleys[i] lies just left of peak i."""
+    stack = []  # (height, lowest valley since the stacked peak below it)
+    bases = []
+    for height, valley in zip(heights, valleys):
+        low = valley
+        while stack and stack[-1][0] <= height:
+            low = min(low, stack.pop()[1])
+        stack.append((height, low))
+        bases.append(low)
+    return bases
+
+
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of x whose prominence is at least the
+    given one, as scipy.signal.find_peaks(x, prominence=prominence)[0].
+
+    A maximum is a run of equal samples higher than both neighbouring
+    samples; it is reported at its middle index (rounded down), and neither
+    end of x is one.  A peak's prominence is its height above the higher of
+    its two bases, the lowest samples between it and the nearest strictly
+    higher sample (or the end of x) on each side.  Such a higher sample
+    rises to a higher peak or to the end of x, so a base is the lowest of
+    the valleys between neighbouring peaks up to the nearest higher peak.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], x.size] - 1
+    runs = x[starts]
+    top = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    heights = x[peaks]
+    # the lowest sample between neighbouring peaks, and before the first and after the last
+    valleys = np.minimum.reduceat(x, np.r_[0, peaks]).tolist()
+    left = _bases(heights.tolist(), valleys[:-1])
+    right = _bases(heights[::-1].tolist(), valleys[:0:-1])[::-1]
+    return peaks[heights - np.maximum(left, right) >= prominence]
+
+
 def _extrema(values: np.ndarray):
     prominence = PEAK_PROMINENCE_FRACTION * values.max()
-    peaks, _ = find_peaks(values, prominence=prominence)
-    troughs, _ = find_peaks(-values, prominence=prominence)
-    return peaks, troughs
+    return _find_peaks(values, prominence), _find_peaks(-values, prominence)
 
 
 def visibility(
@@ -146,6 +185,10 @@ def match_profiles(
 
     The model is reconstructed(x) ~ v_scale * reference(x - shift).
     """
+    # imported here: only report matches profiles, and importing
+    # scipy.optimize takes about 0.16 s that no other command should pay
+    from scipy.optimize import minimize_scalar
+
     if not h_scale > 0:
         raise ConfigurationError("h_scale must be > 0")
     if reconstructed.n < 2 or reference.n < 2:
@@ -159,14 +202,17 @@ def match_profiles(
     xw = x[window]
     target = reconstructed.values[window]
     peak_rec = float(target.max())
+    if peak_rec <= 0:
+        raise NumericalError("reconstructed profile has no positive peak")
     in_win = (ref_x >= xw[0] - half_window) & (ref_x <= xw[-1] + half_window)
     if not in_win.any():
         raise ConfigurationError(
             "reference profile does not overlap the matching window after scaling"
         )
-    v_scale = peak_rec / float(ref_v[in_win].max())
-    if peak_rec <= 0:
-        raise NumericalError("reconstructed profile has no positive peak")
+    peak_ref = float(ref_v[in_win].max())
+    if peak_ref <= 0:
+        raise NumericalError("reference profile has no positive value in the matching window")
+    v_scale = peak_rec / peak_ref
 
     def residual(shift: float) -> float:
         model = v_scale * np.interp(xw - shift, ref_x, ref_v, left=0.0, right=0.0)

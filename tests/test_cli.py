@@ -149,6 +149,15 @@ def _swap_cells(text, line_a, line_b, column):
     return "\n".join(lines) + "\n"
 
 
+def _zero_column(text, column):
+    lines = text.splitlines()
+    for k in range(1, len(lines)):
+        cells = lines[k].split(",")
+        cells[column] = "0"
+        lines[k] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
 def _edit_json(edit):
     def corrupt(text):
         data = json.loads(text)
@@ -193,6 +202,8 @@ CORRUPTIONS = {
         ["report"],
     ),
     "fringes-nan": ("fringes.csv", lambda t: _replace_cell(t, 512, 1, "nan"), ["report"]),
+    # a dark direct image leaves nothing to scale the reconstruction to
+    "fringes-all-zero": ("fringes.csv", lambda t: _zero_column(t, 1), ["report"], 4),
     "sidecar-truncated": (
         "scan_a4mm.json",
         lambda t: t[: len(t) // 2],

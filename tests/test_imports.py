@@ -1,5 +1,9 @@
-"""No module in src/ or tests/ imports a name it never uses."""
+"""No module in src/ or tests/ imports a name it never uses, and the package
+loads none of the heavy scipy submodules at import."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +35,20 @@ def test_no_unused_imports():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_the_package_leaves_scipy_signal_stats_and_optimize_unloaded():
+    # scipy.optimize is imported by match_profiles when report calls it
+    code = (
+        "import sys, whichway.cli, whichway\n"
+        "print(*[m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.split() == []

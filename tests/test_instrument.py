@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import CZT
 
 import whichway as ww
 from whichway import instrument, pipeline
@@ -202,6 +203,32 @@ def test_steps_off_the_scan_positions_evaluate_the_pupil_directly(quiet_cfg, sma
     shifted = replace(scan, s_start=scan.s_start + instrument.SUPPORT_PITCH / 3)
     direct = instrument._ScanOptics(small_source, geom, shifted, det).step(s)
     assert np.allclose(direct, tabulated, rtol=1e-9, atol=1e-12 * tabulated.max())
+
+
+@pytest.mark.parametrize("index, n, nfft", [(0, 1600, 5760), (1, 2000, 6125)])
+def test_chirp_z_matches_scipy_bit_for_bit(quiet_cfg, source, monkeypatch, index, n, nfft):
+    # every step of the default 4 and 5 mm scans, the exposure step included
+    scan = quiet_cfg.scans[index]
+    chirp_z, made, calls = instrument._chirp_z, [], []
+
+    def checked(*args, **kwargs):
+        ours, theirs = chirp_z(*args, **kwargs), CZT(*args, **kwargs)
+        made.append(theirs)
+
+        def transform(x):
+            calls.append(x.size)
+            y = ours(x)
+            assert np.array_equal(y, theirs(x))
+            return y
+
+        return transform
+
+    monkeypatch.setattr(instrument, "_chirp_z", checked)
+    ww.run_scan(source, quiet_cfg.geometry, scan, quiet_cfg.detector)
+    (czt,) = made
+    m = quiet_cfg.detector.n_pixels * instrument.SUBSAMPLES + 2
+    assert (czt.n, czt.m, czt._nfft) == (n, m, nfft)
+    assert calls == [n] * (scan.n_steps + 1)
 
 
 def _expected_scan(quiet_profiles, scan, det):

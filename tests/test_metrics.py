@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 import whichway as ww
+from whichway.artifacts import read_csv
+from whichway.metrics import PEAK_PROMINENCE_FRACTION, _find_peaks
 
 
 def _fringe_profile(contrast, n=600, period=40.0, phase=0.0, origin=0.0, pitch=1.0):
@@ -63,6 +66,48 @@ class TestVisibility:
         v0 = ww.visibility(base, selector).value
         v1 = ww.visibility(moved, selector).value
         assert v1 == pytest.approx(v0, rel=1e-9, abs=1e-12)
+
+
+class TestFindPeaks:
+    """The peak finder against scipy.signal.find_peaks with a prominence."""
+
+    @staticmethod
+    def _assert_matches_scipy(x, prominence):
+        x = np.asarray(x, dtype=float)
+        expected = find_peaks(x, prominence=prominence)[0]
+        assert np.array_equal(_find_peaks(x, prominence), expected), (x, prominence)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 200),
+        prominence=st.sampled_from([0.0, 0.1, 0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_normal_noise(self, seed, n, prominence):
+        self._assert_matches_scipy(np.random.default_rng(seed).normal(size=n), prominence)
+
+    # a handful of levels makes many flat tops and flat bottoms, at the ends too
+    @given(
+        values=st.lists(st.integers(0, 3), max_size=40),
+        prominence=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_small_integer_profiles(self, values, prominence):
+        self._assert_matches_scipy(values, prominence)
+
+    @pytest.mark.parametrize(
+        "values", [[], [1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]
+    )
+    def test_short_profiles(self, values):
+        for prominence in (0.0, 0.5, 2.0):
+            self._assert_matches_scipy(values, prominence)
+
+    def test_the_seed_0_reconstruction(self, cli_run):
+        values = read_csv(cli_run / "reconstruction.csv", ("position_mm", "P_hat"))["P_hat"]
+        prominence = PEAK_PROMINENCE_FRACTION * values.max()
+        for x in (values, -values):
+            assert _find_peaks(x, prominence).size >= 5
+            self._assert_matches_scipy(x, prominence)
 
 
 class TestDistinguishability:
@@ -147,3 +192,11 @@ class TestMatchProfiles:
         far = ww.IntensityProfile(5.0, 1e-3, np.ones(10))
         with pytest.raises(ww.ConfigurationError):
             ww.match_profiles(ref, far, h_scale=1.0)
+
+    def test_profiles_without_light_raise(self):
+        ref = self._reference()
+        dark = ww.IntensityProfile(ref.origin, ref.pitch, np.zeros(ref.n))
+        with pytest.raises(ww.NumericalError, match="reconstructed profile has no positive peak"):
+            ww.match_profiles(dark, ref, h_scale=1.0)
+        with pytest.raises(ww.NumericalError, match="reference profile has no positive value"):
+            ww.match_profiles(ref, dark, h_scale=1.0)
