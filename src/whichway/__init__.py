@@ -9,7 +9,6 @@ from .errors import (
     WhichwayError,
 )
 from .optics import (
-    DEFAULT_GRID,
     Geometry,
     GridSpec,
     IntensityProfile,

@@ -37,11 +37,12 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: not a text file ({exc.reason})") from exc
 
 
-def read_csv(path, header, min_rows: int = 1) -> dict:
+def read_csv(path, header, min_rows: int = 1, row_check=None) -> dict:
     """Float columns of a CSV artifact whose header must equal header.
 
     A row with the wrong number of cells, a non-numeric cell or a non-finite
-    value is rejected with its line number; blank lines are skipped.
+    value is rejected with its line number; blank lines are skipped.  So is
+    a row for which row_check, given its values, returns a message.
     """
     try:
         lines = list(csv.reader(io.StringIO(_read_text(path), newline="")))
@@ -61,6 +62,9 @@ def read_csv(path, header, min_rows: int = 1) -> dict:
             raise DataError(f"{path}: corrupt row at line {lineno}")
         if not all(map(math.isfinite, values)):
             raise DataError(f"{path}: non-finite value at line {lineno}")
+        problem = row_check and row_check(*values)
+        if problem:
+            raise DataError(f"{path}: {problem} at line {lineno}")
         rows.append(values)
     if len(rows) < min_rows:
         raise DataError(

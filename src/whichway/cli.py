@@ -10,7 +10,7 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read_csv, read_json, write_csv, write_json
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, scan_tag
 from .errors import ConfigurationError, DataError, WhichwayError
 from .instrument import (
     _pixel_profile,
@@ -57,6 +57,7 @@ _RECONSTRUCTION_CSV = (("position_mm", "P_hat"), (".9e", ".9e"))
 
 # the sidecar numbers that reconstruct and report read back
 _SIDECAR_NUMBERS = ("exposure_s", "contamination", "total_flux_sum", "distinguishability")
+_SIDECAR_POSITIVE = ("exposure_s", "total_flux_sum")  # a scan never writes either <= 0
 
 
 def _read_profile(path: Path, header, to_m: float) -> IntensityProfile:
@@ -64,10 +65,6 @@ def _read_profile(path: Path, header, to_m: float) -> IntensityProfile:
     x, values = read_csv(path, header, min_rows=2).values()
     step = uniform_step(x, f"{path}: positions")
     return IntensityProfile(float(x[0] * to_m), step * to_m, np.clip(values, 0.0, None))
-
-
-def _scan_tag(width_m: float) -> str:
-    return f"a{width_m * 1e3:g}mm"
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -142,7 +139,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     series_list = run_all_scans(cfg)
     files = []
     for series in series_list:
-        tag = _scan_tag(series.config.aperture_width)
+        tag = scan_tag(series.config.aperture_width)
         csv_path = out / f"scan_{tag}.csv"
         series.to_csv(csv_path)
         sidecar = out / f"scan_{tag}.json"
@@ -162,7 +159,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def _scan_paths(cfg: RunConfig, out: Path) -> list[Path]:
     """The CSV outputs of the configured scans."""
-    return [out / f"scan_{_scan_tag(scan.aperture_width)}.csv" for scan in cfg.scans]
+    return [out / f"scan_{scan_tag(scan.aperture_width)}.csv" for scan in cfg.scans]
 
 
 def _read_scans(csv_paths, sidecars_required: bool):
@@ -182,6 +179,10 @@ def _read_scans(csv_paths, sidecars_required: bool):
             "either every scan CSV has a JSON sidecar or none does; no sidecar next to "
             + ", ".join(lacking)
         )
+    for path, sidecar in zip(jsons, sidecars):
+        for key in _SIDECAR_POSITIVE:
+            if sidecar is not None and not sidecar[key] > 0:
+                raise DataError(f"{path}: '{key}' must be > 0")
     exposures = [1.0 if s is None else float(s["exposure_s"]) for s in sidecars]
     return [load_scan_csv(path) for path in csv_paths], sidecars, exposures
 

@@ -47,6 +47,14 @@ class RunConfig:
             raise ConfigurationError(f"metrics.peak_selector must be one of {PEAK_SELECTORS}")
         if self.guard_px < 0:
             raise ConfigurationError("metrics.guard_px must be >= 0")
+        # the scans are stacked into one solve, and each writes scan_<tag>.*
+        tags = [scan_tag(scan.aperture_width) for scan in self.scans]
+        for i, scan in enumerate(self.scans[1:], start=1):
+            if tags[i] in tags[:i]:
+                raise ConfigurationError(f"scans[{i}]: output tag scan_{tags[i]} is already taken")
+            for key in ("step_m", "s_start_m", "n_steps", "opening", "anchor_elems"):
+                if getattr(scan, _SCAN_KEYS[key][1]) != getattr(self.scans[0], _SCAN_KEYS[key][1]):
+                    raise ConfigurationError(f"scans[{i}]: {key} must equal that of scans[0]")
 
     @property
     def h_scale(self) -> float:
@@ -61,6 +69,11 @@ class RunConfig:
         return hashlib.sha256(
             json.dumps(physical, sort_keys=True).encode()
         ).hexdigest()
+
+
+def scan_tag(width_m: float) -> str:
+    """The tag in a scan's file names, scan_<tag>.csv and .json."""
+    return f"a{width_m * 1e3:g}mm"
 
 
 # JSON key -> (dataclass, field), one table per config block

@@ -24,6 +24,7 @@ from .optics import (
     Geometry,
     IntensityProfile,
     SampledField,
+    amplitude_steps,
     fresnel_field,
     transfer_kernel,
 )
@@ -163,9 +164,15 @@ class ScanSeries:
         write_csv(path, _CSV_HEADER, _CSV_FORMATS, columns)
 
 
+def _flux_mismatch(step, s_mm, flux, left, right):
+    # each cell keeps 10 significant digits, so is off by at most 5e-10 of itself
+    if abs(flux - (left + right)) > 1e-9 * (abs(flux) + abs(left) + abs(right)):
+        return "F differs from left + right"
+
+
 def load_scan_csv(path) -> dict:
     """Read a scan CSV back into arrays; malformed rows name their line."""
-    table = read_csv(path, _CSV_HEADER)
+    table = read_csv(path, _CSV_HEADER, row_check=_flux_mismatch)
     step = table.pop("step")
     if not np.array_equal(step, np.round(step)):
         raise DataError(f"{path}: step numbers must be whole")
@@ -366,11 +373,11 @@ class _ScanOptics:
 
     No simulation grid is involved.  Cells of width h centred at u_j tile
     the aperture, so every aperture weight is 1.  The pupil U(u_j - s) is
-    the source's Fresnel-integral field (optics.fresnel_field), tabulated
-    once for the scan's positions; other s are evaluated directly.  Up to a
-    unimodular factor the camera field is V(x) = h / sqrt(lambda L_C) sum_j
-    U(u_j - s) lens(u_j) exp(i pi u_j^2 / (lambda L_C) - 2 pi i x u_j /
-    (lambda L_C)).  One chirp-z transform evaluates it at SUBSAMPLES points
+    the Fresnel-integral field (optics.fresnel_field) of the source's
+    amplitude steps, read once, tabulated for the scan's positions; other s
+    are evaluated directly.  Up to a unimodular factor the camera field is
+    V(x) = h / sqrt(lambda L_C) sum_j U(u_j - s) lens(u_j) exp(i pi u_j^2 /
+    (lambda L_C) - 2 pi i x u_j / (lambda L_C)).  One chirp-z transform evaluates it at SUBSAMPLES points
     per pixel plus one beyond each end of the detector, whose offset
     -stage_ratio s is a linear phase on the cells.  A pixel sums |V|^2 over
     its points with the Euler-Maclaurin end correction from its neighbours.
@@ -383,7 +390,8 @@ class _ScanOptics:
         self.h = h = scan.step / per_step
         left = scan.aperture_left_edge()
         self.u = left + h * (np.arange(scan.width_elems() * per_step) + 0.5)
-        self.pupil = partial(fresnel_field, source_field, l_s, lam)
+        steps = amplitude_steps(source_field)
+        self.pupil = partial(fresnel_field, steps, l_s, lam)
         # the pupil at u_j - s for s = s_start + q h, q = 0 .. last, starts at last - q
         self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
         self.table = self.pupil(self.u[0] - scan.s_start + h * np.arange(-self.last, self.u.size))
@@ -396,11 +404,12 @@ class _ScanOptics:
         self.czt = _chirp_z(self.u.size, detector.n_pixels * SUBSAMPLES + 2,
                             w=np.exp(-1j * k * sub), a=np.exp(1j * k * first))
         # ray optics: the integrand's local frequency is affine in the lit
-        # source point, the cell and the detector point -stage_ratio s + xi
-        lit = source_field.positions[source_field.amplitudes != 0]
+        # source point (between the outermost amplitude steps), the cell and
+        # the detector point -stage_ratio s + xi
+        edges = steps[0]
         defocus = 1 / l_s + 1 / l_c - 1 / geom.focal_length
         terms = [np.array([left, left + scan.aperture_width]) * defocus,
-                 -np.array([lit.min(initial=0.0), lit.max(initial=0.0)]) / l_s,
+                 -np.array([edges.min(initial=0.0), edges.max(initial=0.0)]) / l_s,
                  np.array([first, -first]) / l_c]
         self.freq = np.array([sum(t.min() for t in terms), sum(t.max() for t in terms)]) / lam
         self.freq_slope = (scan.stage_ratio / l_c - 1 / l_s) / lam

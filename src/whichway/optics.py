@@ -1,10 +1,10 @@
 """1-D coherent fields for the double-slit bench and their free-space transport.
 
-Fields are sampled on uniform spatial grids along the scan direction.  Two
-propagators share one Fresnel convention: the transfer-function method on
-the grid (propagate_fresnel), and Fresnel integrals of the field read as
-piecewise constant, evaluated at any positions (fresnel_field).  Analytic
-far-field formulas are provided as independent cross-checks.
+Source fields are sampled on uniform grids along the scan direction.  Their
+amplitude steps (amplitude_steps) propagate exactly to any positions by
+Fresnel integrals (fresnel_field); the transfer-function method on the grid
+(propagate_fresnel, same convention) is kept for the benchmark's probe.
+Analytic far-field formulas are provided as independent cross-checks.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ class GridSpec:
     The default spans +-40 mm at 0.61 um pitch: wide enough that periodic
     wrap-around leakage stays below the far-field oracle tolerance for the
     58 cm slits-to-lens propagation by propagate_fresnel.  Scans take only
-    the slit edges from the grid (fresnel_field), not its span.
+    the slit edges from the grid (amplitude_steps), not its span.
     """
 
     n: int = 2**17
@@ -103,9 +103,6 @@ class GridSpec:
 
     def positions(self) -> np.ndarray:
         return self.origin + self.pitch * np.arange(self.n)
-
-
-DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
@@ -131,16 +128,6 @@ class SampledField:
     @property
     def positions(self) -> np.ndarray:
         return self.origin + self.pitch * np.arange(self.n)
-
-    @property
-    def power(self) -> float:
-        """Total power, sum |a|^2 * pitch."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.pitch)
-
-    def intensity(self) -> "IntensityProfile":
-        return IntensityProfile(
-            self.origin, self.pitch, np.abs(self.amplitudes) ** 2
-        )
 
 
 @dataclass(frozen=True)
@@ -169,23 +156,19 @@ class IntensityProfile:
 
 
 def double_slit_field(
-    geom: Geometry,
-    grid: GridSpec = DEFAULT_GRID,
-    illumination_tilt: float = 0.0,
-    center_offset: float = 0.0,
+    geom: Geometry, grid: GridSpec, illumination_tilt: float = 0.0
 ) -> SampledField:
     """Real-valued field right behind the double-slit mask.
 
     Unit amplitude inside each slit, scaled by (1 + tilt/2) for the right
-    slit and (1 - tilt/2) for the left, zero elsewhere.  center_offset
-    translates both slits (used to model the mask riding on its stage).
+    slit and (1 - tilt/2) for the left, zero elsewhere.
     """
     if grid.pitch > geom.slit_width / 16:
         raise ConfigurationError(
             "grid too coarse: need >= 16 samples per slit width "
             f"(pitch {grid.pitch:.3e} m > {geom.slit_width / 16:.3e} m)"
         )
-    outer = abs(center_offset) + geom.slit_sep / 2 + geom.slit_width / 2
+    outer = geom.slit_sep / 2 + geom.slit_width / 2
     if outer > grid.half_span:
         raise ConfigurationError(
             f"grid half_span {grid.half_span:.3e} m does not cover both slits "
@@ -194,10 +177,8 @@ def double_slit_field(
     x = grid.positions()
     amp = np.zeros(grid.n)
     half = geom.slit_width / 2
-    right_center = center_offset + geom.slit_sep / 2
-    left_center = center_offset - geom.slit_sep / 2
-    amp[np.abs(x - right_center) <= half] = 1.0 + illumination_tilt / 2
-    amp[np.abs(x - left_center) <= half] = 1.0 - illumination_tilt / 2
+    amp[np.abs(x - geom.slit_sep / 2) <= half] = 1.0 + illumination_tilt / 2
+    amp[np.abs(x + geom.slit_sep / 2) <= half] = 1.0 - illumination_tilt / 2
     return SampledField(grid.origin, grid.pitch, amp)
 
 
@@ -269,26 +250,32 @@ def propagate_fresnel(
 MAX_AMPLITUDE_STEPS = 64
 
 
-def fresnel_field(field_in: SampledField, distance: float, wavelength: float, x) -> np.ndarray:
-    """Field at positions x after Fresnel propagation by distance > 0.
-
-    Exact for field_in read as constant over each cell (and zero outside its
-    grid): a step of a (left minus right value) at cell edge e contributes
-    a (C + iS)(sqrt(2 / (lambda z)) (e - x)) e^{-i pi/4} / sqrt(2), with the
-    Fresnel integrals C and S.  The convention is propagate_fresnel's.
-    """
-    padded = np.concatenate(([0], field_in.amplitudes, [0]))
+def amplitude_steps(field: SampledField) -> tuple[np.ndarray, np.ndarray]:
+    """The field read as piecewise constant (and zero outside its grid), as
+    (edges, jumps): the cell edges where it changes, ascending, and the left
+    minus the right value at each."""
+    padded = np.concatenate(([0], field.amplitudes, [0]))
     at = np.flatnonzero(np.diff(padded))  # between cells at - 1 and at
     if at.size > MAX_AMPLITUDE_STEPS:
         raise ConfigurationError(
             f"source field has {at.size} amplitude steps; Fresnel-integral "
             f"propagation takes piecewise-constant fields of at most {MAX_AMPLITUDE_STEPS}"
         )
-    t = np.sqrt(2.0 / (wavelength * distance)) * (
-        field_in.origin + (at - 0.5) * field_in.pitch - np.asarray(x, dtype=float)[..., np.newaxis]
-    )
+    return field.origin + (at - 0.5) * field.pitch, padded[at] - padded[at + 1]
+
+
+def fresnel_field(steps: tuple, distance: float, wavelength: float, x) -> np.ndarray:
+    """Field at positions x after Fresnel propagation by distance > 0.
+
+    steps are the source's (edges, jumps) as amplitude_steps returns them.
+    Exact for the piecewise-constant source: a jump a at edge e contributes
+    a (C + iS)(sqrt(2 / (lambda z)) (e - x)) e^{-i pi/4} / sqrt(2), with the
+    Fresnel integrals C and S.  The convention is propagate_fresnel's.
+    """
+    edges, jumps = steps
+    t = np.sqrt(2.0 / (wavelength * distance)) * (edges - np.asarray(x, dtype=float)[..., np.newaxis])
     s, c = fresnel(t)
-    return (c + 1j * s) @ (padded[at] - padded[at + 1]) * (np.exp(-0.25j * np.pi) / np.sqrt(2.0))
+    return (c + 1j * s) @ jumps * (np.exp(-0.25j * np.pi) / np.sqrt(2.0))
 
 
 def fresnel_number(geom: Geometry, screen_distance: float) -> float:

@@ -17,9 +17,9 @@ from .optics import (
     Geometry,
     IntensityProfile,
     SampledField,
+    amplitude_steps,
     double_slit_field,
     fresnel_field,
-    propagate_fresnel,
 )
 from .reconstruct import (
     ReconstructionResult,
@@ -33,14 +33,6 @@ def make_source(cfg: RunConfig) -> SampledField:
     return double_slit_field(cfg.geometry, cfg.grid, cfg.illumination_tilt)
 
 
-def pupil_field(cfg: RunConfig, source: SampledField | None = None) -> SampledField:
-    if source is None:
-        source = make_source(cfg)
-    return propagate_fresnel(
-        source, cfg.geometry.dist_slits_lens, cfg.geometry.wavelength
-    )
-
-
 def _binned_power(
     source: SampledField, distance: float, wavelength: float, centres, width: float
 ) -> np.ndarray:
@@ -48,7 +40,7 @@ def _binned_power(
     for each centre c, by 8-point Gauss-Legendre quadrature."""
     nodes, weights = np.polynomial.legendre.leggauss(8)
     u = np.asarray(centres, dtype=float)[:, np.newaxis] + 0.5 * width * nodes
-    field = fresnel_field(source, distance, wavelength, u)
+    field = fresnel_field(amplitude_steps(source), distance, wavelength, u)
     return (field.real**2 + field.imag**2) @ (0.5 * width * weights)
 
 
@@ -97,12 +89,9 @@ def reconstruct_tables(
     them; all must share one uniform set of slit positions.  widths are
     the aperture widths in meters, converted to elements of that step.
     The cutoff, the smoothing width and the opening and anchor, which all
-    of cfg's scans must share, come from cfg.
+    of cfg's scans share, come from cfg.
     """
-    layouts = {(scan.opening, scan.anchor_elems) for scan in cfg.scans}
-    if len(layouts) != 1:
-        raise ConfigurationError("stacked scans must share opening and anchor")
-    ((opening, anchor),) = layouts
+    opening, anchor = cfg.scans[0].opening, cfg.scans[0].anchor_elems
     s = tables[0]["s"]
     step = uniform_step(s, "scan slit positions")
     for t in tables[1:]:
@@ -141,21 +130,3 @@ def direct_fringe_profile(cfg: RunConfig, source: SampledField | None = None) ->
     geom = cfg.geometry
     values = _binned_power(source, geom.dist_slits_direct, geom.wavelength, centres, det.pixel_pitch)
     return _pixel_profile(det, values)
-
-
-def curve_width_at_half_max(x: np.ndarray, y: np.ndarray) -> float:
-    """Full width at half maximum with linear interpolation at the crossings."""
-    y = np.asarray(y, dtype=float)
-    half = y.max() / 2
-    above = y >= half
-    if not above.any():
-        return 0.0
-    first = int(np.argmax(above))
-    last = len(y) - 1 - int(np.argmax(above[::-1]))
-    left = x[first]
-    if first > 0:
-        left = np.interp(half, [y[first - 1], y[first]], [x[first - 1], x[first]])
-    right = x[last]
-    if last < len(y) - 1:
-        right = np.interp(half, [y[last + 1], y[last]], [x[last + 1], x[last]])
-    return float(right - left)

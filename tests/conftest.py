@@ -22,11 +22,6 @@ def source(quiet_cfg):
 
 
 @pytest.fixture(scope="session")
-def pupil(quiet_cfg, source):
-    return pipeline.pupil_field(quiet_cfg, source)
-
-
-@pytest.fixture(scope="session")
 def scan_grid():
     return (np.arange(SCAN_N) - (SCAN_N - 1) / 2) * SCAN_STEP
 

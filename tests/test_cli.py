@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from whichway.artifacts import read_csv
 from whichway.cli import build_parser, main
 from whichway.config import load_config
-from whichway.optics import fresnel_field
+from whichway.optics import amplitude_steps, fresnel_field
 from whichway.pipeline import run_all_scans
 
 EXPECTED_ARTIFACTS = [
@@ -228,9 +228,27 @@ CORRUPTIONS = {
     # finite but absurd numbers overflow the solve: a numerical failure
     "scan-flux-overflow": (
         "scan_a4mm.csv",
-        lambda t: _replace_cell(t, 100, 2, "1e300"),
+        # F stays left + right, which the CSV reader checks
+        lambda t: _replace_cell(
+            _replace_cell(_replace_cell(t, 100, 2, "1e300"), 100, 3, "1e300"), 100, 4, "0"
+        ),
         ["reconstruct"],
         4,
+    ),
+    "scan-flux-not-left-plus-right": (
+        "scan_a4mm.csv",
+        lambda t: _replace_cell(t, 151, 2, f"{1.5 * float(t.splitlines()[151].split(',')[2]):.9e}"),
+        ["report", "reconstruct"],
+    ),
+    "sidecar-zero-exposure": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.update(exposure_s=0)),
+        ["report", "reconstruct"],
+    ),
+    "sidecar-negative-flux": (
+        "scan_a5mm.json",
+        _edit_json(lambda d: d.update(total_flux_sum=-d["total_flux_sum"])),
+        ["report", "reconstruct"],
     ),
     "sidecar-subnormal-exposure": (
         "scan_a4mm.json",
@@ -346,9 +364,10 @@ def test_fringe_pixels_integrate_the_exact_near_field(cli_run, quiet_cfg, source
     # each pixel is |fresnel_field|^2 at the direct-image plane integrated
     # over the pixel; adaptive quadrature of the same intensity agrees
     geom, det = quiet_cfg.geometry, quiet_cfg.detector
+    steps = amplitude_steps(source)
 
     def intensity(u):
-        return abs(fresnel_field(source, geom.dist_slits_direct, geom.wavelength, u)) ** 2
+        return abs(fresnel_field(steps, geom.dist_slits_direct, geom.wavelength, u)) ** 2
 
     x, values = read_csv(cli_run / "fringes.csv", ("position_m", "value")).values()
     for k in (0, 300, 511, 512, 700, 1023):
@@ -577,6 +596,30 @@ def test_dataclass_range_errors_name_their_block(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {block}: ") and err.count("\n") == 1 and field in err, err
     assert not list(out.glob("scan_*"))
+
+
+# (second scan's keys, words its one error line must hold): scans that
+# cannot be stacked into one solve
+UNSTACKABLE = {
+    "same-tag": ({"aperture_width_m": 4e-3}, "scan_a4mm"),
+    "other-step": ({"step_m": 2e-4}, "step_m"),
+    "other-start": ({"s_start_m": -2e-4}, "s_start_m"),
+    "other-count": ({"n_steps": 5}, "n_steps"),
+    "other-opening": ({"opening": "centered"}, "opening"),
+    "other-anchor": ({"anchor_elems": 10}, "anchor_elems"),
+}
+
+
+@pytest.mark.parametrize("case", UNSTACKABLE)
+def test_scans_that_cannot_be_stacked_exit_2_before_any_scan(tmp_path, capsys, case):
+    second, words = UNSTACKABLE[case]
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(_two_scans(**second)))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scans[1]: ") and err.count("\n") == 1 and words in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", MISTYPED)
