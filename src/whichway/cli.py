@@ -19,7 +19,7 @@ from .instrument import (
     pooled_assignment,
     uniform_step,
 )
-from .metrics import duality_check, match_profiles, visibility
+from .metrics import distinguishability, duality_check, match_profiles, visibility
 from .optics import IntensityProfile
 from .pipeline import (
     direct_fringe_profile,
@@ -56,7 +56,7 @@ _PROFILE_CSV = (("position_m", "value"), (".12e", ".12e"))
 _RECONSTRUCTION_CSV = (("position_mm", "P_hat"), (".9e", ".9e"))
 
 # the sidecar numbers that reconstruct and report read back
-_SIDECAR_NUMBERS = ("exposure_s", "contamination", "total_flux_sum", "distinguishability")
+_SIDECAR_NUMBERS = ("exposure_s", "contamination", "total_flux_sum")
 _SIDECAR_POSITIVE = ("exposure_s", "total_flux_sum")  # a scan never writes either <= 0
 
 
@@ -183,6 +183,9 @@ def _read_scans(csv_paths, sidecars_required: bool):
         for key in _SIDECAR_POSITIVE:
             if sidecar is not None and not sidecar[key] > 0:
                 raise DataError(f"{path}: '{key}' must be > 0")
+        # a wrong-side flux fraction above 1/2 is no which-way bound
+        if sidecar is not None and not 0 <= sidecar["contamination"] <= 0.5:
+            raise DataError(f"{path}: 'contamination' must lie in [0, 1/2]")
     exposures = [1.0 if s is None else float(s["exposure_s"]) for s in sidecars]
     return [load_scan_csv(path) for path in csv_paths], sidecars, exposures
 
@@ -301,7 +304,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     ]
     entries = {path.stem: sidecar for path, sidecar in zip(paths, sidecars)}
     for name, entry in sorted(entries.items()):
-        lines.append(f"  {name}: D = {float(entry['distinguishability']):.4f}")
+        lines.append(f"  {name}: D = {distinguishability(1 - entry['contamination']):.4f}")
     if match is not None:
         lines.append(
             f"profile match vs direct fringes: shift = {match.shift * 1e3:+.3f} mm, "

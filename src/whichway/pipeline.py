@@ -60,9 +60,8 @@ def pupil_truth(
     return _binned_power(source, geom.dist_slits_lens, geom.wavelength, positions, step)
 
 
-def run_all_scans(cfg: RunConfig, source: SampledField | None = None) -> list[ScanSeries]:
-    if source is None:
-        source = make_source(cfg)
+def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
+    source = make_source(cfg)
     return [run_scan(source, cfg.geometry, scan, cfg.detector) for scan in cfg.scans]
 
 
@@ -117,14 +116,13 @@ def result_profile(result: ReconstructionResult) -> IntensityProfile:
     )
 
 
-def direct_fringe_profile(cfg: RunConfig, source: SampledField | None = None) -> IntensityProfile:
+def direct_fringe_profile(cfg: RunConfig) -> IntensityProfile:
     """Camera pixels at the near plane D (no lens), in detector-local coordinates.
 
     Each pixel integrates the source's exact Fresnel-integral field at D
     (optics.fresnel_field) over its footprint.
     """
-    if source is None:
-        source = make_source(cfg)
+    source = make_source(cfg)
     det = cfg.detector
     centres = (np.arange(det.n_pixels) - det.center_index) * det.pixel_pitch
     geom = cfg.geometry

@@ -33,9 +33,9 @@ def pattern_truth(quiet_cfg, source, scan_grid):
 
 
 @pytest.fixture(scope="session")
-def quiet_series(quiet_cfg, source):
+def quiet_series(quiet_cfg):
     """Both configured scans (a = 4 and 5 mm), noiseless."""
-    return pipeline.run_all_scans(quiet_cfg, source)
+    return pipeline.run_all_scans(quiet_cfg)
 
 
 @pytest.fixture(scope="session")

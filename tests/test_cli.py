@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from whichway.artifacts import read_csv
 from whichway.cli import build_parser, main
 from whichway.config import load_config
+from whichway.metrics import distinguishability
 from whichway.optics import amplitude_steps, fresnel_field
 from whichway.pipeline import run_all_scans
 
@@ -256,6 +257,16 @@ CORRUPTIONS = {
         ["report", "reconstruct"],
         4,
     ),
+    # a wrong-side fraction outside [0, 1/2]; pooled with the 5 mm scan,
+    # 0.7 would still leave the mean below 1/2
+    **{
+        f"sidecar-contamination-{value}": (
+            "scan_a4mm.json",
+            _edit_json(lambda d, value=value: d.update(contamination=value)),
+            ["report", "reconstruct"],
+        )
+        for value in (5, -3, 0.7)
+    },
 }
 
 
@@ -278,6 +289,21 @@ def test_corrupted_artifacts_exit_3(cli_run, tmp_path, capsys, case):
         assert err.startswith(f"error: {path}: " if code == 3 else "error: "), err
         assert err.count("\n") == 1, err
         assert _snapshot(run) == before, cmd
+
+
+def test_summary_derives_each_scan_d_from_its_contamination(cli_run, tmp_path):
+    # the sidecar's own distinguishability is not read: an absurd one
+    # changes nothing, and each scan's line is the D of its contamination
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    sidecar = run / "scan_a4mm.json"
+    sidecar.write_text(_edit_json(lambda d: d.update(distinguishability=7.0))(sidecar.read_text()))
+    assert main(["report", "--out", str(run), "--seed", "0"]) == 0
+    summary = (run / "summary.txt").read_text()
+    assert summary == (cli_run / "summary.txt").read_text()
+    for name in ("scan_a4mm", "scan_a5mm"):
+        contamination = json.loads((run / f"{name}.json").read_text())["contamination"]
+        assert f"  {name}: D = {distinguishability(1 - contamination):.4f}\n" in summary
 
 
 def test_configured_reconstruct_requires_the_sidecars(cli_run, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """No module in src/ or tests/ imports a name it never uses, and the package
 loads none of the heavy scipy submodules at import."""
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -37,18 +38,25 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def test_the_package_leaves_scipy_signal_stats_and_optimize_unloaded():
-    # scipy.optimize is imported by match_profiles when report calls it
+def test_the_package_leaves_scipy_signal_stats_and_optimize_unloaded(tmp_path):
+    # a short noiseless run of the four commands in one fresh process
+    scans = [{"aperture_width_m": w, "n_steps": 101, "s_start_m": -5e-3} for w in (4e-3, 5e-3)]
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"geometry": {}, "scans": scans}))
     code = (
-        "import sys, whichway.cli, whichway\n"
+        "import sys, whichway\n"
+        "from whichway.cli import main\n"
+        "for cmd in ('fringes', 'scan', 'reconstruct', 'report'):\n"
+        "    assert main([cmd, '--no-noise', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
         "print(*[m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules])"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(config), str(tmp_path / "run")],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert run.stdout.split() == []
+    assert (tmp_path / "run" / "summary.txt").exists()
+    assert run.stdout.splitlines()[-1].split() == []

@@ -6,6 +6,7 @@ from scipy.signal import find_peaks
 
 import whichway as ww
 from whichway.artifacts import read_csv
+from whichway.config import load_config
 from whichway.metrics import PEAK_PROMINENCE_FRACTION, _find_peaks
 
 
@@ -184,6 +185,45 @@ class TestMatchProfiles:
         m = ww.match_profiles(ref, in_pixels, h_scale=pix, half_window=5e-3)
         assert abs(m.shift) < ref.pitch
         assert m.rms_residual < 1e-6
+
+    def _assert_on_the_dense_minimum(self, reconstructed, reference, h_scale, half_window):
+        # the same residual, one shift at a time: the coarse grid's best,
+        # then every 0.01 um over one coarse step either side of it
+        m = ww.match_profiles(reconstructed, reference, h_scale, half_window)
+        x = reconstructed.positions
+        window = np.abs(x) <= half_window
+        target = reconstructed.values[window]
+
+        def residual(shift):
+            model = m.v_scale * np.interp(
+                x[window] - shift, reference.positions * h_scale, reference.values, 0.0, 0.0
+            )
+            return np.sqrt(np.mean((target - model) ** 2)) / target.max()
+
+        coarse = np.linspace(-half_window, half_window, 201)
+        best = coarse[np.argmin([residual(s) for s in coarse])]
+        dense = best + np.arange(-5000, 5001) * (half_window / 100 / 5000)
+        rms = [residual(s) for s in dense]
+        k = int(np.argmin(rms))
+        assert abs(m.shift - dense[k]) <= 0.5e-6
+        assert rms[k] <= m.rms_residual <= rms[k] * (1 + 1e-5)
+
+    def test_lands_on_the_dense_minimum_of_the_residual(self):
+        # a moved, rescaled and tilted copy leaves a residual at every shift
+        ref = self._reference()
+        x = ref.positions
+        moved = np.interp(x - 0.3337e-3, x, ref.values, left=0.0, right=0.0)
+        tilted = ww.IntensityProfile(ref.origin, ref.pitch, 2.0 * moved * (1 + 20 * x))
+        self._assert_on_the_dense_minimum(tilted, ref, 1.0, 5e-3)
+
+    def test_lands_on_the_dense_minimum_for_the_seed_0_run(self, cli_run):
+        cfg = load_config()
+        x_mm, p_hat = read_csv(cli_run / "reconstruction.csv", ("position_mm", "P_hat")).values()
+        recon = ww.IntensityProfile(x_mm[0] * 1e-3, (x_mm[1] - x_mm[0]) * 1e-3, np.clip(p_hat, 0, None))
+        x, values = read_csv(cli_run / "fringes.csv", ("position_m", "value")).values()
+        pitch = cfg.detector.pixel_pitch
+        fringes = ww.IntensityProfile(x[0] / pitch, (x[1] - x[0]) / pitch, np.clip(values, 0, None))
+        self._assert_on_the_dense_minimum(recon, fringes, cfg.h_scale, cfg.window_half)
 
     def test_validation(self):
         ref = self._reference()
