@@ -480,14 +480,14 @@ def run_scan(
         rng = np.random.default_rng((detector.rng_seed, scan.width_elems()))
         try:
             profiles *= frames * detector.gain
-            counts = rng.poisson(profiles).astype(float)
+            profiles[...] = rng.poisson(profiles)
         except (OverflowError, ValueError) as exc:  # K past the float range; "lam value too large"
             raise ConfigurationError(
                 f"scan a{scan.aperture_width * 1e3:g}mm: exposure_s {exposure:g}, gain_e_per_unit"
                 f" {detector.gain:g} and frames_per_step {frames} give too many electrons ({exc})"
             ) from exc
-        counts += rng.normal(0.0, detector.readout_noise * math.sqrt(frames), profiles.shape)
-        np.divide(counts, frames * detector.gain, out=profiles)
+        profiles += rng.normal(0.0, detector.readout_noise * math.sqrt(frames), profiles.shape)
+        profiles /= frames * detector.gain
     midlines = _midlines(profiles, scan.midline)
     left, right = np.array([split_signals(row, m) for row, m in zip(profiles, midlines)]).T
     records = np.rec.fromarrays(

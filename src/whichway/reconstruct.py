@@ -4,14 +4,28 @@ Each scan step sums the unknown pattern over the aperture window, so the
 forward model is a 0/1 banded matrix per aperture width.  A single width
 is rank deficient at most sizes; stacking two widths lifts the degeneracy
 and the minimum-norm least-squares solution recovers the pattern.
+
+Every row is the indicator of a clipped interval of columns, (lo, hi] in
+1-based columns.  In the prefix basis f_k = x_1 + ... + x_k (f_0 = 0) the
+row reads f_hi - f_lo, an edge between vertices lo and hi of a graph on
+0..n.  The rows span the n prefix coordinates exactly when every vertex is
+joined to the grounded vertex 0, so full rank is a connectivity question
+(full_rank_dims) and needs no singular values.
+
+solve_stacked factors each distinct stacked system once per process: the
+SVD's rank-truncated pseudo-inverse is kept, keyed by the matrices' bytes,
+so repeated solves through the same apertures cost one matrix-vector
+product each.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lstsq, svdvals
+from scipy.linalg import svd, svdvals
 
 from .errors import ConfigurationError, NumericalError
 
@@ -70,16 +84,95 @@ def full_rank_dims(
     opening: str = "rightward",
     anchor: int = 20,
 ) -> list[int]:
-    """All dimensions n in [width_elems, n_max] where the matrix is full rank."""
+    """All dimensions n in [width_elems, n_max] where the matrix is full rank.
+
+    The rank is exact, not numerical.  1-based row i of
+    build_aperture_matrix(n, ...) sums the columns in (lo, hi] with
+    lo = clip(i - left, 0, n) and hi = clip(i - left + width_elems, 0, n),
+    which is f_hi - f_lo in the prefix basis f_k = x_1 + ... + x_k, f_0 = 0.
+    The change of basis is invertible, and the edges (lo, hi) of a graph on
+    the vertices 0..n span (n + 1) - (number of components) dimensions of
+    the prefix coordinates once f_0 is pinned.  So the matrix has rank n
+    exactly when the graph is connected, which a union-find decides in
+    O(n) per dimension.
+    """
     if width_elems < 1:
         raise ConfigurationError(f"width_elems must be >= 1; got {width_elems}")
     if n_max < width_elems:
         raise ConfigurationError("n_max must be >= width_elems")
-    dims = []
-    for n in range(width_elems, n_max + 1):
-        if rank_of(build_aperture_matrix(n, width_elems, opening, anchor)) == n:
-            dims.append(n)
-    return dims
+    if anchor < 0:
+        raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
+    left = band_left_elems(width_elems, opening, anchor)
+    return [
+        n for n in range(width_elems, n_max + 1) if _intervals_connected(n, width_elems, left)
+    ]
+
+
+def _intervals_connected(n: int, width_elems: int, left: int) -> bool:
+    """Whether the rows' interval edges (lo, hi) join every vertex 0..n."""
+    parent = list(range(n + 1))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    components = n + 1
+    for i in range(1, n + 1):
+        lo = root(max(i - left, 0))
+        hi = root(min(i - left + width_elems, n))
+        if lo != hi:
+            parent[lo] = hi
+            components -= 1
+    return components == 1
+
+
+# (digest of the matrices, cutoff) -> (pseudo-inverse, effective rank), oldest
+# first; one run solves through one stacked system, so two entries suffice
+_FACTORS: dict[tuple[str, float], tuple[np.ndarray, int]] = {}
+_FACTORS_MAX = 2
+_FACTORS_LOCK = threading.Lock()
+
+
+def _pseudo_inverse(matrices: list, cutoff: float) -> tuple[np.ndarray, int]:
+    """Rank-truncated pseudo-inverse of the stacked matrices and its rank.
+
+    Keyed by a sha256 of every matrix's shape and float64 bytes, so a
+    matrix edited in place is factored again; no copy of the matrices is
+    kept.  A miss rejects non-finite entries before the SVD, so a bad
+    matrix is never cached.
+    """
+    digest = hashlib.sha256()
+    for m in matrices:
+        m = np.ascontiguousarray(m, dtype=float)
+        digest.update(repr(m.shape).encode())
+        digest.update(m.data)
+    key = (digest.hexdigest(), cutoff)
+    with _FACTORS_LOCK:
+        hit = _FACTORS.get(key)
+    if hit is not None:
+        return hit
+    if not all(np.isfinite(m).all() for m in matrices):
+        raise NumericalError("aperture matrices hold non-finite entries")
+    # every process pays one miss per system: gesdd takes about twice a single
+    # gelsd solve, gesvd four to six times, with the same agreement with gelsd
+    u, s, vt = svd(
+        np.vstack(matrices, dtype=float),
+        full_matrices=False,
+        overwrite_a=True,
+        check_finite=False,
+        lapack_driver="gesdd",
+    )
+    rank = int(np.count_nonzero(s > cutoff * s[0])) if s.size else 0
+    u = u[:, :rank]
+    u /= s[:rank]
+    pinv = vt[:rank].T @ u.T
+    with _FACTORS_LOCK:
+        _FACTORS[key] = (pinv, rank)
+        while len(_FACTORS) > _FACTORS_MAX:
+            del _FACTORS[next(iter(_FACTORS))]
+    return pinv, rank
 
 
 @dataclass(frozen=True)
@@ -116,8 +209,10 @@ def solve_stacked(
     """Minimum-norm least-squares solve of the stacked flux equations.
 
     Each flux vector is divided by its exposure, the banded systems are
-    stacked, and the SVD-based solver discards singular values below
-    cutoff * sigma_max.  Effective rank and residual norm are reported.
+    stacked, and the SVD-based solver discards singular values at or below
+    cutoff * sigma_max, the rule of LAPACK's gelsd.  Effective rank and
+    residual norm are reported.  The stacked system's pseudo-inverse is
+    computed once per process and reused (see _pseudo_inverse).
     """
     matrices = list(matrices)
     fluxes = [np.asarray(f, dtype=float) for f in fluxes]
@@ -145,9 +240,9 @@ def solve_stacked(
             raise NumericalError("fluxes divided by their exposures overflow")
         if not np.any(b):
             raise NumericalError("all fluxes are zero; reconstruction is degenerate")
-        a = np.vstack(matrices)
-        x, _, rank, _ = lstsq(a, b, cond=cutoff, lapack_driver="gelsd")
-        residual = float(np.linalg.norm(a @ x - b))
+        pinv, rank = _pseudo_inverse(matrices, cutoff)
+        x = pinv @ b
+        residual = float(np.linalg.norm(np.concatenate([m @ x for m in matrices]) - b))
     if not (np.all(np.isfinite(x)) and math.isfinite(residual)):
         raise NumericalError(
             "stacked least-squares solve overflows: non-finite solution or residual"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lstsq
 
 import whichway as ww
 
@@ -85,14 +86,48 @@ class TestRank:
         assert ww.rank_of(a) == np.linalg.matrix_rank(a)
 
     def test_full_rank_dims_is_consistent_with_rank_of(self):
-        dims = ww.full_rank_dims(5, 30)
-        for n in range(5, 31):
-            expected = ww.rank_of(ww.build_aperture_matrix(n, 5)) == n
-            assert (n in dims) == expected
+        # the exact interval-graph test against the SVD rank of every matrix
+        n_max = 60
+        for width in range(1, 13):
+            for opening in ww.reconstruct.OPENINGS:
+                for anchor in (0, 3, 20):
+                    expected = [
+                        n
+                        for n in range(width, n_max + 1)
+                        if ww.rank_of(ww.build_aperture_matrix(n, width, opening, anchor)) == n
+                    ]
+                    dims = ww.full_rank_dims(width, n_max, opening, anchor)
+                    assert dims == expected, (width, opening, anchor)
 
     def test_full_rank_dims_validation(self):
-        with pytest.raises(ww.ConfigurationError):
+        with pytest.raises(ww.ConfigurationError, match="n_max"):
             ww.full_rank_dims(10, 5)
+        with pytest.raises(ww.ConfigurationError, match="width_elems"):
+            ww.full_rank_dims(0, 5)
+        with pytest.raises(ww.ConfigurationError, match="anchor"):
+            ww.full_rank_dims(5, 10, anchor=-1)
+        with pytest.raises(ww.ConfigurationError, match="opening"):
+            ww.full_rank_dims(5, 10, opening="diagonal")
+
+
+def _assert_matches_gelsd(res, matrices, fluxes, cutoff=1e-10):
+    """The solve against LAPACK's gelsd on the same stacked system."""
+    a = np.vstack(matrices)
+    b = np.concatenate(fluxes)
+    x, _, rank, _ = lstsq(a, b, cond=cutoff, lapack_driver="gelsd")
+    assert res.effective_rank == rank
+    assert np.max(np.abs(res.p_hat - x)) <= 1e-12 * np.max(np.abs(x))
+    assert abs(res.residual_norm - np.linalg.norm(a @ x - b)) <= 1e-12 * np.linalg.norm(b)
+
+
+def _noisy_fluxes(matrices, seed, peak=1e6):
+    """Poisson fluxes of a fringed pattern, peak electrons per step."""
+    n = matrices[0].shape[1]
+    k = np.arange(n)
+    truth = np.exp(-(((k - n / 2) / (n / 6)) ** 2)) * (1 + np.cos(k / 2.5))
+    rng = np.random.default_rng(seed)
+    clean = [m @ truth for m in matrices]
+    return [rng.poisson(peak * c / c.max()) / peak * c.max() for c in clean]
 
 
 class TestSolveStacked:
@@ -140,6 +175,73 @@ class TestSolveStacked:
             ww.solve_stacked([m], [np.ones(10)], exposures=[0.0])
         with pytest.raises(ww.NumericalError):
             ww.solve_stacked([m], [np.zeros(10)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_numerical_error(self, bad):
+        mats = [ww.build_aperture_matrix(30, w) for w in (4, 5)]
+        fluxes = [np.ones(30), np.ones(30)]
+        mats[1][7, 3] = bad
+        cached = set(ww.reconstruct._FACTORS)
+        with pytest.raises(ww.NumericalError, match="aperture matrices hold non-finite"):
+            ww.solve_stacked(mats, fluxes)
+        assert set(ww.reconstruct._FACTORS) <= cached
+
+    def test_matches_the_gelsd_oracle_on_noisy_default_stacks(self):
+        mats = [ww.build_aperture_matrix(301, w) for w in (40, 50)]
+        for seed in range(10):
+            fluxes = _noisy_fluxes(mats, seed)
+            _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
+
+    def test_matches_the_gelsd_oracle_on_a_rank_deficient_width(self):
+        mats = [ww.build_aperture_matrix(301, 40)]
+        fluxes = _noisy_fluxes(mats, 0)
+        res = ww.solve_stacked(mats, fluxes)
+        assert res.effective_rank < 301
+        _assert_matches_gelsd(res, mats, fluxes)
+
+    @given(
+        n=st.integers(2, 40),
+        widths=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+        opening=st.sampled_from(ww.reconstruct.OPENINGS),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_gelsd_oracle_on_small_systems(self, n, widths, opening, seed):
+        mats = [ww.build_aperture_matrix(n, min(w, n), opening) for w in widths]
+        rng = np.random.default_rng(seed)
+        fluxes = [rng.random(n) + 0.1 for _ in mats]
+        _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
+
+    def test_a_repeated_solve_is_bit_identical(self):
+        mats = [ww.build_aperture_matrix(301, w) for w in (40, 50)]
+        fluxes = _noisy_fluxes(mats, 1)
+        first = ww.solve_stacked(mats, fluxes)
+        again = ww.solve_stacked(mats, fluxes)
+        assert np.array_equal(first.p_hat, again.p_hat)
+        assert first.residual_norm == again.residual_norm
+        assert first.effective_rank == again.effective_rank
+
+    def test_a_matrix_edited_in_place_is_factored_again(self):
+        mats = [ww.build_aperture_matrix(120, w) for w in (8, 11)]
+        fluxes = _noisy_fluxes(mats, 2)
+        _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
+        mats[0][60, 60] = 1.0 - mats[0][60, 60]
+        _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
+
+    def test_the_cutoff_selects_the_rank(self):
+        mats = [ww.build_aperture_matrix(301, 40)]
+        fluxes = _noisy_fluxes(mats, 3)
+        default = ww.solve_stacked(mats, fluxes)
+        coarse = ww.solve_stacked(mats, fluxes, cutoff=0.01)
+        assert coarse.effective_rank < default.effective_rank
+        _assert_matches_gelsd(default, mats, fluxes)
+        _assert_matches_gelsd(coarse, mats, fluxes, cutoff=0.01)
+
+    def test_the_cache_holds_at_most_two_systems(self):
+        for w in range(3, 8):
+            mats = [ww.build_aperture_matrix(50, w), ww.build_aperture_matrix(50, w + 1)]
+            ww.solve_stacked(mats, [np.ones(50), np.ones(50)])
+        assert len(ww.reconstruct._FACTORS) <= 2
 
 
 class TestGaussianSmooth:
