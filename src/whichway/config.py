@@ -8,6 +8,7 @@ import sys
 import typing
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError
@@ -160,13 +161,19 @@ _KINDS = {int: "an integer", float: "a finite number", bool: "true or false", st
 _KINDS[float | None] = "a finite number or null"
 
 
+@cache
+def _hints(cls) -> dict:
+    """The resolved annotations of a config dataclass, read once per class."""
+    return typing.get_type_hints(cls)
+
+
 def _typed(value, cls, attr: str, where: str):
     """A JSON value checked against the annotation of cls.attr.
 
     int takes a JSON integer, float a finite number (an integer is stored
     as float), bool true or false, str a string, float | None also null.
     """
-    hint = typing.get_type_hints(cls)[attr]
+    hint = _hints(cls)[attr]
     optional = hint == float | None
     if optional and value is None:
         return None

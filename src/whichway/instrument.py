@@ -346,30 +346,17 @@ def auto_exposure(
 # Scan imaging: the aperture is cut into cells of at most SUPPORT_PITCH that
 # divide the scan step, and each pixel gets SUBSAMPLES image points.  The
 # sampling guard allows the integrand MAX_CYCLES_PER_CELL cycles per cell.
+# Steps are imaged SCAN_BLOCK at a time, in buffers that every block reuses
+# (about 3 MB for the zero-padded complex field).
 SUPPORT_PITCH = 2.5e-6
 SUBSAMPLES = 4
 MAX_CYCLES_PER_CELL = 0.25
-
-
-def _chirp_z(n: int, m: int, w: complex, a: complex):
-    """Bluestein chirp-z transform: x of length n -> sum_j x_j a^-j w^(j k),
-    k = 0 .. m - 1.  A chirp premultiply, one FFT convolution and a chirp
-    postmultiply, computed as scipy.signal.CZT(n, m, w, a) computes them."""
-    k = np.arange(max(m, n))
-    wk2 = w ** (k**2 / 2.0)
-    awk2 = a ** -k[:n] * wk2[:n]
-    nfft = scipy_fft.next_fast_len(n + m - 1)
-    fwk2 = scipy_fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
-
-    def transform(x: np.ndarray) -> np.ndarray:
-        y = scipy_fft.ifft(fwk2 * scipy_fft.fft(x * awk2, nfft))
-        return y[n - 1 : n + m - 1] * wk2[:m]
-
-    return transform
+SCAN_BLOCK = 32
 
 
 class _ScanOptics:
-    """The step-invariant optics of one scan; step(s) images the slits at s.
+    """The step-invariant optics of one scan; images(positions) images the
+    slits at each position, one batched transform per block of steps.
 
     No simulation grid is involved.  Cells of width h centred at u_j tile
     the aperture, so every aperture weight is 1.  The pupil U(u_j - s) is
@@ -377,10 +364,18 @@ class _ScanOptics:
     amplitude steps, read once, tabulated for the scan's positions; other s
     are evaluated directly.  Up to a unimodular factor the camera field is
     V(x) = h / sqrt(lambda L_C) sum_j U(u_j - s) lens(u_j) exp(i pi u_j^2 /
-    (lambda L_C) - 2 pi i x u_j / (lambda L_C)).  One chirp-z transform evaluates it at SUBSAMPLES points
-    per pixel plus one beyond each end of the detector, whose offset
-    -stage_ratio s is a linear phase on the cells.  A pixel sums |V|^2 over
-    its points with the Euler-Maclaurin end correction from its neighbours.
+    (lambda L_C) - 2 pi i x u_j / (lambda L_C)), evaluated at SUBSAMPLES
+    points per pixel plus one beyond each end of the detector by Bluestein's
+    chirp-z transform: a chirp premultiply, one FFT convolution and a chirp
+    postmultiply.  The detector's offset -stage_ratio s is the linear phase
+    exp(i c s u), c = 2 pi stage_ratio / (lambda L_C), on the cells, which
+    is exp(i c u^2 / 2) exp(-i c (u - s)^2 / 2) exp(i c s^2 / 2): the first
+    factor and the chirp premultiply are step-invariant and sit in weights,
+    the second rides with the pupil, and the third is one phase per step
+    that |V|^2 drops.  So a step is a row of pupil values times weights,
+    and SCAN_BLOCK rows share one FFT call; each row's bits do not depend
+    on the block.  A pixel sums |V|^2 over its points with the
+    Euler-Maclaurin end correction from its neighbours.
     """
 
     def __init__(self, source_field: SampledField, geom: Geometry, scan: ScanConfig,
@@ -391,18 +386,24 @@ class _ScanOptics:
         left = scan.aperture_left_edge()
         self.u = left + h * (np.arange(scan.width_elems() * per_step) + 0.5)
         steps = amplitude_steps(source_field)
-        self.pupil = partial(fresnel_field, steps, l_s, lam)
+        self.chirp = np.pi * scan.stage_ratio / (lam * l_c)  # c / 2
+        self.fresnel = partial(fresnel_field, steps, l_s, lam)
         # the pupil at u_j - s for s = s_start + q h, q = 0 .. last, starts at last - q
         self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
         self.table = self.pupil(self.u[0] - scan.s_start + h * np.arange(-self.last, self.u.size))
         sub = detector.pixel_pitch / SUBSAMPLES
-        self.weights = _lens_phase(self.u, geom) * np.exp(1j * np.pi * self.u**2 / (lam * l_c))
-        self.weights *= h * np.sqrt(sub / (lam * l_c))
-        self.tilt = 2 * np.pi * scan.stage_ratio / (lam * l_c) * self.u  # times s
         first = -detector.n_pixels * detector.pixel_pitch / 2 - sub / 2
         k = 2 * np.pi * h / (lam * l_c)
-        self.czt = _chirp_z(self.u.size, detector.n_pixels * SUBSAMPLES + 2,
-                            w=np.exp(-1j * k * sub), a=np.exp(1j * k * first))
+        n, self.m = self.u.size, detector.n_pixels * SUBSAMPLES + 2
+        w, a = np.exp(-1j * k * sub), np.exp(1j * k * first)
+        j = np.arange(max(self.m, n))
+        wk2 = w ** (j**2 / 2.0)
+        self.wk2 = wk2[: self.m]
+        self.nfft = scipy_fft.next_fast_len(n + self.m - 1)
+        self.fwk2 = scipy_fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[: self.m])), self.nfft)
+        self.weights = _lens_phase(self.u, geom)
+        self.weights *= np.exp(1j * (np.pi / (lam * l_c) + self.chirp) * self.u**2)
+        self.weights *= h * np.sqrt(sub / (lam * l_c)) * a ** -j[:n] * wk2[:n]
         # ray optics: the integrand's local frequency is affine in the lit
         # source point (between the outermost amplitude steps), the cell and
         # the detector point -stage_ratio s + xi
@@ -415,29 +416,59 @@ class _ScanOptics:
         self.freq_slope = (scan.stage_ratio / l_c - 1 / l_s) / lam
         self.gain = detector.gain
 
+    def pupil(self, v: np.ndarray) -> np.ndarray:
+        """The pupil at offsets v times the folded tilt factor exp(-i c v^2 / 2)."""
+        return self.fresnel(v) * np.exp(-1j * self.chirp * v**2)
+
+    def images(self, positions) -> np.ndarray:
+        """Noiseless pixel values at each slit position, one row each, for
+        unit exposure.  Every position is held to the sampling bound before
+        any is imaged; the first that fails raises, named as scan step k."""
+        positions = np.asarray(positions, dtype=float)
+        cycles = self.h * np.abs(self.freq + self.freq_slope * positions[:, np.newaxis]).max(axis=1)
+        if (cycles > MAX_CYCLES_PER_CELL).any():
+            k = int(np.argmax(cycles > MAX_CYCLES_PER_CELL))
+            raise ConfigurationError(
+                f"scan step {k} (s = {positions[k]:.4g} m): imaging sampling bound violated: "
+                f"{cycles[k]:.3g} cycles per aperture cell (at most {MAX_CYCLES_PER_CELL}); "
+                "the detector lies too far from the slit image"
+            )
+        q = (positions - self.s_start) / self.h
+        i = self.last - np.round(q)
+        tabulated = (np.abs(q - np.round(q)) < 1e-6) & (0 <= i) & (i <= self.last)
+        n, m = self.u.size, self.m
+        pixels = np.empty((positions.size, (m - 2) // SUBSAMPLES))
+        padded = np.empty((min(SCAN_BLOCK, positions.size), self.nfft), complex)
+        squares = np.empty((len(padded), m))
+        for start in range(0, positions.size, SCAN_BLOCK):
+            out = pixels[start : start + SCAN_BLOCK]
+            field = padded[: len(out)]
+            for row, k in zip(field, range(start, start + len(out))):
+                if tabulated[k]:
+                    pupil = self.table[int(i[k]) : int(i[k]) + n]
+                else:
+                    pupil = self.pupil(self.u - positions[k])
+                np.multiply(pupil, self.weights, out=row[:n])
+            field[:, n:] = 0
+            spectra = scipy_fft.fft(field, overwrite_x=True)
+            spectra *= self.fwk2
+            points = scipy_fft.ifft(spectra, overwrite_x=True)[:, n - 1 : n + m - 1]
+            points *= self.wk2
+            power = np.square(points.real, out=squares[: len(out)])
+            power += points.imag**2
+            out[...] = power[:, 1:-1:SUBSAMPLES]
+            for r in range(2, SUBSAMPLES + 1):  # left to right, as numpy sums a short row
+                out += power[:, r:-1:SUBSAMPLES]
+            # a pixel's midpoint sum misses d^2 (f'(b) - f'(a)) / 24; d f' at
+            # an edge is the difference of the two points around it
+            slope = power[:, 1::SUBSAMPLES] - power[:, 0:-1:SUBSAMPLES]
+            out += (slope[:, 1:] - slope[:, :-1]) / 24
+            np.maximum(out, 0.0, out=out)
+        return pixels
+
     def step(self, s: float) -> np.ndarray:
         """Noiseless pixel values at slit position s, for unit exposure."""
-        cycles = self.h * np.abs(self.freq + self.freq_slope * s).max()
-        if cycles > MAX_CYCLES_PER_CELL:
-            raise ConfigurationError(
-                f"imaging sampling bound violated: {cycles:.3g} cycles per aperture cell "
-                f"(at most {MAX_CYCLES_PER_CELL}); the detector lies too far from the slit image"
-            )
-        q = (s - self.s_start) / self.h
-        i = self.last - round(q)
-        if abs(q - round(q)) < 1e-6 and 0 <= i <= self.last:
-            pupil = self.table[i : i + self.u.size]
-        else:
-            pupil = self.pupil(self.u - s)
-        field = pupil * self.weights
-        field *= np.exp(1j * s * self.tilt)
-        points = self.czt(field)
-        power = points.real**2 + points.imag**2
-        pixels = power[1:-1].reshape(-1, SUBSAMPLES).sum(axis=1)
-        # a pixel's midpoint sum misses d^2 (f'(b) - f'(a)) / 24; d f' at an
-        # edge is the difference of the two points around it
-        pixels += np.diff(np.diff(power)[::SUBSAMPLES]) / 24
-        return np.maximum(pixels, 0.0, out=pixels)
+        return self.images([s])[0]
 
     def exposure(self) -> float:
         peak = self.step(0.0).max() * self.gain
@@ -466,12 +497,7 @@ def run_scan(
     if exposure is None:
         exposure = optics.exposure()
     positions = scan.s_start + np.arange(scan.n_steps) * scan.step
-    profiles = np.empty((scan.n_steps, detector.n_pixels))
-    for k, s in enumerate(positions):
-        try:
-            profiles[k] = optics.step(s)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"scan step {k} (s = {s:.4g} m): {exc}") from exc
+    profiles = optics.images(positions)
     profiles *= exposure
     if detector.noise_enabled:
         # K frames of Poisson(e) shot noise sum to Poisson(K e), and K readouts

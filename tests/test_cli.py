@@ -107,6 +107,21 @@ def test_rank_command(capsys):
     assert capsys.readouterr().err == "error: width_elems must be >= 1; got 0\n"
 
 
+def test_rank_takes_the_anchor_and_opening_of_the_configured_scans(tmp_path, capsys):
+    def rank(config, *extra):
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(path), "-w", "8", "--n-max", "40", *extra]) == 0
+        return capsys.readouterr().out.strip()
+
+    assert rank(_with("scans", anchor_elems=3)) == "8, 9, 16, 17, 24, 25, 32, 33, 40"
+    # at the default anchor of 20 no leftward dimension is full rank, and
+    # every rightward one is; an explicit --opening wins over the config
+    assert rank(_with("scans", opening="leftward")) == ""
+    everything = ", ".join(str(n) for n in range(8, 41))
+    assert rank(_with("scans", opening="leftward"), "--opening", "rightward") == everything
+
+
 def test_config_without_geometry_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1}')

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.signal import CZT
 import whichway as ww
 from whichway import instrument, pipeline
 from whichway.artifacts import write_csv
-from whichway.config import load_config
+from whichway.config import load_config, scan_tag
 from whichway.instrument import (
     AUTO_EXPOSURE_FRACTION,
     FULL_WELL,
@@ -211,30 +212,87 @@ def test_steps_off_the_scan_positions_evaluate_the_pupil_directly(quiet_cfg, sma
     assert np.allclose(direct, tabulated, rtol=1e-9, atol=1e-12 * tabulated.max())
 
 
+# The engine before the detector tilt and the chirps were folded into
+# per-scan weights: each step's cells times the pupil, the thin lens, the
+# L_C chirp and the detector-offset tilt exp(i s tilt), through
+# scipy.signal.CZT onto SUBSAMPLES points per pixel and one beyond each end.
+# Only the rounding differs from the engine, so rows must agree to
+# OLD_PATH_TOL of each step's peak.
+OLD_PATH_TOL = 1e-12
+
+
+def _old_path(source, geom, scan, det, positions):
+    """Noiseless unit-exposure pixel rows at positions, and the CZT used."""
+    lam, l_s, l_c = geom.wavelength, geom.dist_slits_lens, geom.dist_lens_detector
+    per_step = math.ceil(scan.step / instrument.SUPPORT_PITCH * (1 - 1e-12))
+    h = scan.step / per_step
+    u = scan.aperture_left_edge() + h * (np.arange(scan.width_elems() * per_step) + 0.5)
+    sub = det.pixel_pitch / instrument.SUBSAMPLES
+    weights = np.exp(-1j * np.pi * u**2 / (lam * geom.focal_length))
+    weights *= np.exp(1j * np.pi * u**2 / (lam * l_c)) * h * np.sqrt(sub / (lam * l_c))
+    tilt = 2 * np.pi * scan.stage_ratio / (lam * l_c) * u
+    first = -det.n_pixels * det.pixel_pitch / 2 - sub / 2
+    k = 2 * np.pi * h / (lam * l_c)
+    czt = CZT(u.size, det.n_pixels * instrument.SUBSAMPLES + 2,
+              w=np.exp(-1j * k * sub), a=np.exp(1j * k * first))
+    s = np.asarray(positions, dtype=float)[:, np.newaxis]
+    pupil = fresnel_field(amplitude_steps(source), l_s, lam, u - s)
+    points = czt(pupil * weights * np.exp(1j * s * tilt))
+    power = points.real**2 + points.imag**2
+    pixels = power[:, 1:-1].reshape(s.size, det.n_pixels, instrument.SUBSAMPLES).sum(axis=2)
+    pixels += np.diff(np.diff(power)[:, :: instrument.SUBSAMPLES]) / 24
+    return np.maximum(pixels, 0.0), czt
+
+
+class _OldPathOptics(instrument._ScanOptics):
+    """_ScanOptics whose images come from the old path."""
+
+    def __init__(self, source, geom, scan, det):
+        super().__init__(source, geom, scan, det)
+        self.setup = source, geom, scan, det
+
+    def images(self, positions):
+        return _old_path(*self.setup, positions)[0]
+
+
 @pytest.mark.parametrize("index, n, nfft", [(0, 1600, 5760), (1, 2000, 6125)])
-def test_chirp_z_matches_scipy_bit_for_bit(quiet_cfg, source, monkeypatch, index, n, nfft):
+def test_run_scan_matches_the_old_path(quiet_cfg, source, quiet_series, index, n, nfft):
     # every step of the default 4 and 5 mm scans, the exposure step included
-    scan = quiet_cfg.scans[index]
-    chirp_z, made, calls = instrument._chirp_z, [], []
+    geom, det = quiet_cfg.geometry, quiet_cfg.detector
+    series = quiet_series[index]
+    scan = series.config
+    old, czt = _old_path(source, geom, scan, det, [0.0, *series.records.slit_position])
+    optics = instrument._ScanOptics(source, geom, scan, det)
+    m = det.n_pixels * instrument.SUBSAMPLES + 2
+    assert (czt.n, czt.m, czt._nfft) == (optics.u.size, optics.m, optics.nfft) == (n, m, nfft)
+    assert scan.exposure * old[0].max() == pytest.approx(
+        AUTO_EXPOSURE_FRACTION * FULL_WELL, rel=OLD_PATH_TOL
+    )
+    rows = series.profiles / scan.exposure
+    error = np.abs(rows - old[1:]).max(axis=1) / old[1:].max(axis=1)
+    assert error.max() <= OLD_PATH_TOL, f"largest error {error.max():.3g} of a step's peak"
 
-    def checked(*args, **kwargs):
-        ours, theirs = chirp_z(*args, **kwargs), CZT(*args, **kwargs)
-        made.append(theirs)
 
-        def transform(x):
-            calls.append(x.size)
-            y = ours(x)
-            assert np.array_equal(y, theirs(x))
-            return y
+def test_seed_0_scan_csvs_equal_the_old_path_bytes(cli_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(instrument, "_ScanOptics", _OldPathOptics)
+    cfg = load_config(seed=0)
+    for scan, series in zip(cfg.scans, pipeline.run_all_scans(cfg)):
+        name = f"scan_{scan_tag(scan.aperture_width)}.csv"
+        series.to_csv(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (cli_run / name).read_bytes(), name
 
-        return transform
 
-    monkeypatch.setattr(instrument, "_chirp_z", checked)
-    ww.run_scan(source, quiet_cfg.geometry, scan, quiet_cfg.detector)
-    (czt,) = made
-    m = quiet_cfg.detector.n_pixels * instrument.SUBSAMPLES + 2
-    assert (czt.n, czt.m, czt._nfft) == (n, m, nfft)
-    assert calls == [n] * (scan.n_steps + 1)
+@pytest.mark.parametrize("block", [1, 7, instrument.SCAN_BLOCK, 301])
+def test_scan_rows_do_not_depend_on_the_block(quiet_cfg, small_source, monkeypatch, block):
+    geom, det = quiet_cfg.geometry, quiet_cfg.detector
+    n_steps = 2 * instrument.SCAN_BLOCK + 5  # not a multiple of any block but 1
+    scan = ww.ScanConfig(aperture_width=5e-3, n_steps=n_steps, s_start=-3e-3, exposure=1.0)
+    monkeypatch.setattr(instrument, "SCAN_BLOCK", block)
+    series = ww.run_scan(small_source, geom, scan, det)
+    monkeypatch.undo()
+    optics = instrument._ScanOptics(small_source, geom, scan, det)
+    single = [optics.step(s) for s in series.records.slit_position]
+    assert np.array_equal(series.profiles, single)
 
 
 def _expected_scan(quiet_profiles, scan, det):
@@ -300,19 +358,19 @@ def test_scan_step_leaving_the_grid_names_the_first_such_step(quiet_cfg, small_s
         aperture_width=4e-3, step=1e-3, n_steps=200, s_start=36e-3, exposure=1.0, stage_ratio=0.2
     )
     calls = []
-    step = instrument._ScanOptics.step
+    ifft = instrument.scipy_fft.ifft
 
-    def counted(self, s):
-        calls.append(s)
-        return step(self, s)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ifft(*args, **kwargs)
 
-    monkeypatch.setattr(instrument._ScanOptics, "step", counted)
+    monkeypatch.setattr(instrument.scipy_fft, "ifft", counted)
     with pytest.raises(
         ww.ConfigurationError, match=r"^scan step 3 \(s = 0\.039 m\): imaging sampling bound"
     ):
         ww.run_scan(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector)
-    # the scan stops at the failing step: steps 0-3 were evaluated, in order
-    assert calls == [scan.s_start + k * scan.step for k in range(4)]
+    # every position is checked before any is imaged: no step was imaged
+    assert calls == []
 
 
 def test_centroid_midline_off_the_detector_falls_back_to_the_center(quiet_cfg, small_source):
