@@ -8,6 +8,7 @@ pattern at offset -s_k, which is what the reconstruction module assumes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -15,7 +16,6 @@ from functools import partial
 
 import numpy as np
 from numpy.fft import fft, ifft
-from scipy import fft as scipy_fft
 
 from .artifacts import read_csv, write_csv
 from .errors import ConfigurationError, DataError, NumericalError
@@ -136,16 +136,19 @@ class ScanSeries:
     records is a numpy record array with one row per step and the fields
     step_index, slit_position, total_flux, left_signal and right_signal;
     profiles is the (n_steps, n_pixels) matrix whose row k holds the pixel
-    values of step k in detector-local coordinates.
+    values of step k in detector-local coordinates; midlines holds each
+    step's midline in pixel-index units, where its left and right signals
+    were split.
     """
 
     config: ScanConfig
     records: np.recarray
     profiles: np.ndarray
+    midlines: np.ndarray
 
     def __post_init__(self):
-        if not len(self.records) == len(self.profiles) == self.config.n_steps:
-            raise ConfigurationError("record and profile counts must equal n_steps")
+        if not len(self.records) == len(self.profiles) == len(self.midlines) == self.config.n_steps:
+            raise ConfigurationError("record, profile and midline counts must equal n_steps")
 
     def table(self) -> dict:
         """The scan as the column dict that load_scan_csv returns (views of records)."""
@@ -323,13 +326,12 @@ def _midlines(profiles: np.ndarray, mode: str) -> np.ndarray:
     n_steps, n = profiles.shape
     midlines = np.full(n_steps, (n - 1) / 2)
     if mode == "centroid":
-        idx = np.arange(n)
-        for k, row in enumerate(profiles):
-            total = row.sum()
-            if total > 0:
-                centroid = np.sum(idx * row) / total
-                if 0 <= centroid <= n - 1:
-                    midlines[k] = centroid
+        totals = profiles.sum(axis=1)
+        centroids = np.divide(
+            profiles @ np.arange(n, dtype=float), totals, out=np.full(n_steps, -1.0), where=totals > 0
+        )
+        on = (centroids >= 0) & (centroids <= n - 1)
+        midlines[on] = centroids[on]
     return midlines
 
 
@@ -352,6 +354,18 @@ SUPPORT_PITCH = 2.5e-6
 SUBSAMPLES = 4
 MAX_CYCLES_PER_CELL = 0.25
 SCAN_BLOCK = 32
+
+
+def _next_fast_len(n: int) -> int:
+    """The least length >= n whose only prime factors are 2, 3, 5, 7 and 11,
+    as scipy.fft.next_fast_len(n) for complex transforms."""
+    for m in itertools.count(max(n, 1)):
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
 
 
 class _ScanOptics:
@@ -399,8 +413,8 @@ class _ScanOptics:
         j = np.arange(max(self.m, n))
         wk2 = w ** (j**2 / 2.0)
         self.wk2 = wk2[: self.m]
-        self.nfft = scipy_fft.next_fast_len(n + self.m - 1)
-        self.fwk2 = scipy_fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[: self.m])), self.nfft)
+        self.nfft = _next_fast_len(n + self.m - 1)
+        self.fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[: self.m])), self.nfft)
         self.weights = _lens_phase(self.u, geom)
         self.weights *= np.exp(1j * (np.pi / (lam * l_c) + self.chirp) * self.u**2)
         self.weights *= h * np.sqrt(sub / (lam * l_c)) * a ** -j[:n] * wk2[:n]
@@ -450,9 +464,9 @@ class _ScanOptics:
                     pupil = self.pupil(self.u - positions[k])
                 np.multiply(pupil, self.weights, out=row[:n])
             field[:, n:] = 0
-            spectra = scipy_fft.fft(field, overwrite_x=True)
-            spectra *= self.fwk2
-            points = scipy_fft.ifft(spectra, overwrite_x=True)[:, n - 1 : n + m - 1]
+            fft(field, out=field)
+            field *= self.fwk2
+            points = ifft(field, out=field)[:, n - 1 : n + m - 1]
             points *= self.wk2
             power = np.square(points.real, out=squares[: len(out)])
             power += points.imag**2
@@ -520,7 +534,7 @@ def run_scan(
         [np.arange(scan.n_steps), positions, left + right, left, right],
         names="step_index,slit_position,total_flux,left_signal,right_signal",
     )
-    return ScanSeries(replace(scan, exposure=exposure), records, profiles)
+    return ScanSeries(replace(scan, exposure=exposure), records, profiles, midlines)
 
 
 def assignment_probability(
@@ -533,19 +547,18 @@ def assignment_probability(
     contamination = (guard-exceeding flux summed over steps) / (total
     flux), p = 1 - contamination, and D from metrics.distinguishability.
 
-    The midline follows the scan's configured placement: the fixed
-    detector center, or the per-step flux centroid, which tracks the
-    small residual image drift left by the stage ratio.
+    The midline is the one each step was split at (ScanSeries.midlines):
+    the fixed detector center, or the per-step flux centroid, which tracks
+    the small residual image drift left by the stage ratio.
     """
     if guard_px < 0:
         raise ConfigurationError("guard_px must be >= 0")
     profiles = series.profiles
-    idx = np.arange(profiles.shape[1])
-    wrong = total = 0.0
-    for row, midline in zip(profiles, _midlines(profiles, series.config.midline)):
-        wrong += float(row[np.abs(idx - midline) > guard_px].sum())
-        total += float(row.sum())
-    return _assignment(wrong, total)
+    beyond = np.abs(np.arange(profiles.shape[1]) - series.midlines[:, np.newaxis]) > guard_px
+    # one masked sum per row, then the rows in step order, as the scan
+    # sidecars add their total flux: a whole-matrix sum rounds differently
+    wrong = sum(np.sum(profiles, axis=1, where=beyond).tolist())
+    return _assignment(wrong, sum(profiles.sum(axis=1).tolist()))
 
 
 def pooled_assignment(pairs) -> tuple[float, float, float]:

@@ -2,9 +2,12 @@
 
 Source fields are sampled on uniform grids along the scan direction.  Their
 amplitude steps (amplitude_steps) propagate exactly to any positions by
-Fresnel integrals (fresnel_field); the transfer-function method on the grid
-(propagate_fresnel, same convention) is kept for the benchmark's probe.
-Analytic far-field formulas are provided as independent cross-checks.
+Fresnel integrals (fresnel_field), evaluated by this module's numpy
+fresnel: the power series at small arguments and the auxiliary functions f
+and g of Abramowitz & Stegun 7.3 above them.  The transfer-function method
+on the grid (propagate_fresnel, same convention) is kept for the
+benchmark's probe.  Analytic far-field formulas are provided as independent
+cross-checks.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
-from scipy.special import fresnel
 
 from .errors import ConfigurationError
 
@@ -245,6 +247,137 @@ def propagate_fresnel(
     return replace(field_in, amplitudes=ifft(spectrum))
 
 
+# Fresnel integrals S(t) and C(t), the integrals of sin and cos(pi u^2 / 2)
+# over [0, t].  Below |t| = 1.6 they are power series in t^4.  Above it
+# (Abramowitz & Stegun 7.3.9-10) C = 1/2 + f sin(pi t^2 / 2) - g cos(pi t^2 / 2)
+# and S = 1/2 - f cos(pi t^2 / 2) - g sin(pi t^2 / 2), with the auxiliary
+# functions held as p = pi t f and q = pi t g: a Chebyshev fit in 1/t up to
+# |t| = 6, their asymptotic series (A&S 7.3.27-28) from there on.  Every piece
+# is a polynomial evaluated in place, the sine and cosine too: on arrays of
+# a few thousand points numpy's sin and cos, fresh temporaries and
+# broadcasting cost more than the arithmetic.
+_FRESNEL_SERIES_BELOW = 1.6
+_FRESNEL_ASYMPTOTIC_FROM = 6.0
+# 1/t on the fitted interval is centre + half-width * y, -1 <= y <= 1
+_FRESNEL_INVERSE_T = (
+    0.5 / _FRESNEL_SERIES_BELOW + 0.5 / _FRESNEL_ASYMPTOTIC_FROM,
+    0.5 / _FRESNEL_SERIES_BELOW - 0.5 / _FRESNEL_ASYMPTOTIC_FROM,
+)
+
+
+def _polynomial(z: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Horner's rule at z, the constant term first in coefs."""
+    acc = z * coefs[-1]
+    acc += coefs[-2]
+    for c in coefs[-3::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _auxiliary_fit() -> np.ndarray:
+    """Power-series coefficients in y of p and q, one row each: their
+    Chebyshev interpolant at 20 first-kind nodes, whose monomial
+    coefficients stay below 1 on this interval.  At the nodes q + ip comes
+    from the continued fraction of Numerical Recipes' frenel, summed from its
+    100th term back, to a few ulp; a fit of t^3 g instead of q would scale
+    that by t^2."""
+    terms = 20
+    theta = np.pi * (np.arange(terms) + 0.5) / terms
+    t = 1 / (_FRESNEL_INVERSE_T[0] + _FRESNEL_INVERSE_T[1] * np.cos(theta))
+    b = -1j * np.pi * t * t
+    tail = np.zeros(terms, complex)
+    for k in range(100, 1, -1):
+        tail = -(2 * k - 3) * (2 * k - 2) / (4 * k - 3 + b + tail)
+    q_ip = np.pi * t * t / (1 + b + tail)
+    coefs = np.stack([q_ip.imag, q_ip.real]) @ np.cos(np.outer(theta, np.arange(terms)))
+    coefs *= 2 / terms
+    coefs[:, 0] /= 2
+    return np.stack([np.polynomial.chebyshev.cheb2poly(row) for row in coefs])
+
+
+def _alternating(magnitudes: np.ndarray) -> np.ndarray:
+    """The even- and odd-indexed magnitudes as two rows, each with signs
+    alternating from +."""
+    pairs = magnitudes.reshape(-1, 2) * (-1.0) ** np.arange(magnitudes.size // 2)[:, np.newaxis]
+    return pairs.T
+
+
+# C + iS = sum_k (i pi / 2)^k t^(2k+1) / (k! (2k + 1)): rows C / t and S / t^3
+# in t^4; 16 terms leave less than 3e-18 at |t| = 1.6
+_FRESNEL_SERIES = _alternating(
+    np.cumprod(np.concatenate(([1.0], np.pi / 2 / np.arange(1, 32)))) / np.arange(1, 65, 2)
+)
+# p ~ sum_m (-1)^m (4m - 1)!! v^2m and q / v ~ sum_m (-1)^m (4m + 1)!! v^2m,
+# v = 1 / (pi t^2); 9 terms leave less than 3e-17 of p and q at |t| = 6
+_FRESNEL_ASYMPTOTIC = _alternating(np.cumprod(np.concatenate(([1.0], np.arange(1.0, 35, 2)))))
+_FRESNEL_AUXILIARY = _auxiliary_fit()
+# cos(a) and sin(a) / a in a^2 for |a| <= pi / 2; 11 terms leave less than 2e-17
+_COS_SIN = _alternating(1 / np.cumprod(np.concatenate(([1.0], np.arange(1.0, 22)))))
+
+
+def fresnel(t) -> tuple[np.ndarray, np.ndarray]:
+    """The Fresnel integrals (S(t), C(t)) of an array, in the order and to
+    within about 1e-15 of scipy.special.fresnel; S and C are odd."""
+    t = np.asarray(t, dtype=float)
+    x = np.abs(t).ravel()
+    # the clip keeps f and g away from t = 0 and t^2 finite; a, v and z are
+    # reused as work buffers below
+    r = np.clip(x, _FRESNEL_SERIES_BELOW, 1e150)
+    a = r * r
+    v = np.multiply(a, np.pi)
+    np.reciprocal(v, out=v)
+    z = v * v
+    p = _polynomial(z, _FRESNEL_ASYMPTOTIC[0])
+    q = _polynomial(z, _FRESNEL_ASYMPTOTIC[1])
+    q *= v
+    fitted = np.flatnonzero((x >= _FRESNEL_SERIES_BELOW) & (x < _FRESNEL_ASYMPTOTIC_FROM))
+    if fitted.size:
+        y = np.reciprocal(r[fitted])
+        y -= _FRESNEL_INVERSE_T[0]
+        y /= _FRESNEL_INVERSE_T[1]
+        p[fitted] = _polynomial(y, _FRESNEL_AUXILIARY[0])
+        q[fitted] = _polynomial(y, _FRESNEL_AUXILIARY[1])
+    # t^2 / 2 = 2j + k + d exactly, with k in {-1, 0, 1} and |d| <= 1/2, so
+    # the sine and cosine of pi t^2 / 2 are (-1)^k those of pi d; (-1)^k
+    # joins 1 / (pi t), which turns p and q into f and g
+    a *= 0.5
+    np.multiply(a, 0.5, out=z)
+    np.rint(z, out=z)
+    z *= 2
+    a -= z
+    np.rint(a, out=z)
+    a -= z
+    np.abs(z, out=z)
+    z *= -2
+    z += 1
+    z /= r
+    z /= np.pi
+    p *= z
+    q *= z
+    a *= np.pi
+    np.multiply(a, a, out=v)
+    cos = _polynomial(v, _COS_SIN[0])
+    sin = _polynomial(v, _COS_SIN[1])
+    sin *= a
+    s = np.multiply(p, cos, out=a)
+    s += np.multiply(q, sin, out=v)
+    np.subtract(0.5, s, out=s)
+    p *= sin
+    q *= cos
+    c = np.subtract(p, q, out=p)
+    c += 0.5
+    near = np.flatnonzero(x < _FRESNEL_SERIES_BELOW)
+    if near.size:
+        xn = x[near]
+        z = xn * xn
+        z4 = z * z
+        c[near] = _polynomial(z4, _FRESNEL_SERIES[0]) * xn
+        s[near] = _polynomial(z4, _FRESNEL_SERIES[1]) * z * xn
+    sign = t.ravel()
+    return np.copysign(s, sign, out=s).reshape(t.shape), np.copysign(c, sign, out=c).reshape(t.shape)
+
+
 # fresnel_field costs one Fresnel integral per amplitude step and position;
 # a double slit has four steps
 MAX_AMPLITUDE_STEPS = 64
@@ -254,14 +387,22 @@ def amplitude_steps(field: SampledField) -> tuple[np.ndarray, np.ndarray]:
     """The field read as piecewise constant (and zero outside its grid), as
     (edges, jumps): the cell edges where it changes, ascending, and the left
     minus the right value at each."""
-    padded = np.concatenate(([0], field.amplitudes, [0]))
-    at = np.flatnonzero(np.diff(padded))  # between cells at - 1 and at
+    # neighbours are compared, not differenced on a zero-padded copy: at 2^18
+    # complex samples such a temporary is 4 MB, which the allocator maps
+    # afresh on each call at a page fault per 4 kB
+    a = field.amplitudes
+    changes = np.empty(a.size + 1, bool)
+    changes[[0, -1]] = a[[0, -1]] != 0
+    np.not_equal(a[1:], a[:-1], out=changes[1:-1])
+    at = np.flatnonzero(changes)  # between cells at - 1 and at
     if at.size > MAX_AMPLITUDE_STEPS:
         raise ConfigurationError(
             f"source field has {at.size} amplitude steps; Fresnel-integral "
             f"propagation takes piecewise-constant fields of at most {MAX_AMPLITUDE_STEPS}"
         )
-    return field.origin + (at - 0.5) * field.pitch, padded[at] - padded[at + 1]
+    left = np.where(at > 0, a[at - 1], 0)
+    right = np.where(at < a.size, a[np.minimum(at, a.size - 1)], 0)
+    return field.origin + (at - 0.5) * field.pitch, left - right
 
 
 def fresnel_field(steps: tuple, distance: float, wavelength: float, x) -> np.ndarray:

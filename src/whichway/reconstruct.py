@@ -25,7 +25,6 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import svd, svdvals
 
 from .errors import ConfigurationError, NumericalError
 
@@ -72,7 +71,7 @@ def build_aperture_matrix(
 
 def rank_of(matrix: np.ndarray, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:
     """Numerical rank via singular values with a relative threshold."""
-    s = svdvals(matrix)
+    s = np.linalg.svdvals(matrix)
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > cutoff * s[0]))
@@ -155,15 +154,10 @@ def _pseudo_inverse(matrices: list, cutoff: float) -> tuple[np.ndarray, int]:
         return hit
     if not all(np.isfinite(m).all() for m in matrices):
         raise NumericalError("aperture matrices hold non-finite entries")
-    # every process pays one miss per system: gesdd takes about twice a single
-    # gelsd solve, gesvd four to six times, with the same agreement with gelsd
-    u, s, vt = svd(
-        np.vstack(matrices, dtype=float),
-        full_matrices=False,
-        overwrite_a=True,
-        check_finite=False,
-        lapack_driver="gesdd",
-    )
+    # every process pays one miss per system: numpy's svd is LAPACK gesdd, which
+    # takes about twice a single gelsd solve (gesvd four to six times), with
+    # the same agreement with gelsd
+    u, s, vt = np.linalg.svd(np.vstack(matrices, dtype=float), full_matrices=False)
     rank = int(np.count_nonzero(s > cutoff * s[0])) if s.size else 0
     u = u[:, :rank]
     u /= s[:rank]

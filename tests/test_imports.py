@@ -1,5 +1,5 @@
 """No module in src/ or tests/ imports a name it never uses, and the package
-loads none of the heavy scipy submodules at import."""
+runs without scipy (the tests keep it as their oracle)."""
 import ast
 import json
 import os
@@ -38,7 +38,7 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def test_the_package_leaves_scipy_signal_stats_and_optimize_unloaded(tmp_path):
+def test_the_four_commands_load_no_scipy_module(tmp_path):
     # a short noiseless run of the four commands in one fresh process
     scans = [{"aperture_width_m": w, "n_steps": 101, "s_start_m": -5e-3} for w in (4e-3, 5e-3)]
     config = tmp_path / "short.json"
@@ -48,7 +48,7 @@ def test_the_package_leaves_scipy_signal_stats_and_optimize_unloaded(tmp_path):
         "from whichway.cli import main\n"
         "for cmd in ('fringes', 'scan', 'reconstruct', 'report'):\n"
         "    assert main([cmd, '--no-noise', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        "print(*[m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules])"
+        "print(*[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(

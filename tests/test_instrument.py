@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import CZT
 
 import whichway as ww
@@ -14,6 +15,7 @@ from whichway.instrument import (
     FULL_WELL,
     _bin_intensity,
     _midlines,
+    _next_fast_len,
 )
 from whichway.optics import GridSpec, amplitude_steps, fresnel_field
 from whichway.reconstruct import OPENINGS
@@ -358,13 +360,13 @@ def test_scan_step_leaving_the_grid_names_the_first_such_step(quiet_cfg, small_s
         aperture_width=4e-3, step=1e-3, n_steps=200, s_start=36e-3, exposure=1.0, stage_ratio=0.2
     )
     calls = []
-    ifft = instrument.scipy_fft.ifft
+    assert instrument.ifft is np.fft.ifft
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return ifft(*args, **kwargs)
+        return np.fft.ifft(*args, **kwargs)
 
-    monkeypatch.setattr(instrument.scipy_fft, "ifft", counted)
+    monkeypatch.setattr(instrument, "ifft", counted)
     with pytest.raises(
         ww.ConfigurationError, match=r"^scan step 3 \(s = 0\.039 m\): imaging sampling bound"
     ):
@@ -385,9 +387,65 @@ def test_centroid_midline_off_the_detector_falls_back_to_the_center(quiet_cfg, s
     off = (totals > 0) & ((centroids < 0) | (centroids > idx[-1]))
     on = (totals > 0) & ~off
     assert off.any() and on.any()
-    midlines = _midlines(series.profiles, "centroid")
+    midlines = series.midlines
+    assert np.array_equal(midlines, _midlines(series.profiles, "centroid"))
     assert np.all(midlines[off] == det.center_index)
     assert np.allclose(midlines[on], centroids[on], rtol=1e-12)
+
+
+def _midlines_row_by_row(profiles, mode):
+    """The midline rule one row at a time."""
+    n = profiles.shape[1]
+    midlines = np.full(len(profiles), (n - 1) / 2)
+    if mode == "centroid":
+        for k, row in enumerate(profiles):
+            total = row.sum()
+            if total > 0 and 0 <= (centroid := np.sum(np.arange(n) * row) / total) <= n - 1:
+                midlines[k] = centroid
+    return midlines
+
+
+def _contamination_row_by_row(profiles, midlines, guard_px):
+    idx = np.arange(profiles.shape[1])
+    wrong = total = 0.0
+    for row, midline in zip(profiles, midlines):
+        wrong += row[np.abs(idx - midline) > guard_px].sum()
+        total += row.sum()
+    return wrong / total
+
+
+def test_midlines_and_contamination_match_a_row_by_row_loop(quiet_cfg, quiet_series, small_source):
+    # the default noiseless scans, a noisy one, and a dim noisy one with
+    # centroids off the detector (the centre is their midline) whose
+    # contamination is above 1/2
+    def noisy(exposure):
+        scan = ww.ScanConfig(aperture_width=4e-3, n_steps=40, exposure=exposure, midline="centroid")
+        det = ww.DetectorConfig(noise_enabled=True, rng_seed=3)
+        return ww.run_scan(small_source, quiet_cfg.geometry, scan, det)
+
+    bright, dim = noisy(None), noisy(1e-9)
+    for series in (*quiet_series, bright, dim):
+        for mode in ("center", "centroid"):
+            expected = _midlines_row_by_row(series.profiles, mode)
+            assert np.allclose(_midlines(series.profiles, mode), expected, rtol=1e-12, atol=0)
+        assert np.array_equal(series.midlines, _midlines(series.profiles, series.config.midline))
+    for series in (*quiet_series, bright):
+        for guard_px in (20, 100):
+            expected = _contamination_row_by_row(series.profiles, series.midlines, guard_px)
+            got = ww.assignment_probability(series, guard_px)[0]
+            assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_scan_series_needs_a_midline_per_step(quiet_series):
+    series = quiet_series[0]
+    with pytest.raises(ww.ConfigurationError, match="midline counts"):
+        ww.ScanSeries(series.config, series.records, series.profiles, series.midlines[1:])
+
+
+def test_next_fast_len_matches_scipy():
+    assert [_next_fast_len(n) for n in range(1, 20_000)] == [
+        scipy.fft.next_fast_len(n) for n in range(1, 20_000)
+    ]
 
 
 def test_run_scan_resolves_the_exposure(quiet_series):
@@ -531,7 +589,7 @@ def _single_step_series(values, midline="center"):
         names="step_index,slit_position,total_flux,left_signal,right_signal",
     )
     cfg = ww.ScanConfig(aperture_width=4e-3, n_steps=1, midline=midline)
-    return ww.ScanSeries(cfg, records, values[np.newaxis])
+    return ww.ScanSeries(cfg, records, values[np.newaxis], _midlines(values[np.newaxis], midline))
 
 
 class TestAssignmentProbability:

@@ -1,15 +1,19 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import find_peaks
 
 import whichway as ww
 from whichway import pipeline
 from whichway.config import load_config
-from whichway.optics import GridSpec, amplitude_steps, check_wraparound, fresnel_field
+from whichway.optics import GridSpec, amplitude_steps, check_wraparound, fresnel, fresnel_field
 
 
 def _power(field):
@@ -136,6 +140,64 @@ def test_amplitude_steps_are_the_slit_edges(quiet_cfg, source):
     # left minus right value: a slit opens with a drop and closes with a rise
     left, right = 1 - tilt / 2, 1 + tilt / 2
     assert np.array_equal(jumps, [-left, left, -right, right])
+
+
+# the numpy Fresnel integrals against scipy.special.fresnel, absolute
+FRESNEL_TOL = 1e-14
+
+
+def _assert_fresnel_matches_scipy(t):
+    s, c = fresnel(t)
+    expected_s, expected_c = scipy.special.fresnel(t)
+    assert s.shape == c.shape == np.shape(t)
+    assert np.abs(s - expected_s).max() <= FRESNEL_TOL
+    assert np.abs(c - expected_c).max() <= FRESNEL_TOL
+
+
+def test_fresnel_matches_scipy_on_a_dense_grid():
+    # steps of 1e-4 across the series, the fit and the asymptotic pieces and
+    # the joins at |t| = 1.6 and 6, as a (n, 4) array like fresnel_field's
+    _assert_fresnel_matches_scipy(np.linspace(-100, 100, 2_000_001)[:-1].reshape(-1, 4))
+
+
+@given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_fresnel_matches_scipy_at_any_point(values):
+    _assert_fresnel_matches_scipy(np.array(values))
+
+
+def test_fresnel_is_odd_and_zero_at_zero():
+    t = np.linspace(0, 100, 100_001)
+    s, c = fresnel(t)
+    s_neg, c_neg = fresnel(-t)
+    assert np.array_equal(s_neg, -s) and np.array_equal(c_neg, -c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fresnel(0.0) == (0.0, 0.0)
+        assert fresnel(np.zeros(3))[0].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_fresnel_tends_to_one_half():
+    # C and S approach 1/2 within 1/(pi t)
+    t = np.array([1e3, 3.7e4, 1e6, 1e10, 1e100, np.inf])
+    for values in (*fresnel(t), *(-v for v in fresnel(-t))):
+        assert np.all(np.abs(values - 0.5) <= 1 / (np.pi * t))
+
+
+def test_amplitude_steps_match_the_differences_of_the_zero_padded_field():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 40, 1000):
+        for _ in range(20):
+            # runs of a few levels, so cells repeat their neighbours
+            levels = rng.choice(np.array([0, 0, 1, 2.5, -1 + 0.5j]), size=n)
+            field = ww.SampledField(-0.3, 0.01, np.repeat(levels, rng.integers(1, 9, n))[:n])
+            padded = np.concatenate(([0], field.amplitudes, [0]))
+            at = np.flatnonzero(np.diff(padded))
+            if at.size > ww.optics.MAX_AMPLITUDE_STEPS:
+                continue
+            edges, jumps = amplitude_steps(field)
+            assert np.array_equal(edges, field.origin + (at - 0.5) * field.pitch)
+            assert np.array_equal(jumps, padded[at] - padded[at + 1])
 
 
 def test_fresnel_field_matches_quadrature_of_the_kernel():
