@@ -327,9 +327,10 @@ def _midlines(profiles: np.ndarray, mode: str) -> np.ndarray:
     midlines = np.full(n_steps, (n - 1) / 2)
     if mode == "centroid":
         totals = profiles.sum(axis=1)
-        centroids = np.divide(
-            profiles @ np.arange(n, dtype=float), totals, out=np.full(n_steps, -1.0), where=totals > 0
-        )
+        # einsum, not @: a matvec this size wakes OpenBLAS's thread pool,
+        # whose idle worker then spins on a core that another scan could use
+        moments = np.einsum("ij,j->i", profiles, np.arange(n, dtype=float))
+        centroids = np.divide(moments, totals, out=np.full(n_steps, -1.0), where=totals > 0)
         on = (centroids >= 0) & (centroids <= n - 1)
         midlines[on] = centroids[on]
     return midlines
@@ -349,11 +350,12 @@ def auto_exposure(
 # divide the scan step, and each pixel gets SUBSAMPLES image points.  The
 # sampling guard allows the integrand MAX_CYCLES_PER_CELL cycles per cell.
 # Steps are imaged SCAN_BLOCK at a time, in buffers that every block reuses
-# (about 3 MB for the zero-padded complex field).
+# (under 1 MB for the zero-padded complex field), and their noise is drawn
+# SCAN_BLOCK rows at a time: small enough for concurrent scans to fit.
 SUPPORT_PITCH = 2.5e-6
 SUBSAMPLES = 4
 MAX_CYCLES_PER_CELL = 0.25
-SCAN_BLOCK = 32
+SCAN_BLOCK = 8
 
 
 def _next_fast_len(n: int) -> int:
@@ -503,8 +505,11 @@ def run_scan(
     masked by the fixed aperture stop and imaged onto the camera pixels
     riding the counter-moving stage (see _ScanOptics).  A forward pass
     images every step without noise; a detector pass then applies the
-    exposure and, with noise on, the mean of frames_per_step frames for the
-    whole scan, drawn from one stream seeded by (seed, width_elems).
+    exposure and, with noise on, the mean of frames_per_step frames, drawn
+    from one stream seeded by (seed, width_elems): first the shot noise of
+    every pixel in step order, then their readout noise, SCAN_BLOCK rows at
+    a time.  The scan shares no state with other scans, so
+    pipeline.run_all_scans runs several at once.
     """
     optics = _ScanOptics(source_field, geom, scan, detector)
     exposure = scan.exposure
@@ -515,18 +520,24 @@ def run_scan(
     profiles *= exposure
     if detector.noise_enabled:
         # K frames of Poisson(e) shot noise sum to Poisson(K e), and K readouts
-        # of rms sigma to N(0, K sigma^2): one draw of each gives the K-frame sum
+        # of rms sigma to N(0, K sigma^2): one draw of each gives the K-frame sum.
+        # Drawn in row chunks, each pass takes the same values from the stream
+        # as one whole-matrix draw, without its int64 and float temporaries
         frames = scan.frames_per_step
         rng = np.random.default_rng((detector.rng_seed, scan.width_elems()))
+        chunks = [profiles[k : k + SCAN_BLOCK] for k in range(0, scan.n_steps, SCAN_BLOCK)]
         try:
+            sigma = detector.readout_noise * math.sqrt(frames)
             profiles *= frames * detector.gain
-            profiles[...] = rng.poisson(profiles)
+            for chunk in chunks:
+                chunk[...] = rng.poisson(chunk)
         except (OverflowError, ValueError) as exc:  # K past the float range; "lam value too large"
             raise ConfigurationError(
                 f"scan a{scan.aperture_width * 1e3:g}mm: exposure_s {exposure:g}, gain_e_per_unit"
                 f" {detector.gain:g} and frames_per_step {frames} give too many electrons ({exc})"
             ) from exc
-        profiles += rng.normal(0.0, detector.readout_noise * math.sqrt(frames), profiles.shape)
+        for chunk in chunks:
+            chunk += rng.normal(0.0, sigma, chunk.shape)
         profiles /= frames * detector.gain
     midlines = _midlines(profiles, scan.midline)
     left, right = np.array([split_signals(row, m) for row, m in zip(profiles, midlines)]).T

@@ -416,7 +416,9 @@ def fresnel_field(steps: tuple, distance: float, wavelength: float, x) -> np.nda
     edges, jumps = steps
     t = np.sqrt(2.0 / (wavelength * distance)) * (edges - np.asarray(x, dtype=float)[..., np.newaxis])
     s, c = fresnel(t)
-    return (c + 1j * s) @ jumps * (np.exp(-0.25j * np.pi) / np.sqrt(2.0))
+    # einsum, not @: a product this size wakes OpenBLAS's thread pool, whose
+    # idle worker then spins on a core that another scan could use
+    return np.einsum("...j,j->...", c + 1j * s, jumps) * (np.exp(-0.25j * np.pi) / np.sqrt(2.0))
 
 
 def fresnel_number(geom: Geometry, screen_distance: float) -> float:

@@ -1,6 +1,9 @@
 """End-to-end glue: source -> pupil -> scans -> reconstruction -> report."""
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .config import RunConfig
@@ -60,9 +63,48 @@ def pupil_truth(
     return _binned_power(source, geom.dist_slits_lens, geom.wavelength, positions, step)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
+    """Every configured scan (run_scan), in config order.
+
+    The scans share only the source, which none of them writes, and each
+    draws its own noise stream, so they run on up to one thread per CPU
+    the process may use, the calling thread included; numpy's FFTs and
+    array loops release the GIL.  Each thread stops at its first failure,
+    and once every thread has ended the first scan in config order that
+    failed raises its error here.
+    """
     source = make_source(cfg)
-    return [run_scan(source, cfg.geometry, scan, cfg.detector) for scan in cfg.scans]
+    scans = cfg.scans
+    workers = min(len(scans), _usable_cpus())
+    outcomes: list = [None] * len(scans)
+
+    def work(first: int) -> None:
+        for i in range(first, len(scans), workers):
+            try:
+                outcomes[i] = run_scan(source, cfg.geometry, scans[i], cfg.detector)
+            except Exception as exc:
+                outcomes[i] = exc
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def reconstruct_series(

@@ -1,18 +1,28 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from whichway import pipeline
 from whichway.artifacts import read_csv
 from whichway.cli import build_parser, main
 from whichway.config import load_config
+from whichway.errors import ConfigurationError
+from whichway.instrument import run_scan
 from whichway.metrics import distinguishability
 from whichway.optics import amplitude_steps, fresnel_field
 from whichway.pipeline import run_all_scans
 
+ROOT = Path(__file__).resolve().parent.parent
 EXPECTED_ARTIFACTS = [
     "fringes.csv",
     "fringes_plot.py",
@@ -444,6 +454,88 @@ def test_too_many_electrons_for_the_noise_model_exit_2(tmp_path, capsys, key, va
     for name in ("exposure_s", "gain_e_per_unit", "frames_per_step"):
         assert name in err, err
     assert not list(out.glob("scan_*.csv"))
+
+
+def _scan_config(tmp_path, *stage_ratios):
+    """Short scans at 4, 5, ... mm; a stage ratio of 0.2 fails the sampling
+    bound at step 3 (see test_scan_step_leaving_the_grid_names_the_first_such_step)."""
+    scans = [
+        {"aperture_width_m": (4 + i) * 1e-3, "step_m": 1e-3, "n_steps": 10, "s_start_m": 36e-3,
+         "exposure_s": 1.0, "stage_ratio": ratio}
+        for i, ratio in enumerate(stage_ratios)
+    ]
+    path = tmp_path / "scans.json"
+    path.write_text(json.dumps({"geometry": {}, "scans": scans}))
+    return path
+
+
+def _scan_error(path, out, capsys, monkeypatch):
+    """The one stderr line of a failing `whichway scan`, checked."""
+    baseline, uncaught = threading.active_count(), []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)  # would print a traceback
+    assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
+    assert threading.active_count() == baseline
+    assert uncaught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan step ") and err.count("\n") == 1, err
+    assert not list(out.glob("scan_*.csv"))
+    return err
+
+
+def test_a_failing_second_scan_exits_2_as_on_one_cpu(tmp_path, capsys, monkeypatch):
+    path = _scan_config(tmp_path, 1.07, 0.2)
+    threaded = _scan_error(path, tmp_path / "threads", capsys, monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _scan_error(path, tmp_path / "serial", capsys, monkeypatch) == threaded
+
+
+def test_the_first_failing_scan_in_config_order_wins(tmp_path, capsys, monkeypatch):
+    # both scans fail, with messages that tell them apart; the first scan
+    # fails last, so config order, not timing, picks the error
+    path = _scan_config(tmp_path, 0.2, 0.25)
+    cfg = load_config(str(path))
+    messages = []
+    for scan in cfg.scans:
+        with pytest.raises(ConfigurationError) as info:
+            run_scan(pipeline.make_source(cfg), cfg.geometry, scan, cfg.detector)
+        messages.append(f"error: {info.value}\n")
+    assert messages[0] != messages[1]
+
+    def first_fails_last(source, geom, scan, det):
+        if scan == cfg.scans[0]:
+            time.sleep(0.2)
+        return run_scan(source, geom, scan, det)
+
+    monkeypatch.setattr(pipeline, "run_scan", first_fails_last)
+    assert _scan_error(path, tmp_path / "o", capsys, monkeypatch) == messages[0]
+
+
+@pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_the_scan_stage_leaves_the_blas_pool_idle(tmp_path):
+    # an OpenBLAS call above its threading threshold wakes the pool, whose
+    # idle worker then spins on the second CPU: a one-scan stage that made
+    # such calls used 1.6-2.0 CPU seconds a wall second, one without uses 1
+    config = tmp_path / "one.json"
+    config.write_text(json.dumps({"geometry": {}, "scans": [{"aperture_width_m": 4e-3}]}))
+    code = (
+        "import resource, sys, time\n"
+        "from whichway.cli import main\n"
+        "def cpu():\n"
+        "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "    return usage.ru_utime + usage.ru_stime\n"
+        "cpu0, wall0 = cpu(), time.perf_counter()\n"
+        "assert main(['scan', '--no-noise', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print((cpu() - cpu0) / (time.perf_counter() - wall0))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert float(run.stdout.splitlines()[-1]) < 1.4
 
 
 def test_scan_records_do_not_depend_on_the_grid_span(tmp_path):

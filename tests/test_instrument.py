@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -579,6 +581,51 @@ def test_the_scans_of_a_run_draw_independent_noise():
     four, five = (series.profiles for series in pipeline.run_all_scans(cfg))
     assert not any(np.array_equal(a, b) for a, b in zip(four, five))
     assert abs(np.corrcoef(four.ravel(), five.ravel())[0, 1]) < 0.01
+
+
+def test_noise_drawn_in_row_chunks_equals_a_whole_matrix_draw(quiet_cfg, small_source):
+    # two whole chunks and a short one; _expected_scan draws every shot-noise
+    # value, then every readout value, in one call each
+    geom = quiet_cfg.geometry
+    scan = ww.ScanConfig(aperture_width=4e-3, n_steps=2 * instrument.SCAN_BLOCK + 5, s_start=-3e-3)
+    quiet = ww.run_scan(small_source, geom, scan, ww.DetectorConfig())
+    det = ww.DetectorConfig(noise_enabled=True, rng_seed=7)
+    series = ww.run_scan(small_source, geom, scan, det)
+    expected = _expected_scan(quiet.profiles, quiet.config, det)
+    _assert_scan_equals_expected(series, quiet.config.exposure, *expected)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 8], ids=["every-cpu", "one-cpu", "a-thread-per-scan"])
+@pytest.mark.parametrize("noise", [False, True], ids=["noiseless", "noisy"])
+def test_run_all_scans_equals_run_scan_per_scan_in_order(monkeypatch, noise, cpus):
+    # three scans, so that with two threads one of them runs two; eight
+    # CPUs give each scan its own thread, whatever the cores
+    cfg = load_config(seed=3, no_noise=not noise)
+    scans = tuple(
+        replace(cfg.scans[0], aperture_width=w, n_steps=41, s_start=-2e-3) for w in (3e-3, 4e-3, 5e-3)
+    )
+    cfg = replace(cfg, scans=scans)
+    source = pipeline.make_source(cfg)
+    expected = [ww.run_scan(source, cfg.geometry, scan, cfg.detector) for scan in scans]
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    threads = []
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return ww.run_scan(*args)
+
+    monkeypatch.setattr(pipeline, "run_scan", recorded)
+    got = pipeline.run_all_scans(cfg)
+    # the calling thread takes a share, and each usable CPU runs one thread
+    assert threading.get_ident() in threads
+    assert len(set(threads)) == min(len(scans), len(os.sched_getaffinity(0)))
+    assert len(got) == len(expected)
+    for series, reference in zip(got, expected):
+        assert series.config == reference.config  # the resolved exposure included
+        assert series.records.tobytes() == reference.records.tobytes()
+        assert series.profiles.tobytes() == reference.profiles.tobytes()
+        assert series.midlines.tobytes() == reference.midlines.tobytes()
 
 
 def _single_step_series(values, midline="center"):
