@@ -9,17 +9,16 @@ Every row is the indicator of a clipped interval of columns, (lo, hi] in
 1-based columns.  In the prefix basis f_k = x_1 + ... + x_k (f_0 = 0) the
 row reads f_hi - f_lo, an edge between vertices lo and hi of a graph on
 0..n.  The rows span the n prefix coordinates exactly when every vertex is
-joined to the grounded vertex 0, so full rank is a connectivity question
-(full_rank_dims) and needs no singular values.
+joined to the grounded vertex 0, so full rank is a connectivity question,
+and for these bands it has a closed-form answer (full_rank_dims).
 
 solve_stacked factors each distinct stacked system once per process: the
-SVD's rank-truncated pseudo-inverse is kept, keyed by the matrices' bytes,
-so repeated solves through the same apertures cost one matrix-vector
-product each.
+SVD's rank-truncated pseudo-inverse is kept with a copy of the system it
+came from, and a later call whose matrices compare equal to that copy costs
+one matrix-vector product.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -92,8 +91,16 @@ def full_rank_dims(
     The change of basis is invertible, and the edges (lo, hi) of a graph on
     the vertices 0..n span (n + 1) - (number of components) dimensions of
     the prefix coordinates once f_0 is pinned.  So the matrix has rank n
-    exactly when the graph is connected, which a union-find decides in
-    O(n) per dimension.
+    exactly when the graph is connected.
+
+    With w = width_elems and L = left, that graph is connected exactly when
+    L >= 1 and (L is 1 or w, or n mod w is 0 or 1).  For L = 0 no row
+    touches vertex 0.  For L >= 1 the unclipped rows join v to v + w, so
+    each residue class mod w is one chain.  The rows clipped at the left
+    form a star at vertex 0 over the L residues -(L - 1)..0; those clipped
+    at the right form a star at vertex n over the w - L + 1 residues from
+    n mod w on.  The graph is connected exactly when the two arcs cover
+    Z_w, and they overlap whenever they do, since their lengths sum to w + 1.
     """
     if width_elems < 1:
         raise ConfigurationError(f"width_elems must be >= 1; got {width_elems}")
@@ -102,34 +109,17 @@ def full_rank_dims(
     if anchor < 0:
         raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
     left = band_left_elems(width_elems, opening, anchor)
-    return [
-        n for n in range(width_elems, n_max + 1) if _intervals_connected(n, width_elems, left)
-    ]
+    if left == 0:
+        return []
+    if left in (1, width_elems):
+        return list(range(width_elems, n_max + 1))
+    return [n for n in range(width_elems, n_max + 1) if n % width_elems <= 1]
 
 
-def _intervals_connected(n: int, width_elems: int, left: int) -> bool:
-    """Whether the rows' interval edges (lo, hi) join every vertex 0..n."""
-    parent = list(range(n + 1))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]  # path halving
-            v = parent[v]
-        return v
-
-    components = n + 1
-    for i in range(1, n + 1):
-        lo = root(max(i - left, 0))
-        hi = root(min(i - left + width_elems, n))
-        if lo != hi:
-            parent[lo] = hi
-            components -= 1
-    return components == 1
-
-
-# (digest of the matrices, cutoff) -> (pseudo-inverse, effective rank), oldest
-# first; one run solves through one stacked system, so two entries suffice
-_FACTORS: dict[tuple[str, float], tuple[np.ndarray, int]] = {}
+# (shapes of the matrices, cutoff) -> (the stacked system, its pseudo-inverse,
+# effective rank), oldest first; one run solves through one stacked system,
+# so two entries suffice
+_FACTORS: dict[tuple, tuple[np.ndarray, np.ndarray, int]] = {}
 _FACTORS_MAX = 2
 _FACTORS_LOCK = threading.Lock()
 
@@ -137,33 +127,37 @@ _FACTORS_LOCK = threading.Lock()
 def _pseudo_inverse(matrices: list, cutoff: float) -> tuple[np.ndarray, int]:
     """Rank-truncated pseudo-inverse of the stacked matrices and its rank.
 
-    Keyed by a sha256 of every matrix's shape and float64 bytes, so a
-    matrix edited in place is factored again; no copy of the matrices is
-    kept.  A miss rejects non-finite entries before the SVD, so a bad
-    matrix is never cached.
+    A hit needs every matrix equal, entry by entry, to its rows of the
+    cached system, so a matrix edited in place is factored again.  The
+    cached copy is bool when every entry is 0 or 1, as in every matrix
+    build_aperture_matrix makes, and float64 otherwise.  A miss rejects
+    non-finite entries before the SVD, so a bad matrix is never cached.
     """
-    digest = hashlib.sha256()
-    for m in matrices:
-        m = np.ascontiguousarray(m, dtype=float)
-        digest.update(repr(m.shape).encode())
-        digest.update(m.data)
-    key = (digest.hexdigest(), cutoff)
+    key = (tuple(m.shape for m in matrices), cutoff)
     with _FACTORS_LOCK:
         hit = _FACTORS.get(key)
     if hit is not None:
-        return hit
+        system, pinv, rank = hit
+        rows = np.split(system, np.cumsum([len(m) for m in matrices[:-1]]))
+        if all(np.array_equal(m, r) for m, r in zip(matrices, rows)):
+            return pinv, rank
     if not all(np.isfinite(m).all() for m in matrices):
         raise NumericalError("aperture matrices hold non-finite entries")
+    system = np.vstack(matrices, dtype=float)
     # every process pays one miss per system: numpy's svd is LAPACK gesdd, which
     # takes about twice a single gelsd solve (gesvd four to six times), with
     # the same agreement with gelsd
-    u, s, vt = np.linalg.svd(np.vstack(matrices, dtype=float), full_matrices=False)
+    u, s, vt = np.linalg.svd(system, full_matrices=False)
+    packed = system.astype(bool)
+    if np.array_equal(packed, system):
+        system = packed  # frees the float64 stack before the product below
     rank = int(np.count_nonzero(s > cutoff * s[0])) if s.size else 0
     u = u[:, :rank]
     u /= s[:rank]
     pinv = vt[:rank].T @ u.T
     with _FACTORS_LOCK:
-        _FACTORS[key] = (pinv, rank)
+        _FACTORS.pop(key, None)
+        _FACTORS[key] = (system, pinv, rank)
         while len(_FACTORS) > _FACTORS_MAX:
             del _FACTORS[next(iter(_FACTORS))]
     return pinv, rank

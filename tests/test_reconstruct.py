@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,26 @@ import whichway as ww
 def _row_columns(matrix, i):
     """1-based columns holding a 1 in 1-based row i of the matrix."""
     return list(np.flatnonzero(matrix[i - 1]) + 1)
+
+
+def _intervals_connected(n, width_elems, left):
+    """Reference union-find: whether the rows' interval edges (lo, hi) join 0..n."""
+    parent = list(range(n + 1))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    components = n + 1
+    for i in range(1, n + 1):
+        lo = root(max(i - left, 0))
+        hi = root(min(i - left + width_elems, n))
+        if lo != hi:
+            parent[lo] = hi
+            components -= 1
+    return components == 1
 
 
 # (n, width_elems, opening, anchor, band_left, band_right): 1-based row i of
@@ -98,6 +121,37 @@ class TestRank:
                     ]
                     dims = ww.full_rank_dims(width, n_max, opening, anchor)
                     assert dims == expected, (width, opening, anchor)
+
+    def test_full_rank_dims_reaches_every_branch_of_the_closed_form(self):
+        # anchors 0, 1, 2, w - 1, w, w + 3 give band offsets L = 0, L = 1,
+        # L = w and 1 < L < w across the openings; rank_of is the oracle
+        n_max = 64
+        for width in range(1, 17):
+            lefts, expected_by_left = set(), {}
+            for opening in ww.reconstruct.OPENINGS:
+                for anchor in (0, 1, 2, width - 1, width, width + 3):
+                    left = ww.reconstruct.band_left_elems(width, opening, anchor)
+                    lefts.add(left)
+                    if left not in expected_by_left:
+                        expected_by_left[left] = [
+                            n
+                            for n in range(width, n_max + 1)
+                            if ww.rank_of(ww.build_aperture_matrix(n, width, opening, anchor)) == n
+                        ]
+                    dims = ww.full_rank_dims(width, n_max, opening, anchor)
+                    assert dims == expected_by_left[left], (width, opening, anchor)
+            assert {0, 1, width} <= lefts
+
+    def test_full_rank_dims_matches_the_union_find(self):
+        # every width up to 60 at n <= 400; the band offset L (the rightward
+        # anchor) cycles through the branches 0, 1, w, 2, w // 2 and w - 1
+        n_max = 400
+        for width in range(1, 61):
+            left = min((0, 1, width, 2, width // 2, width - 1)[width % 6], width)
+            expected = [
+                n for n in range(width, n_max + 1) if _intervals_connected(n, width, left)
+            ]
+            assert ww.full_rank_dims(width, n_max, "rightward", left) == expected, (width, left)
 
     def test_full_rank_dims_validation(self):
         with pytest.raises(ww.ConfigurationError, match="n_max"):
@@ -242,6 +296,86 @@ class TestSolveStacked:
             mats = [ww.build_aperture_matrix(50, w), ww.build_aperture_matrix(50, w + 1)]
             ww.solve_stacked(mats, [np.ones(50), np.ones(50)])
         assert len(ww.reconstruct._FACTORS) <= 2
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        """An empty factor cache and a list that grows by one per SVD taken."""
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(ww.reconstruct, "_FACTORS", {})
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        return calls
+
+    def test_one_system_is_factored_once(self, monkeypatch):
+        calls = self._count_factorizations(monkeypatch)
+        mats = [ww.build_aperture_matrix(301, w) for w in (40, 50)]
+        for seed in range(10):
+            fluxes = _noisy_fluxes(mats, seed)
+            _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
+        assert len(calls) == 1
+
+    def test_same_shape_systems_with_different_entries_each_miss(self, monkeypatch):
+        calls = self._count_factorizations(monkeypatch)
+        for count, opening in enumerate(("rightward", "centered"), start=1):
+            mats = [ww.build_aperture_matrix(301, w, opening) for w in (40, 50)]
+            fluxes = _noisy_fluxes(mats, 4)
+            _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
+            assert len(calls) == count
+        ww.solve_stacked(mats, fluxes)
+        assert len(calls) == 2
+
+    def test_a_system_with_entries_other_than_0_and_1_is_cached_exactly(self, monkeypatch):
+        calls = self._count_factorizations(monkeypatch)
+        halves = [0.5 * ww.build_aperture_matrix(120, w) for w in (8, 11)]
+        fluxes = _noisy_fluxes(halves, 6)
+        for _ in range(2):
+            _assert_matches_gelsd(ww.solve_stacked(halves, fluxes), halves, fluxes)
+        assert len(calls) == 1
+        ones = [2 * m for m in halves]
+        _assert_matches_gelsd(ww.solve_stacked(ones, fluxes), ones, fluxes)
+        assert len(calls) == 2
+
+    def test_threads_alternating_same_shape_systems_get_their_own_factors(self):
+        systems = [
+            [ww.build_aperture_matrix(60, w, opening) for w in (7, 9)]
+            for opening in ("rightward", "centered")
+        ]
+        fluxes = _noisy_fluxes(systems[0], 7)
+        expected = [ww.solve_stacked(mats, fluxes).p_hat for mats in systems]
+        scale = np.max(np.abs(expected[0]))
+        assert not np.allclose(expected[0], expected[1], rtol=0, atol=1e-3 * scale)
+        wrong = []
+
+        def worker(first):
+            for k in range(16):
+                j = (first + k) % 2
+                got = ww.solve_stacked(systems[j], fluxes).p_hat
+                if not np.allclose(got, expected[j], rtol=0, atol=1e-9 * scale):
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("dtype", [int, bool])
+    def test_an_equal_matrix_of_another_dtype_hits(self, monkeypatch, dtype):
+        calls = self._count_factorizations(monkeypatch)
+        mats = [ww.build_aperture_matrix(120, w) for w in (8, 11)]
+        fluxes = _noisy_fluxes(mats, 5)
+        first = ww.solve_stacked(mats, fluxes)
+        again = ww.solve_stacked([m.astype(dtype) for m in mats], fluxes)
+        assert len(calls) == 1
+        assert np.array_equal(first.p_hat, again.p_hat)
+        assert first.residual_norm == again.residual_norm
+        assert first.effective_rank == again.effective_rank
 
 
 class TestGaussianSmooth:
