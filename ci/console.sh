@@ -1,0 +1,21 @@
+#!/usr/bin/env bash
+# Checks of the installed `whichway` console script: the rank command's
+# closed-form rule on known cases, then the four commands end to end.
+#
+#     bash ci/console.sh
+set -euo pipefail
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+test "$(whichway rank -w 40 --n-max 121)" = "40, 41, 80, 81, 120, 121"
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 3}]}' > "$tmp/anchor3.json"
+test "$(whichway rank --config "$tmp/anchor3.json" -w 8 --n-max 40)" = "8, 9, 16, 17, 24, 25, 32, 33, 40"
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 1}]}' > "$tmp/anchor1.json"
+test "$(whichway rank --config "$tmp/anchor1.json" -w 8 --n-max 12)" = "8, 9, 10, 11, 12"
+test "$(whichway rank -w 40 --n-max 1000000 | tr ',' '\n' | wc -l)" = "49999"
+whichway fringes --out "$tmp/run" --seed 0 --no-noise
+whichway scan --out "$tmp/run" --seed 0 --no-noise
+whichway reconstruct --out "$tmp/run" --seed 0 --no-noise
+whichway report --out "$tmp/run" --seed 0 --no-noise
+test -s "$tmp/run/summary.txt"

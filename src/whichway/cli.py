@@ -18,6 +18,7 @@ from .instrument import (
     load_scan_csv,
     pooled_assignment,
     uniform_step,
+    width_in_steps,
 )
 from .metrics import distinguishability, duality_check, match_profiles, visibility
 from .optics import IntensityProfile
@@ -67,12 +68,6 @@ def _read_profile(path: Path, header, to_m: float) -> IntensityProfile:
     return IntensityProfile(float(x[0] * to_m), step * to_m, np.clip(values, 0.0, None))
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _update_manifest(cfg: RunConfig, out: Path, stage: str, files, seconds: float):
     path = out / "run_manifest.json"
     try:
@@ -84,7 +79,7 @@ def _update_manifest(cfg: RunConfig, out: Path, stage: str, files, seconds: floa
     stages = manifest.get("stages")
     manifest["stages"] = stages = stages if isinstance(stages, dict) else {}
     stages[stage] = {
-        "files": [str(Path(f).name) for f in files],
+        "files": [f.name for f in files],
         "seconds": round(seconds, 3),
     }
     write_json(path, manifest)
@@ -96,18 +91,15 @@ def _write_plot_script(path: Path, csv_name: str, title: str):
     )
 
 
-def cmd_fringes(cfg: RunConfig, args) -> int:
+def cmd_fringes(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Direct image of the interference fringes at the near plane D."""
-    t0 = time.perf_counter()
-    out = _out_dir(cfg)
     profile = direct_fringe_profile(cfg)
     csv_path = out / "fringes.csv"
     write_csv(csv_path, *_PROFILE_CSV, (profile.positions, profile.values))
     script = out / "fringes_plot.py"
     _write_plot_script(script, csv_path.name, "direct double-slit fringes")
-    _update_manifest(cfg, out, "fringes", [csv_path, script], time.perf_counter() - t0)
     print(f"wrote {csv_path}")
-    return 0
+    return [csv_path, script]
 
 
 def _scan_sidecar(series, cfg: RunConfig) -> dict:
@@ -132,10 +124,8 @@ def _scan_sidecar(series, cfg: RunConfig) -> dict:
     }
 
 
-def cmd_scan(cfg: RunConfig, args) -> int:
+def cmd_scan(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Run every configured scan and write one flux CSV (plus sidecar) each."""
-    t0 = time.perf_counter()
-    out = _out_dir(cfg)
     series_list = run_all_scans(cfg)
     files = []
     for series in series_list:
@@ -153,8 +143,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
                 path = directory / f"step_{k:04d}.csv"
                 write_csv(path, *_PROFILE_CSV, (prof.positions, prof.values))
         print(f"wrote {csv_path}")
-    _update_manifest(cfg, out, "scan", files, time.perf_counter() - t0)
-    return 0
+    return files
 
 
 def _scan_paths(cfg: RunConfig, out: Path) -> list[Path]:
@@ -162,38 +151,46 @@ def _scan_paths(cfg: RunConfig, out: Path) -> list[Path]:
     return [out / f"scan_{scan_tag(scan.aperture_width)}.csv" for scan in cfg.scans]
 
 
-def _read_scans(csv_paths, sidecars_required: bool):
+def _read_scans(cfg: RunConfig, csv_paths, widths, sidecars_required: bool):
     """Scan tables, sidecars and exposures, each file read once.
 
     Unless sidecars_required, CSVs with no sidecar next to them have
-    sidecar None and exposure 1.0, but only if none of them has one.
+    sidecar None and exposure 1.0, but only if none of them has one.  A
+    sidecar must record the width in steps, opening and anchor that the
+    stacked solve gives its scan: the width (in metres) in steps of the
+    first CSV, and the opening and anchor of cfg's scans.
     """
     jsons = [path.with_suffix(".json") for path in csv_paths]
     lacking = [str(path) for path, s in zip(csv_paths, jsons) if not s.exists()]
     if sidecars_required or not lacking:
         sidecars = [read_json(s, _SIDECAR_NUMBERS) for s in jsons]
     elif len(lacking) == len(jsons):
-        sidecars = [None] * len(jsons)
+        return [load_scan_csv(path) for path in csv_paths], [None] * len(jsons), [1.0] * len(jsons)
     else:
         raise DataError(
             "either every scan CSV has a JSON sidecar or none does; no sidecar next to "
             + ", ".join(lacking)
         )
-    for path, sidecar in zip(jsons, sidecars):
+    tables = [load_scan_csv(path) for path in csv_paths]
+    step = uniform_step(tables[0]["s"], "scan slit positions")
+    opening, anchor = cfg.scans[0].opening, cfg.scans[0].anchor_elems
+    for path, sidecar, width in zip(jsons, sidecars, widths):
         for key in _SIDECAR_POSITIVE:
-            if sidecar is not None and not sidecar[key] > 0:
+            if not sidecar[key] > 0:
                 raise DataError(f"{path}: '{key}' must be > 0")
         # a wrong-side flux fraction above 1/2 is no which-way bound
-        if sidecar is not None and not 0 <= sidecar["contamination"] <= 0.5:
+        if not 0 <= sidecar["contamination"] <= 0.5:
             raise DataError(f"{path}: 'contamination' must lie in [0, 1/2]")
-    exposures = [1.0 if s is None else float(s["exposure_s"]) for s in sidecars]
-    return [load_scan_csv(path) for path in csv_paths], sidecars, exposures
+        solve = dict(width_elems=width_in_steps(width, step), opening=opening, anchor_elems=anchor)
+        for key, value in solve.items():
+            if key not in sidecar or sidecar[key] != value:
+                found = repr(sidecar[key]) if key in sidecar else "missing"
+                raise DataError(f"{path}: '{key}' is {found}; the stacked solve takes {value!r}")
+    return tables, sidecars, [float(s["exposure_s"]) for s in sidecars]
 
 
-def cmd_reconstruct(cfg: RunConfig, args) -> int:
+def cmd_reconstruct(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Solve the stacked flux equations from scan CSVs."""
-    t0 = time.perf_counter()
-    out = _out_dir(cfg)
     if args.flux_csv:
         paths = [Path(p) for p in args.flux_csv]
         if args.widths_mm is None:
@@ -210,7 +207,7 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
         paths = _scan_paths(cfg, out)
         widths = [scan.aperture_width for scan in cfg.scans]
     # the scan step comes from the CSVs' s_mm column, not the config
-    tables, _, exposures = _read_scans(paths, sidecars_required=not args.flux_csv)
+    tables, _, exposures = _read_scans(cfg, paths, widths, sidecars_required=not args.flux_csv)
     result = reconstruct_tables(cfg, tables, widths, exposures)
     n = tables[0]["F"].size
     if len(widths) == 1 and result.effective_rank < n:
@@ -233,17 +230,12 @@ def cmd_reconstruct(cfg: RunConfig, args) -> int:
     )
     script = out / "reconstruction_plot.py"
     _write_plot_script(script, csv_path.name, "reconstructed pupil pattern")
-    _update_manifest(
-        cfg, out, "reconstruct", [csv_path, sidecar, script], time.perf_counter() - t0
-    )
     print(f"wrote {csv_path}")
-    return 0
+    return [csv_path, sidecar, script]
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
+def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Duality report: V from the reconstruction, D from the scans."""
-    t0 = time.perf_counter()
-    out = _out_dir(cfg)
     recon_csv = out / "reconstruction.csv"
     paths = _scan_paths(cfg, out)
     inputs = [recon_csv, *(p.with_suffix(".json") for p in paths), *paths]
@@ -252,7 +244,16 @@ def cmd_report(cfg: RunConfig, args) -> int:
         raise DataError("missing report inputs: " + ", ".join(missing))
 
     profile = _read_profile(recon_csv, _RECONSTRUCTION_CSV[0], 1e-3)
-    tables, sidecars, exposures = _read_scans(paths, sidecars_required=True)
+    widths = [scan.aperture_width for scan in cfg.scans]
+    tables, sidecars, exposures = _read_scans(cfg, paths, widths, sidecars_required=True)
+    # the pooled D weighs each scan by its sidecar's total flux
+    for path, table, sidecar in zip(paths, tables, sidecars):
+        total, flux = sidecar["total_flux_sum"], table["F"]
+        if not abs(total - flux.sum()) <= 1e-9 * np.abs(flux).sum():
+            raise DataError(
+                f"{path.with_suffix('.json')}: 'total_flux_sum' is {total!r}; "
+                f"the F column of {path.name} sums to {float(flux.sum())!r}"
+            )
 
     # match the reconstruction against the direct fringe image, scaled
     # from the near plane to the pupil plane
@@ -260,21 +261,13 @@ def cmd_report(cfg: RunConfig, args) -> int:
     fringes_csv = out / "fringes.csv"
     if fringes_csv.exists():
         reference = _read_profile(fringes_csv, _PROFILE_CSV[0], 1.0)
-        in_pixels = IntensityProfile(
-            reference.origin / cfg.detector.pixel_pitch,
-            reference.pitch / cfg.detector.pixel_pitch,
-            reference.values,
-        )
-        match = match_profiles(
-            profile, in_pixels, cfg.h_scale, half_window=cfg.window_half
-        )
+        match = match_profiles(profile, reference, cfg.h_scale, half_window=cfg.window_half)
 
     vis = visibility(profile, cfg.peak_selector)
     _, _, d = pooled_assignment(
         (float(s["contamination"]), float(s["total_flux_sum"])) for s in sidecars
     )
     # left/right-signal reconstructions (which-way split of the pattern)
-    widths = [scan.aperture_width for scan in cfg.scans]
     lr_results = {
         signal: reconstruct_tables(cfg, tables, widths, exposures, signal)
         for signal in ("left", "right")
@@ -320,14 +313,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     summary = out / "summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    _update_manifest(
-        cfg,
-        out,
-        "report",
-        [duality_path, summary, *lr_files],
-        time.perf_counter() - t0,
-    )
-    return 0
+    return [duality_path, summary, *lr_files]
 
 
 def cmd_rank(cfg: RunConfig, args) -> int:
@@ -384,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
+# the commands that write artifacts: each returns the files it wrote
+_STAGES = {
     "fringes": cmd_fringes,
     "scan": cmd_scan,
     "reconstruct": cmd_reconstruct,
     "report": cmd_report,
-    "rank": cmd_rank,
 }
 
 
@@ -399,7 +385,14 @@ def main(argv=None) -> int:
         cfg = load_config(
             args.config, seed=args.seed, output_dir=args.out, no_noise=args.no_noise
         )
-        return _COMMANDS[args.command](cfg, args)
+        if args.command == "rank":
+            return cmd_rank(cfg, args)
+        t0 = time.perf_counter()
+        out = Path(cfg.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        files = _STAGES[args.command](cfg, args, out)
+        _update_manifest(cfg, out, args.command, files, time.perf_counter() - t0)
+        return 0
     except WhichwayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)

@@ -59,9 +59,8 @@ class RunConfig:
 
     @property
     def h_scale(self) -> float:
-        """Camera pixel pitch scaled from the direct-image plane to the pupil."""
-        geom = self.geometry
-        return self.detector.pixel_pitch * geom.dist_slits_lens / geom.dist_slits_direct
+        """Scale of positions from the direct-image plane to the pupil, L_S/D."""
+        return self.geometry.dist_slits_lens / self.geometry.dist_slits_direct
 
     def config_hash(self) -> str:
         # output_dir is excluded: it names where artifacts land, not what

@@ -49,9 +49,19 @@ def test_full_run_writes_all_artifacts(cli_run):
 def test_manifest_records_stages_and_config_hash(cli_run):
     manifest = json.loads((cli_run / "run_manifest.json").read_text())
     assert len(manifest["config_hash"]) == 64
-    assert set(manifest["stages"]) == {"fringes", "scan", "reconstruct", "report"}
+    files = {
+        "fringes": ["fringes.csv", "fringes_plot.py"],
+        "scan": ["scan_a4mm.csv", "scan_a4mm.json", "scan_a5mm.csv", "scan_a5mm.json"],
+        "reconstruct": ["reconstruction.csv", "reconstruction.json", "reconstruction_plot.py"],
+        "report": [
+            "duality.json",
+            "summary.txt",
+            "reconstruction_left.csv",
+            "reconstruction_right.csv",
+        ],
+    }
+    assert {name: stage["files"] for name, stage in manifest["stages"].items()} == files
     for stage in manifest["stages"].values():
-        assert stage["files"]
         assert stage["seconds"] >= 0
 
 
@@ -152,6 +162,13 @@ def test_missing_config_file_exits_3(tmp_path):
 def test_report_with_missing_inputs_exits_3(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 3
     assert "missing report inputs" in capsys.readouterr().err
+    # a failed stage leaves the manifest of the stages before it as it was
+    out = tmp_path / "fringes-only"
+    assert main(["fringes", "--out", str(out)]) == 0
+    before = (out / "run_manifest.json").read_bytes()
+    assert main(["report", "--out", str(out)]) == 3
+    assert "missing report inputs" in capsys.readouterr().err
+    assert (out / "run_manifest.json").read_bytes() == before
 
 
 def _replace_cell(text, line, column, cell):
@@ -276,6 +293,34 @@ CORRUPTIONS = {
         _edit_json(lambda d: d.update(total_flux_sum=-d["total_flux_sum"])),
         ["report", "reconstruct"],
     ),
+    # each sidecar must record the width in steps, opening and anchor the
+    # stacked solve gives its scan, or the solve would not be the scan's
+    "sidecar-width-elems": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.update(width_elems=41)),
+        ["report", "reconstruct"],
+    ),
+    "sidecar-anchor": (
+        "scan_a5mm.json",
+        _edit_json(lambda d: d.update(anchor_elems=3)),
+        ["report", "reconstruct"],
+    ),
+    "sidecar-opening": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.update(opening="leftward")),
+        ["report", "reconstruct"],
+    ),
+    "sidecar-no-opening": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.pop("opening")),
+        ["report", "reconstruct"],
+    ),
+    # the pooled D weighs the scans by their total flux; only report reads it
+    "sidecar-flux-sum-x50": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.update(total_flux_sum=50 * d["total_flux_sum"])),
+        ["report"],
+    ),
     "sidecar-subnormal-exposure": (
         "scan_a4mm.json",
         _edit_json(lambda d: d.update(exposure_s=1e-310)),
@@ -359,11 +404,23 @@ def test_explicit_csvs_need_every_sidecar_or_none(cli_run, tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_explicit_csvs_with_swapped_widths_exit_3(cli_run, tmp_path, capsys):
+    # 5 mm is 50 steps, but the first CSV's sidecar records the 40 of 4 mm
+    out = tmp_path / "o"
+    before = _snapshot(cli_run)
+    csvs = [str(cli_run / "scan_a4mm.csv"), str(cli_run / "scan_a5mm.csv")]
+    assert main(["reconstruct", *csvs, "--widths-mm", "5,4", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cli_run / 'scan_a4mm.json'}: 'width_elems' is 40;"), err
+    assert err.count("\n") == 1, err
+    assert not list(out.glob("*")) and _snapshot(cli_run) == before
+
+
 def test_h_scale_follows_the_geometry(tmp_path, capsys):
-    assert load_config().h_scale == 13e-6 * 0.58 / 0.25
+    assert load_config().h_scale == 0.58 / 0.25
     path = tmp_path / "near.json"
     path.write_text(json.dumps({"geometry": {"d_direct_m": 0.5}}))
-    assert load_config(str(path)).h_scale == 13e-6 * 0.58 / 0.5
+    assert load_config(str(path)).h_scale == 0.58 / 0.5
     path.write_text(json.dumps({"geometry": {}, "metrics": {"h_scale_m_per_pix": 3e-5}}))
     assert main(["report", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "h_scale_m_per_pix" in capsys.readouterr().err

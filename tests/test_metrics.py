@@ -221,9 +221,14 @@ class TestMatchProfiles:
         x_mm, p_hat = read_csv(cli_run / "reconstruction.csv", ("position_mm", "P_hat")).values()
         recon = ww.IntensityProfile(x_mm[0] * 1e-3, (x_mm[1] - x_mm[0]) * 1e-3, np.clip(p_hat, 0, None))
         x, values = read_csv(cli_run / "fringes.csv", ("position_m", "value")).values()
-        pitch = cfg.detector.pixel_pitch
-        fringes = ww.IntensityProfile(x[0] / pitch, (x[1] - x[0]) / pitch, np.clip(values, 0, None))
+        fringes = ww.IntensityProfile(x[0], x[1] - x[0], np.clip(values, 0, None))
         self._assert_on_the_dense_minimum(recon, fringes, cfg.h_scale, cfg.window_half)
+        # the report matches the same two profiles in metres
+        m = ww.match_profiles(recon, fringes, cfg.h_scale, cfg.window_half)
+        assert (
+            f"shift = {m.shift * 1e3:+.3f} mm, v_scale = {m.v_scale:.4g}, "
+            f"normalized RMS = {m.rms_residual:.4f}\n"
+        ) in (cli_run / "summary.txt").read_text()
 
     def test_validation(self):
         ref = self._reference()
