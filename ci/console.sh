@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Checks of the installed `whichway` console script: the rank command's
-# closed-form rule on known cases, then the four commands end to end.
+# closed-form rule on known cases, then the four commands end to end, and
+# an output directory that cannot be created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -19,3 +20,9 @@ whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise
 whichway report --out "$tmp/run" --seed 0 --no-noise
 test -s "$tmp/run/summary.txt"
+# an --out that names a file exits 3 with one error line
+status=0
+whichway fringes --out "$tmp/run/summary.txt" 2> "$tmp/err" || status=$?
+test "$status" = 3
+test "$(wc -l < "$tmp/err")" = 1
+grep -q '^error: ' "$tmp/err"

@@ -1,9 +1,10 @@
 """On-disk format of a run's artifacts: CSV tables and JSON objects.
 
-CSV: a header row, then one row per sample in a fixed format per column,
-written by csv.writer (lines end in \\r\\n).  JSON: one object with sorted
-keys, a 2-space indent and a trailing newline.  The readers raise
-DataError, naming the file, for anything malformed.
+CSV: a header row, then one row per sample in a fixed numeric format per
+column, so that no cell needs quoting; lines end in \\r\\n, as csv.writer
+ends them.  JSON: one object with sorted keys, a 2-space indent and a
+trailing newline.  The readers raise DataError, naming the file, for
+anything malformed.
 """
 from __future__ import annotations
 
@@ -20,12 +21,12 @@ from .errors import DataError
 
 
 def write_csv(path, header, formats, columns) -> None:
-    """Write the header, then the columns row by row, each in its format spec."""
+    """Write the header, then the columns (arrays) row by row, each in its format spec."""
+    row = ",".join("{:" + spec + "}" for spec in formats) + "\r\n"
+    rows = "".join(row.format(*values) for values in zip(*(c.tolist() for c in columns)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([format(value, spec) for value, spec in zip(row, formats)])
+        csv.writer(fh).writerow(header)
+        fh.write(rows)
 
 
 def _read_text(path) -> str:

@@ -396,6 +396,11 @@ def main(argv=None) -> int:
     except WhichwayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 4)
+    except OSError as exc:
+        # an output directory or artifact that cannot be created or written
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 3
     except MemoryError as exc:
         # numpy's message names the allocation that failed
         print(f"error: out of memory: {exc}", file=sys.stderr)

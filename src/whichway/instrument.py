@@ -413,13 +413,15 @@ class _ScanOptics:
         n, self.m = self.u.size, detector.n_pixels * SUBSAMPLES + 2
         w, a = np.exp(-1j * k * sub), np.exp(1j * k * first)
         j = np.arange(max(self.m, n))
-        wk2 = w ** (j**2 / 2.0)
+        # the chirps w^(j^2/2) and a^-j from one complex log of each base:
+        # w ** b takes the log of w again for every element
+        wk2 = np.exp(j**2 / 2.0 * np.log(w))
         self.wk2 = wk2[: self.m]
         self.nfft = _next_fast_len(n + self.m - 1)
         self.fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[: self.m])), self.nfft)
         self.weights = _lens_phase(self.u, geom)
         self.weights *= np.exp(1j * (np.pi / (lam * l_c) + self.chirp) * self.u**2)
-        self.weights *= h * np.sqrt(sub / (lam * l_c)) * a ** -j[:n] * wk2[:n]
+        self.weights *= h * np.sqrt(sub / (lam * l_c)) * np.exp(-j[:n] * np.log(a)) * wk2[:n]
         # ray optics: the integrand's local frequency is affine in the lit
         # source point (between the outermost amplitude steps), the cell and
         # the detector point -stage_ratio s + xi

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,31 @@ def test_writers_pin_the_artifact_bytes(tmp_path):
     sidecar = tmp_path / "t.json"
     write_json(sidecar, {"b": 2, "a": [0.5, True]})
     assert sidecar.read_bytes() == b'{\n  "a": [\n    0.5,\n    true\n  ],\n  "b": 2\n}\n'
+
+
+def _csv_writer_oracle(path, header, formats, columns):
+    """write_csv as it was: csv.writer with one format() call per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([format(value, spec) for value, spec in zip(row, formats)])
+
+
+def test_write_csv_equals_the_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 500
+    # magnitudes from 1e-300 to 1e300 of either sign, with zeros of both signs
+    floats = [rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n) for _ in range(3)]
+    floats[0][:4] = [0.0, -0.0, 1e-300, -1e300]
+    columns = [np.arange(-n // 2, n - n // 2), *floats, rng.normal(size=n)]
+    header, formats = ["k", "a", "b", "c", "d"], ["d", ".9e", ".12e", ".6g", ".17g"]
+    write_csv(tmp_path / "new.csv", header, formats, columns)
+    _csv_writer_oracle(tmp_path / "old.csv", header, formats, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a float in an integer column is rejected, as format() rejects it
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", ["k"], ["d"], [np.array([1.5])])
 
 
 def test_intensity_profile_csv_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -168,6 +169,27 @@ def test_report_with_missing_inputs_exits_3(tmp_path, capsys):
     before = (out / "run_manifest.json").read_bytes()
     assert main(["report", "--out", str(out)]) == 3
     assert "missing report inputs" in capsys.readouterr().err
+    assert (out / "run_manifest.json").read_bytes() == before
+
+
+def test_an_out_that_is_a_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "summary.txt"
+    out.write_text("not a directory\n")
+    assert main(["fringes", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {out}: {os.strerror(errno.EEXIST)}"]
+    assert out.read_text() == "not a directory\n"
+
+
+def test_an_artifact_that_cannot_be_written_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["fringes", "--out", str(out)]) == 0
+    before = (out / "run_manifest.json").read_bytes()
+    (out / "fringes.csv").unlink()
+    (out / "fringes.csv").mkdir()
+    capsys.readouterr()
+    assert main(["fringes", "--out", str(out)]) == 3
+    error = f"error: {out / 'fringes.csv'}: {os.strerror(errno.EISDIR)}"
+    assert capsys.readouterr().err.splitlines() == [error]
     assert (out / "run_manifest.json").read_bytes() == before
 
 
@@ -567,16 +589,36 @@ def test_the_first_failing_scan_in_config_order_wins(tmp_path, capsys, monkeypat
     assert _scan_error(path, tmp_path / "o", capsys, monkeypatch) == messages[0]
 
 
-@pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs 2 usable CPUs")
+@pytest.mark.skipif(
+    pipeline._usable_cpus() < 2 or not os.path.isdir("/proc/self/task"),
+    reason="needs 2 usable CPUs and /proc",
+)
 def test_the_scan_stage_leaves_the_blas_pool_idle(tmp_path):
     # an OpenBLAS call above its threading threshold wakes the pool, whose
     # idle worker then spins on the second CPU: a one-scan stage that made
     # such calls used 1.6-2.0 CPU seconds a wall second, one without uses 1
     config = tmp_path / "one.json"
     config.write_text(json.dumps({"geometry": {}, "scans": [{"aperture_width_m": 4e-3}]}))
+    # numpy starts the pool on import, and its worker spins for a while
+    # then: the window opens once the other threads' CPU time (utime +
+    # stime, fields 14-15 of their /proc stat) stops advancing over 0.1 s
     code = (
-        "import resource, sys, time\n"
+        "import os, resource, sys, threading, time\n"
         "from whichway.cli import main\n"
+        "def others():\n"
+        "    me, ticks = threading.get_native_id(), 0\n"
+        "    for tid in os.listdir('/proc/self/task'):\n"
+        "        if int(tid) != me:\n"
+        "            with open(f'/proc/self/task/{tid}/stat') as fh:\n"
+        "                fields = fh.read().rsplit(')', 1)[1].split()\n"
+        "            ticks += int(fields[11]) + int(fields[12])\n"
+        "    return ticks\n"
+        "deadline, ticks = time.monotonic() + 5, others()\n"
+        "while time.monotonic() < deadline:\n"
+        "    time.sleep(0.1)\n"
+        "    ticks, before = others(), ticks\n"
+        "    if ticks == before:\n"
+        "        break\n"
         "def cpu():\n"
         "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
         "    return usage.ru_utime + usage.ru_stime\n"

@@ -277,6 +277,36 @@ def test_run_scan_matches_the_old_path(quiet_cfg, source, quiet_series, index, n
     assert error.max() <= OLD_PATH_TOL, f"largest error {error.max():.3g} of a step's peak"
 
 
+# The chirps come from one complex log per base, where numpy's power takes
+# the log per element.  With glibc the two agree to the bit, but where the
+# power multiplies out a small integer exponent (|b| < 100: 7 entries of
+# w^(j^2/2), 98 of a^-j) it drifts from the exact power by up to 14 ulp,
+# and the log form by under 9.  A libm whose clog or cexp differs fails
+# here before it fails the old-path test.
+CHIRP_ULP = 32
+
+
+@pytest.mark.parametrize("width", [2e-3, 4e-3, 5e-3, 8e-3])
+def test_the_chirps_equal_numpys_complex_power(quiet_cfg, small_source, width):
+    # apertures of 800 to 3200 cells at the default scan step
+    geom, det = quiet_cfg.geometry, quiet_cfg.detector
+    optics = instrument._ScanOptics(small_source, geom, ww.ScanConfig(aperture_width=width), det)
+    lam, l_c = geom.wavelength, geom.dist_lens_detector
+    sub = det.pixel_pitch / instrument.SUBSAMPLES
+    first = -det.n_pixels * det.pixel_pitch / 2 - sub / 2
+    k = 2 * np.pi * optics.h / (lam * l_c)
+    w, a = np.exp(-1j * k * sub), np.exp(1j * k * first)
+    n = optics.u.size
+    j = np.arange(max(optics.m, n))
+    wk2 = w ** (j**2 / 2.0)
+    eps = np.finfo(float).eps
+    assert np.abs(optics.wk2 - wk2[: optics.m]).max() <= CHIRP_ULP * eps
+    weights = instrument._lens_phase(optics.u, geom)
+    weights *= np.exp(1j * (np.pi / (lam * l_c) + optics.chirp) * optics.u**2)
+    weights *= optics.h * np.sqrt(sub / (lam * l_c)) * a ** -j[:n] * wk2[:n]
+    assert np.all(np.abs(optics.weights - weights) <= CHIRP_ULP * eps * np.abs(weights))
+
+
 def test_seed_0_scan_csvs_equal_the_old_path_bytes(cli_run, tmp_path, monkeypatch):
     monkeypatch.setattr(instrument, "_ScanOptics", _OldPathOptics)
     cfg = load_config(seed=0)
