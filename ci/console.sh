@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Checks of the installed `whichway` console script: the rank command's
-# closed-form rule on known cases, then the four commands end to end, and
-# an output directory that cannot be created.
+# closed-form rule on known cases, then the four commands end to end, scan
+# artifacts that do not depend on the core count, and an output directory
+# that cannot be created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -20,6 +21,12 @@ whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise
 whichway report --out "$tmp/run" --seed 0 --no-noise
 test -s "$tmp/run/summary.txt"
+# the scans run on one thread per usable core; their bits must not change
+taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
+whichway scan --out "$tmp/all-cores" --seed 0
+for f in scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
+  cmp "$tmp/one-core/$f" "$tmp/all-cores/$f"
+done
 # an --out that names a file exits 3 with one error line
 status=0
 whichway fringes --out "$tmp/run/summary.txt" 2> "$tmp/err" || status=$?

@@ -10,24 +10,18 @@ from .errors import (
 )
 from .optics import (
     Geometry,
-    GridSpec,
     IntensityProfile,
-    SampledField,
-    double_slit_field,
     fraunhofer_intensity,
     fresnel_number,
     fringe_scale,
-    propagate_fresnel,
 )
 from .instrument import (
     DetectorConfig,
     ScanConfig,
     ScanSeries,
-    apply_aperture,
     assignment_probability,
     auto_exposure,
     flux_vector,
-    image_slits,
     load_scan_csv,
     pooled_assignment,
     run_scan,

@@ -319,13 +319,11 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
 def cmd_rank(cfg: RunConfig, args) -> int:
     """Print the full-rank dimensions of a banded aperture matrix.
 
-    The anchor and, unless --opening is given, the opening are those of the
-    configured scans, which all share them.
+    The opening and anchor are those of the configured scans, which all
+    share them.
     """
     scan = cfg.scans[0]
-    dims = full_rank_dims(
-        args.width_elems, args.n_max, args.opening or scan.opening, scan.anchor_elems
-    )
+    dims = full_rank_dims(args.width_elems, args.n_max, scan.opening, scan.anchor_elems)
     print(", ".join(str(d) for d in dims))
     return 0
 
@@ -366,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rank.add_argument("-w", "--width-elems", type=int, required=True)
     p_rank.add_argument("--n-max", type=int, required=True)
-    p_rank.add_argument("--opening", help="default: the configured scans' opening")
     return parser
 
 

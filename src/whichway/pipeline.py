@@ -146,9 +146,7 @@ def reconstruct_tables(
     result = solve_stacked(
         mats, [f for _, f in vectors], exposures, grid=vectors[0][0], cutoff=cfg.recon_cutoff
     )
-    if cfg.smoothing_rms > 0:
-        result = gaussian_smooth(result, cfg.smoothing_rms)
-    return result
+    return gaussian_smooth(result, cfg.smoothing_rms)
 
 
 def result_profile(result: ReconstructionResult) -> IntensityProfile:

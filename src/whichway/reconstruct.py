@@ -12,15 +12,13 @@ row reads f_hi - f_lo, an edge between vertices lo and hi of a graph on
 joined to the grounded vertex 0, so full rank is a connectivity question,
 and for these bands it has a closed-form answer (full_rank_dims).
 
-solve_stacked factors each distinct stacked system once per process: the
-SVD's rank-truncated pseudo-inverse is kept with a copy of the system it
-came from, and a later call whose matrices compare equal to that copy costs
-one matrix-vector product.
+solve_stacked keeps the SVD's rank-truncated pseudo-inverse of the last
+stacked system it factored, with a copy of that system, and a later call
+whose matrices compare equal to the copy costs one matrix-vector product.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,28 +114,26 @@ def full_rank_dims(
     return [n for n in range(width_elems, n_max + 1) if n % width_elems <= 1]
 
 
-# (shapes of the matrices, cutoff) -> (the stacked system, its pseudo-inverse,
-# effective rank), oldest first; one run solves through one stacked system,
-# so two entries suffice
-_FACTORS: dict[tuple, tuple[np.ndarray, np.ndarray, int]] = {}
-_FACTORS_MAX = 2
-_FACTORS_LOCK = threading.Lock()
+# (cutoff, the stacked system, its pseudo-inverse, effective rank) of the last
+# system factored; one run solves through one stacked system.  It is read
+# once and rebound once per call, so threads need no lock around it.
+_FACTORED: tuple | None = None
 
 
 def _pseudo_inverse(matrices: list, cutoff: float) -> tuple[np.ndarray, int]:
     """Rank-truncated pseudo-inverse of the stacked matrices and its rank.
 
-    A hit needs every matrix equal, entry by entry, to its rows of the
-    cached system, so a matrix edited in place is factored again.  The
-    cached copy is bool when every entry is 0 or 1, as in every matrix
-    build_aperture_matrix makes, and float64 otherwise.  A miss rejects
-    non-finite entries before the SVD, so a bad matrix is never cached.
+    A hit needs an equal cutoff and every matrix equal, entry by entry, to
+    its rows of the cached system, so a matrix edited in place is factored
+    again.  The cached copy is bool when every entry is 0 or 1, as in every
+    matrix build_aperture_matrix makes, and float64 otherwise.  A miss
+    rejects non-finite entries before the SVD, so a bad matrix is never
+    cached.
     """
-    key = (tuple(m.shape for m in matrices), cutoff)
-    with _FACTORS_LOCK:
-        hit = _FACTORS.get(key)
-    if hit is not None:
-        system, pinv, rank = hit
+    global _FACTORED
+    hit = _FACTORED
+    if hit is not None and hit[0] == cutoff:
+        _, system, pinv, rank = hit
         rows = np.split(system, np.cumsum([len(m) for m in matrices[:-1]]))
         if all(np.array_equal(m, r) for m, r in zip(matrices, rows)):
             return pinv, rank
@@ -155,11 +151,7 @@ def _pseudo_inverse(matrices: list, cutoff: float) -> tuple[np.ndarray, int]:
     u = u[:, :rank]
     u /= s[:rank]
     pinv = vt[:rank].T @ u.T
-    with _FACTORS_LOCK:
-        _FACTORS.pop(key, None)
-        _FACTORS[key] = (system, pinv, rank)
-        while len(_FACTORS) > _FACTORS_MAX:
-            del _FACTORS[next(iter(_FACTORS))]
+    _FACTORED = (cutoff, system, pinv, rank)
     return pinv, rank
 
 
@@ -199,8 +191,8 @@ def solve_stacked(
     Each flux vector is divided by its exposure, the banded systems are
     stacked, and the SVD-based solver discards singular values at or below
     cutoff * sigma_max, the rule of LAPACK's gelsd.  Effective rank and
-    residual norm are reported.  The stacked system's pseudo-inverse is
-    computed once per process and reused (see _pseudo_inverse).
+    residual norm are reported.  The pseudo-inverse of the last stacked
+    system factored is kept and reused (see _pseudo_inverse).
     """
     matrices = list(matrices)
     fluxes = [np.asarray(f, dtype=float) for f in fluxes]

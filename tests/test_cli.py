@@ -18,10 +18,11 @@ from whichway.artifacts import read_csv
 from whichway.cli import build_parser, main
 from whichway.config import load_config
 from whichway.errors import ConfigurationError
-from whichway.instrument import run_scan
+from whichway.instrument import load_scan_csv, run_scan
 from whichway.metrics import distinguishability
 from whichway.optics import amplitude_steps, fresnel_field
 from whichway.pipeline import run_all_scans
+from whichway.reconstruct import build_aperture_matrix, solve_stacked
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED_ARTIFACTS = [
@@ -120,6 +121,25 @@ def test_single_width_reconstruction_warns_about_rank(cli_run, tmp_path, capsys)
     assert "rank-deficient" in capsys.readouterr().err
 
 
+def test_zero_smoothing_writes_the_unsmoothed_solve(cli_run, tmp_path):
+    config = tmp_path / "unsmoothed.json"
+    config.write_text(json.dumps({"geometry": {}, "reconstruction": {"smoothing_rms_m": 0}}))
+    out = tmp_path / "unsmoothed"
+    out.mkdir()
+    for name in ("scan_a4mm.csv", "scan_a4mm.json", "scan_a5mm.csv", "scan_a5mm.json"):
+        shutil.copy(cli_run / name, out / name)
+    assert main(["reconstruct", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads((out / "reconstruction.json").read_text())["smoothing_rms_m"] == 0.0
+    tables = [load_scan_csv(out / f"scan_a{w}mm.csv") for w in (4, 5)]
+    exposures = [json.loads((out / f"scan_a{w}mm.json").read_text())["exposure_s"] for w in (4, 5)]
+    mats = [build_aperture_matrix(tables[0]["F"].size, w) for w in (40, 50)]
+    cutoff = load_config(str(config)).recon_cutoff
+    # the matrices take the fluxes in ascending pupil offset -s, so reversed
+    solve = solve_stacked(mats, [t["F"][::-1] for t in tables], exposures, cutoff=cutoff)
+    _, p_hat = read_csv(out / "reconstruction.csv", ("position_mm", "P_hat")).values()
+    assert np.array_equal(p_hat, [float(f"{v:.9e}") for v in solve.p_hat])
+
+
 def test_rank_command(capsys):
     assert main(["rank", "-w", "40", "--n-max", "121"]) == 0
     printed = capsys.readouterr().out.strip()
@@ -137,10 +157,12 @@ def test_rank_takes_the_anchor_and_opening_of_the_configured_scans(tmp_path, cap
 
     assert rank(_with("scans", anchor_elems=3)) == "8, 9, 16, 17, 24, 25, 32, 33, 40"
     # at the default anchor of 20 no leftward dimension is full rank, and
-    # every rightward one is; an explicit --opening wins over the config
+    # every rightward one is; the opening comes from the config alone
     assert rank(_with("scans", opening="leftward")) == ""
-    everything = ", ".join(str(n) for n in range(8, 41))
-    assert rank(_with("scans", opening="leftward"), "--opening", "rightward") == everything
+    assert rank(_with("scans", opening="rightward")) == ", ".join(str(n) for n in range(8, 41))
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "-w", "8", "--n-max", "40", "--opening", "leftward"])
+    assert exc.value.code == 2
 
 
 def test_config_without_geometry_exits_2(tmp_path, capsys):

@@ -1,11 +1,16 @@
-"""No module in src/ or tests/ imports a name it never uses, and the package
-runs without scipy (the tests keep it as their oracle)."""
+"""No module in src/ or tests/ imports a name it never uses, the package
+runs without scipy (the tests keep it as their oracle), and every name the
+benchmark looks up exists."""
 import ast
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import whichway
 
 ROOT = Path(__file__).resolve().parent.parent
 # the package's __init__ imports only to re-export
@@ -60,3 +65,32 @@ def test_the_four_commands_load_no_scipy_module(tmp_path):
     )
     assert (tmp_path / "run" / "summary.txt").exists()
     assert run.stdout.splitlines()[-1].split() == []
+
+
+def _benchmark_names() -> tuple[set, set]:
+    """The (owner, attribute) pairs that perfbench/run.py looks up: each
+    ww.<module>.<name> in its text, and each pair in its TRACE_TARGETS.  The
+    owner "package" is whichway itself."""
+    text = (ROOT / "perfbench" / "run.py").read_text()
+    (targets,) = [
+        node.value
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACE_TARGETS" for t in node.targets)
+    ]
+    traced = {(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts}
+    return set(re.findall(r"\bww\.(\w+)\.(\w+)", text)), traced
+
+
+def test_every_name_the_benchmark_looks_up_resolves():
+    looked_up, traced = _benchmark_names()
+    assert looked_up and traced
+    missing = []
+    for owner_path, attr in sorted(looked_up | traced):
+        module, *rest = owner_path.split(".")
+        owner = whichway if module == "package" else importlib.import_module(f"whichway.{module}")
+        for part in rest:
+            owner = getattr(owner, part)
+        if not hasattr(owner, attr):
+            missing.append(f"{owner_path}.{attr}")
+    assert not missing, "perfbench/run.py looks up missing names: " + ", ".join(missing)

@@ -19,7 +19,7 @@ from whichway.instrument import (
     _midlines,
     _next_fast_len,
 )
-from whichway.optics import GridSpec, amplitude_steps, fresnel_field
+from whichway.optics import GridSpec, SampledField, amplitude_steps, double_slit_field, fresnel_field
 from whichway.reconstruct import OPENINGS
 
 
@@ -30,7 +30,7 @@ def _power(field):
 
 def _flat_field(n=2048, half=2e-3):
     grid = GridSpec(n, half)
-    return ww.SampledField(grid.origin, grid.pitch, np.ones(n))
+    return SampledField(grid.origin, grid.pitch, np.ones(n))
 
 
 class TestApplyAperture:
@@ -43,12 +43,12 @@ class TestApplyAperture:
         ids=["rightward", "leftward", "centered"],
     )
     def test_transmitted_power_equals_window_width(self, left_edge):
-        out = ww.apply_aperture(_flat_field(), left_edge, self.WIDTH)
+        out = instrument.apply_aperture(_flat_field(), left_edge, self.WIDTH)
         assert _power(out) == pytest.approx(self.WIDTH, rel=1e-12)
 
     def test_rightward_fixes_the_left_edge(self):
         field = _flat_field()
-        out = ww.apply_aperture(field, 0.5e-3, 1e-3)
+        out = instrument.apply_aperture(field, 0.5e-3, 1e-3)
         x = out.positions[np.abs(out.amplitudes) > 0.5]
         assert x.min() > 0.5e-3 - out.pitch
         assert x.max() < 1.5e-3 + out.pitch
@@ -56,7 +56,7 @@ class TestApplyAperture:
     def test_outside_grid_warns_and_zeroes(self):
         field = _flat_field()
         with pytest.warns(UserWarning, match="outside"):
-            out = ww.apply_aperture(field, 1.0, 1e-3)
+            out = instrument.apply_aperture(field, 1.0, 1e-3)
         assert _power(out) == 0.0
 
 
@@ -172,7 +172,7 @@ def _assert_within_oracle(rows, oracle):
 
 @pytest.fixture(scope="module")
 def small_source(quiet_cfg):
-    return ww.double_slit_field(
+    return double_slit_field(
         quiet_cfg.geometry, GridSpec(2**16, quiet_cfg.grid.half_span), quiet_cfg.illumination_tilt
     )
 
@@ -184,7 +184,7 @@ def test_scan_engine_matches_the_oracle(quiet_cfg, width):
     positions = [scan.s_start + k * scan.step for k in (0, 75, 150, 225, 300)]
     rows, steps = [], []
     for grid_n in (2**16, 2**17, 2**18):
-        source = ww.double_slit_field(
+        source = double_slit_field(
             geom, GridSpec(grid_n, quiet_cfg.grid.half_span), quiet_cfg.illumination_tilt
         )
         optics = instrument._ScanOptics(source, geom, scan, det)

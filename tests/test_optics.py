@@ -13,7 +13,16 @@ from scipy.signal import find_peaks
 import whichway as ww
 from whichway import pipeline
 from whichway.config import load_config
-from whichway.optics import GridSpec, amplitude_steps, check_wraparound, fresnel, fresnel_field
+from whichway.optics import (
+    GridSpec,
+    SampledField,
+    amplitude_steps,
+    check_wraparound,
+    double_slit_field,
+    fresnel,
+    fresnel_field,
+    propagate_fresnel,
+)
 
 
 def _power(field):
@@ -70,14 +79,14 @@ def test_double_slit_field_power():
     geom = ww.Geometry()
     grid = GridSpec(2**14, 5e-3)
     tilt = 0.1
-    f = ww.double_slit_field(geom, grid, tilt)
+    f = double_slit_field(geom, grid, tilt)
     expected = geom.slit_width * ((1 + tilt / 2) ** 2 + (1 - tilt / 2) ** 2)
     # slit edges are quantized to whole cells
     assert _power(f) == pytest.approx(expected, rel=4 * grid.pitch / geom.slit_width)
 
 
 def test_double_slit_field_tilt_ratio():
-    f = ww.double_slit_field(ww.Geometry(), GridSpec(2**14, 5e-3), 0.1)
+    f = double_slit_field(ww.Geometry(), GridSpec(2**14, 5e-3), 0.1)
     amp = f.amplitudes.real
     assert amp.max() == pytest.approx(1.05)
     assert amp[amp > 0].min() == pytest.approx(0.95)
@@ -86,9 +95,9 @@ def test_double_slit_field_tilt_ratio():
 def test_double_slit_field_grid_preconditions():
     geom = ww.Geometry()
     with pytest.raises(ww.ConfigurationError):
-        ww.double_slit_field(geom, GridSpec(64, 5e-3))  # too coarse
+        double_slit_field(geom, GridSpec(64, 5e-3))  # too coarse
     with pytest.raises(ww.ConfigurationError):
-        ww.double_slit_field(geom, GridSpec(2**12, 100e-6))  # misses the slits
+        double_slit_field(geom, GridSpec(2**12, 100e-6))  # misses the slits
 
 
 def test_propagation_conserves_power():
@@ -96,15 +105,15 @@ def test_propagation_conserves_power():
     x = grid.positions()
     rng = np.random.default_rng(7)
     amps = np.exp(-((x / 3e-4) ** 2)) * (rng.normal(size=x.size) + 1j)
-    f = ww.SampledField(grid.origin, grid.pitch, amps)
-    out = ww.propagate_fresnel(f, 0.01, 650e-9)
+    f = SampledField(grid.origin, grid.pitch, amps)
+    out = propagate_fresnel(f, 0.01, 650e-9)
     assert _power(out) == pytest.approx(_power(f), rel=1e-12)
 
 
 def test_propagation_zero_distance_is_identity():
     grid = GridSpec(256, 1e-3)
-    f = ww.SampledField(grid.origin, grid.pitch, np.ones(256))
-    out = ww.propagate_fresnel(f, 0.0, 650e-9)
+    f = SampledField(grid.origin, grid.pitch, np.ones(256))
+    out = propagate_fresnel(f, 0.0, 650e-9)
     assert np.array_equal(out.amplitudes, f.amplitudes)
     assert out.amplitudes is not f.amplitudes
 
@@ -112,16 +121,16 @@ def test_propagation_zero_distance_is_identity():
 def test_wraparound_guard_names_a_sufficient_grid_size():
     geom = ww.Geometry()
     pitch = 5e-3 / 4096
-    small = ww.double_slit_field(geom, GridSpec(4096, 4096 * pitch / 2))
+    small = double_slit_field(geom, GridSpec(4096, 4096 * pitch / 2))
     with pytest.raises(ww.ConfigurationError) as err:
-        ww.propagate_fresnel(small, geom.dist_slits_lens, geom.wavelength)
+        propagate_fresnel(small, geom.dist_slits_lens, geom.wavelength)
     match = re.search(r"at least (\d+) samples", str(err.value))
     assert match is not None
     n_min = int(match.group(1))
     # the suggested size (rounded up to a power of two) must actually pass
     n_ok = 2 ** int(np.ceil(np.log2(n_min)))
-    big = ww.double_slit_field(geom, GridSpec(n_ok, n_ok * pitch / 2))
-    ww.propagate_fresnel(big, geom.dist_slits_lens, geom.wavelength)
+    big = double_slit_field(geom, GridSpec(n_ok, n_ok * pitch / 2))
+    propagate_fresnel(big, geom.dist_slits_lens, geom.wavelength)
 
 
 def test_check_wraparound_ignores_empty_spectrum():
@@ -190,7 +199,7 @@ def test_amplitude_steps_match_the_differences_of_the_zero_padded_field():
         for _ in range(20):
             # runs of a few levels, so cells repeat their neighbours
             levels = rng.choice(np.array([0, 0, 1, 2.5, -1 + 0.5j]), size=n)
-            field = ww.SampledField(-0.3, 0.01, np.repeat(levels, rng.integers(1, 9, n))[:n])
+            field = SampledField(-0.3, 0.01, np.repeat(levels, rng.integers(1, 9, n))[:n])
             padded = np.concatenate(([0], field.amplitudes, [0]))
             at = np.flatnonzero(np.diff(padded))
             if at.size > ww.optics.MAX_AMPLITUDE_STEPS:
@@ -203,7 +212,7 @@ def test_amplitude_steps_match_the_differences_of_the_zero_padded_field():
 def test_fresnel_field_matches_quadrature_of_the_kernel():
     geom = ww.Geometry()
     lam, z = geom.wavelength, geom.dist_slits_lens
-    source = ww.double_slit_field(geom, GridSpec(2**14, 5e-3), illumination_tilt=0.1)
+    source = double_slit_field(geom, GridSpec(2**14, 5e-3), illumination_tilt=0.1)
     # each slit is a run of lit cells
     lit = np.flatnonzero(source.amplitudes)
     split = int(np.flatnonzero(np.diff(lit) > 1)[0])
@@ -248,7 +257,7 @@ def test_pupil_truth_integrates_the_fresnel_pupil_over_each_bin(quiet_cfg, sourc
 
 def test_fresnel_field_rejects_fields_of_many_amplitude_steps():
     grid = GridSpec(256, 1e-3)
-    ramp = ww.SampledField(grid.origin, grid.pitch, np.arange(256.0))
+    ramp = SampledField(grid.origin, grid.pitch, np.arange(256.0))
     with pytest.raises(ww.ConfigurationError, match="256 amplitude steps"):
         fresnel_field(amplitude_steps(ramp), 0.5, 650e-9, np.zeros(3))
 

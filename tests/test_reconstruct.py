@@ -235,10 +235,10 @@ class TestSolveStacked:
         mats = [ww.build_aperture_matrix(30, w) for w in (4, 5)]
         fluxes = [np.ones(30), np.ones(30)]
         mats[1][7, 3] = bad
-        cached = set(ww.reconstruct._FACTORS)
+        cached = ww.reconstruct._FACTORED
         with pytest.raises(ww.NumericalError, match="aperture matrices hold non-finite"):
             ww.solve_stacked(mats, fluxes)
-        assert set(ww.reconstruct._FACTORS) <= cached
+        assert ww.reconstruct._FACTORED is cached
 
     def test_matches_the_gelsd_oracle_on_noisy_default_stacks(self):
         mats = [ww.build_aperture_matrix(301, w) for w in (40, 50)]
@@ -291,17 +291,24 @@ class TestSolveStacked:
         _assert_matches_gelsd(default, mats, fluxes)
         _assert_matches_gelsd(coarse, mats, fluxes, cutoff=0.01)
 
-    def test_the_cache_holds_at_most_two_systems(self):
-        for w in range(3, 8):
-            mats = [ww.build_aperture_matrix(50, w), ww.build_aperture_matrix(50, w + 1)]
-            ww.solve_stacked(mats, [np.ones(50), np.ones(50)])
-        assert len(ww.reconstruct._FACTORS) <= 2
+    def test_the_cache_holds_the_last_system_factored(self, monkeypatch):
+        calls = self._count_factorizations(monkeypatch)
+        a = [ww.build_aperture_matrix(50, w) for w in (3, 4)]
+        b = [ww.build_aperture_matrix(50, w) for w in (5, 6)]
+        fluxes = [np.ones(50), np.ones(50)]
+        for count, mats in enumerate((a, b, a), start=1):
+            ww.solve_stacked(mats, fluxes)
+            assert len(calls) == count
+        ww.solve_stacked(a, fluxes)
+        assert len(calls) == 3
+        ww.solve_stacked(a, fluxes, cutoff=1e-6)
+        assert len(calls) == 4
 
     @staticmethod
     def _count_factorizations(monkeypatch):
         """An empty factor cache and a list that grows by one per SVD taken."""
         calls, svd = [], np.linalg.svd
-        monkeypatch.setattr(ww.reconstruct, "_FACTORS", {})
+        monkeypatch.setattr(ww.reconstruct, "_FACTORED", None)
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         return calls
 
