@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Checks of the installed `whichway` console script: the rank command's
-# closed-form rule on known cases, then the four commands end to end, scan
-# artifacts that do not depend on the core count, and an output directory
-# that cannot be created.
+# closed-form rule on known cases, a run option placed before the
+# subcommand, then the four commands end to end, a report that does not read
+# reconstruction.csv, scan artifacts that do not depend on the core count,
+# and an output directory that cannot be created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -16,11 +17,23 @@ test "$(whichway rank --config "$tmp/anchor3.json" -w 8 --n-max 40)" = "8, 9, 16
 echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 1}]}' > "$tmp/anchor1.json"
 test "$(whichway rank --config "$tmp/anchor1.json" -w 8 --n-max 12)" = "8, 9, 10, 11, 12"
 test "$(whichway rank -w 40 --n-max 1000000 | tr ',' '\n' | wc -l)" = "49999"
+# the run options follow the subcommand; before it they exit 2 and write nothing
+status=0
+(cd "$tmp" && whichway --out "$tmp/top" fringes 2> /dev/null) || status=$?
+test "$status" = 2
+test ! -e "$tmp/top" && test ! -e "$tmp/runs"
 whichway fringes --out "$tmp/run" --seed 0 --no-noise
 whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise
 whichway report --out "$tmp/run" --seed 0 --no-noise
 test -s "$tmp/run/summary.txt"
+# report solves V from the scans it reads, not from reconstruction.csv
+cp -r "$tmp/run" "$tmp/no-recon"
+rm "$tmp/no-recon/reconstruction.csv"
+whichway report --out "$tmp/no-recon" --seed 0 --no-noise > /dev/null
+for f in duality.json summary.txt; do
+  cmp "$tmp/run/$f" "$tmp/no-recon/$f"
+done
 # the scans run on one thread per usable core; their bits must not change
 taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
 whichway scan --out "$tmp/all-cores" --seed 0

@@ -87,7 +87,7 @@ def read_json(path, required=()) -> dict:
     """The object in a JSON artifact; each key in required must be a finite number."""
     try:
         data = json.loads(_read_text(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise DataError(f"{path}: expected a JSON object")

@@ -61,11 +61,11 @@ _SIDECAR_NUMBERS = ("exposure_s", "contamination", "total_flux_sum")
 _SIDECAR_POSITIVE = ("exposure_s", "total_flux_sum")  # a scan never writes either <= 0
 
 
-def _read_profile(path: Path, header, to_m: float) -> IntensityProfile:
-    """A profile CSV with positions scaled to metres and negatives clipped."""
-    x, values = read_csv(path, header, min_rows=2).values()
+def _read_profile(path: Path) -> IntensityProfile:
+    """A profile CSV (positions in metres) with negatives clipped."""
+    x, values = read_csv(path, _PROFILE_CSV[0], min_rows=2).values()
     step = uniform_step(x, f"{path}: positions")
-    return IntensityProfile(float(x[0] * to_m), step * to_m, np.clip(values, 0.0, None))
+    return IntensityProfile(float(x[0]), step, np.clip(values, 0.0, None))
 
 
 def _update_manifest(cfg: RunConfig, out: Path, stage: str, files, seconds: float):
@@ -191,12 +191,10 @@ def _read_scans(cfg: RunConfig, csv_paths, widths, sidecars_required: bool):
 
 def cmd_reconstruct(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Solve the stacked flux equations from scan CSVs."""
+    if (args.widths_mm is None) == bool(args.flux_csv):
+        raise ConfigurationError("--widths-mm is taken exactly when flux CSVs are given")
     if args.flux_csv:
         paths = [Path(p) for p in args.flux_csv]
-        if args.widths_mm is None:
-            raise ConfigurationError(
-                "--widths-mm is required when flux CSVs are given explicitly"
-            )
         try:
             widths = [float(w) * 1e-3 for w in args.widths_mm.split(",")]
         except ValueError as exc:
@@ -235,15 +233,13 @@ def cmd_reconstruct(cfg: RunConfig, args, out: Path) -> list[Path]:
 
 
 def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
-    """Duality report: V from the reconstruction, D from the scans."""
-    recon_csv = out / "reconstruction.csv"
+    """Duality report: V from the configured scans' stacked solve, D from their sidecars."""
     paths = _scan_paths(cfg, out)
-    inputs = [recon_csv, *(p.with_suffix(".json") for p in paths), *paths]
+    inputs = [*(p.with_suffix(".json") for p in paths), *paths]
     missing = [str(p) for p in inputs if not p.exists()]
     if missing:
         raise DataError("missing report inputs: " + ", ".join(missing))
 
-    profile = _read_profile(recon_csv, _RECONSTRUCTION_CSV[0], 1e-3)
     widths = [scan.aperture_width for scan in cfg.scans]
     tables, sidecars, exposures = _read_scans(cfg, paths, widths, sidecars_required=True)
     # the pooled D weighs each scan by its sidecar's total flux
@@ -254,13 +250,14 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
                 f"{path.with_suffix('.json')}: 'total_flux_sum' is {total!r}; "
                 f"the F column of {path.name} sums to {float(flux.sum())!r}"
             )
+    profile = result_profile(reconstruct_tables(cfg, tables, widths, exposures))
 
     # match the reconstruction against the direct fringe image, scaled
     # from the near plane to the pupil plane
     match = None
     fringes_csv = out / "fringes.csv"
     if fringes_csv.exists():
-        reference = _read_profile(fringes_csv, _PROFILE_CSV[0], 1.0)
+        reference = _read_profile(fringes_csv)
         match = match_profiles(profile, reference, cfg.h_scale, half_window=cfg.window_half)
 
     vis = visibility(profile, cfg.peak_selector)
@@ -329,8 +326,9 @@ def cmd_rank(cfg: RunConfig, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON run configuration")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="JSON run configuration")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
     common.add_argument("--seed", type=int, help="override the RNG seed")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
     common.add_argument(
@@ -339,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="whichway",
         description="Which-way double-slit bench: simulate, reconstruct, report.",
-        parents=[common],
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser("report", parents=[common], help="duality report from run artifacts")
     p_rank = sub.add_parser(
-        "rank", parents=[common], help="full-rank dimensions of an aperture matrix"
+        "rank", parents=[config], help="full-rank dimensions of an aperture matrix"
     )
     p_rank.add_argument("-w", "--width-elems", type=int, required=True)
     p_rank.add_argument("--n-max", type=int, required=True)
@@ -379,11 +376,11 @@ _STAGES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "rank":
+            return cmd_rank(load_config(args.config), args)
         cfg = load_config(
             args.config, seed=args.seed, output_dir=args.out, no_noise=args.no_noise
         )
-        if args.command == "rank":
-            return cmd_rank(cfg, args)
         t0 = time.perf_counter()
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

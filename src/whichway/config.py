@@ -263,8 +263,8 @@ def load_config(
         if not p.exists():
             raise DataError(f"config file not found: {path}")
         try:
-            raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+            raw = json.loads(p.read_bytes())
+        except (ValueError, RecursionError) as exc:  # undecodable text or nesting too deep
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")

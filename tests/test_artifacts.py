@@ -55,7 +55,7 @@ def test_intensity_profile_csv_roundtrip(tmp_path):
     prof = ww.IntensityProfile(-1e-3, 1e-4, np.arange(21, dtype=float))
     path = tmp_path / "prof.csv"
     write_csv(path, *cli._PROFILE_CSV, (prof.positions, prof.values))
-    back = cli._read_profile(path, cli._PROFILE_CSV[0], 1.0)
+    back = cli._read_profile(path)
     assert back.origin == pytest.approx(prof.origin)
     assert back.pitch == pytest.approx(prof.pitch)
     assert np.allclose(back.values, prof.values)

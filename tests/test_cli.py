@@ -19,7 +19,7 @@ from whichway.cli import build_parser, main
 from whichway.config import load_config
 from whichway.errors import ConfigurationError
 from whichway.instrument import load_scan_csv, run_scan
-from whichway.metrics import distinguishability
+from whichway.metrics import distinguishability, visibility
 from whichway.optics import amplitude_steps, fresnel_field
 from whichway.pipeline import run_all_scans
 from whichway.reconstruct import build_aperture_matrix, solve_stacked
@@ -165,6 +165,29 @@ def test_rank_takes_the_anchor_and_opening_of_the_configured_scans(tmp_path, cap
     assert exc.value.code == 2
 
 
+# each run option before the subcommand, and each on rank, which reads none
+# of them: argparse rejects them before anything is written
+MISPLACED_OPTIONS = {
+    "seed-first": ["--seed", "3", "fringes"],
+    "out-first": ["--out", "D", "scan"],
+    "config-first": ["--config", "C", "report"],
+    "no-noise-first": ["--no-noise", "reconstruct"],
+    "rank-seed": ["rank", "-w", "8", "--n-max", "12", "--seed", "1"],
+    "rank-out": ["rank", "-w", "8", "--n-max", "12", "--out", "D"],
+    "rank-no-noise": ["rank", "-w", "8", "--n-max", "12", "--no-noise"],
+}
+
+
+@pytest.mark.parametrize("argv", MISPLACED_OPTIONS.values(), ids=MISPLACED_OPTIONS)
+def test_misplaced_run_options_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    # neither the --out directory nor the default runs/default
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_without_geometry_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1}')
@@ -176,6 +199,27 @@ def test_invalid_json_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["scan", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text", [b'\xff\xfe{"geometry": {}}', b"[" * 100_000], ids=["not-utf-8", "nested-too-deep"]
+)
+def test_undecodable_json_config_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["scan", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid JSON (") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_manifest_nested_too_deep_is_started_afresh(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "run_manifest.json").write_text("[" * 100_000)
+    assert main(["fringes", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert list(manifest["stages"]) == ["fringes"]
 
 
 def test_missing_config_file_exits_3(tmp_path):
@@ -223,19 +267,6 @@ def _replace_cell(text, line, column, cell):
     return "\n".join(lines) + "\n"
 
 
-def _shift_cell(text, line, column, delta):
-    cell = float(text.splitlines()[line].split(",")[column])
-    return _replace_cell(text, line, column, f"{cell + delta:.9e}")
-
-
-def _swap_cells(text, line_a, line_b, column):
-    lines = text.splitlines()
-    a, b = lines[line_a].split(","), lines[line_b].split(",")
-    a[column], b[column] = b[column], a[column]
-    lines[line_a], lines[line_b] = ",".join(a), ",".join(b)
-    return "\n".join(lines) + "\n"
-
-
 def _zero_column(text, column):
     lines = text.splitlines()
     for k in range(1, len(lines)):
@@ -258,34 +289,9 @@ def _edit_json(edit):
 # must reject the corrupt artifact with one error line, naming the file for
 # exit 3 (the default), and leave every file of the run as it was
 CORRUPTIONS = {
-    "recon-one-row": (
-        "reconstruction.csv",
-        lambda t: "\n".join(t.splitlines()[:2]) + "\n",
-        ["report"],
-    ),
-    "recon-header": (
-        "reconstruction.csv",
-        lambda t: t.replace("position_mm", "x_mm", 1),
-        ["report"],
-    ),
     "fringes-header": (
         "fringes.csv",
         lambda t: t.replace("position_m", "x_m", 1),
-        ["report"],
-    ),
-    "recon-non-numeric": (
-        "reconstruction.csv",
-        lambda t: _replace_cell(t, 150, 1, "abc"),
-        ["report"],
-    ),
-    "recon-swapped-positions": (
-        "reconstruction.csv",
-        lambda t: _swap_cells(t, 1, 2, 0),
-        ["report"],
-    ),
-    "recon-non-uniform": (
-        "reconstruction.csv",
-        lambda t: _shift_cell(t, 150, 0, 0.03),
         ["report"],
     ),
     "fringes-nan": ("fringes.csv", lambda t: _replace_cell(t, 512, 1, "nan"), ["report"]),
@@ -302,6 +308,11 @@ CORRUPTIONS = {
         ["report", "reconstruct"],
     ),
     "sidecar-list": ("scan_a4mm.json", lambda t: "[1, 2]\n", ["report", "reconstruct"]),
+    "sidecar-nested-too-deep": (
+        "scan_a4mm.json",
+        lambda t: "[" * 100_000,
+        ["report", "reconstruct"],
+    ),
     "sidecar-exposure-string": (
         "scan_a4mm.json",
         _edit_json(lambda d: d.update(exposure_s="x")),
@@ -475,6 +486,42 @@ def test_explicit_csvs_require_widths(cli_run, tmp_path):
         ["reconstruct", str(cli_run / "scan_a4mm.csv"), "--out", str(tmp_path / "x")]
     )
     assert rc == 2
+
+
+def test_widths_without_flux_csvs_exit_2(cli_run, tmp_path, capsys):
+    # the configured scans take their widths from the config alone
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    before = _snapshot(run)
+    assert main(["reconstruct", "--widths-mm", "4,5", "--out", str(run), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --widths-mm ") and err.count("\n") == 1, err
+    assert _snapshot(run) == before
+
+
+@pytest.mark.parametrize("reconstruction", ["deleted", "from-other-scans", "kept"])
+def test_report_solves_v_from_the_configured_scans(cli_run, tmp_path, reconstruction):
+    # report does not read reconstruction.csv: V and D come from one set of scans
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    recon = run / "reconstruction.csv"
+    if reconstruction == "deleted":
+        recon.unlink()
+    elif reconstruction == "from-other-scans":
+        argv = ["reconstruct", str(run / "scan_a4mm.csv"), "--widths-mm", "4"]
+        assert main([*argv, "--out", str(run), "--seed", "0"]) == 0
+        assert recon.read_bytes() != (cli_run / "reconstruction.csv").read_bytes()
+    assert main(["report", "--out", str(run), "--seed", "0"]) == 0
+    for name in ("duality.json", "summary.txt"):
+        assert (run / name).read_bytes() == (cli_run / name).read_bytes(), name
+    cfg = load_config(seed=0)
+    paths = [run / f"scan_a{w}mm" for w in (4, 5)]
+    tables = [load_scan_csv(p.with_suffix(".csv")) for p in paths]
+    exposures = [json.loads(p.with_suffix(".json").read_text())["exposure_s"] for p in paths]
+    widths = [scan.aperture_width for scan in cfg.scans]
+    solve = pipeline.reconstruct_tables(cfg, tables, widths, exposures)
+    vis = visibility(pipeline.result_profile(solve), cfg.peak_selector)
+    assert json.loads((run / "duality.json").read_text())["V"] == min(vis.value, 1.0)
 
 
 def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
