@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Checks of the installed `whichway` console script: the rank command's
-# closed-form rule on known cases, a run option placed before the
-# subcommand, then the four commands end to end, a report that does not read
-# reconstruction.csv, scan artifacts that do not depend on the core count,
-# and an output directory that cannot be created.
+# closed-form rule on known cases, a stage that fails before writing, a run
+# option placed before the subcommand, then the four commands end to end, a
+# report that does not read reconstruction.csv, scan artifacts that do not
+# depend on the core count, and an output directory that cannot be created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -17,6 +17,12 @@ test "$(whichway rank --config "$tmp/anchor3.json" -w 8 --n-max 40)" = "8, 9, 16
 echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 1}]}' > "$tmp/anchor1.json"
 test "$(whichway rank --config "$tmp/anchor1.json" -w 8 --n-max 12)" = "8, 9, 10, 11, 12"
 test "$(whichway rank -w 40 --n-max 1000000 | tr ',' '\n' | wc -l)" = "49999"
+# a stage that rejects its arguments exits 2 and creates no directory
+mkdir "$tmp/empty"
+status=0
+(cd "$tmp/empty" && whichway reconstruct --widths-mm 4,5 2> /dev/null) || status=$?
+test "$status" = 2
+test -z "$(ls -A "$tmp/empty")"
 # the run options follow the subcommand; before it they exit 2 and write nothing
 status=0
 (cd "$tmp" && whichway --out "$tmp/top" fringes 2> /dev/null) || status=$?

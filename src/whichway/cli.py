@@ -105,7 +105,7 @@ def cmd_fringes(cfg: RunConfig, args, out: Path) -> list[Path]:
 def _scan_sidecar(series, cfg: RunConfig) -> dict:
     contamination, p, d = assignment_probability(series, cfg.guard_px)
     # row totals summed in step order: a whole-matrix sum rounds differently
-    total = sum(float(row.sum()) for row in series.profiles)
+    total = sum(series.profiles.sum(axis=1).tolist())
     sc = series.config
     return {
         "aperture_width_m": sc.aperture_width,
@@ -383,8 +383,18 @@ def main(argv=None) -> int:
         )
         t0 = time.perf_counter()
         out = Path(cfg.output_dir)
+        made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
-        files = _STAGES[args.command](cfg, args, out)
+        try:
+            files = _STAGES[args.command](cfg, args, out)
+        except BaseException:
+            # a stage that fails before writing leaves no directory behind
+            for directory in made:
+                try:
+                    directory.rmdir()
+                except OSError:  # not empty: the stage wrote into it
+                    break
+            raise
         _update_manifest(cfg, out, args.command, files, time.perf_counter() - t0)
         return 0
     except WhichwayError as exc:

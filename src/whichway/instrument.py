@@ -21,6 +21,7 @@ from .artifacts import read_csv, write_csv
 from .errors import ConfigurationError, DataError, NumericalError
 from .metrics import distinguishability
 from .optics import (
+    FRESNEL_BLOCK,
     Geometry,
     IntensityProfile,
     SampledField,
@@ -406,7 +407,12 @@ class _ScanOptics:
         self.fresnel = partial(fresnel_field, steps, l_s, lam)
         # the pupil at u_j - s for s = s_start + q h, q = 0 .. last, starts at last - q
         self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
-        self.table = self.pupil(self.u[0] - scan.s_start + h * np.arange(-self.last, self.u.size))
+        # tabulated FRESNEL_BLOCK entries at a time, so that no scratch array
+        # grows with the scan's length
+        self.table = np.empty(self.last + self.u.size, complex)
+        for start in range(0, self.table.size, FRESNEL_BLOCK):
+            q = np.arange(start, min(start + FRESNEL_BLOCK, self.table.size)) - self.last
+            self.pupil(self.u[0] - scan.s_start + h * q, out=self.table[start : start + q.size])
         sub = detector.pixel_pitch / SUBSAMPLES
         first = -detector.n_pixels * detector.pixel_pitch / 2 - sub / 2
         k = 2 * np.pi * h / (lam * l_c)
@@ -434,9 +440,9 @@ class _ScanOptics:
         self.freq_slope = (scan.stage_ratio / l_c - 1 / l_s) / lam
         self.gain = detector.gain
 
-    def pupil(self, v: np.ndarray) -> np.ndarray:
+    def pupil(self, v: np.ndarray, out=None) -> np.ndarray:
         """The pupil at offsets v times the folded tilt factor exp(-i c v^2 / 2)."""
-        return self.fresnel(v) * np.exp(-1j * self.chirp * v**2)
+        return np.multiply(self.fresnel(v), np.exp(-1j * self.chirp * v**2), out=out)
 
     def images(self, positions) -> np.ndarray:
         """Noiseless pixel values at each slit position, one row each, for
@@ -567,11 +573,16 @@ def assignment_probability(
     if guard_px < 0:
         raise ConfigurationError("guard_px must be >= 0")
     profiles = series.profiles
-    beyond = np.abs(np.arange(profiles.shape[1]) - series.midlines[:, np.newaxis]) > guard_px
+    pixels = np.arange(profiles.shape[1])
     # one masked sum per row, then the rows in step order, as the scan
-    # sidecars add their total flux: a whole-matrix sum rounds differently
-    wrong = sum(np.sum(profiles, axis=1, where=beyond).tolist())
-    return _assignment(wrong, sum(profiles.sum(axis=1).tolist()))
+    # sidecars add their total flux: a whole-matrix sum rounds differently.
+    # The guard-band mask is built SCAN_BLOCK rows at a time
+    wrong = np.empty(len(profiles))
+    for start in range(0, len(profiles), SCAN_BLOCK):
+        rows = slice(start, start + SCAN_BLOCK)
+        beyond = np.abs(pixels - series.midlines[rows, np.newaxis]) > guard_px
+        np.sum(profiles[rows], axis=1, where=beyond, out=wrong[rows])
+    return _assignment(sum(wrong.tolist()), sum(profiles.sum(axis=1).tolist()))
 
 
 def pooled_assignment(pairs) -> tuple[float, float, float]:

@@ -211,8 +211,11 @@ def match_profiles(
     v_scale = peak_rec / peak_ref
 
     def residuals(shifts: np.ndarray) -> np.ndarray:
-        model = v_scale * np.interp(xw - shifts[:, None], ref_x, ref_v, left=0.0, right=0.0)
-        return np.sqrt(np.mean((target - model) ** 2, axis=1))
+        # v_scale * model, target - it and its square, in the model's buffer
+        model = np.interp(xw - shifts[:, None], ref_x, ref_v, left=0.0, right=0.0)
+        model *= v_scale
+        np.subtract(target, model, out=model)
+        return np.sqrt(np.mean(np.square(model, out=model), axis=1))
 
     # fringed profiles make the objective oscillatory: a coarse grid over the
     # window, then one 100 times finer over a coarse step either side of its

@@ -11,6 +11,7 @@ cross-checks.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -160,10 +161,14 @@ class IntensityProfile:
 def double_slit_field(
     geom: Geometry, grid: GridSpec, illumination_tilt: float = 0.0
 ) -> SampledField:
-    """Real-valued field right behind the double-slit mask.
+    """Field right behind the double-slit mask, real-valued in a complex array.
 
     Unit amplitude inside each slit, scaled by (1 + tilt/2) for the right
-    slit and (1 - tilt/2) for the left, zero elsewhere.
+    slit and (1 - tilt/2) for the left, zero elsewhere.  A sample x is in
+    the slit centred at c when |x - c| <= slit_width / 2.  Positions and
+    distances are computed only over each slit's index range and a few
+    samples either side, so the one array allocated that grows with the
+    grid is the returned amplitudes.
     """
     if grid.pitch > geom.slit_width / 16:
         raise ConfigurationError(
@@ -176,11 +181,18 @@ def double_slit_field(
             f"grid half_span {grid.half_span:.3e} m does not cover both slits "
             f"(need >= {outer:.3e} m)"
         )
-    x = grid.positions()
-    amp = np.zeros(grid.n)
+    amp = np.zeros(grid.n, complex)
     half = geom.slit_width / 2
-    amp[np.abs(x - geom.slit_sep / 2) <= half] = 1.0 + illumination_tilt / 2
-    amp[np.abs(x + geom.slit_sep / 2) <= half] = 1.0 - illumination_tilt / 2
+    for centre, value in (
+        (geom.slit_sep / 2, 1.0 + illumination_tilt / 2),
+        (-geom.slit_sep / 2, 1.0 - illumination_tilt / 2),
+    ):
+        # the samples x = origin + pitch i of GridSpec.positions, for the i
+        # around the slit; the margin covers the rounding of the bounds
+        lo = max(math.floor((centre - half - grid.origin) / grid.pitch) - 2, 0)
+        hi = min(math.ceil((centre + half - grid.origin) / grid.pitch) + 3, grid.n)
+        x = grid.origin + grid.pitch * np.arange(lo, hi)
+        amp[lo:hi][np.abs(x - centre) <= half] = value
     return SampledField(grid.origin, grid.pitch, amp)
 
 
@@ -381,6 +393,9 @@ def fresnel(t) -> tuple[np.ndarray, np.ndarray]:
 # fresnel_field costs one Fresnel integral per amplitude step and position;
 # a double slit has four steps
 MAX_AMPLITUDE_STEPS = 64
+# positions per block of fresnel_field: its scratch arrays hold a block's
+# Fresnel arguments, however many positions it is asked for
+FRESNEL_BLOCK = 2048
 
 
 def amplitude_steps(field: SampledField) -> tuple[np.ndarray, np.ndarray]:
@@ -414,11 +429,18 @@ def fresnel_field(steps: tuple, distance: float, wavelength: float, x) -> np.nda
     Fresnel integrals C and S.  The convention is propagate_fresnel's.
     """
     edges, jumps = steps
-    t = np.sqrt(2.0 / (wavelength * distance)) * (edges - np.asarray(x, dtype=float)[..., np.newaxis])
-    s, c = fresnel(t)
-    # einsum, not @: a product this size wakes OpenBLAS's thread pool, whose
-    # idle worker then spins on a core that another scan could use
-    return np.einsum("...j,j->...", c + 1j * s, jumps) * (np.exp(-0.25j * np.pi) / np.sqrt(2.0))
+    x = np.asarray(x, dtype=float)
+    field = np.empty(x.shape, complex)
+    flat, out = x.reshape(-1), field.reshape(-1)
+    for start in range(0, flat.size, FRESNEL_BLOCK):
+        block = slice(start, start + FRESNEL_BLOCK)
+        t = np.sqrt(2.0 / (wavelength * distance)) * (edges - flat[block, np.newaxis])
+        s, c = fresnel(t)
+        # einsum, not @: a product this size wakes OpenBLAS's thread pool, whose
+        # idle worker then spins on a core that another scan could use
+        np.einsum("ij,j->i", c + 1j * s, jumps, out=out[block])
+    field *= np.exp(-0.25j * np.pi) / np.sqrt(2.0)
+    return field
 
 
 def fresnel_number(geom: Geometry, screen_distance: float) -> float:

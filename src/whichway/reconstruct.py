@@ -62,8 +62,8 @@ def build_aperture_matrix(
         raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
     left = band_left_elems(width_elems, opening, anchor)
     idx = np.arange(n)
-    lag = idx[:, None] - idx  # row index minus column index
-    return ((lag < left) & (lag >= left - width_elems)).astype(float)
+    first = (idx - (left - 1))[:, None]  # each row's first column, 0-based
+    return ((idx >= first) & (idx < first + width_elems)).astype(float)
 
 
 def rank_of(matrix: np.ndarray, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:

@@ -1,5 +1,7 @@
 """Shared fixtures.  The full simulated scans are expensive (seconds each),
 so everything derived from them is session-scoped and computed once."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,24 @@ def cli_run(tmp_path_factory):
     for cmd in ("fringes", "scan", "reconstruct", "report"):
         assert main([cmd, "--out", str(out), "--seed", "0"]) == 0
     return out
+
+
+@pytest.fixture
+def traced_peak():
+    """make -> (make(), the bytes tracemalloc traced at the call's peak beyond
+    those live before it); numpy reports its data buffers to tracemalloc."""
+
+    def measure(make):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = make()
+            return result, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from whichway import pipeline
 from whichway.artifacts import read_csv
-from whichway.cli import build_parser, main
+from whichway.cli import _scan_sidecar, build_parser, main
 from whichway.config import load_config
 from whichway.errors import ConfigurationError
 from whichway.instrument import load_scan_csv, run_scan
@@ -73,6 +73,12 @@ def test_scan_sidecar_contents(cli_run):
     assert sidecar["exposure_s"] > 0
     assert 0.0 <= sidecar["contamination"] <= 1.0
     assert sidecar["noise_enabled"] is True
+
+
+def test_scan_sidecar_total_adds_the_row_sums_in_step_order(quiet_cfg, quiet_series):
+    for series in quiet_series:
+        total = _scan_sidecar(series, quiet_cfg)["total_flux_sum"]
+        assert total == sum(float(row.sum()) for row in series.profiles)
 
 
 def test_rerun_is_byte_identical(cli_run, tmp_path):
@@ -236,6 +242,31 @@ def test_report_with_missing_inputs_exits_3(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 3
     assert "missing report inputs" in capsys.readouterr().err
     assert (out / "run_manifest.json").read_bytes() == before
+
+
+FAILING_STAGES = {
+    "reconstruct-widths-without-csvs": (["reconstruct", "--widths-mm", "4,5"], 2),
+    "report-into-a-fresh-directory": (["report", "--out", "fresh"], 3),
+    "report-into-nested-fresh-directories": (["report", "--out", "a/b/c"], 3),
+}
+
+
+@pytest.mark.parametrize("argv, code", FAILING_STAGES.values(), ids=FAILING_STAGES)
+def test_a_stage_that_fails_before_writing_leaves_no_directory(tmp_path, monkeypatch, capsys,
+                                                               argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    # neither the --out directory, its parents nor the default runs/default
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_stage_keeps_an_existing_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("kept").mkdir()
+    assert main(["report", "--out", "kept"]) == 3
+    assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+    assert list(Path("kept").iterdir()) == []
 
 
 def test_an_out_that_is_a_file_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import os
 import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -466,6 +467,31 @@ def test_midlines_and_contamination_match_a_row_by_row_loop(quiet_cfg, quiet_ser
             expected = _contamination_row_by_row(series.profiles, series.midlines, guard_px)
             got = ww.assignment_probability(series, guard_px)[0]
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_assignment_probability_equals_the_whole_matrix_masked_sum(quiet_cfg, quiet_series, small_source):
+    # 301 rows are not a whole number of blocks; a noisy centroid scan of 40 are
+    scan = ww.ScanConfig(aperture_width=4e-3, n_steps=40, midline="centroid")
+    noisy = ww.run_scan(small_source, quiet_cfg.geometry, scan, ww.DetectorConfig(noise_enabled=True))
+    for series in (*quiet_series, noisy):
+        profiles = series.profiles
+        for guard_px in (20, 100):
+            beyond = np.abs(np.arange(profiles.shape[1]) - series.midlines[:, np.newaxis]) > guard_px
+            wrong = sum(np.sum(profiles, axis=1, where=beyond).tolist())
+            contamination = wrong / sum(profiles.sum(axis=1).tolist())
+            assert ww.assignment_probability(series, guard_px)[0] == contamination
+
+
+def test_the_scan_optics_scratch_does_not_grow_with_the_scan(quiet_cfg, source, traced_peak):
+    # the pupil table grows with the scan; nothing else the optics allocate may
+    def scratch(n_steps):
+        scan = ww.ScanConfig(aperture_width=4e-3, n_steps=n_steps, s_start=-(n_steps // 2) * 1e-4)
+        build = partial(instrument._ScanOptics, source, quiet_cfg.geometry, scan, quiet_cfg.detector)
+        build()
+        optics, peak = traced_peak(build)
+        return peak - optics.table.nbytes
+
+    assert scratch(1001) == pytest.approx(scratch(101), rel=0.1)
 
 
 def test_scan_series_needs_a_midline_per_step(quiet_series):

@@ -230,6 +230,54 @@ class TestMatchProfiles:
             f"normalized RMS = {m.rms_residual:.4f}\n"
         ) in (cli_run / "summary.txt").read_text()
 
+    def _assert_residuals_equal_the_old_expression(self, monkeypatch, reconstructed, reference,
+                                                  h_scale, half_window):
+        # the residuals of both shift grids, as match_profiles takes their
+        # square roots, against the out-of-place expression at those shifts
+        seen = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sqrt(self, values):
+                seen.append(np.sqrt(values))
+                return seen[-1]
+
+        monkeypatch.setattr(ww.metrics, "np", Recorder())
+        m = ww.match_profiles(reconstructed, reference, h_scale, half_window)
+        monkeypatch.undo()
+        x = reconstructed.positions
+        window = np.abs(x) <= half_window
+        xw, target = x[window], reconstructed.values[window]
+        ref_x = reference.positions * h_scale
+
+        def residuals(shifts):
+            model = m.v_scale * np.interp(xw - shifts[:, None], ref_x, reference.values, 0.0, 0.0)
+            return np.sqrt(np.mean((target - model) ** 2, axis=1))
+
+        coarse = np.linspace(-half_window, half_window, 201)
+        fine = coarse[np.argmin(seen[0])] + half_window / 100**2 * np.arange(-100, 101)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], residuals(coarse))
+        assert np.array_equal(seen[1], residuals(fine))
+        assert m.rms_residual == seen[1].min() / target.max()
+
+    def test_residuals_equal_the_old_expression(self, monkeypatch, cli_run):
+        ref = self._reference()
+        x = ref.positions
+        moved = np.interp(x - 0.3337e-3, x, ref.values, left=0.0, right=0.0)
+        tilted = ww.IntensityProfile(ref.origin, ref.pitch, 2.0 * moved * (1 + 20 * x))
+        self._assert_residuals_equal_the_old_expression(monkeypatch, tilted, ref, 1.0, 5e-3)
+        cfg = load_config()
+        x_mm, p_hat = read_csv(cli_run / "reconstruction.csv", ("position_mm", "P_hat")).values()
+        recon = ww.IntensityProfile(x_mm[0] * 1e-3, (x_mm[1] - x_mm[0]) * 1e-3, np.clip(p_hat, 0, None))
+        x, values = read_csv(cli_run / "fringes.csv", ("position_m", "value")).values()
+        fringes = ww.IntensityProfile(x[0], x[1] - x[0], np.clip(values, 0, None))
+        self._assert_residuals_equal_the_old_expression(
+            monkeypatch, recon, fringes, cfg.h_scale, cfg.window_half
+        )
+
     def test_validation(self):
         ref = self._reference()
         with pytest.raises(ww.ConfigurationError):

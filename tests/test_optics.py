@@ -100,6 +100,59 @@ def test_double_slit_field_grid_preconditions():
         double_slit_field(geom, GridSpec(2**12, 100e-6))  # misses the slits
 
 
+def _double_slit_field_on_the_whole_grid(geom, grid, tilt):
+    """double_slit_field's expressions evaluated at every grid sample."""
+    x = grid.positions()
+    amp = np.zeros(grid.n)
+    half = geom.slit_width / 2
+    amp[np.abs(x - geom.slit_sep / 2) <= half] = 1.0 + tilt / 2
+    amp[np.abs(x + geom.slit_sep / 2) <= half] = 1.0 - tilt / 2
+    return amp.astype(complex)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.1, 2.0, -2.0])
+@pytest.mark.parametrize("n", [2**16, 2**17, 2**18, 2**17 + 1])
+def test_double_slit_field_sets_the_samples_of_the_whole_grid_masks(n, tilt):
+    geom = ww.Geometry()
+    for grid in (GridSpec(n), GridSpec(n, 5e-3)):
+        got = double_slit_field(geom, grid, tilt).amplitudes
+        assert got.dtype == complex
+        assert np.array_equal(got, _double_slit_field_on_the_whole_grid(geom, grid, tilt))
+
+
+def test_double_slit_field_sets_the_samples_on_the_slit_edges():
+    # samples at odd multiples of 2^-23 m, and slit edges at +-1441 * 2^-23 m
+    # and +-639 * 2^-23 m: |x - c| equals the half width exactly there
+    unit = 2.0**-22
+    geom = ww.Geometry(slit_width=401 * unit, slit_sep=1040 * unit)
+    grid = GridSpec(2**16, 2.0**-7)
+    x = grid.positions()
+    for tilt in (0.0, 0.1):
+        amps = double_slit_field(geom, grid, tilt).amplitudes
+        assert np.array_equal(amps, _double_slit_field_on_the_whole_grid(geom, grid, tilt))
+        for centre, value in ((geom.slit_sep / 2, 1 + tilt / 2), (-geom.slit_sep / 2, 1 - tilt / 2)):
+            on_edge = np.flatnonzero(np.abs(x - centre) == geom.slit_width / 2)
+            assert on_edge.size == 2
+            assert np.all(amps[on_edge] == value)
+            assert np.all(amps[on_edge + [-1, 1]] == 0)
+
+
+@pytest.mark.parametrize("n", [2**12, 2**12 + 1])
+def test_double_slit_field_with_slits_touching_the_grid_span(n):
+    geom = ww.Geometry()
+    grid = GridSpec(n, geom.slit_sep / 2 + geom.slit_width / 2)
+    amps = double_slit_field(geom, grid, 0.1).amplitudes
+    assert np.array_equal(amps, _double_slit_field_on_the_whole_grid(geom, grid, 0.1))
+    assert amps[0] == 0.95 and amps[-1] == 1.05
+
+
+def test_double_slit_field_allocates_little_beyond_its_result(traced_peak):
+    geom, grid = ww.Geometry(), GridSpec(2**18)
+    double_slit_field(geom, grid)
+    field, peak = traced_peak(lambda: double_slit_field(geom, grid, 0.1))
+    assert peak <= 1.1 * field.amplitudes.nbytes
+
+
 def test_propagation_conserves_power():
     grid = GridSpec(2**12, 2e-3)
     x = grid.positions()
@@ -253,6 +306,30 @@ def test_pupil_truth_integrates_the_fresnel_pupil_over_each_bin(quiet_cfg, sourc
         quad(intensity, p - step / 2, p + step / 2, epsabs=0, epsrel=1e-12)[0] for p in positions
     ]
     assert np.allclose(truth, expected, rtol=1e-10, atol=0)
+
+
+def _fresnel_field_at_once(steps, distance, wavelength, x):
+    """fresnel_field's expressions evaluated at every position at once."""
+    edges, jumps = steps
+    t = np.sqrt(2.0 / (wavelength * distance)) * (edges - np.asarray(x, dtype=float)[..., np.newaxis])
+    s, c = fresnel(t)
+    return np.einsum("...j,j->...", c + 1j * s, jumps) * (np.exp(-0.25j * np.pi) / np.sqrt(2.0))
+
+
+BLOCK = ww.optics.FRESNEL_BLOCK
+
+
+@pytest.mark.parametrize(
+    "shape", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, (301, 8), (3, BLOCK + 1)]
+)
+def test_fresnel_field_in_blocks_equals_one_evaluation(quiet_cfg, source, shape):
+    geom = quiet_cfg.geometry
+    steps = amplitude_steps(source)
+    x = np.random.default_rng(7).uniform(-20e-3, 20e-3, shape)
+    for distance in (geom.dist_slits_lens, geom.dist_slits_direct):
+        got = fresnel_field(steps, distance, geom.wavelength, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, _fresnel_field_at_once(steps, distance, geom.wavelength, x))
 
 
 def test_fresnel_field_rejects_fields_of_many_amplitude_steps():

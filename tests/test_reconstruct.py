@@ -99,6 +99,19 @@ class TestApertureMatrix:
         assert np.array_equal(ww.build_aperture_matrix(n, width, opening, anchor), reference)
 
 
+@pytest.mark.parametrize("n", [7, 50, 241, 301])
+def test_aperture_matrix_equals_the_lag_matrix_masks(n):
+    idx = np.arange(n)
+    lag = idx[:, None] - idx  # row index minus column index
+    for width in sorted({1, 3, 40, 50, n} & set(range(1, n + 1))):
+        for opening in ww.reconstruct.OPENINGS:
+            for anchor in (0, 3, 20):
+                left = ww.reconstruct.band_left_elems(width, opening, anchor)
+                expected = ((lag < left) & (lag >= left - width)).astype(float)
+                got = ww.build_aperture_matrix(n, width, opening, anchor)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 class TestRank:
     @given(n=st.integers(3, 40), width=st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
