@@ -3,7 +3,8 @@
 # closed-form rule on known cases, a stage that fails before writing, a run
 # option placed before the subcommand, then the four commands end to end, a
 # report that does not read reconstruction.csv, scan artifacts that do not
-# depend on the core count, and an output directory that cannot be created.
+# depend on the core count, a scan whose peak memory does not grow with the
+# source grid, and an output directory that cannot be created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -46,6 +47,19 @@ whichway scan --out "$tmp/all-cores" --seed 0
 for f in scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
   cmp "$tmp/one-core/$f" "$tmp/all-cores/$f"
 done
+# the source keeps only its slits' window, so a grid 128 times longer leaves
+# a scan's peak resident memory within 4 MB (a whole-grid source took 25 MB
+# more at 2^24); each scan runs as the only child of its own python
+scan_peak_kb() {  # of `whichway scan --no-noise` at grid_n 2^$1
+  echo "{\"geometry\": {}, \"source\": {\"grid_n\": $((2 ** $1))}}" > "$tmp/grid$1.json"
+  python -c 'import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
+    whichway scan --config "$tmp/grid$1.json" --out "$tmp/grid$1" --no-noise
+}
+small="$(scan_peak_kb 17)"
+large="$(scan_peak_kb 24)"
+test "$((large - small))" -lt 4096 && test "$((small - large))" -lt 4096
 # an --out that names a file exits 3 with one error line
 status=0
 whichway fringes --out "$tmp/run/summary.txt" 2> "$tmp/err" || status=$?

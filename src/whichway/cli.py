@@ -16,6 +16,7 @@ from .instrument import (
     _pixel_profile,
     assignment_probability,
     load_scan_csv,
+    ordered_sum,
     pooled_assignment,
     uniform_step,
     width_in_steps,
@@ -105,7 +106,7 @@ def cmd_fringes(cfg: RunConfig, args, out: Path) -> list[Path]:
 def _scan_sidecar(series, cfg: RunConfig) -> dict:
     contamination, p, d = assignment_probability(series, cfg.guard_px)
     # row totals summed in step order: a whole-matrix sum rounds differently
-    total = sum(series.profiles.sum(axis=1).tolist())
+    total = ordered_sum(series.profiles.sum(axis=1))
     sc = series.config
     return {
         "aperture_width_m": sc.aperture_width,

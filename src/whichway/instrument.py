@@ -227,7 +227,7 @@ def apply_aperture(
             "returning an all-zero field",
             stacklevel=2,
         )
-    return replace(field_in, amplitudes=field_in.amplitudes * np.sqrt(frac))
+    return SampledField(field_in.origin, field_in.pitch, field_in.amplitudes * np.sqrt(frac))
 
 
 def _bin_intensity(
@@ -582,7 +582,17 @@ def assignment_probability(
         rows = slice(start, start + SCAN_BLOCK)
         beyond = np.abs(pixels - series.midlines[rows, np.newaxis]) > guard_px
         np.sum(profiles[rows], axis=1, where=beyond, out=wrong[rows])
-    return _assignment(sum(wrong.tolist()), sum(profiles.sum(axis=1).tolist()))
+    return _assignment(ordered_sum(wrong), ordered_sum(profiles.sum(axis=1)))
+
+
+def ordered_sum(values) -> float:
+    """The float sum of values, added left to right.  Python 3.12 made the
+    built-in sum() of floats compensated, so it rounds differently from
+    3.10 and 3.11, whose bits this keeps."""
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total
 
 
 def pooled_assignment(pairs) -> tuple[float, float, float]:

@@ -1,8 +1,10 @@
 """1-D coherent fields for the double-slit bench and their free-space transport.
 
-Source fields are sampled on uniform grids along the scan direction.  Their
-amplitude steps (amplitude_steps) propagate exactly to any positions by
-Fresnel integrals (fresnel_field), evaluated by this module's numpy
+Source fields are sampled on uniform grids along the scan direction.  A
+field may keep only a window of its samples, the rest being zero; the
+double slit keeps the span of its two slits.  Its amplitude steps
+(amplitude_steps, which read only the window) propagate exactly to any
+positions by Fresnel integrals (fresnel_field), evaluated by this module's numpy
 fresnel: the power series at small arguments and the auxiliary functions f
 and g of Abramowitz & Stegun 7.3 above them.  The transfer-function method
 on the grid (propagate_fresnel, same convention) is kept for the
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
@@ -83,7 +85,9 @@ class GridSpec:
     The default spans +-40 mm at 0.61 um pitch: wide enough that periodic
     wrap-around leakage stays below the far-field oracle tolerance for the
     58 cm slits-to-lens propagation by propagate_fresnel.  Scans take only
-    the slit edges from the grid (amplitude_steps), not its span.
+    the slit edges from the grid (amplitude_steps), not its span, and the
+    source field keeps only the slits' window of it (double_slit_field), so
+    n sets the edges' resolution, not the memory of a run.
     """
 
     n: int = 2**17
@@ -110,23 +114,47 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex scalar amplitude sampled on a uniform grid (meters)."""
+    """Complex scalar amplitude sampled on a uniform grid of n samples (meters).
+
+    values holds the samples start .. start + len(values) - 1; every other
+    sample is zero.  n defaults to start + len(values), so a field built
+    from one array is that array.  The source keeps only its slit window,
+    so nothing sized by the grid is held; amplitudes builds the dense grid
+    for the grid layers that read it.
+    """
 
     origin: float
     pitch: float
-    amplitudes: np.ndarray
+    values: np.ndarray
+    start: int = 0
+    n: int | None = None
 
     def __post_init__(self):
         if not self.pitch > 0:
             raise ConfigurationError("field pitch must be > 0")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 2:
-            raise ConfigurationError("field needs a 1-D array of >= 2 samples")
-        object.__setattr__(self, "amplitudes", amps)
+        values = np.asarray(self.values, dtype=complex)
+        if values.ndim != 1 or values.size < 1:
+            raise ConfigurationError("field needs a 1-D array of samples")
+        n = self.start + values.size if self.n is None else self.n
+        if n < 2:
+            raise ConfigurationError("field needs a grid of >= 2 samples")
+        if self.start < 0 or self.start + values.size > n:
+            raise ConfigurationError(
+                f"field window [{self.start}, {self.start + values.size}) "
+                f"does not lie on its grid of {n} samples"
+            )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n", n)
 
     @property
-    def n(self) -> int:
-        return self.amplitudes.size
+    def amplitudes(self) -> np.ndarray:
+        """All n samples: the stored array when the window is the whole
+        grid, a new dense array otherwise."""
+        if self.values.size == self.n:
+            return self.values
+        dense = np.zeros(self.n, complex)
+        dense[self.start : self.start + self.values.size] = self.values
+        return dense
 
     @property
     def positions(self) -> np.ndarray:
@@ -167,8 +195,9 @@ def double_slit_field(
     slit and (1 - tilt/2) for the left, zero elsewhere.  A sample x is in
     the slit centred at c when |x - c| <= slit_width / 2.  Positions and
     distances are computed only over each slit's index range and a few
-    samples either side, so the one array allocated that grows with the
-    grid is the returned amplitudes.
+    samples either side, and the field keeps only the window from the left
+    slit's range to the right slit's: nothing allocated grows with the
+    grid's size, only with its samples per slit.
     """
     if grid.pitch > geom.slit_width / 16:
         raise ConfigurationError(
@@ -181,8 +210,8 @@ def double_slit_field(
             f"grid half_span {grid.half_span:.3e} m does not cover both slits "
             f"(need >= {outer:.3e} m)"
         )
-    amp = np.zeros(grid.n, complex)
     half = geom.slit_width / 2
+    slits = []
     for centre, value in (
         (geom.slit_sep / 2, 1.0 + illumination_tilt / 2),
         (-geom.slit_sep / 2, 1.0 - illumination_tilt / 2),
@@ -191,9 +220,13 @@ def double_slit_field(
         # around the slit; the margin covers the rounding of the bounds
         lo = max(math.floor((centre - half - grid.origin) / grid.pitch) - 2, 0)
         hi = min(math.ceil((centre + half - grid.origin) / grid.pitch) + 3, grid.n)
+        slits.append((centre, value, lo, hi))
+    start = min(lo for *_, lo, _ in slits)
+    values = np.zeros(max(hi for *_, hi in slits) - start, complex)
+    for centre, value, lo, hi in slits:
         x = grid.origin + grid.pitch * np.arange(lo, hi)
-        amp[lo:hi][np.abs(x - centre) <= half] = value
-    return SampledField(grid.origin, grid.pitch, amp)
+        values[lo - start : hi - start][np.abs(x - centre) <= half] = value
+    return SampledField(grid.origin, grid.pitch, values, start, grid.n)
 
 
 # Wrap-around guard for FFT propagation: spectral content at frequency f
@@ -250,13 +283,13 @@ def propagate_fresnel(
     error naming the minimum grid size.
     """
     if distance == 0:
-        return replace(field_in, amplitudes=field_in.amplitudes.copy())
+        return SampledField(field_in.origin, field_in.pitch, field_in.amplitudes.copy())
     spectrum = fft(field_in.amplitudes)
     check_wraparound(spectrum, field_in.pitch, distance, wavelength)
     # in place, spectrum times kernel: the operand order of the complex
     # multiply decides the last output bits
     spectrum *= transfer_kernel(field_in.n, field_in.pitch, wavelength, distance)
-    return replace(field_in, amplitudes=ifft(spectrum))
+    return SampledField(field_in.origin, field_in.pitch, ifft(spectrum))
 
 
 # Fresnel integrals S(t) and C(t), the integrals of sin and cos(pi u^2 / 2)
@@ -401,15 +434,14 @@ FRESNEL_BLOCK = 2048
 def amplitude_steps(field: SampledField) -> tuple[np.ndarray, np.ndarray]:
     """The field read as piecewise constant (and zero outside its grid), as
     (edges, jumps): the cell edges where it changes, ascending, and the left
-    minus the right value at each."""
-    # neighbours are compared, not differenced on a zero-padded copy: at 2^18
-    # complex samples such a temporary is 4 MB, which the allocator maps
-    # afresh on each call at a page fault per 4 kB
-    a = field.amplitudes
+    minus the right value at each.  Only the field's window is read: the
+    samples on either side of it are zero, as are those off the grid."""
+    # neighbours are compared, not differenced on a zero-padded copy
+    a = field.values
     changes = np.empty(a.size + 1, bool)
     changes[[0, -1]] = a[[0, -1]] != 0
     np.not_equal(a[1:], a[:-1], out=changes[1:-1])
-    at = np.flatnonzero(changes)  # between cells at - 1 and at
+    at = np.flatnonzero(changes)  # between window cells at - 1 and at
     if at.size > MAX_AMPLITUDE_STEPS:
         raise ConfigurationError(
             f"source field has {at.size} amplitude steps; Fresnel-integral "
@@ -417,7 +449,7 @@ def amplitude_steps(field: SampledField) -> tuple[np.ndarray, np.ndarray]:
         )
     left = np.where(at > 0, a[at - 1], 0)
     right = np.where(at < a.size, a[np.minimum(at, a.size - 1)], 0)
-    return field.origin + (at - 0.5) * field.pitch, left - right
+    return field.origin + (at + field.start - 0.5) * field.pitch, left - right
 
 
 def fresnel_field(steps: tuple, distance: float, wavelength: float, x) -> np.ndarray:

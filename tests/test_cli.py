@@ -18,7 +18,7 @@ from whichway.artifacts import read_csv
 from whichway.cli import _scan_sidecar, build_parser, main
 from whichway.config import load_config
 from whichway.errors import ConfigurationError
-from whichway.instrument import load_scan_csv, run_scan
+from whichway.instrument import ScanConfig, ScanSeries, load_scan_csv, run_scan
 from whichway.metrics import distinguishability, visibility
 from whichway.optics import amplitude_steps, fresnel_field
 from whichway.pipeline import run_all_scans
@@ -79,6 +79,22 @@ def test_scan_sidecar_total_adds_the_row_sums_in_step_order(quiet_cfg, quiet_ser
     for series in quiet_series:
         total = _scan_sidecar(series, quiet_cfg)["total_flux_sum"]
         assert total == sum(float(row.sum()) for row in series.profiles)
+
+
+def test_scan_sidecar_total_adds_the_row_sums_left_to_right(quiet_cfg):
+    # a compensated sum, as Python 3.12's built-in sum(), gives 7.0
+    flux = np.array([1e16, 1.0, 1.0, -1e16, 5.0])
+    profiles = np.zeros((flux.size, 64))
+    profiles[:, 32] = flux
+    zeros = np.zeros(flux.size)
+    records = np.rec.fromarrays(
+        [np.arange(flux.size), zeros, flux, zeros, flux],
+        names="step_index,slit_position,total_flux,left_signal,right_signal",
+    )
+    scan = ScanConfig(aperture_width=4e-3, n_steps=flux.size, exposure=1.0)
+    sidecar = _scan_sidecar(ScanSeries(scan, records, profiles, np.full(flux.size, 31.5)), quiet_cfg)
+    assert sidecar["total_flux_sum"] == 5.0
+    assert sidecar["contamination"] == 0.0
 
 
 def test_rerun_is_byte_identical(cli_run, tmp_path):

@@ -19,6 +19,7 @@ from whichway.instrument import (
     _bin_intensity,
     _midlines,
     _next_fast_len,
+    ordered_sum,
 )
 from whichway.optics import GridSpec, SampledField, amplitude_steps, double_slit_field, fresnel_field
 from whichway.reconstruct import OPENINGS
@@ -693,6 +694,14 @@ def _single_step_series(values, midline="center"):
     )
     cfg = ww.ScanConfig(aperture_width=4e-3, n_steps=1, midline=midline)
     return ww.ScanSeries(cfg, records, values[np.newaxis], _midlines(values[np.newaxis], midline))
+
+
+def test_ordered_sum_adds_left_to_right():
+    # Python 3.12's compensated sum() gives 2.0
+    assert ordered_sum([0.1] * 10 + [1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum(np.array([1e16, 1.0, 1.0, -1e16])) == 0.0
+    assert ordered_sum([]) == 0.0
+    assert type(ordered_sum(np.ones(3, np.float32))) is float
 
 
 class TestAssignmentProbability:

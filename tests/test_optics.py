@@ -153,6 +153,105 @@ def test_double_slit_field_allocates_little_beyond_its_result(traced_peak):
     assert peak <= 1.1 * field.amplitudes.nbytes
 
 
+def _assert_steps_of_the_dense_copy(field):
+    dense = SampledField(field.origin, field.pitch, field.amplitudes)
+    for got, expected in zip(amplitude_steps(field), amplitude_steps(dense)):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.1, 2.0, -2.0])
+@pytest.mark.parametrize("n", [2**16, 2**17, 2**18, 2**17 + 1])
+def test_double_slit_field_keeps_the_window_of_its_slits(n, tilt):
+    geom = ww.Geometry()
+    for grid in (GridSpec(n), GridSpec(n, 5e-3)):
+        field = double_slit_field(geom, grid, tilt)
+        assert field.n == n
+        lit = (geom.slit_sep + geom.slit_width) / grid.pitch
+        assert lit < field.values.size <= lit + 8
+        _assert_steps_of_the_dense_copy(field)
+
+
+def test_the_window_of_slits_with_samples_on_their_edges():
+    unit = 2.0**-22
+    geom = ww.Geometry(slit_width=401 * unit, slit_sep=1040 * unit)
+    for tilt in (0.0, 0.1):
+        _assert_steps_of_the_dense_copy(double_slit_field(geom, GridSpec(2**16, 2.0**-7), tilt))
+
+
+@pytest.mark.parametrize("n", [2**12, 2**12 + 1])
+def test_the_window_of_slits_touching_the_grid_span(n):
+    geom = ww.Geometry()
+    grid = GridSpec(n, geom.slit_sep / 2 + geom.slit_width / 2)
+    field = double_slit_field(geom, grid, 0.1)
+    assert field.start == 0 and field.values.size == n
+    _assert_steps_of_the_dense_copy(field)
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.1])
+def test_the_window_of_slits_one_sample_apart(tilt):
+    # an odd grid has a sample at x = 0, the one sample between the slits
+    grid = GridSpec(2**16 + 1, 5e-3)
+    geom = ww.Geometry(slit_width=89e-6, slit_sep=89e-6 + grid.pitch)
+    field = double_slit_field(geom, grid, tilt)
+    lit = np.flatnonzero(field.amplitudes)
+    gaps = np.flatnonzero(np.diff(lit) > 1)
+    assert gaps.size == 1 and lit[gaps[0] + 1] - lit[gaps[0]] == 2
+    assert lit[gaps[0]] + 1 == grid.n // 2
+    edges, _ = amplitude_steps(field)
+    assert edges.size == 4 and edges[2] - edges[1] == pytest.approx(grid.pitch)
+    _assert_steps_of_the_dense_copy(field)
+
+
+def test_the_source_allocates_nothing_that_grows_with_the_grid(traced_peak):
+    # at one pitch, a grid 64 times longer holds the same slit window
+    geom, pitch = ww.Geometry(), GridSpec().pitch
+    peaks = []
+    for n in (2**16, 2**22):
+        grid = GridSpec(n, n * pitch / 2)
+        amplitude_steps(double_slit_field(geom, grid, 0.1))
+        _, peak = traced_peak(lambda: amplitude_steps(double_slit_field(geom, grid, 0.1)))
+        peaks.append(peak)
+    assert peaks[1] < 64 * 1024
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_sampled_field_holds_a_window_of_its_grid():
+    field = SampledField(-1.0, 0.5, [2.0, 3j], start=3, n=7)
+    assert field.n == 7
+    assert np.array_equal(field.amplitudes, [0, 0, 0, 2.0, 3j, 0, 0])
+    assert np.array_equal(field.positions, -1.0 + 0.5 * np.arange(7))
+    dense = SampledField(-1.0, 0.5, np.arange(4.0) + 0j)
+    assert dense.n == 4 and dense.amplitudes is dense.values
+
+
+@pytest.mark.parametrize(
+    "start, size, n, message",
+    [(-1, 3, 10, "does not lie on its grid"), (8, 3, 10, "does not lie on its grid"),
+     (0, 1, 1, ">= 2 samples"), (0, 1, None, ">= 2 samples")],
+)
+def test_sampled_field_rejects_a_window_off_its_grid(start, size, n, message):
+    with pytest.raises(ww.ConfigurationError, match=message):
+        SampledField(0.0, 1e-6, np.ones(size), start=start, n=n)
+
+
+def test_the_grid_layers_read_a_window_as_its_dense_copy():
+    from whichway.instrument import apply_aperture
+
+    geom = ww.Geometry()
+    field = double_slit_field(geom, GridSpec(2**16), 0.1)
+    dense = SampledField(field.origin, field.pitch, field.amplitudes)
+    for distance in (0.0, geom.dist_slits_lens):
+        got, expected = (propagate_fresnel(f, distance, geom.wavelength) for f in (field, dense))
+        assert (got.origin, got.pitch, got.n) == (expected.origin, expected.pitch, expected.n)
+        assert np.array_equal(got.amplitudes, expected.amplitudes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, expected = (apply_aperture(f, -0.1e-3, 0.23e-3) for f in (field, dense))
+    assert (got.origin, got.pitch, got.n) == (expected.origin, expected.pitch, expected.n)
+    assert np.array_equal(got.amplitudes, expected.amplitudes)
+    assert np.count_nonzero(got.amplitudes)
+
+
 def test_propagation_conserves_power():
     grid = GridSpec(2**12, 2e-3)
     x = grid.positions()
