@@ -436,20 +436,14 @@ def amplitude_steps(field: SampledField) -> tuple[np.ndarray, np.ndarray]:
     (edges, jumps): the cell edges where it changes, ascending, and the left
     minus the right value at each.  Only the field's window is read: the
     samples on either side of it are zero, as are those off the grid."""
-    # neighbours are compared, not differenced on a zero-padded copy
-    a = field.values
-    changes = np.empty(a.size + 1, bool)
-    changes[[0, -1]] = a[[0, -1]] != 0
-    np.not_equal(a[1:], a[:-1], out=changes[1:-1])
-    at = np.flatnonzero(changes)  # between window cells at - 1 and at
+    padded = np.concatenate(([0], field.values, [0]))
+    at = np.flatnonzero(padded[1:] != padded[:-1])  # between window cells at - 1 and at
     if at.size > MAX_AMPLITUDE_STEPS:
         raise ConfigurationError(
             f"source field has {at.size} amplitude steps; Fresnel-integral "
             f"propagation takes piecewise-constant fields of at most {MAX_AMPLITUDE_STEPS}"
         )
-    left = np.where(at > 0, a[at - 1], 0)
-    right = np.where(at < a.size, a[np.minimum(at, a.size - 1)], 0)
-    return field.origin + (at + field.start - 0.5) * field.pitch, left - right
+    return field.origin + (at + field.start - 0.5) * field.pitch, padded[at] - padded[at + 1]
 
 
 def fresnel_field(steps: tuple, distance: float, wavelength: float, x) -> np.ndarray:
