@@ -205,12 +205,12 @@ def test_the_window_of_slits_one_sample_apart(tilt):
 def test_the_source_allocates_nothing_that_grows_with_the_grid(traced_peak):
     # at one pitch, a grid 64 times longer holds the same slit window
     geom, pitch = ww.Geometry(), GridSpec().pitch
-    peaks = []
-    for n in (2**16, 2**22):
-        grid = GridSpec(n, n * pitch / 2)
+    grids = [GridSpec(n, n * pitch / 2) for n in (2**16, 2**22)]
+    for grid in grids:
         amplitude_steps(double_slit_field(geom, grid, 0.1))
-        _, peak = traced_peak(lambda: amplitude_steps(double_slit_field(geom, grid, 0.1)))
-        peaks.append(peak)
+    peaks = [
+        traced_peak(lambda: amplitude_steps(double_slit_field(geom, grid, 0.1)))[1] for grid in grids
+    ]
     assert peaks[1] < 64 * 1024
     assert peaks[1] <= 1.1 * peaks[0]
 
