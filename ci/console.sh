@@ -2,7 +2,8 @@
 # Checks of the installed `whichway` console script: the rank command's
 # closed-form rule on known cases, a stage that fails before writing, a run
 # option placed before the subcommand, then the four commands end to end, a
-# report that does not read reconstruction.csv, scan artifacts that do not
+# report that does not read reconstruction.csv, a reconstruct that rejects a
+# sidecar whose total flux is not its CSV's, scan artifacts that do not
 # depend on the core count, a scan whose peak memory does not grow with the
 # source grid, and an output directory that cannot be created.
 #
@@ -41,6 +42,21 @@ whichway report --out "$tmp/no-recon" --seed 0 --no-noise > /dev/null
 for f in duality.json summary.txt; do
   cmp "$tmp/run/$f" "$tmp/no-recon/$f"
 done
+# reconstruct checks each sidecar's total flux against its CSV, as report
+# does: a total 50 times too large exits 3 with one error line
+cp -r "$tmp/run" "$tmp/flux-x50"
+python -c 'import json, sys
+path = sys.argv[1]
+with open(path) as fh:
+    sidecar = json.load(fh)
+sidecar["total_flux_sum"] *= 50
+with open(path, "w") as fh:
+    json.dump(sidecar, fh)' "$tmp/flux-x50/scan_a4mm.json"
+status=0
+whichway reconstruct --out "$tmp/flux-x50" --seed 0 --no-noise > /dev/null 2> "$tmp/err" || status=$?
+test "$status" = 3
+test "$(wc -l < "$tmp/err")" = 1
+grep -q '^error: ' "$tmp/err"
 # the scans run on one thread per usable core; their bits must not change
 taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
 whichway scan --out "$tmp/all-cores" --seed 0

@@ -139,6 +139,8 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> list[Path]:
         if args.profiles:
             directory = out / f"profiles_{tag}"
             directory.mkdir(exist_ok=True)
+            for stale in directory.glob("step_*.csv"):  # a longer earlier scan's
+                stale.unlink()
             for k, values in enumerate(series.profiles):
                 prof = _pixel_profile(cfg.detector, values)
                 path = directory / f"step_{k:04d}.csv"
@@ -147,35 +149,50 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> list[Path]:
     return files
 
 
-def _scan_paths(cfg: RunConfig, out: Path) -> list[Path]:
-    """The CSV outputs of the configured scans."""
-    return [out / f"scan_{scan_tag(scan.aperture_width)}.csv" for scan in cfg.scans]
+def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
+    """Widths, scan tables, sidecars and exposures of a stacked solve, each file read once.
 
-
-def _read_scans(cfg: RunConfig, csv_paths, widths, sidecars_required: bool):
-    """Scan tables, sidecars and exposures, each file read once.
-
-    Unless sidecars_required, CSVs with no sidecar next to them have
-    sidecar None and exposure 1.0, but only if none of them has one.  A
-    sidecar must record the width in steps, opening and anchor that the
+    With no flux_csvs these are cfg's scans in out, and every CSV and
+    sidecar must be there.  Explicit flux_csvs take their widths from
+    widths_mm (in mm); either every one has a JSON sidecar next to it or
+    none does, and with none every sidecar is None and every exposure 1.0.
+    A sidecar must record the width in steps, opening and anchor that the
     stacked solve gives its scan: the width (in metres) in steps of the
-    first CSV, and the opening and anchor of cfg's scans.
+    first CSV, and the opening and anchor of cfg's scans; and its
+    total_flux_sum must be the sum of its CSV's F column.
     """
-    jsons = [path.with_suffix(".json") for path in csv_paths]
-    lacking = [str(path) for path, s in zip(csv_paths, jsons) if not s.exists()]
-    if sidecars_required or not lacking:
-        sidecars = [read_json(s, _SIDECAR_NUMBERS) for s in jsons]
-    elif len(lacking) == len(jsons):
-        return [load_scan_csv(path) for path in csv_paths], [None] * len(jsons), [1.0] * len(jsons)
+    if (widths_mm is None) == bool(flux_csvs):
+        raise ConfigurationError("--widths-mm is taken exactly when flux CSVs are given")
+    if flux_csvs:
+        paths = [Path(p) for p in flux_csvs]
+        try:
+            widths = [float(w) * 1e-3 for w in widths_mm.split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(f"--widths-mm: {exc}") from exc
+        if len(widths) != len(paths):
+            raise ConfigurationError("need one width per flux CSV")
     else:
+        widths = [scan.aperture_width for scan in cfg.scans]
+        paths = [out / f"scan_{scan_tag(width)}.csv" for width in widths]
+    jsons = [path.with_suffix(".json") for path in paths]
+    if not flux_csvs:
+        missing = [str(p) for pair in zip(paths, jsons) for p in pair if not p.exists()]
+        if missing:
+            raise DataError("missing scan inputs: " + ", ".join(missing))
+    lacking = [str(path) for path, s in zip(paths, jsons) if not s.exists()]
+    if len(lacking) == len(jsons):  # explicit CSVs with no sidecar at all
+        tables = [load_scan_csv(path) for path in paths]
+        return widths, tables, [None] * len(jsons), [1.0] * len(jsons)
+    if lacking:
         raise DataError(
             "either every scan CSV has a JSON sidecar or none does; no sidecar next to "
             + ", ".join(lacking)
         )
-    tables = [load_scan_csv(path) for path in csv_paths]
+    sidecars = [read_json(s, _SIDECAR_NUMBERS) for s in jsons]
+    tables = [load_scan_csv(path) for path in paths]
     step = uniform_step(tables[0]["s"], "scan slit positions")
     opening, anchor = cfg.scans[0].opening, cfg.scans[0].anchor_elems
-    for path, sidecar, width in zip(jsons, sidecars, widths):
+    for path, csv_path, table, sidecar, width in zip(jsons, paths, tables, sidecars, widths):
         for key in _SIDECAR_POSITIVE:
             if not sidecar[key] > 0:
                 raise DataError(f"{path}: '{key}' must be > 0")
@@ -187,26 +204,20 @@ def _read_scans(cfg: RunConfig, csv_paths, widths, sidecars_required: bool):
             if key not in sidecar or sidecar[key] != value:
                 found = repr(sidecar[key]) if key in sidecar else "missing"
                 raise DataError(f"{path}: '{key}' is {found}; the stacked solve takes {value!r}")
-    return tables, sidecars, [float(s["exposure_s"]) for s in sidecars]
+        # the pooled D weighs each scan by its total flux
+        total, flux = sidecar["total_flux_sum"], table["F"]
+        if not abs(total - flux.sum()) <= 1e-9 * np.abs(flux).sum():
+            raise DataError(
+                f"{path}: 'total_flux_sum' is {total!r}; "
+                f"the F column of {csv_path.name} sums to {float(flux.sum())!r}"
+            )
+    return widths, tables, sidecars, [float(s["exposure_s"]) for s in sidecars]
 
 
 def cmd_reconstruct(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Solve the stacked flux equations from scan CSVs."""
-    if (args.widths_mm is None) == bool(args.flux_csv):
-        raise ConfigurationError("--widths-mm is taken exactly when flux CSVs are given")
-    if args.flux_csv:
-        paths = [Path(p) for p in args.flux_csv]
-        try:
-            widths = [float(w) * 1e-3 for w in args.widths_mm.split(",")]
-        except ValueError as exc:
-            raise ConfigurationError(f"--widths-mm: {exc}") from exc
-        if len(widths) != len(paths):
-            raise ConfigurationError("need one width per flux CSV")
-    else:
-        paths = _scan_paths(cfg, out)
-        widths = [scan.aperture_width for scan in cfg.scans]
     # the scan step comes from the CSVs' s_mm column, not the config
-    tables, _, exposures = _read_scans(cfg, paths, widths, sidecars_required=not args.flux_csv)
+    widths, tables, _, exposures = _read_scans(cfg, out, args.flux_csv, args.widths_mm)
     result = reconstruct_tables(cfg, tables, widths, exposures)
     n = tables[0]["F"].size
     if len(widths) == 1 and result.effective_rank < n:
@@ -235,22 +246,7 @@ def cmd_reconstruct(cfg: RunConfig, args, out: Path) -> list[Path]:
 
 def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Duality report: V from the configured scans' stacked solve, D from their sidecars."""
-    paths = _scan_paths(cfg, out)
-    inputs = [*(p.with_suffix(".json") for p in paths), *paths]
-    missing = [str(p) for p in inputs if not p.exists()]
-    if missing:
-        raise DataError("missing report inputs: " + ", ".join(missing))
-
-    widths = [scan.aperture_width for scan in cfg.scans]
-    tables, sidecars, exposures = _read_scans(cfg, paths, widths, sidecars_required=True)
-    # the pooled D weighs each scan by its sidecar's total flux
-    for path, table, sidecar in zip(paths, tables, sidecars):
-        total, flux = sidecar["total_flux_sum"], table["F"]
-        if not abs(total - flux.sum()) <= 1e-9 * np.abs(flux).sum():
-            raise DataError(
-                f"{path.with_suffix('.json')}: 'total_flux_sum' is {total!r}; "
-                f"the F column of {path.name} sums to {float(flux.sum())!r}"
-            )
+    widths, tables, sidecars, exposures = _read_scans(cfg, out)
     profile = result_profile(reconstruct_tables(cfg, tables, widths, exposures))
 
     # match the reconstruction against the direct fringe image, scaled
@@ -293,7 +289,7 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
         f"V^2 + D^2 = {report.duality:.4f}  -> "
         + ("VIOLATED (> 1)" if report.violated else "within the bound"),
     ]
-    entries = {path.stem: sidecar for path, sidecar in zip(paths, sidecars)}
+    entries = {f"scan_{scan_tag(width)}": sidecar for width, sidecar in zip(widths, sidecars)}
     for name, entry in sorted(entries.items()):
         lines.append(f"  {name}: D = {distinguishability(1 - entry['contamination']):.4f}")
     if match is not None:

@@ -1,12 +1,14 @@
 import errno
 import json
 import math
+import operator
 import os
 import shutil
 import subprocess
 import sys
 import threading
 import time
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +80,8 @@ def test_scan_sidecar_contents(cli_run):
 def test_scan_sidecar_total_adds_the_row_sums_in_step_order(quiet_cfg, quiet_series):
     for series in quiet_series:
         total = _scan_sidecar(series, quiet_cfg)["total_flux_sum"]
-        assert total == sum(float(row.sum()) for row in series.profiles)
+        # a left-to-right fold: Python 3.12's built-in sum() is compensated
+        assert total == reduce(operator.add, (float(row.sum()) for row in series.profiles), 0.0)
 
 
 def test_scan_sidecar_total_adds_the_row_sums_left_to_right(quiet_cfg):
@@ -248,15 +251,22 @@ def test_missing_config_file_exits_3(tmp_path):
     assert main(["scan", "--config", str(tmp_path / "nope.json")]) == 3
 
 
+def _missing_scans_error(out):
+    """The one error line for a directory that holds none of the default scans' files."""
+    names = ("scan_a4mm.csv", "scan_a4mm.json", "scan_a5mm.csv", "scan_a5mm.json")
+    return "error: missing scan inputs: " + ", ".join(str(out / name) for name in names) + "\n"
+
+
 def test_report_with_missing_inputs_exits_3(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 3
-    assert "missing report inputs" in capsys.readouterr().err
+    assert capsys.readouterr().err == _missing_scans_error(tmp_path / "empty")
     # a failed stage leaves the manifest of the stages before it as it was
     out = tmp_path / "fringes-only"
     assert main(["fringes", "--out", str(out)]) == 0
+    capsys.readouterr()
     before = (out / "run_manifest.json").read_bytes()
     assert main(["report", "--out", str(out)]) == 3
-    assert "missing report inputs" in capsys.readouterr().err
+    assert capsys.readouterr().err == _missing_scans_error(out)
     assert (out / "run_manifest.json").read_bytes() == before
 
 
@@ -334,7 +344,8 @@ def _edit_json(edit):
 
 # (artifact, corruption, commands that read it[, exit code]): each command
 # must reject the corrupt artifact with one error line, naming the file for
-# exit 3 (the default), and leave every file of the run as it was
+# exit 3 (the default), and leave every file of the run as it was; a tuple
+# of artifacts takes a tuple of corruptions, and the error names the first
 CORRUPTIONS = {
     "fringes-header": (
         "fringes.csv",
@@ -372,10 +383,14 @@ CORRUPTIONS = {
     ),
     # finite but absurd numbers overflow the solve: a numerical failure
     "scan-flux-overflow": (
-        "scan_a4mm.csv",
-        # F stays left + right, which the CSV reader checks
-        lambda t: _replace_cell(
-            _replace_cell(_replace_cell(t, 100, 2, "1e300"), 100, 3, "1e300"), 100, 4, "0"
+        ("scan_a4mm.csv", "scan_a4mm.json"),
+        (
+            # F stays left + right, which the CSV reader checks
+            lambda t: _replace_cell(
+                _replace_cell(_replace_cell(t, 100, 2, "1e300"), 100, 3, "1e300"), 100, 4, "0"
+            ),
+            # and the sidecar's total stays the sum of F, which it checks too
+            _edit_json(lambda d: d.update(total_flux_sum=1e300)),
         ),
         ["reconstruct"],
         4,
@@ -417,11 +432,12 @@ CORRUPTIONS = {
         _edit_json(lambda d: d.pop("opening")),
         ["report", "reconstruct"],
     ),
-    # the pooled D weighs the scans by their total flux; only report reads it
+    # the pooled D weighs the scans by their total flux, and a total that
+    # is not its CSV's is a CSV scanned at another exposure
     "sidecar-flux-sum-x50": (
         "scan_a4mm.json",
         _edit_json(lambda d: d.update(total_flux_sum=50 * d["total_flux_sum"])),
-        ["report"],
+        ["report", "reconstruct"],
     ),
     "sidecar-subnormal-exposure": (
         "scan_a4mm.json",
@@ -448,12 +464,15 @@ def _snapshot(directory):
 
 @pytest.mark.parametrize("case", CORRUPTIONS)
 def test_corrupted_artifacts_exit_3(cli_run, tmp_path, capsys, case):
-    name, corrupt, commands, *code = CORRUPTIONS[case]
+    names, corruptions, commands, *code = CORRUPTIONS[case]
+    if isinstance(names, str):
+        names, corruptions = (names,), (corruptions,)
     code = code[0] if code else 3
     run = tmp_path / "run"
     shutil.copytree(cli_run, run)
-    path = run / name
-    path.write_text(corrupt(path.read_text()))
+    for name, corrupt in zip(names, corruptions):
+        (run / name).write_text(corrupt((run / name).read_text()))
+    path = run / names[0]
     before = _snapshot(run)
     for cmd in commands:
         assert main([cmd, "--out", str(run), "--seed", "0"]) == code, cmd
@@ -484,8 +503,33 @@ def test_configured_reconstruct_requires_the_sidecars(cli_run, tmp_path, capsys)
     sidecar = run / "scan_a4mm.json"
     sidecar.unlink()
     assert main(["reconstruct", "--out", str(run), "--seed", "0"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {sidecar}: ") and err.count("\n") == 1, err
+    assert capsys.readouterr().err == f"error: missing scan inputs: {sidecar}\n"
+
+
+def test_a_scan_at_another_exposure_than_its_sidecar_exits_3(tmp_path, capsys):
+    # a CSV scanned at exposure 1.0 beside the sidecar of an auto-exposed
+    # scan: divided by the sidecar's exposure, it would be stacked ~1e10
+    # times too faint; both commands reject it by the sidecar's total
+    short = {"n_steps": 101, "s_start_m": -5e-3}
+    configs = {
+        "auto": [{"aperture_width_m": 4e-3, **short}, {"aperture_width_m": 5e-3, **short}],
+        "unit": [{"aperture_width_m": 4e-3, **short, "exposure_s": 1.0}],
+    }
+    for name, scans in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"geometry": {}, "scans": scans}))
+        argv = ["scan", "--config", str(path), "--out", str(tmp_path / name), "--no-noise"]
+        assert main(argv) == 0
+    run = tmp_path / "auto"
+    shutil.copy(tmp_path / "unit" / "scan_a4mm.csv", run / "scan_a4mm.csv")
+    capsys.readouterr()
+    for cmd in ("reconstruct", "report"):
+        argv = [cmd, "--config", str(tmp_path / "auto.json"), "--out", str(run), "--no-noise"]
+        assert main(argv) == 3, cmd
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / 'scan_a4mm.json'}: 'total_flux_sum' is "), err
+        assert err.count("\n") == 1, err
+    assert not list(run.glob("reconstruction*"))
 
 
 def test_explicit_csvs_need_every_sidecar_or_none(cli_run, tmp_path, capsys):
@@ -594,6 +638,21 @@ def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
         x, values = read_csv(csv_path, ("position_m", "value")).values()
         assert np.allclose(x, centres, rtol=1e-11, atol=0)
         assert np.allclose(values, series.profiles[k], rtol=1e-11, atol=0)
+
+
+def test_scan_profiles_replaces_the_step_files_of_a_longer_run(tmp_path):
+    def scan_profiles(n_steps, out):
+        path = tmp_path / f"steps{n_steps}.json"
+        scans = [{"aperture_width_m": 4e-3, "n_steps": n_steps, "s_start_m": -(n_steps // 2) * 1e-4}]
+        path.write_text(json.dumps({"geometry": {}, "source": {"grid_n": 2**16}, "scans": scans}))
+        argv = ["scan", "--profiles", "--config", str(path), "--out", str(out), "--no-noise"]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in (out / "profiles_a4mm").iterdir()}
+
+    scan_profiles(21, tmp_path / "rerun")
+    again = scan_profiles(11, tmp_path / "rerun")
+    assert sorted(again) == [f"step_{k:04d}.csv" for k in range(11)]
+    assert again == scan_profiles(11, tmp_path / "fresh")
 
 
 def test_undersized_grid_exits_2(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import math
+import operator
 import os
 import threading
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -478,8 +479,9 @@ def test_assignment_probability_equals_the_whole_matrix_masked_sum(quiet_cfg, qu
         profiles = series.profiles
         for guard_px in (20, 100):
             beyond = np.abs(np.arange(profiles.shape[1]) - series.midlines[:, np.newaxis]) > guard_px
-            wrong = sum(np.sum(profiles, axis=1, where=beyond).tolist())
-            contamination = wrong / sum(profiles.sum(axis=1).tolist())
+            # left-to-right folds: Python 3.12's built-in sum() is compensated
+            wrong = reduce(operator.add, np.sum(profiles, axis=1, where=beyond).tolist(), 0.0)
+            contamination = wrong / reduce(operator.add, profiles.sum(axis=1).tolist(), 0.0)
             assert ww.assignment_probability(series, guard_px)[0] == contamination
 
 
