@@ -4,7 +4,8 @@
 # option placed before the subcommand, then the four commands end to end, a
 # report that does not read reconstruction.csv, a reconstruct that rejects a
 # sidecar whose total flux is not its CSV's, scan artifacts that do not
-# depend on the core count, a scan whose peak memory does not grow with the
+# depend on the core count, two reports in one process that write what
+# separate processes wrote, a scan whose peak memory does not grow with the
 # source grid, and an output directory that cannot be created.
 #
 #     bash ci/console.sh
@@ -62,6 +63,24 @@ taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
 whichway scan --out "$tmp/all-cores" --seed 0
 for f in scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
   cmp "$tmp/one-core/$f" "$tmp/all-cores/$f"
+done
+# the factor cache and the profile match's rows carry nothing from one run to
+# the next: a noisy report, then a --no-noise one, made in one process write
+# what a report process of its own wrote for each
+whichway fringes --out "$tmp/all-cores" --seed 0
+whichway reconstruct --out "$tmp/all-cores" --seed 0
+whichway report --out "$tmp/all-cores" --seed 0 > /dev/null
+cp -r "$tmp/all-cores" "$tmp/noisy-again"
+cp -r "$tmp/run" "$tmp/clean-again"
+python -c 'import sys
+from whichway.cli import main
+noisy, clean = sys.argv[1:]
+sys.exit(main(["report", "--out", noisy, "--seed", "0"])
+         or main(["report", "--out", clean, "--seed", "0", "--no-noise"]))' \
+  "$tmp/noisy-again" "$tmp/clean-again" > /dev/null
+for f in duality.json summary.txt; do
+  cmp "$tmp/all-cores/$f" "$tmp/noisy-again/$f"
+  cmp "$tmp/run/$f" "$tmp/clean-again/$f"
 done
 # the source keeps only its slits' window, so a grid 128 times longer leaves
 # a scan's peak resident memory within 4 MB (a whole-grid source took 25 MB

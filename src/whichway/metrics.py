@@ -1,4 +1,10 @@
-"""Visibility, distinguishability, the duality quantity, and profile matching."""
+"""Visibility, distinguishability, the duality quantity, and profile matching.
+
+match_profiles keeps the interpolated model rows of the last window and
+reference it matched, with a copy of both, and a later call whose window
+and reference compare equal to the copy only scales those rows (see
+match_profiles).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -51,14 +57,14 @@ def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size < 3:
         return np.zeros(0, dtype=np.intp)
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    ends = np.r_[starts[1:], x.size] - 1
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.concatenate((starts[1:], [x.size])) - 1
     runs = x[starts]
     top = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
     peaks = (starts[top] + ends[top]) // 2
     heights = x[peaks]
     # the lowest sample between neighbouring peaks, and before the first and after the last
-    valleys = np.minimum.reduceat(x, np.r_[0, peaks]).tolist()
+    valleys = np.minimum.reduceat(x, np.concatenate(([0], peaks))).tolist()
     left = _bases(heights.tolist(), valleys[:-1])
     right = _bases(heights[::-1].tolist(), valleys[:0:-1])[::-1]
     return peaks[heights - np.maximum(left, right) >= prominence]
@@ -169,6 +175,21 @@ class MatchResult(NamedTuple):
     rms_residual: float
 
 
+# What the last match read of its window and reference: (window positions,
+# scaled reference abscissa, reference values, half window, reference peak in
+# the window, coarse shifts, their model rows, fine shifts, their model rows);
+# one run matches against one reference.  It is read
+# once and rebound once per call, so threads need no lock around it.
+_ROWS: tuple | None = None
+
+
+def _model_rows(xw, ref_x, ref_v, shifts) -> np.ndarray:
+    """The reference at xw - shift, one read-only row per shift."""
+    rows = np.interp(xw - shifts[:, None], ref_x, ref_v, left=0.0, right=0.0)
+    rows.flags.writeable = False
+    return rows
+
+
 def match_profiles(
     reconstructed: IntensityProfile,
     reference: IntensityProfile,
@@ -184,7 +205,18 @@ def match_profiles(
     residual is normalized by the reconstructed peak in the window.
 
     The model is reconstructed(x) ~ v_scale * reference(x - shift).
+
+    The model rows of a shift grid depend on the window positions, the
+    scaled reference and the shifts alone, not on the reconstruction's
+    values.  So copies of the last call's window positions, scaled abscissa
+    and reference values are kept, with the read-only rows of its coarse and
+    fine grids and the reference peak in its window.  A call whose three
+    arrays equal the copies, entry by entry, reuses the coarse rows and the
+    peak when its half window is the kept one, and the fine rows when its
+    fine grid equals the kept one; a reference edited in place misses and is
+    interpolated again.  The rows take 2 x 201 x (window samples) x 8 bytes.
     """
+    global _ROWS
     if not h_scale > 0:
         raise ConfigurationError("h_scale must be > 0")
     if reconstructed.n < 2 or reference.n < 2:
@@ -200,30 +232,45 @@ def match_profiles(
     peak_rec = float(target.max())
     if peak_rec <= 0:
         raise NumericalError("reconstructed profile has no positive peak")
-    in_win = (ref_x >= xw[0] - half_window) & (ref_x <= xw[-1] + half_window)
-    if not in_win.any():
-        raise ConfigurationError(
-            "reference profile does not overlap the matching window after scaling"
-        )
-    peak_ref = float(ref_v[in_win].max())
-    if peak_ref <= 0:
-        raise NumericalError("reference profile has no positive value in the matching window")
-    v_scale = peak_rec / peak_ref
-
-    def residuals(shifts: np.ndarray) -> np.ndarray:
-        # v_scale * model, target - it and its square, in the model's buffer
-        model = np.interp(xw - shifts[:, None], ref_x, ref_v, left=0.0, right=0.0)
-        model *= v_scale
-        np.subtract(target, model, out=model)
-        return np.sqrt(np.mean(np.square(model, out=model), axis=1))
-
+    # the slot keeps copies, never the caller's values, which it may edit later
+    slot = _ROWS
+    hit = slot is not None and all(map(np.array_equal, slot[:3], (xw, ref_x, ref_v)))
+    if hit:
+        xw, ref_x, ref_v = slot[:3]
+    else:
+        ref_v = ref_v.copy()
     # fringed profiles make the objective oscillatory: a coarse grid over the
     # window, then one 100 times finer over a coarse step either side of its
     # best, which it holds, so it can only improve on it; a model row per shift
     half = 100
-    coarse = np.linspace(-half_window, half_window, 2 * half + 1)
-    best = coarse[np.argmin(residuals(coarse))]
+    if hit and slot[3] == half_window:
+        peak_ref, coarse, coarse_rows = slot[4:7]
+    else:
+        in_win = (ref_x >= xw[0] - half_window) & (ref_x <= xw[-1] + half_window)
+        if not in_win.any():
+            raise ConfigurationError(
+                "reference profile does not overlap the matching window after scaling"
+            )
+        peak_ref = float(ref_v[in_win].max())
+        if peak_ref <= 0:
+            raise NumericalError("reference profile has no positive value in the matching window")
+        coarse = np.linspace(-half_window, half_window, 2 * half + 1)
+        coarse_rows = _model_rows(xw, ref_x, ref_v, coarse)
+    v_scale = peak_rec / peak_ref
+
+    def residuals(rows: np.ndarray) -> np.ndarray:
+        # v_scale * model, target - it and its square, in one new buffer
+        model = np.multiply(rows, v_scale)
+        np.subtract(target, model, out=model)
+        return np.sqrt(np.mean(np.square(model, out=model), axis=1))
+
+    best = coarse[np.argmin(residuals(coarse_rows))]
     fine = best + half_window / half**2 * np.arange(-half, half + 1)
-    rms = residuals(fine)
+    if hit and np.array_equal(slot[7], fine):
+        fine_rows = slot[8]
+    else:
+        fine_rows = _model_rows(xw, ref_x, ref_v, fine)
+    _ROWS = (xw, ref_x, ref_v, half_window, peak_ref, coarse, coarse_rows, fine, fine_rows)
+    rms = residuals(fine_rows)
     k = int(np.argmin(rms))
     return MatchResult(float(fine[k]), float(v_scale), float(rms[k]) / peak_rec)

@@ -66,8 +66,14 @@ def build_aperture_matrix(
     return ((idx >= first) & (idx < first + width_elems)).astype(float)
 
 
+def _check_cutoff(cutoff: float) -> None:
+    if not 0 < cutoff < 1:
+        raise ConfigurationError(f"cutoff must lie in (0, 1); got {cutoff!r}")
+
+
 def rank_of(matrix: np.ndarray, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:
     """Numerical rank via singular values with a relative threshold."""
+    _check_cutoff(cutoff)
     s = np.linalg.svdvals(matrix)
     if s.size == 0 or s[0] == 0:
         return 0
@@ -190,10 +196,12 @@ def solve_stacked(
 
     Each flux vector is divided by its exposure, the banded systems are
     stacked, and the SVD-based solver discards singular values at or below
-    cutoff * sigma_max, the rule of LAPACK's gelsd.  Effective rank and
-    residual norm are reported.  The pseudo-inverse of the last stacked
-    system factored is kept and reused (see _pseudo_inverse).
+    cutoff * sigma_max, the rule of LAPACK's gelsd; cutoff must lie in
+    (0, 1).  Effective rank and residual norm are reported.  The
+    pseudo-inverse of the last stacked system factored is kept and reused
+    (see _pseudo_inverse).
     """
+    _check_cutoff(cutoff)
     matrices = list(matrices)
     fluxes = [np.asarray(f, dtype=float) for f in fluxes]
     if not matrices or len(matrices) != len(fluxes):
@@ -244,6 +252,8 @@ def gaussian_smooth(result: ReconstructionResult, rms: float) -> ReconstructionR
     rms is in the grid's physical units; the kernel is truncated at 5 sigma
     and renormalized.  rms = 0 returns the result unchanged.
     """
+    if not math.isfinite(rms):
+        raise ConfigurationError(f"smoothing rms must be finite; got {rms!r}")
     if rms < 0:
         raise ConfigurationError("smoothing rms must be >= 0")
     if rms == 0:

@@ -278,6 +278,82 @@ class TestMatchProfiles:
             monkeypatch, recon, fringes, cfg.h_scale, cfg.window_half
         )
 
+    def _tilted(self):
+        ref = self._reference()
+        x = ref.positions
+        moved = np.interp(x - 0.3337e-3, x, ref.values, left=0.0, right=0.0)
+        return ww.IntensityProfile(ref.origin, ref.pitch, 2.0 * moved * (1 + 20 * x))
+
+    @staticmethod
+    def _seed_0_profiles(cli_run):
+        x_mm, p_hat = read_csv(cli_run / "reconstruction.csv", ("position_mm", "P_hat")).values()
+        recon = ww.IntensityProfile(x_mm[0] * 1e-3, (x_mm[1] - x_mm[0]) * 1e-3, np.clip(p_hat, 0, None))
+        x, values = read_csv(cli_run / "fringes.csv", ("position_m", "value")).values()
+        return recon, ww.IntensityProfile(x[0], x[1] - x[0], np.clip(values, 0, None))
+
+    @staticmethod
+    def _fresh(monkeypatch, *args):
+        """match_profiles(*args) with its slot of model rows emptied first."""
+        monkeypatch.setattr(ww.metrics, "_ROWS", None)
+        return ww.match_profiles(*args)
+
+    @staticmethod
+    def _kept_rows():
+        return [a for a in ww.metrics._ROWS if isinstance(a, np.ndarray) and a.ndim == 2]
+
+    def test_a_kept_match_equals_a_fresh_one(self, monkeypatch, cli_run):
+        cfg = load_config()
+        recon, fringes = self._seed_0_profiles(cli_run)
+        for args in ((self._tilted(), self._reference(), 1.0, 5e-3),
+                     (recon, fringes, cfg.h_scale, cfg.window_half)):
+            ww.match_profiles(*args)
+            rows = self._kept_rows()
+            kept = ww.match_profiles(*args)
+            # the second call read both grids' rows from the slot
+            assert all(a is b for a, b in zip(self._kept_rows(), rows))
+            assert kept == self._fresh(monkeypatch, *args)
+
+    def test_a_changed_reference_or_window_is_interpolated_again(self, monkeypatch):
+        reference, tilted = self._reference(), self._tilted()
+        base = (tilted, reference, 1.0, 5e-3)
+        shifted = ww.IntensityProfile(tilted.origin + tilted.pitch / 3, tilted.pitch, tilted.values)
+        # the same grid with its fringes moved: another fine shift grid
+        moved = ww.IntensityProfile(tilted.origin, tilted.pitch, np.roll(tilted.values, 40))
+        # samples that both half windows hold whole: the same window positions
+        narrow = ww.IntensityProfile(-3e-3, tilted.pitch, tilted.values[250:551])
+        for first, then in ((base, (tilted, reference, 1.02, 5e-3)),
+                            (base, (tilted, reference, 1.0, 4e-3)),
+                            (base, (shifted, reference, 1.0, 5e-3)),
+                            (base, (moved, reference, 1.0, 5e-3)),
+                            ((narrow, reference, 1.0, 5e-3), (narrow, reference, 1.0, 4e-3))):
+            before = ww.match_profiles(*first)
+            changed = ww.match_profiles(*then)
+            assert changed != before
+            assert changed == self._fresh(monkeypatch, *then)
+        before = ww.match_profiles(*base)
+        reference.values[::7] *= 1.3
+        edited = ww.match_profiles(*base)
+        assert edited != before
+        assert edited == self._fresh(monkeypatch, *base)
+
+    def test_the_kept_rows_are_read_only(self):
+        ww.match_profiles(self._tilted(), self._reference(), 1.0, 5e-3)
+        rows = self._kept_rows()
+        assert len(rows) == 2
+        for r in rows:
+            assert not r.flags.writeable
+            with pytest.raises(ValueError):
+                r[0, 0] = 1.0
+
+    def test_two_references_used_alternately(self, monkeypatch):
+        tilted, reference = self._tilted(), self._reference()
+        other = ww.IntensityProfile(reference.origin, reference.pitch, reference.values ** 2)
+        expected = [self._fresh(monkeypatch, tilted, r, 1.0, 5e-3) for r in (reference, other)]
+        assert expected[0] != expected[1]
+        for _ in range(3):
+            for r, want in zip((reference, other), expected):
+                assert ww.match_profiles(tilted, r, 1.0, 5e-3) == want
+
     def test_validation(self):
         ref = self._reference()
         with pytest.raises(ww.ConfigurationError):

@@ -253,6 +253,19 @@ class TestSolveStacked:
             ww.solve_stacked(mats, fluxes)
         assert ww.reconstruct._FACTORED is cached
 
+    @pytest.mark.parametrize("cutoff", [np.nan, 0.0, 1.0, 1.5, -1.0])
+    def test_a_cutoff_outside_0_1_is_rejected(self, cutoff):
+        # such a cutoff used to return an all-zero p_hat of effective rank 0
+        mats = [ww.build_aperture_matrix(31, w) for w in (4, 5)]
+        fluxes = _noisy_fluxes(mats, 4)
+        ww.solve_stacked(mats, fluxes)
+        cached = ww.reconstruct._FACTORED
+        with pytest.raises(ww.ConfigurationError, match=r"cutoff must lie in \(0, 1\)"):
+            ww.solve_stacked(mats, fluxes, cutoff=cutoff)
+        assert ww.reconstruct._FACTORED is cached
+        with pytest.raises(ww.ConfigurationError, match=r"cutoff must lie in \(0, 1\)"):
+            ww.rank_of(mats[0], cutoff)
+
     def test_matches_the_gelsd_oracle_on_noisy_default_stacks(self):
         mats = [ww.build_aperture_matrix(301, w) for w in (40, 50)]
         for seed in range(10):
@@ -430,3 +443,9 @@ class TestGaussianSmooth:
             ww.gaussian_smooth(self._result(np.ones(10)), 1e-4)
         with pytest.raises(ww.ConfigurationError, match=r"rms 1 .* 10-element grid"):
             ww.gaussian_smooth(self._result(np.ones(10)), 1.0)
+
+    @pytest.mark.parametrize("rms", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rms_raises(self, rms):
+        # nan once raised math.ceil's ValueError and inf its OverflowError
+        with pytest.raises(ww.ConfigurationError, match="smoothing rms must be finite"):
+            ww.gaussian_smooth(self._result(np.ones(100)), rms)
