@@ -178,8 +178,8 @@ class MatchResult(NamedTuple):
 # What the last match read of its window and reference: (window positions,
 # scaled reference abscissa, reference values, half window, reference peak in
 # the window, coarse shifts, their model rows, fine shifts, their model rows);
-# one run matches against one reference.  It is read
-# once and rebound once per call, so threads need no lock around it.
+# one run matches against one reference.  It is read once and rebound once
+# per call, so threads need no lock around it.
 _ROWS: tuple | None = None
 
 
