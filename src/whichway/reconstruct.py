@@ -12,12 +12,13 @@ row reads f_hi - f_lo, an edge between vertices lo and hi of a graph on
 joined to the grounded vertex 0, so full rank is a connectivity question,
 and for these bands it has a closed-form answer (full_rank_dims).
 
-solve_stacked keeps the SVD's rank-truncated pseudo-inverse of the last
-stacked system it factored, with a copy of that system, and a later call
-whose matrices compare equal to the copy costs one matrix-vector product.
+build_aperture_matrix returns one read-only matrix object per band, and
+solve_stacked reuses the rank-truncated pseudo-inverse it last factored while
+it is handed those same objects, at the cost of one matrix-vector product.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -53,6 +54,8 @@ def build_aperture_matrix(
     With left = band_left_elems(width_elems, opening, anchor), 1-based row
     i holds ones at i - left < j <= i - left + width_elems, clipped to
     [1, n]; with the "rightward" opening every width shares "i - anchor < j".
+    It is a read-only view of an immutable bytes buffer, one object per
+    (n, width_elems, left), so solve_stacked can reuse its factor; edit a .copy().
     """
     if width_elems < 1 or width_elems > n:
         raise ConfigurationError(
@@ -60,10 +63,16 @@ def build_aperture_matrix(
         )
     if anchor < 0:
         raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
-    left = band_left_elems(width_elems, opening, anchor)
+    return _band(n, width_elems, band_left_elems(width_elems, opening, anchor))
+
+
+@functools.lru_cache(maxsize=8)
+def _band(n: int, width_elems: int, left: int) -> np.ndarray:
     idx = np.arange(n)
     first = (idx - (left - 1))[:, None]  # each row's first column, 0-based
-    return ((idx >= first) & (idx < first + width_elems)).astype(float)
+    band = np.frombuffer(((idx >= first) & (idx < first + width_elems)).astype(float).tobytes())
+    assert band.flags.aligned  # numpy takes unaligned operands off BLAS, moving bits
+    return band.reshape(n, n)
 
 
 def _check_cutoff(cutoff: float) -> None:
@@ -120,44 +129,38 @@ def full_rank_dims(
     return [n for n in range(width_elems, n_max + 1) if n % width_elems <= 1]
 
 
-# (cutoff, the stacked system, its pseudo-inverse, effective rank) of the last
-# system factored; one run solves through one stacked system.  It is read
-# once and rebound once per call, so threads need no lock around it.
+# (cutoff, the stacked matrices, their pseudo-inverse, effective rank) of the
+# last system of immutable matrices factored.  It is read once and rebound
+# once per call, so threads need no lock around it.
 _FACTORED: tuple | None = None
 
 
 def _pseudo_inverse(matrices: list, cutoff: float) -> tuple[np.ndarray, int]:
     """Rank-truncated pseudo-inverse of the stacked matrices and its rank.
 
-    A hit needs an equal cutoff and every matrix equal, entry by entry, to
-    its rows of the cached system, so a matrix edited in place is factored
-    again.  The cached copy is bool when every entry is 0 or 1, as in every
-    matrix build_aperture_matrix makes, and float64 otherwise.  A miss
-    rejects non-finite entries before the SVD, so a bad matrix is never
-    cached.
+    A hit needs an equal cutoff and each matrix to be the very object cached.
+    Only matrices backed by an immutable bytes buffer, as every matrix
+    build_aperture_matrix returns, are cached, so no cached matrix can
+    change under its factor; a writeable matrix is factored on every call.
+    A miss rejects non-finite entries before the SVD.
     """
     global _FACTORED
     hit = _FACTORED
-    if hit is not None and hit[0] == cutoff:
-        _, system, pinv, rank = hit
-        rows = np.split(system, np.cumsum([len(m) for m in matrices[:-1]]))
-        if all(np.array_equal(m, r) for m, r in zip(matrices, rows)):
-            return pinv, rank
+    # the cached matrices are alive, so equal ids are the same objects
+    if hit is not None and hit[0] == cutoff and list(map(id, hit[1])) == list(map(id, matrices)):
+        return hit[2], hit[3]
     if not all(np.isfinite(m).all() for m in matrices):
         raise NumericalError("aperture matrices hold non-finite entries")
-    system = np.vstack(matrices, dtype=float)
     # every process pays one miss per system: numpy's svd is LAPACK gesdd, which
     # takes about twice a single gelsd solve (gesvd four to six times), with
     # the same agreement with gelsd
-    u, s, vt = np.linalg.svd(system, full_matrices=False)
-    packed = system.astype(bool)
-    if np.array_equal(packed, system):
-        system = packed  # frees the float64 stack before the product below
+    u, s, vt = np.linalg.svd(np.vstack(matrices, dtype=float), full_matrices=False)
     rank = int(np.count_nonzero(s > cutoff * s[0])) if s.size else 0
     u = u[:, :rank]
     u /= s[:rank]
     pinv = vt[:rank].T @ u.T
-    _FACTORED = (cutoff, system, pinv, rank)
+    if all(isinstance(getattr(m.base, "base", None), bytes) for m in matrices):
+        _FACTORED = (cutoff, tuple(matrices), pinv, rank)
     return pinv, rank
 
 
@@ -198,8 +201,8 @@ def solve_stacked(
     stacked, and the SVD-based solver discards singular values at or below
     cutoff * sigma_max, the rule of LAPACK's gelsd; cutoff must lie in
     (0, 1).  Effective rank and residual norm are reported.  The
-    pseudo-inverse of the last stacked system factored is kept and reused
-    (see _pseudo_inverse).
+    pseudo-inverse is kept for build_aperture_matrix's own matrix objects
+    and reused by identity; others are factored every call (_pseudo_inverse).
     """
     _check_cutoff(cutoff)
     matrices = list(matrices)

@@ -1,3 +1,4 @@
+import shutil
 import sys
 import threading
 
@@ -81,6 +82,25 @@ class TestApertureMatrix:
             ww.build_aperture_matrix(10, 5, opening="diagonal")
         with pytest.raises(ww.ConfigurationError, match="anchor"):
             ww.build_aperture_matrix(10, 5, anchor=-1)
+
+    def test_equal_bands_however_spelled_are_one_object(self):
+        a = ww.build_aperture_matrix(301, 40)
+        # each spelling puts 20 elements of the 40-element band left of its point
+        for spelling in [("rightward", 20), ("leftward", 20), ("centered", 0)]:
+            assert ww.build_aperture_matrix(np.int64(301), 40, *spelling) is a
+        for other in [(300, 40), (301, 41), (301, 40, "rightward", 21)]:
+            b = ww.build_aperture_matrix(*other)
+            assert b is not a and b is ww.build_aperture_matrix(*other)
+
+    def test_neither_the_matrix_nor_its_base_can_be_made_writeable(self):
+        a = ww.build_aperture_matrix(301, 40)
+        assert isinstance(a.base.base, bytes)
+        for array in (a, a.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 2.0
+        assert a.flags.aligned and a.flags.c_contiguous and a.dtype == np.float64
 
     def test_dense_rows_sum_to_the_width_in_the_interior(self):
         a = ww.build_aperture_matrix(301, 40)
@@ -247,10 +267,12 @@ class TestSolveStacked:
     def test_non_finite_matrix_raises_numerical_error(self, bad):
         mats = [ww.build_aperture_matrix(30, w) for w in (4, 5)]
         fluxes = [np.ones(30), np.ones(30)]
-        mats[1][7, 3] = bad
+        ww.solve_stacked(mats, fluxes)
         cached = ww.reconstruct._FACTORED
+        edited = [m.copy() for m in mats]
+        edited[1][7, 3] = bad
         with pytest.raises(ww.NumericalError, match="aperture matrices hold non-finite"):
-            ww.solve_stacked(mats, fluxes)
+            ww.solve_stacked(edited, fluxes)
         assert ww.reconstruct._FACTORED is cached
 
     @pytest.mark.parametrize("cutoff", [np.nan, 0.0, 1.0, 1.5, -1.0])
@@ -305,7 +327,12 @@ class TestSolveStacked:
         mats = [ww.build_aperture_matrix(120, w) for w in (8, 11)]
         fluxes = _noisy_fluxes(mats, 2)
         _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
-        mats[0][60, 60] = 1.0 - mats[0][60, 60]
+        with pytest.raises(ValueError, match="read-only"):
+            mats[0][60, 60] = 0.0
+        copies = [m.copy() for m in mats]
+        _assert_matches_gelsd(ww.solve_stacked(copies, fluxes), copies, fluxes)
+        copies[0][60, 60] = 1.0 - copies[0][60, 60]
+        _assert_matches_gelsd(ww.solve_stacked(copies, fluxes), copies, fluxes)
         _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
 
     def test_the_cutoff_selects_the_rank(self):
@@ -356,16 +383,24 @@ class TestSolveStacked:
         ww.solve_stacked(mats, fluxes)
         assert len(calls) == 2
 
-    def test_a_system_with_entries_other_than_0_and_1_is_cached_exactly(self, monkeypatch):
+    def test_a_writeable_system_is_factored_on_every_call(self, monkeypatch):
         calls = self._count_factorizations(monkeypatch)
         halves = [0.5 * ww.build_aperture_matrix(120, w) for w in (8, 11)]
         fluxes = _noisy_fluxes(halves, 6)
-        for _ in range(2):
+        for count in (1, 2):
             _assert_matches_gelsd(ww.solve_stacked(halves, fluxes), halves, fluxes)
-        assert len(calls) == 1
-        ones = [2 * m for m in halves]
-        _assert_matches_gelsd(ww.solve_stacked(ones, fluxes), ones, fluxes)
-        assert len(calls) == 2
+            assert len(calls) == count
+        halves[0] *= 2
+        _assert_matches_gelsd(ww.solve_stacked(halves, fluxes), halves, fluxes)
+        # a read-only view of writeable memory is not immutable either
+        views = [m.view() for m in halves]
+        for view in views:
+            view.flags.writeable = False
+        _assert_matches_gelsd(ww.solve_stacked(views, fluxes), views, fluxes)
+        halves[1] *= 2
+        _assert_matches_gelsd(ww.solve_stacked(views, fluxes), views, fluxes)
+        assert len(calls) == 5
+        assert ww.reconstruct._FACTORED is None
 
     def test_threads_alternating_same_shape_systems_get_their_own_factors(self):
         systems = [
@@ -399,16 +434,39 @@ class TestSolveStacked:
         assert wrong == []
 
     @pytest.mark.parametrize("dtype", [int, bool])
-    def test_an_equal_matrix_of_another_dtype_hits(self, monkeypatch, dtype):
+    def test_an_equal_matrix_of_another_dtype_solves_alike(self, monkeypatch, dtype):
         calls = self._count_factorizations(monkeypatch)
         mats = [ww.build_aperture_matrix(120, w) for w in (8, 11)]
         fluxes = _noisy_fluxes(mats, 5)
         first = ww.solve_stacked(mats, fluxes)
-        again = ww.solve_stacked([m.astype(dtype) for m in mats], fluxes)
-        assert len(calls) == 1
-        assert np.array_equal(first.p_hat, again.p_hat)
-        assert first.residual_norm == again.residual_norm
-        assert first.effective_rank == again.effective_rank
+        others = [m.astype(dtype) for m in mats]
+        for count in (2, 3):
+            again = ww.solve_stacked(others, fluxes)
+            assert len(calls) == count
+            _assert_matches_gelsd(again, mats, fluxes)
+            assert np.array_equal(first.p_hat, again.p_hat)
+            assert first.residual_norm == again.residual_norm
+            assert first.effective_rank == again.effective_rank
+        # the writeable solves leave the read-only system's factor in place
+        assert np.array_equal(ww.solve_stacked(mats, fluxes).p_hat, first.p_hat)
+        assert len(calls) == 3
+
+    def test_reconstruct_then_report_take_one_factorization(self, monkeypatch, cli_run, tmp_path):
+        from whichway.cli import main
+
+        calls = self._count_factorizations(monkeypatch)
+        solves, solve = [], ww.pipeline.solve_stacked
+        monkeypatch.setattr(
+            ww.pipeline, "solve_stacked", lambda *a, **k: solves.append(1) or solve(*a, **k)
+        )
+        out = tmp_path / "run"
+        shutil.copytree(cli_run, out)
+        for cmd in ("reconstruct", "report"):
+            assert main([cmd, "--out", str(out), "--seed", "0"]) == 0
+        # reconstruct solves F; report solves F, left and right
+        assert (len(solves), len(calls)) == (4, 1)
+        for name in ("reconstruction.csv", "duality.json", "summary.txt"):
+            assert (out / name).read_bytes() == (cli_run / name).read_bytes()
 
 
 class TestGaussianSmooth:
