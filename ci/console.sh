@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Checks of the installed `whichway` console script: the rank command's
 # closed-form rule on known cases, a stage that fails before writing, a run
-# option placed before the subcommand, then the four commands end to end, a
-# report that does not read reconstruction.csv, a reconstruct that rejects a
-# sidecar whose total flux is not its CSV's, scan artifacts that do not
-# depend on the core count, two reconstructs and two reports in one process
-# that write what separate processes wrote, a scan whose peak memory does not
-# grow with the source grid, and an output directory that cannot be created.
+# option placed before the subcommand, a scan config with an unknown
+# "opening" key, then the four commands end to end, a report that does not
+# read reconstruction.csv, a reconstruct that rejects a sidecar whose total
+# flux is not its CSV's, scan artifacts that do not depend on the core
+# count, two reconstructs and two reports in one process that write what
+# separate processes wrote, a scan whose peak memory does not grow with the
+# source grid, and an output directory that cannot be created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -31,6 +32,15 @@ status=0
 (cd "$tmp" && whichway --out "$tmp/top" fringes 2> /dev/null) || status=$?
 test "$status" = 2
 test ! -e "$tmp/top" && test ! -e "$tmp/runs"
+# scans have no "opening" key: a config naming one exits 2 with one error
+# line that names the scan and the key, and writes nothing
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "opening": "rightward"}]}' > "$tmp/opening.json"
+status=0
+whichway scan --config "$tmp/opening.json" --out "$tmp/opening" 2> "$tmp/err" || status=$?
+test "$status" = 2
+test "$(wc -l < "$tmp/err")" = 1
+grep -q '^error: .*scans\[0\].*"opening"' "$tmp/err"
+test ! -e "$tmp/opening"
 whichway fringes --out "$tmp/run" --seed 0 --no-noise
 whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise

@@ -111,7 +111,6 @@ def _scan_sidecar(series, cfg: RunConfig) -> dict:
     return {
         "aperture_width_m": sc.aperture_width,
         "width_elems": sc.width_elems(),
-        "opening": sc.opening,
         "anchor_elems": sc.anchor_elems,
         "exposure_s": sc.exposure,
         "stage_ratio": sc.stage_ratio,
@@ -156,10 +155,10 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
     sidecar must be there.  Explicit flux_csvs take their widths from
     widths_mm (in mm); either every one has a JSON sidecar next to it or
     none does, and with none every sidecar is None and every exposure 1.0.
-    A sidecar must record the width in steps, opening and anchor that the
-    stacked solve gives its scan: the width (in metres) in steps of the
-    first CSV, and the opening and anchor of cfg's scans; and its
-    total_flux_sum must be the sum of its CSV's F column.
+    A sidecar must record the width in steps and anchor that the stacked
+    solve gives its scan: the width (in metres) in steps of the first CSV,
+    and the anchor of cfg's scans; and its total_flux_sum must be the sum
+    of its CSV's F column.
     """
     if (widths_mm is None) == bool(flux_csvs):
         raise ConfigurationError("--widths-mm is taken exactly when flux CSVs are given")
@@ -191,7 +190,7 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
     sidecars = [read_json(s, _SIDECAR_NUMBERS) for s in jsons]
     tables = [load_scan_csv(path) for path in paths]
     step = uniform_step(tables[0]["s"], "scan slit positions")
-    opening, anchor = cfg.scans[0].opening, cfg.scans[0].anchor_elems
+    anchor = cfg.scans[0].anchor_elems
     for path, csv_path, table, sidecar, width in zip(jsons, paths, tables, sidecars, widths):
         for key in _SIDECAR_POSITIVE:
             if not sidecar[key] > 0:
@@ -199,7 +198,7 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
         # a wrong-side flux fraction above 1/2 is no which-way bound
         if not 0 <= sidecar["contamination"] <= 0.5:
             raise DataError(f"{path}: 'contamination' must lie in [0, 1/2]")
-        solve = dict(width_elems=width_in_steps(width, step), opening=opening, anchor_elems=anchor)
+        solve = dict(width_elems=width_in_steps(width, step), anchor_elems=anchor)
         for key, value in solve.items():
             if key not in sidecar or sidecar[key] != value:
                 found = repr(sidecar[key]) if key in sidecar else "missing"
@@ -313,11 +312,9 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
 def cmd_rank(cfg: RunConfig, args) -> int:
     """Print the full-rank dimensions of a banded aperture matrix.
 
-    The opening and anchor are those of the configured scans, which all
-    share them.
+    The anchor is that of the configured scans, which all share it.
     """
-    scan = cfg.scans[0]
-    dims = full_rank_dims(args.width_elems, args.n_max, scan.opening, scan.anchor_elems)
+    dims = full_rank_dims(args.width_elems, args.n_max, cfg.scans[0].anchor_elems)
     print(", ".join(str(d) for d in dims))
     return 0
 

@@ -53,7 +53,7 @@ class RunConfig:
         for i, scan in enumerate(self.scans[1:], start=1):
             if tags[i] in tags[:i]:
                 raise ConfigurationError(f"scans[{i}]: output tag scan_{tags[i]} is already taken")
-            for key in ("step_m", "s_start_m", "n_steps", "opening", "anchor_elems"):
+            for key in ("step_m", "s_start_m", "n_steps", "anchor_elems"):
                 if getattr(scan, _SCAN_KEYS[key][1]) != getattr(self.scans[0], _SCAN_KEYS[key][1]):
                     raise ConfigurationError(f"scans[{i}]: {key} must equal that of scans[0]")
 
@@ -119,7 +119,6 @@ _SCAN_KEYS = {
     "stage_ratio": (ScanConfig, "stage_ratio"),
     "exposure_s": (ScanConfig, "exposure"),
     "frames_per_step": (ScanConfig, "frames_per_step"),
-    "opening": (ScanConfig, "opening"),
     "anchor_elems": (ScanConfig, "anchor_elems"),
     "midline": (ScanConfig, "midline"),
 }

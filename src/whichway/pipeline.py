@@ -129,10 +129,9 @@ def reconstruct_tables(
     tables are column dicts as load_scan_csv and ScanSeries.table return
     them; all must share one uniform set of slit positions.  widths are
     the aperture widths in meters, converted to elements of that step.
-    The cutoff, the smoothing width and the opening and anchor, which all
-    of cfg's scans share, come from cfg.
+    The cutoff, the smoothing width and the anchor, which all of cfg's
+    scans share, come from cfg.
     """
-    opening, anchor = cfg.scans[0].opening, cfg.scans[0].anchor_elems
     s = tables[0]["s"]
     step = uniform_step(s, "scan slit positions")
     for t in tables[1:]:
@@ -141,7 +140,7 @@ def reconstruct_tables(
     elems = [width_in_steps(w, step) for w in widths]
     if len(set(elems)) < len(elems):
         raise ConfigurationError("stacked scans must use distinct aperture widths")
-    mats = [build_aperture_matrix(s.size, w, opening, anchor) for w in elems]
+    mats = [build_aperture_matrix(s.size, w, cfg.scans[0].anchor_elems) for w in elems]
     vectors = [flux_vector(t, signal) for t in tables]
     result = solve_stacked(
         mats, [f for _, f in vectors], exposures, grid=vectors[0][0], cutoff=cfg.recon_cutoff

@@ -27,33 +27,26 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 
 DEFAULT_RANK_CUTOFF = 1e-10
-OPENINGS = ("rightward", "leftward", "centered")
+DEFAULT_ANCHOR_ELEMS = 20
 
 
-def band_left_elems(width_elems: int, opening: str = "rightward", anchor: int = 20) -> int:
-    """Elements of an aperture band left of its reference point.
+def band_left_elems(width_elems: int, anchor: int) -> int:
+    """Elements of an aperture band left of the pupil axis.
 
-    "rightward" puts the left edge `anchor` elements out (clipped for very
-    narrow apertures), so all widths share it; "leftward" mirrors it;
-    "centered" splits the band evenly.
+    The aperture's fixed left edge sits `anchor` elements left of the axis,
+    clipped to the width, so every width of at least `anchor` elements shares it.
     """
-    if opening == "rightward":
-        return min(anchor, width_elems)
-    if opening == "leftward":
-        return width_elems - min(anchor, width_elems)
-    if opening == "centered":
-        return width_elems // 2
-    raise ConfigurationError(f"opening must be one of {OPENINGS}; got {opening!r}")
+    return min(anchor, width_elems)
 
 
 def build_aperture_matrix(
-    n: int, width_elems: int, opening: str = "rightward", anchor: int = 20
+    n: int, width_elems: int, anchor: int = DEFAULT_ANCHOR_ELEMS
 ) -> np.ndarray:
     """Dense n x n 0/1 summation matrix for an aperture of `width_elems` elements.
 
-    With left = band_left_elems(width_elems, opening, anchor), 1-based row
-    i holds ones at i - left < j <= i - left + width_elems, clipped to
-    [1, n]; with the "rightward" opening every width shares "i - anchor < j".
+    With left = band_left_elems(width_elems, anchor), 1-based row i holds
+    ones at i - left < j <= i - left + width_elems, clipped to [1, n], so
+    every width of at least `anchor` elements shares "i - anchor < j".
     It is a read-only view of an immutable bytes buffer, one object per
     (n, width_elems, left), so solve_stacked can reuse its factor; edit a .copy().
     """
@@ -63,7 +56,7 @@ def build_aperture_matrix(
         )
     if anchor < 0:
         raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
-    return _band(n, width_elems, band_left_elems(width_elems, opening, anchor))
+    return _band(n, width_elems, band_left_elems(width_elems, anchor))
 
 
 @functools.lru_cache(maxsize=8)
@@ -89,12 +82,7 @@ def rank_of(matrix: np.ndarray, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:
     return int(np.count_nonzero(s > cutoff * s[0]))
 
 
-def full_rank_dims(
-    width_elems: int,
-    n_max: int,
-    opening: str = "rightward",
-    anchor: int = 20,
-) -> list[int]:
+def full_rank_dims(width_elems: int, n_max: int, anchor: int = DEFAULT_ANCHOR_ELEMS) -> list[int]:
     """All dimensions n in [width_elems, n_max] where the matrix is full rank.
 
     The rank is exact, not numerical.  1-based row i of
@@ -121,7 +109,7 @@ def full_rank_dims(
         raise ConfigurationError("n_max must be >= width_elems")
     if anchor < 0:
         raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
-    left = band_left_elems(width_elems, opening, anchor)
+    left = band_left_elems(width_elems, anchor)
     if left == 0:
         return []
     if left in (1, width_elems):

@@ -173,7 +173,7 @@ def test_rank_command(capsys):
     assert capsys.readouterr().err == "error: width_elems must be >= 1; got 0\n"
 
 
-def test_rank_takes_the_anchor_and_opening_of_the_configured_scans(tmp_path, capsys):
+def test_rank_takes_the_anchor_of_the_configured_scans(tmp_path, capsys):
     def rank(config, *extra):
         path = tmp_path / "rank.json"
         path.write_text(json.dumps(config))
@@ -181,12 +181,12 @@ def test_rank_takes_the_anchor_and_opening_of_the_configured_scans(tmp_path, cap
         return capsys.readouterr().out.strip()
 
     assert rank(_with("scans", anchor_elems=3)) == "8, 9, 16, 17, 24, 25, 32, 33, 40"
-    # at the default anchor of 20 no leftward dimension is full rank, and
-    # every rightward one is; the opening comes from the config alone
-    assert rank(_with("scans", opening="leftward")) == ""
-    assert rank(_with("scans", opening="rightward")) == ", ".join(str(n) for n in range(8, 41))
+    # at the default anchor of 20 every dimension is full rank, and at 0
+    # none is; the anchor comes from the config alone
+    assert rank(_with("scans", anchor_elems=0)) == ""
+    assert rank(_with("scans", anchor_elems=20)) == ", ".join(str(n) for n in range(8, 41))
     with pytest.raises(SystemExit) as exc:
-        main(["rank", "-w", "8", "--n-max", "40", "--opening", "leftward"])
+        main(["rank", "-w", "8", "--n-max", "40", "--anchor-elems", "0"])
     assert exc.value.code == 2
 
 
@@ -410,8 +410,8 @@ CORRUPTIONS = {
         _edit_json(lambda d: d.update(total_flux_sum=-d["total_flux_sum"])),
         ["report", "reconstruct"],
     ),
-    # each sidecar must record the width in steps, opening and anchor the
-    # stacked solve gives its scan, or the solve would not be the scan's
+    # each sidecar must record the width in steps and anchor the stacked
+    # solve gives its scan, or the solve would not be the scan's
     "sidecar-width-elems": (
         "scan_a4mm.json",
         _edit_json(lambda d: d.update(width_elems=41)),
@@ -422,14 +422,9 @@ CORRUPTIONS = {
         _edit_json(lambda d: d.update(anchor_elems=3)),
         ["report", "reconstruct"],
     ),
-    "sidecar-opening": (
+    "sidecar-no-anchor": (
         "scan_a4mm.json",
-        _edit_json(lambda d: d.update(opening="leftward")),
-        ["report", "reconstruct"],
-    ),
-    "sidecar-no-opening": (
-        "scan_a4mm.json",
-        _edit_json(lambda d: d.pop("opening")),
+        _edit_json(lambda d: d.pop("anchor_elems")),
         ["report", "reconstruct"],
     ),
     # the pooled D weighs the scans by their total flux, and a total that
@@ -495,6 +490,19 @@ def test_summary_derives_each_scan_d_from_its_contamination(cli_run, tmp_path):
     for name in ("scan_a4mm", "scan_a5mm"):
         contamination = json.loads((run / f"{name}.json").read_text())["contamination"]
         assert f"  {name}: D = {distinguishability(1 - contamination):.4f}\n" in summary
+
+
+def test_an_older_sidecars_opening_is_ignored(cli_run, tmp_path):
+    # sidecars once recorded the aperture's "opening"; like any key the
+    # solve does not check, it changes nothing
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    for name in ("scan_a4mm.json", "scan_a5mm.json"):
+        sidecar = run / name
+        sidecar.write_text(_edit_json(lambda d: d.update(opening="leftward"))(sidecar.read_text()))
+    assert main(["reconstruct", "--out", str(run), "--seed", "0"]) == 0
+    for name in ("reconstruction.csv", "reconstruction.json"):
+        assert (run / name).read_bytes() == (cli_run / name).read_bytes(), name
 
 
 def test_configured_reconstruct_requires_the_sidecars(cli_run, tmp_path, capsys):
@@ -930,6 +938,7 @@ MISTYPED = {
     "scan-fractional-steps": (_with("scans", n_steps=3.5), "scans[0].n_steps"),
     "scan-fractional-frames": (_with("scans", frames_per_step=2.5), "scans[0].frames_per_step"),
     "scan-fractional-anchor": (_with("scans", anchor_elems=20.5), "scans[0].anchor_elems"),
+    "scan-opening": (_with("scans", opening="rightward"), 'in scans[0]: "opening"'),
     "geometry-infinity": (_with("geometry", wavelength_m=math.inf), "geometry.wavelength_m"),
     "source-nan": (_with("source", illumination_tilt=math.nan), "source.illumination_tilt"),
     "source-numeric-string": (_with("source", grid_n="65536"), "source.grid_n"),
@@ -1012,7 +1021,6 @@ UNSTACKABLE = {
     "other-step": ({"step_m": 2e-4}, "step_m"),
     "other-start": ({"s_start_m": -2e-4}, "s_start_m"),
     "other-count": ({"n_steps": 5}, "n_steps"),
-    "other-opening": ({"opening": "centered"}, "opening"),
     "other-anchor": ({"anchor_elems": 10}, "anchor_elems"),
 }
 

@@ -23,7 +23,6 @@ from whichway.instrument import (
     ordered_sum,
 )
 from whichway.optics import GridSpec, SampledField, amplitude_steps, double_slit_field, fresnel_field
-from whichway.reconstruct import OPENINGS
 
 
 def _power(field):
@@ -97,8 +96,6 @@ class TestScanConfig:
             ww.ScanConfig(aperture_width=4e-3, midline="median")
         with pytest.raises(ww.ConfigurationError):
             ww.ScanConfig(aperture_width=-1e-3)
-        with pytest.raises(ww.ConfigurationError):
-            ww.ScanConfig(aperture_width=4e-3, opening="diagonal")
 
 
 def test_detector_validation():
@@ -361,11 +358,22 @@ def _assert_scan_equals_expected(series, exposure, rows, signals):
     assert np.array_equal(series.records.total_flux, left + right)
 
 
-@pytest.mark.parametrize("opening", OPENINGS)
+# three aperture placements, each an anchor: the left edge 20 steps left of
+# the axis (clipped to the width), the right edge 20 steps right of it
+# (anchor w - min(20, w)), and the aperture centred on the axis (anchor w // 2)
+PLACEMENTS = {
+    "rightward": lambda w: 20,
+    "leftward": lambda w: w - min(20, w),
+    "centered": lambda w: w // 2,
+}
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
 @pytest.mark.parametrize("width", [2e-3, 4e-3, 8e-3])
-def test_run_scan_matches_the_oracle(quiet_cfg, small_source, width, opening):
+def test_run_scan_matches_the_oracle(quiet_cfg, small_source, width, placement):
     geom = quiet_cfg.geometry
-    base = ww.ScanConfig(aperture_width=width, step=5e-4, n_steps=12, s_start=-3e-3, opening=opening)
+    anchor = PLACEMENTS[placement](round(width / 5e-4))
+    base = ww.ScanConfig(width, step=5e-4, n_steps=12, s_start=-3e-3, anchor_elems=anchor)
     quiet_det = ww.DetectorConfig()
     quiet = ww.run_scan(small_source, geom, base, quiet_det)
     exposure = quiet.config.exposure
@@ -384,6 +392,23 @@ def test_run_scan_matches_the_oracle(quiet_cfg, small_source, width, opening):
             series = ww.run_scan(small_source, geom, scan, det)
             expected = _expected_scan(quiet.profiles, scan, det)
             _assert_scan_equals_expected(series, exposure, *expected)
+
+
+@pytest.mark.parametrize("anchor, left", [(0, 0), (3, 3), (40, 40)])
+def test_the_aperture_edge_and_the_band_agree_at_every_anchor(quiet_cfg, source, anchor, left):
+    # a noiseless scan sums the pupil over the aperture at the scan's offsets,
+    # which on the unclipped rows is the anchor's band times the binned pupil
+    n, w = 121, 40
+    scan = ww.ScanConfig(4e-3, n_steps=n, s_start=-6e-3, midline="centroid", anchor_elems=anchor)
+    series = ww.run_scan(source, quiet_cfg.geometry, scan, ww.DetectorConfig())
+    offsets, flux = ww.flux_vector(series.table())
+    band = ww.build_aperture_matrix(n, w, anchor=anchor)
+    lag = np.arange(n)[:, None] - np.arange(n)
+    assert np.array_equal(band, (lag < left) & (lag >= left - w))
+    expected = band @ pipeline.pupil_truth(quiet_cfg.geometry, source, offsets, scan.step)
+    rows = band.sum(axis=1) == w
+    got = flux[rows] / series.config.exposure
+    assert np.linalg.norm(got - expected[rows]) < 1e-2 * np.linalg.norm(expected[rows])
 
 
 def test_scan_step_leaving_the_grid_names_the_first_such_step(quiet_cfg, small_source, monkeypatch):

@@ -36,20 +36,31 @@ def _intervals_connected(n, width_elems, left):
     return components == 1
 
 
-# (n, width_elems, opening, anchor, band_left, band_right): 1-based row i of
-# the matrix holds ones at i - band_left < j <= i + band_right, clipped to [1, n]
+# (n, width_elems, anchor, band_left, band_right): 1-based row i of the
+# matrix holds ones at i - band_left < j <= i + band_right, clipped to [1, n];
+# the band offset band_left = min(anchor, width_elems)
 BANDS = [
-    (301, 50, "rightward", 20, 20, 30),
-    (10, 3, "rightward", 0, 0, 3),
-    (7, 7, "leftward", 0, 7, 0),
-    (1, 1, "rightward", 20, 1, 0),
-    (10, 8, "rightward", 5, 5, 3),
-    (301, 50, "leftward", 20, 30, 20),
-    (10, 8, "leftward", 5, 3, 5),
-    (50, 8, "leftward", 20, 0, 8),
-    (100, 6, "centered", 20, 3, 3),
-    (7, 7, "centered", 0, 3, 4),
+    (301, 50, 20, 20, 30),
+    (10, 3, 0, 0, 3),
+    (7, 7, 20, 7, 0),
+    (1, 1, 20, 1, 0),
+    (10, 8, 5, 5, 3),
+    (301, 50, 30, 30, 20),
+    (10, 8, 3, 3, 5),
+    (50, 8, 0, 0, 8),
+    (100, 6, 3, 3, 3),
+    (7, 7, 3, 3, 4),
+    (10, 8, 1, 1, 7),
+    (10, 8, 2, 2, 6),
+    (10, 8, 4, 4, 4),
+    (10, 8, 7, 7, 1),
+    (10, 8, 8, 8, 0),
 ]
+
+
+def _anchors(width):
+    """Anchors whose band offsets are 0, 1, 2, w // 2, w - 1 and w, and one clipped to w."""
+    return sorted({0, 1, 2, width // 2, width - 1, width, width + 3})
 
 
 class TestApertureMatrix:
@@ -66,7 +77,8 @@ class TestApertureMatrix:
         assert _row_columns(a, 150) == list(range(131, 181))
 
     def test_centered_opening(self):
-        a = ww.build_aperture_matrix(100, 6, opening="centered")
+        # an anchor of half the width centres the aperture opening on the axis
+        a = ww.build_aperture_matrix(100, 6, anchor=3)
         assert _row_columns(a, 50) == list(range(48, 54))
 
     def test_narrow_aperture_clips_the_anchor(self):
@@ -78,17 +90,17 @@ class TestApertureMatrix:
             ww.build_aperture_matrix(10, 0)
         with pytest.raises(ww.ConfigurationError, match="width_elems"):
             ww.build_aperture_matrix(10, 11)
-        with pytest.raises(ww.ConfigurationError, match="opening"):
-            ww.build_aperture_matrix(10, 5, opening="diagonal")
         with pytest.raises(ww.ConfigurationError, match="anchor"):
             ww.build_aperture_matrix(10, 5, anchor=-1)
 
     def test_equal_bands_however_spelled_are_one_object(self):
         a = ww.build_aperture_matrix(301, 40)
-        # each spelling puts 20 elements of the 40-element band left of its point
-        for spelling in [("rightward", 20), ("leftward", 20), ("centered", 0)]:
+        # each spelling puts 20 elements of the 40-element band left of the axis
+        for spelling in [(), (20,), (np.int64(20),)]:
             assert ww.build_aperture_matrix(np.int64(301), 40, *spelling) is a
-        for other in [(300, 40), (301, 41), (301, 40, "rightward", 21)]:
+        # anchors at or beyond the width all clip to one band
+        assert ww.build_aperture_matrix(301, 8, 8) is ww.build_aperture_matrix(301, 8, 20)
+        for other in [(300, 40), (301, 41), (301, 40, 21)]:
             b = ww.build_aperture_matrix(*other)
             assert b is not a and b is ww.build_aperture_matrix(*other)
 
@@ -107,16 +119,16 @@ class TestApertureMatrix:
         assert np.all(a.sum(axis=1)[20:281] == 40)
 
     @pytest.mark.parametrize(
-        "n, width, opening, anchor, band_left, band_right",
+        "n, width, anchor, band_left, band_right",
         BANDS,
-        ids=[f"{n}-{left}-{right}" for n, _, _, _, left, right in BANDS],
+        ids=[f"{n}-{left}-{right}" for n, _, _, left, right in BANDS],
     )
-    def test_dense_matches_the_defining_loop(self, n, width, opening, anchor, band_left, band_right):
+    def test_dense_matches_the_defining_loop(self, n, width, anchor, band_left, band_right):
         reference = np.zeros((n, n))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 reference[i - 1, j - 1] = i - band_left < j <= i + band_right
-        assert np.array_equal(ww.build_aperture_matrix(n, width, opening, anchor), reference)
+        assert np.array_equal(ww.build_aperture_matrix(n, width, anchor), reference)
 
 
 @pytest.mark.parametrize("n", [7, 50, 241, 301])
@@ -124,12 +136,11 @@ def test_aperture_matrix_equals_the_lag_matrix_masks(n):
     idx = np.arange(n)
     lag = idx[:, None] - idx  # row index minus column index
     for width in sorted({1, 3, 40, 50, n} & set(range(1, n + 1))):
-        for opening in ww.reconstruct.OPENINGS:
-            for anchor in (0, 3, 20):
-                left = ww.reconstruct.band_left_elems(width, opening, anchor)
-                expected = ((lag < left) & (lag >= left - width)).astype(float)
-                got = ww.build_aperture_matrix(n, width, opening, anchor)
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        for anchor in (*_anchors(width), 20):
+            left = min(anchor, width)
+            expected = ((lag < left) & (lag >= left - width)).astype(float)
+            got = ww.build_aperture_matrix(n, width, anchor)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 class TestRank:
@@ -145,46 +156,41 @@ class TestRank:
         # the exact interval-graph test against the SVD rank of every matrix
         n_max = 60
         for width in range(1, 13):
-            for opening in ww.reconstruct.OPENINGS:
-                for anchor in (0, 3, 20):
-                    expected = [
-                        n
-                        for n in range(width, n_max + 1)
-                        if ww.rank_of(ww.build_aperture_matrix(n, width, opening, anchor)) == n
-                    ]
-                    dims = ww.full_rank_dims(width, n_max, opening, anchor)
-                    assert dims == expected, (width, opening, anchor)
+            for anchor in (*_anchors(width), 20):
+                expected = [
+                    n
+                    for n in range(width, n_max + 1)
+                    if ww.rank_of(ww.build_aperture_matrix(n, width, anchor)) == n
+                ]
+                assert ww.full_rank_dims(width, n_max, anchor) == expected, (width, anchor)
 
     def test_full_rank_dims_reaches_every_branch_of_the_closed_form(self):
-        # anchors 0, 1, 2, w - 1, w, w + 3 give band offsets L = 0, L = 1,
-        # L = w and 1 < L < w across the openings; rank_of is the oracle
+        # the anchors give band offsets L = 0, L = 1, L = w and 1 < L < w;
+        # rank_of is the oracle
         n_max = 64
         for width in range(1, 17):
-            lefts, expected_by_left = set(), {}
-            for opening in ww.reconstruct.OPENINGS:
-                for anchor in (0, 1, 2, width - 1, width, width + 3):
-                    left = ww.reconstruct.band_left_elems(width, opening, anchor)
-                    lefts.add(left)
-                    if left not in expected_by_left:
-                        expected_by_left[left] = [
-                            n
-                            for n in range(width, n_max + 1)
-                            if ww.rank_of(ww.build_aperture_matrix(n, width, opening, anchor)) == n
-                        ]
-                    dims = ww.full_rank_dims(width, n_max, opening, anchor)
-                    assert dims == expected_by_left[left], (width, opening, anchor)
+            lefts = set()
+            for anchor in _anchors(width):
+                left = ww.reconstruct.band_left_elems(width, anchor)
+                lefts.add(left)
+                expected = [
+                    n
+                    for n in range(width, n_max + 1)
+                    if ww.rank_of(ww.build_aperture_matrix(n, width, anchor)) == n
+                ]
+                assert ww.full_rank_dims(width, n_max, anchor) == expected, (width, anchor)
             assert {0, 1, width} <= lefts
 
     def test_full_rank_dims_matches_the_union_find(self):
-        # every width up to 60 at n <= 400; the band offset L (the rightward
-        # anchor) cycles through the branches 0, 1, w, 2, w // 2 and w - 1
+        # every width up to 60 at n <= 400; the band offset L (the anchor)
+        # cycles through the branches 0, 1, w, 2, w // 2 and w - 1
         n_max = 400
         for width in range(1, 61):
             left = min((0, 1, width, 2, width // 2, width - 1)[width % 6], width)
             expected = [
                 n for n in range(width, n_max + 1) if _intervals_connected(n, width, left)
             ]
-            assert ww.full_rank_dims(width, n_max, "rightward", left) == expected, (width, left)
+            assert ww.full_rank_dims(width, n_max, left) == expected, (width, left)
 
     def test_full_rank_dims_validation(self):
         with pytest.raises(ww.ConfigurationError, match="n_max"):
@@ -193,8 +199,6 @@ class TestRank:
             ww.full_rank_dims(0, 5)
         with pytest.raises(ww.ConfigurationError, match="anchor"):
             ww.full_rank_dims(5, 10, anchor=-1)
-        with pytest.raises(ww.ConfigurationError, match="opening"):
-            ww.full_rank_dims(5, 10, opening="diagonal")
 
 
 def _assert_matches_gelsd(res, matrices, fluxes, cutoff=1e-10):
@@ -304,12 +308,13 @@ class TestSolveStacked:
     @given(
         n=st.integers(2, 40),
         widths=st.lists(st.integers(1, 12), min_size=1, max_size=2),
-        opening=st.sampled_from(ww.reconstruct.OPENINGS),
+        anchor=st.integers(0, 13),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_gelsd_oracle_on_small_systems(self, n, widths, opening, seed):
-        mats = [ww.build_aperture_matrix(n, min(w, n), opening) for w in widths]
+    def test_matches_the_gelsd_oracle_on_small_systems(self, n, widths, anchor, seed):
+        # a width below the anchor is clipped, so stacked widths may get other band offsets
+        mats = [ww.build_aperture_matrix(n, min(w, n), anchor) for w in widths]
         rng = np.random.default_rng(seed)
         fluxes = [rng.random(n) + 0.1 for _ in mats]
         _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
@@ -375,8 +380,8 @@ class TestSolveStacked:
 
     def test_same_shape_systems_with_different_entries_each_miss(self, monkeypatch):
         calls = self._count_factorizations(monkeypatch)
-        for count, opening in enumerate(("rightward", "centered"), start=1):
-            mats = [ww.build_aperture_matrix(301, w, opening) for w in (40, 50)]
+        for count, anchor in enumerate((20, 3), start=1):
+            mats = [ww.build_aperture_matrix(301, w, anchor) for w in (40, 50)]
             fluxes = _noisy_fluxes(mats, 4)
             _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
             assert len(calls) == count
@@ -404,8 +409,8 @@ class TestSolveStacked:
 
     def test_threads_alternating_same_shape_systems_get_their_own_factors(self):
         systems = [
-            [ww.build_aperture_matrix(60, w, opening) for w in (7, 9)]
-            for opening in ("rightward", "centered")
+            [ww.build_aperture_matrix(60, w, anchor) for w in (7, 9)]
+            for anchor in (20, 3)
         ]
         fluxes = _noisy_fluxes(systems[0], 7)
         expected = [ww.solve_stacked(mats, fluxes).p_hat for mats in systems]
