@@ -2,12 +2,13 @@
 # Checks of the installed `whichway` console script: the rank command's
 # closed-form rule on known cases, a stage that fails before writing, a run
 # option placed before the subcommand, a scan config with an unknown
-# "opening" key, then the four commands end to end, a report that does not
-# read reconstruction.csv, a reconstruct that rejects a sidecar whose total
-# flux is not its CSV's, scan artifacts that do not depend on the core
-# count, two reconstructs and two reports in one process that write what
-# separate processes wrote, a scan whose peak memory does not grow with the
-# source grid, and an output directory that cannot be created.
+# "opening" key, a reconstruction block with an unknown "cutoff" key, then
+# the four commands end to end, a report that does not read
+# reconstruction.csv, a reconstruct that rejects a sidecar whose total flux
+# is not its CSV's, scan artifacts that do not depend on the core count, two
+# reconstructs and two reports in one process that write what separate
+# processes wrote, a scan whose peak memory does not grow with the source
+# grid, and an output directory that cannot be created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -41,6 +42,15 @@ test "$status" = 2
 test "$(wc -l < "$tmp/err")" = 1
 grep -q '^error: .*scans\[0\].*"opening"' "$tmp/err"
 test ! -e "$tmp/opening"
+# the rank cutoff is a constant, not a key: a reconstruction block naming it
+# exits 2 with one error line and writes nothing
+echo '{"geometry": {}, "reconstruction": {"cutoff": 1e-10}}' > "$tmp/cutoff.json"
+status=0
+whichway scan --config "$tmp/cutoff.json" --out "$tmp/cutoff" 2> "$tmp/err" || status=$?
+test "$status" = 2
+test "$(wc -l < "$tmp/err")" = 1
+grep -q '^error: .*reconstruction.*"cutoff"' "$tmp/err"
+test ! -e "$tmp/cutoff"
 whichway fringes --out "$tmp/run" --seed 0 --no-noise
 whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .pipeline import (
     result_profile,
     run_all_scans,
 )
-from .reconstruct import full_rank_dims
+from .reconstruct import iter_full_rank_dims
 
 _PLOT_SCRIPT = """\
 # Plot helper emitted alongside {csv_name}; run with any Python that has
@@ -314,8 +315,10 @@ def cmd_rank(cfg: RunConfig, args) -> int:
 
     The anchor is that of the configured scans, which all share it.
     """
-    dims = full_rank_dims(args.width_elems, args.n_max, cfg.scans[0].anchor_elems)
-    print(", ".join(str(d) for d in dims))
+    dims = map(str, iter_full_rank_dims(args.width_elems, args.n_max, cfg.scans[0].anchor_elems))
+    # written 4096 at a time, so memory does not grow with --n-max
+    chunks = iter(lambda: ", ".join(islice(dims, 4096)), "")
+    sys.stdout.writelines(chain(islice(chunks, 1), (", " + c for c in chunks), ["\n"]))
     return 0
 
 

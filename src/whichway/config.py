@@ -27,23 +27,21 @@ class RunConfig:
     illumination_tilt: float
     scans: tuple
     detector: DetectorConfig
-    recon_cutoff: float
     smoothing_rms: float
-    window_half: float
     peak_selector: str
     guard_px: int
     output_dir: str
     raw: dict  # the merged config with typed values, as hashed
 
+    # fixed analysis settings, not config keys
+    recon_cutoff = DEFAULT_RANK_CUTOFF
+    window_half = DEFAULT_MATCH_HALF_WINDOW
+
     def __post_init__(self):
         # checked at load, so a value out of range stops a run before it
         # has written anything
-        if not 0 < self.recon_cutoff < 1:
-            raise ConfigurationError("reconstruction.cutoff must lie in (0, 1)")
         if not self.smoothing_rms >= 0:
             raise ConfigurationError("reconstruction.smoothing_rms_m must be >= 0")
-        if not self.window_half > 0:
-            raise ConfigurationError("reconstruction.window_half_m must be > 0")
         if self.peak_selector not in PEAK_SELECTORS:
             raise ConfigurationError(f"metrics.peak_selector must be one of {PEAK_SELECTORS}")
         if self.guard_px < 0:
@@ -90,7 +88,6 @@ _BLOCKS = {
     "source": {
         "illumination_tilt": (RunConfig, "illumination_tilt"),
         "grid_n": (GridSpec, "n"),
-        "grid_half_span_m": (GridSpec, "half_span"),
     },
     "detector": {
         "pixel_pitch_m": (DetectorConfig, "pixel_pitch"),
@@ -99,11 +96,7 @@ _BLOCKS = {
         "gain_e_per_unit": (DetectorConfig, "gain"),
         "noise_enabled": (DetectorConfig, "noise_enabled"),
     },
-    "reconstruction": {
-        "cutoff": (RunConfig, "recon_cutoff"),
-        "smoothing_rms_m": (RunConfig, "smoothing_rms"),
-        "window_half_m": (RunConfig, "window_half"),
-    },
+    "reconstruction": {"smoothing_rms_m": (RunConfig, "smoothing_rms")},
     "metrics": {
         "peak_selector": (RunConfig, "peak_selector"),
         "guard_px": (RunConfig, "guard_px"),
@@ -132,11 +125,7 @@ _TOP_KEYS = {"output_dir": (RunConfig, "output_dir"), "seed": (DetectorConfig, "
 # the guard band and the output directory
 DEFAULT_CONFIG = {
     "geometry": {key: getattr(Geometry(), a) for key, (_, a) in _BLOCKS["geometry"].items()},
-    "source": {
-        "illumination_tilt": 0.1,
-        "grid_n": GridSpec().n,
-        "grid_half_span_m": GridSpec().half_span,
-    },
+    "source": {"illumination_tilt": 0.1, "grid_n": GridSpec().n},
     "scans": [
         {"aperture_width_m": 4e-3, "midline": "centroid"},
         {"aperture_width_m": 5e-3, "midline": "centroid"},
@@ -145,11 +134,7 @@ DEFAULT_CONFIG = {
         **{key: getattr(DetectorConfig(), a) for key, (_, a) in _BLOCKS["detector"].items()},
         "noise_enabled": True,
     },
-    "reconstruction": {
-        "cutoff": DEFAULT_RANK_CUTOFF,
-        "smoothing_rms_m": 0.15e-3,
-        "window_half_m": DEFAULT_MATCH_HALF_WINDOW,
-    },
+    "reconstruction": {"smoothing_rms_m": 0.15e-3},
     "metrics": {"peak_selector": "second_third", "guard_px": 20},
     "output_dir": "runs/default",
     "seed": DetectorConfig().rng_seed,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,7 +84,13 @@ def rank_of(matrix: np.ndarray, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:
 
 
 def full_rank_dims(width_elems: int, n_max: int, anchor: int = DEFAULT_ANCHOR_ELEMS) -> list[int]:
-    """All dimensions n in [width_elems, n_max] where the matrix is full rank.
+    """The dimensions iter_full_rank_dims yields, as a list."""
+    return list(iter_full_rank_dims(width_elems, n_max, anchor))
+
+
+def iter_full_rank_dims(width_elems: int, n_max: int, anchor: int) -> Iterable[int]:
+    """All dimensions n in [width_elems, n_max] where the matrix is full rank,
+    lazily and in increasing order; the arguments are checked at the call.
 
     The rank is exact, not numerical.  1-based row i of
     build_aperture_matrix(n, ...) sums the columns in (lo, hi] with
@@ -111,10 +118,10 @@ def full_rank_dims(width_elems: int, n_max: int, anchor: int = DEFAULT_ANCHOR_EL
         raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
     left = band_left_elems(width_elems, anchor)
     if left == 0:
-        return []
+        return ()
     if left in (1, width_elems):
-        return list(range(width_elems, n_max + 1))
-    return [n for n in range(width_elems, n_max + 1) if n % width_elems <= 1]
+        return range(width_elems, n_max + 1)
+    return (n for n in range(width_elems, n_max + 1) if n % width_elems <= 1)
 
 
 # (cutoff, the stacked matrices, their pseudo-inverse, effective rank) of the

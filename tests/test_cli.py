@@ -22,9 +22,9 @@ from whichway.config import load_config
 from whichway.errors import ConfigurationError
 from whichway.instrument import ScanConfig, ScanSeries, load_scan_csv, run_scan
 from whichway.metrics import distinguishability, visibility
-from whichway.optics import amplitude_steps, fresnel_field
+from whichway.optics import GridSpec, amplitude_steps, double_slit_field, fresnel_field
 from whichway.pipeline import run_all_scans
-from whichway.reconstruct import build_aperture_matrix, solve_stacked
+from whichway.reconstruct import build_aperture_matrix, full_rank_dims, solve_stacked
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED_ARTIFACTS = [
@@ -171,6 +171,37 @@ def test_rank_command(capsys):
     assert printed == "40, 41, 80, 81, 120, 121"
     assert main(["rank", "-w", "0", "--n-max", "0"]) == 2
     assert capsys.readouterr().err == "error: width_elems must be >= 1; got 0\n"
+    # lists longer than one chunk of the printed line, both branches of the rule
+    for width, n_max in ((20, 20_000), (40, 300_000)):
+        assert main(["rank", "-w", str(width), "--n-max", str(n_max)]) == 0
+        dims = full_rank_dims(width, n_max)
+        assert len(dims) > 10_000
+        assert capsys.readouterr().out == ", ".join(map(str, dims)) + "\n"
+
+
+def test_rank_memory_does_not_grow_with_n_max():
+    # at -w 20 every n is full rank; printed as they come, 10^6 dimensions
+    # take no more memory than 81 (their list and line take about 117 MB)
+    code = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    rank = "import sys; from whichway.cli import main; sys.exit(main())"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
+    def peak_kb(n_max):
+        argv = [sys.executable, "-c", rank, "rank", "-w", "20", "--n-max", str(n_max)]
+        run = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return int(run.stdout)
+
+    assert abs(peak_kb(10**6) - peak_kb(100)) < 10 * 1024
 
 
 def test_rank_takes_the_anchor_of_the_configured_scans(tmp_path, capsys):
@@ -820,25 +851,18 @@ def test_the_scan_stage_leaves_the_blas_pool_idle(tmp_path):
     assert float(run.stdout.splitlines()[-1]) < 1.4
 
 
-def test_scan_records_do_not_depend_on_the_grid_span(tmp_path):
+def test_scan_records_do_not_depend_on_the_grid_span(quiet_cfg):
     # scans read only the slit edges from the grid: a +-5 mm grid of the
     # default pitch holds the same edges as the default +-40 mm grid, up to
     # the rounding of its origin (about 1e-17 m)
-    records = []
-    for grid_n, half_span in ((2**17, 40e-3), (2**14, 5e-3)):
-        path = tmp_path / f"grid{grid_n}.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "geometry": {},
-                    "source": {"grid_n": grid_n, "grid_half_span_m": half_span},
-                    "scans": [{"aperture_width_m": 4e-3, "n_steps": 31, "s_start_m": -15e-3}],
-                }
-            )
-        )
-        (series,) = run_all_scans(load_config(str(path), no_noise=True))
-        records.append(series.records)
-    default, narrow = records
+    geom, tilt = quiet_cfg.geometry, quiet_cfg.illumination_tilt
+    scan = ScanConfig(aperture_width=4e-3, n_steps=31, s_start=-15e-3)
+    default, narrow = (
+        run_scan(
+            double_slit_field(geom, GridSpec(grid_n, half_span), tilt), geom, scan, quiet_cfg.detector
+        ).records
+        for grid_n, half_span in ((2**17, 40e-3), (2**14, 5e-3))
+    )
     for field in default.dtype.names:
         scale = np.abs(default[field]).max()
         assert np.abs(narrow[field] - default[field]).max() <= 1e-12 * scale, field
@@ -939,13 +963,20 @@ MISTYPED = {
     "scan-fractional-frames": (_with("scans", frames_per_step=2.5), "scans[0].frames_per_step"),
     "scan-fractional-anchor": (_with("scans", anchor_elems=20.5), "scans[0].anchor_elems"),
     "scan-opening": (_with("scans", opening="rightward"), 'in scans[0]: "opening"'),
+    "source-grid-span": (_with("source", grid_half_span_m=5e-3), 'in source: "grid_half_span_m"'),
+    "reconstruction-cutoff": (_with("reconstruction", cutoff=1.0), 'in reconstruction: "cutoff"'),
+    "reconstruction-window": (
+        _with("reconstruction", window_half_m=0.0), 'in reconstruction: "window_half_m"'
+    ),
     "geometry-infinity": (_with("geometry", wavelength_m=math.inf), "geometry.wavelength_m"),
     "source-nan": (_with("source", illumination_tilt=math.nan), "source.illumination_tilt"),
     "source-numeric-string": (_with("source", grid_n="65536"), "source.grid_n"),
     "detector-fractional-pixels": (_with("detector", n_pixels=1024.5), "detector.n_pixels"),
     "detector-string-bool": (_with("detector", noise_enabled="no"), "detector.noise_enabled"),
     "detector-rng-seed": (_with("detector", rng_seed=7), "rng_seed"),
-    "reconstruction-numeric-string": (_with("reconstruction", cutoff="1e-9"), "reconstruction.cutoff"),
+    "reconstruction-numeric-string": (
+        _with("reconstruction", smoothing_rms_m="1e-4"), "reconstruction.smoothing_rms_m"
+    ),
     "metrics-fractional-guard": (_with("metrics", guard_px=20.7), "metrics.guard_px"),
     "metrics-bool-guard": (_with("metrics", guard_px=True), "metrics.guard_px"),
     "metrics-string-guard": (_with("metrics", guard_px="20"), "metrics.guard_px"),
@@ -957,9 +988,7 @@ MISTYPED = {
 # (block, key, value) in range for its type but not for its use
 OUT_OF_RANGE = {
     "metrics-negative-guard": ("metrics", "guard_px", -1),
-    "reconstruction-cutoff-one": ("reconstruction", "cutoff", 1.0),
     "reconstruction-negative-smoothing": ("reconstruction", "smoothing_rms_m", -1e-4),
-    "reconstruction-zero-window": ("reconstruction", "window_half_m", 0.0),
     "metrics-unknown-selector": ("metrics", "peak_selector", "brightest"),
 }
 
@@ -1046,11 +1075,14 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, case):
     assert main(["report", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and name in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_hash_covers_the_overrides(tmp_path):
     noisy = load_config()
-    assert noisy.config_hash().startswith("75c9edb7b8d1")
+    assert noisy.config_hash().startswith("4b7caaef7c7c")
+    # fixed analysis settings, not config keys, so not hashed
+    assert (noisy.recon_cutoff, noisy.window_half, noisy.grid.half_span) == (1e-10, 5e-3, 40e-3)
     assert load_config(seed=0).config_hash() == noisy.config_hash()
     assert load_config(no_noise=True).config_hash() != noisy.config_hash()
     assert load_config(seed=3).detector.rng_seed == 3
