@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Checks of the installed `whichway` console script: the rank command's
-# closed-form rule on known cases, a stage that fails before writing, a run
-# option placed before the subcommand, a scan config with an unknown
-# "opening" key, a reconstruction block with an unknown "cutoff" key, then
-# the four commands end to end, a report that does not read
-# reconstruction.csv, a reconstruct that rejects a sidecar whose total flux
-# is not its CSV's, scan artifacts that do not depend on the core count, two
-# reconstructs and two reports in one process that write what separate
-# processes wrote, a scan whose peak memory does not grow with the source
-# grid, and an output directory that cannot be created.
+# closed-form rule on known cases and its refusal of a config, a stage that
+# fails before writing, a run option placed before the subcommand, config
+# keys that are constants now ("opening" and "anchor_elems" in a scan,
+# "cutoff" in the reconstruction block), then the four commands end to end,
+# a report that does not read reconstruction.csv, a reconstruct that rejects
+# a sidecar whose total flux is not its CSV's, scan artifacts that do not
+# depend on the core count, two reconstructs and two reports in one process
+# that write what separate processes wrote, a scan whose peak memory does
+# not grow with the source grid, and an output directory that cannot be
+# created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -17,13 +18,18 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 test "$(whichway rank -w 40 --n-max 121)" = "40, 41, 80, 81, 120, 121"
-echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 3}]}' > "$tmp/anchor3.json"
-test "$(whichway rank --config "$tmp/anchor3.json" -w 8 --n-max 40)" = "8, 9, 16, 17, 24, 25, 32, 33, 40"
-echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 1}]}' > "$tmp/anchor1.json"
-test "$(whichway rank --config "$tmp/anchor1.json" -w 8 --n-max 12)" = "8, 9, 10, 11, 12"
+# every dimension is full rank for a width up to the anchor of 20 steps
+test "$(whichway rank -w 8 --n-max 12)" = "8, 9, 10, 11, 12"
 test "$(whichway rank -w 40 --n-max 1000000 | tr ',' '\n' | wc -l)" = "49999"
-# a stage that rejects its arguments exits 2 and creates no directory
+# rank reads no config: --config exits 2 with one error line and writes nothing
 mkdir "$tmp/empty"
+echo '{"geometry": {}}' > "$tmp/x.json"
+status=0
+(cd "$tmp/empty" && whichway rank --config "$tmp/x.json" -w 8 --n-max 12 2> "$tmp/err") || status=$?
+test "$status" = 2
+test "$(grep -c 'error:' "$tmp/err")" = 1
+test -z "$(ls -A "$tmp/empty")"
+# a stage that rejects its arguments exits 2 and creates no directory
 status=0
 (cd "$tmp/empty" && whichway reconstruct --widths-mm 4,5 2> /dev/null) || status=$?
 test "$status" = 2
@@ -33,24 +39,21 @@ status=0
 (cd "$tmp" && whichway --out "$tmp/top" fringes 2> /dev/null) || status=$?
 test "$status" = 2
 test ! -e "$tmp/top" && test ! -e "$tmp/runs"
-# scans have no "opening" key: a config naming one exits 2 with one error
-# line that names the scan and the key, and writes nothing
-echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "opening": "rightward"}]}' > "$tmp/opening.json"
-status=0
-whichway scan --config "$tmp/opening.json" --out "$tmp/opening" 2> "$tmp/err" || status=$?
-test "$status" = 2
-test "$(wc -l < "$tmp/err")" = 1
-grep -q '^error: .*scans\[0\].*"opening"' "$tmp/err"
-test ! -e "$tmp/opening"
-# the rank cutoff is a constant, not a key: a reconstruction block naming it
-# exits 2 with one error line and writes nothing
-echo '{"geometry": {}, "reconstruction": {"cutoff": 1e-10}}' > "$tmp/cutoff.json"
-status=0
-whichway scan --config "$tmp/cutoff.json" --out "$tmp/cutoff" 2> "$tmp/err" || status=$?
-test "$status" = 2
-test "$(wc -l < "$tmp/err")" = 1
-grep -q '^error: .*reconstruction.*"cutoff"' "$tmp/err"
-test ! -e "$tmp/cutoff"
+# keys that are constants now: a config naming one exits 2 with one error
+# line that names the block and the key, and writes nothing
+while read -r key block config; do
+  echo "$config" > "$tmp/$key.json"
+  status=0
+  whichway scan --config "$tmp/$key.json" --out "$tmp/$key" < /dev/null 2> "$tmp/err" || status=$?
+  test "$status" = 2
+  test "$(wc -l < "$tmp/err")" = 1
+  grep -q "^error: .*$block.*\"$key\"" "$tmp/err"
+  test ! -e "$tmp/$key"
+done << 'EOF'
+opening scans\[0\] {"geometry": {}, "scans": [{"aperture_width_m": 0.004, "opening": "rightward"}]}
+anchor_elems scans\[0\] {"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 20}]}
+cutoff reconstruction {"geometry": {}, "reconstruction": {"cutoff": 1e-10}}
+EOF
 whichway fringes --out "$tmp/run" --seed 0 --no-noise
 whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise

@@ -30,7 +30,7 @@ from .pipeline import (
     result_profile,
     run_all_scans,
 )
-from .reconstruct import iter_full_rank_dims
+from .reconstruct import ANCHOR_ELEMS, iter_full_rank_dims
 
 _PLOT_SCRIPT = """\
 # Plot helper emitted alongside {csv_name}; run with any Python that has
@@ -112,7 +112,7 @@ def _scan_sidecar(series, cfg: RunConfig) -> dict:
     return {
         "aperture_width_m": sc.aperture_width,
         "width_elems": sc.width_elems(),
-        "anchor_elems": sc.anchor_elems,
+        "anchor_elems": ANCHOR_ELEMS,
         "exposure_s": sc.exposure,
         "stage_ratio": sc.stage_ratio,
         "guard_px": cfg.guard_px,
@@ -158,8 +158,8 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
     none does, and with none every sidecar is None and every exposure 1.0.
     A sidecar must record the width in steps and anchor that the stacked
     solve gives its scan: the width (in metres) in steps of the first CSV,
-    and the anchor of cfg's scans; and its total_flux_sum must be the sum
-    of its CSV's F column.
+    and ANCHOR_ELEMS; and its total_flux_sum must be the sum of its CSV's
+    F column.
     """
     if (widths_mm is None) == bool(flux_csvs):
         raise ConfigurationError("--widths-mm is taken exactly when flux CSVs are given")
@@ -191,7 +191,6 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
     sidecars = [read_json(s, _SIDECAR_NUMBERS) for s in jsons]
     tables = [load_scan_csv(path) for path in paths]
     step = uniform_step(tables[0]["s"], "scan slit positions")
-    anchor = cfg.scans[0].anchor_elems
     for path, csv_path, table, sidecar, width in zip(jsons, paths, tables, sidecars, widths):
         for key in _SIDECAR_POSITIVE:
             if not sidecar[key] > 0:
@@ -199,7 +198,7 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
         # a wrong-side flux fraction above 1/2 is no which-way bound
         if not 0 <= sidecar["contamination"] <= 0.5:
             raise DataError(f"{path}: 'contamination' must lie in [0, 1/2]")
-        solve = dict(width_elems=width_in_steps(width, step), anchor_elems=anchor)
+        solve = dict(width_elems=width_in_steps(width, step), anchor_elems=ANCHOR_ELEMS)
         for key, value in solve.items():
             if key not in sidecar or sidecar[key] != value:
                 found = repr(sidecar[key]) if key in sidecar else "missing"
@@ -310,12 +309,9 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
     return [duality_path, summary, *lr_files]
 
 
-def cmd_rank(cfg: RunConfig, args) -> int:
-    """Print the full-rank dimensions of a banded aperture matrix.
-
-    The anchor is that of the configured scans, which all share it.
-    """
-    dims = map(str, iter_full_rank_dims(args.width_elems, args.n_max, cfg.scans[0].anchor_elems))
+def cmd_rank(args) -> int:
+    """Print the full-rank dimensions of a banded aperture matrix."""
+    dims = map(str, iter_full_rank_dims(args.width_elems, args.n_max))
     # written 4096 at a time, so memory does not grow with --n-max
     chunks = iter(lambda: ", ".join(islice(dims, 4096)), "")
     sys.stdout.writelines(chain(islice(chunks, 1), (", " + c for c in chunks), ["\n"]))
@@ -323,9 +319,8 @@ def cmd_rank(cfg: RunConfig, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    common = argparse.ArgumentParser(add_help=False, parents=[config])
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--seed", type=int, help="override the RNG seed")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
     common.add_argument(
@@ -353,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--widths-mm", help="comma-separated aperture widths matching the CSVs"
     )
     sub.add_parser("report", parents=[common], help="duality report from run artifacts")
-    p_rank = sub.add_parser(
-        "rank", parents=[config], help="full-rank dimensions of an aperture matrix"
-    )
+    p_rank = sub.add_parser("rank", help="full-rank dimensions of an aperture matrix")
     p_rank.add_argument("-w", "--width-elems", type=int, required=True)
     p_rank.add_argument("--n-max", type=int, required=True)
     return parser
@@ -374,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "rank":
-            return cmd_rank(load_config(args.config), args)
+            return cmd_rank(args)
         cfg = load_config(
             args.config, seed=args.seed, output_dir=args.out, no_noise=args.no_noise
         )

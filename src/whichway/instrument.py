@@ -29,7 +29,7 @@ from .optics import (
     fresnel_field,
     transfer_kernel,
 )
-from .reconstruct import DEFAULT_ANCHOR_ELEMS, band_left_elems
+from .reconstruct import band_left_elems
 
 # camera full-well stand-in used by auto exposure (intensity units = electrons
 # at unit gain); exposures default to putting the peak pixel at 70% of it
@@ -58,8 +58,6 @@ class ScanConfig:
     stage_ratio: float = 1.07
     exposure: float | None = None  # seconds; None = auto (70% full well)
     frames_per_step: int = 4
-    # steps the aperture's fixed left edge sits left of the pupil axis, clipped to the width
-    anchor_elems: int = DEFAULT_ANCHOR_ELEMS
     midline: str = "center"  # or "centroid"
 
     def __post_init__(self):
@@ -77,8 +75,6 @@ class ScanConfig:
             raise ConfigurationError("frames_per_step must be >= 1")
         if self.midline not in ("center", "centroid"):
             raise ConfigurationError("midline must be 'center' or 'centroid'")
-        if self.anchor_elems < 0:
-            raise ConfigurationError("anchor_elems must be >= 0")
         if self.width_elems() < 1:  # which also needs a whole number of steps
             raise ConfigurationError(f"aperture width {self.aperture_width} is below one scan step")
 
@@ -88,12 +84,12 @@ class ScanConfig:
     def aperture_left_edge(self) -> float:
         """Fixed lab-frame left edge of the aperture interval.
 
-        It sits -(min(anchor_elems, width_elems) - 0.5) * step, so the
+        It sits -(band_left_elems(width_elems) - 0.5) * step, so the
         interval covers exactly the pattern elements of the matching
         aperture matrix: edges land on the boundaries of the step-sized
         pattern bins.
         """
-        return -(band_left_elems(self.width_elems(), self.anchor_elems) - 0.5) * self.step
+        return -(band_left_elems(self.width_elems()) - 0.5) * self.step
 
 
 @dataclass(frozen=True)

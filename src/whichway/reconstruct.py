@@ -28,42 +28,40 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 
 DEFAULT_RANK_CUTOFF = 1e-10
-DEFAULT_ANCHOR_ELEMS = 20
+# steps the aperture's fixed left edge sits left of the pupil axis
+ANCHOR_ELEMS = 20
 
 
-def band_left_elems(width_elems: int, anchor: int) -> int:
+def band_left_elems(width_elems: int) -> int:
     """Elements of an aperture band left of the pupil axis.
 
-    The aperture's fixed left edge sits `anchor` elements left of the axis,
-    clipped to the width, so every width of at least `anchor` elements shares it.
+    The aperture's fixed left edge sits ANCHOR_ELEMS elements left of the
+    axis, clipped to the width, so every width of at least ANCHOR_ELEMS
+    elements shares it.
     """
-    return min(anchor, width_elems)
+    return min(ANCHOR_ELEMS, width_elems)
 
 
-def build_aperture_matrix(
-    n: int, width_elems: int, anchor: int = DEFAULT_ANCHOR_ELEMS
-) -> np.ndarray:
+def build_aperture_matrix(n: int, width_elems: int) -> np.ndarray:
     """Dense n x n 0/1 summation matrix for an aperture of `width_elems` elements.
 
-    With left = band_left_elems(width_elems, anchor), 1-based row i holds
-    ones at i - left < j <= i - left + width_elems, clipped to [1, n], so
-    every width of at least `anchor` elements shares "i - anchor < j".
+    With left = band_left_elems(width_elems), 1-based row i holds ones at
+    i - left < j <= i - left + width_elems, clipped to [1, n], so every
+    width of at least ANCHOR_ELEMS elements shares "i - ANCHOR_ELEMS < j".
     It is a read-only view of an immutable bytes buffer, one object per
-    (n, width_elems, left), so solve_stacked can reuse its factor; edit a .copy().
+    (n, width_elems), so solve_stacked can reuse its factor; edit a .copy().
     """
     if width_elems < 1 or width_elems > n:
         raise ConfigurationError(
             f"width_elems must be in [1, n]; got {width_elems} with n = {n}"
         )
-    if anchor < 0:
-        raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
-    return _band(n, width_elems, band_left_elems(width_elems, anchor))
+    return _band(n, width_elems)
 
 
 @functools.lru_cache(maxsize=8)
-def _band(n: int, width_elems: int, left: int) -> np.ndarray:
+def _band(n: int, width_elems: int) -> np.ndarray:
     idx = np.arange(n)
-    first = (idx - (left - 1))[:, None]  # each row's first column, 0-based
+    first = (idx - (band_left_elems(width_elems) - 1))[:, None]  # each row's first column, 0-based
     band = np.frombuffer(((idx >= first) & (idx < first + width_elems)).astype(float).tobytes())
     assert band.flags.aligned  # numpy takes unaligned operands off BLAS, moving bits
     return band.reshape(n, n)
@@ -83,12 +81,12 @@ def rank_of(matrix: np.ndarray, cutoff: float = DEFAULT_RANK_CUTOFF) -> int:
     return int(np.count_nonzero(s > cutoff * s[0]))
 
 
-def full_rank_dims(width_elems: int, n_max: int, anchor: int = DEFAULT_ANCHOR_ELEMS) -> list[int]:
+def full_rank_dims(width_elems: int, n_max: int) -> list[int]:
     """The dimensions iter_full_rank_dims yields, as a list."""
-    return list(iter_full_rank_dims(width_elems, n_max, anchor))
+    return list(iter_full_rank_dims(width_elems, n_max))
 
 
-def iter_full_rank_dims(width_elems: int, n_max: int, anchor: int) -> Iterable[int]:
+def iter_full_rank_dims(width_elems: int, n_max: int) -> Iterable[int]:
     """All dimensions n in [width_elems, n_max] where the matrix is full rank,
     lazily and in increasing order; the arguments are checked at the call.
 
@@ -101,25 +99,21 @@ def iter_full_rank_dims(width_elems: int, n_max: int, anchor: int) -> Iterable[i
     the prefix coordinates once f_0 is pinned.  So the matrix has rank n
     exactly when the graph is connected.
 
-    With w = width_elems and L = left, that graph is connected exactly when
-    L >= 1 and (L is 1 or w, or n mod w is 0 or 1).  For L = 0 no row
-    touches vertex 0.  For L >= 1 the unclipped rows join v to v + w, so
-    each residue class mod w is one chain.  The rows clipped at the left
-    form a star at vertex 0 over the L residues -(L - 1)..0; those clipped
-    at the right form a star at vertex n over the w - L + 1 residues from
-    n mod w on.  The graph is connected exactly when the two arcs cover
-    Z_w, and they overlap whenever they do, since their lengths sum to w + 1.
+    With w = width_elems and L = min(ANCHOR_ELEMS, w), that graph is
+    connected for every n when w <= ANCHOR_ELEMS, and otherwise exactly
+    when n mod w is 0 or 1.  The unclipped rows join v to v + w, so each
+    residue class mod w is one chain.  The rows clipped at the left form a
+    star at vertex 0 over the L residues -(L - 1)..0; those clipped at the
+    right form a star at vertex n over the w - L + 1 residues from n mod w
+    on.  The graph is connected exactly when the two arcs cover Z_w.  For
+    L = w the first arc is all of Z_w.  For 1 < L < w the arcs' lengths sum
+    to w + 1, so they cover Z_w exactly when the second starts at 0 or 1.
     """
     if width_elems < 1:
         raise ConfigurationError(f"width_elems must be >= 1; got {width_elems}")
     if n_max < width_elems:
         raise ConfigurationError("n_max must be >= width_elems")
-    if anchor < 0:
-        raise ConfigurationError(f"anchor must be >= 0; got {anchor}")
-    left = band_left_elems(width_elems, anchor)
-    if left == 0:
-        return ()
-    if left in (1, width_elems):
+    if width_elems <= ANCHOR_ELEMS:
         return range(width_elems, n_max + 1)
     return (n for n in range(width_elems, n_max + 1) if n % width_elems <= 1)
 

@@ -169,6 +169,9 @@ def test_rank_command(capsys):
     assert main(["rank", "-w", "40", "--n-max", "121"]) == 0
     printed = capsys.readouterr().out.strip()
     assert printed == "40, 41, 80, 81, 120, 121"
+    # every dimension up to the anchor of 20 elements
+    assert main(["rank", "-w", "8", "--n-max", "12"]) == 0
+    assert capsys.readouterr().out == "8, 9, 10, 11, 12\n"
     assert main(["rank", "-w", "0", "--n-max", "0"]) == 2
     assert capsys.readouterr().err == "error: width_elems must be >= 1; got 0\n"
     # lists longer than one chunk of the printed line, both branches of the rule
@@ -204,25 +207,8 @@ def test_rank_memory_does_not_grow_with_n_max():
     assert abs(peak_kb(10**6) - peak_kb(100)) < 10 * 1024
 
 
-def test_rank_takes_the_anchor_of_the_configured_scans(tmp_path, capsys):
-    def rank(config, *extra):
-        path = tmp_path / "rank.json"
-        path.write_text(json.dumps(config))
-        assert main(["rank", "--config", str(path), "-w", "8", "--n-max", "40", *extra]) == 0
-        return capsys.readouterr().out.strip()
-
-    assert rank(_with("scans", anchor_elems=3)) == "8, 9, 16, 17, 24, 25, 32, 33, 40"
-    # at the default anchor of 20 every dimension is full rank, and at 0
-    # none is; the anchor comes from the config alone
-    assert rank(_with("scans", anchor_elems=0)) == ""
-    assert rank(_with("scans", anchor_elems=20)) == ", ".join(str(n) for n in range(8, 41))
-    with pytest.raises(SystemExit) as exc:
-        main(["rank", "-w", "8", "--n-max", "40", "--anchor-elems", "0"])
-    assert exc.value.code == 2
-
-
 # each run option before the subcommand, and each on rank, which reads none
-# of them: argparse rejects them before anything is written
+# of them, not even a config: argparse rejects them before anything is written
 MISPLACED_OPTIONS = {
     "seed-first": ["--seed", "3", "fringes"],
     "out-first": ["--out", "D", "scan"],
@@ -231,6 +217,7 @@ MISPLACED_OPTIONS = {
     "rank-seed": ["rank", "-w", "8", "--n-max", "12", "--seed", "1"],
     "rank-out": ["rank", "-w", "8", "--n-max", "12", "--out", "D"],
     "rank-no-noise": ["rank", "-w", "8", "--n-max", "12", "--no-noise"],
+    "rank-config": ["rank", "--config", "C", "-w", "8", "--n-max", "12"],
 }
 
 
@@ -961,8 +948,8 @@ MISTYPED = {
     "detector-field": (_with("detector", n_pixels="x"), "detector.n_pixels"),
     "scan-fractional-steps": (_with("scans", n_steps=3.5), "scans[0].n_steps"),
     "scan-fractional-frames": (_with("scans", frames_per_step=2.5), "scans[0].frames_per_step"),
-    "scan-fractional-anchor": (_with("scans", anchor_elems=20.5), "scans[0].anchor_elems"),
     "scan-opening": (_with("scans", opening="rightward"), 'in scans[0]: "opening"'),
+    "scan-anchor": (_with("scans", anchor_elems=20), 'in scans[0]: "anchor_elems"'),
     "source-grid-span": (_with("source", grid_half_span_m=5e-3), 'in source: "grid_half_span_m"'),
     "reconstruction-cutoff": (_with("reconstruction", cutoff=1.0), 'in reconstruction: "cutoff"'),
     "reconstruction-window": (
@@ -1019,7 +1006,6 @@ def _two_scans(**second):
 # (config, the block and the field its one error line must name): a value
 # in range for its type that its dataclass rejects
 BLOCK_OUT_OF_RANGE = {
-    "scan-negative-anchor": (_two_scans(anchor_elems=-5), "scans[1]", "anchor_elems"),
     "scan-width-between-steps": (_two_scans(aperture_width_m=4.05e-3), "scans[1]", "aperture width"),
     "scan-width-below-a-step": (_two_scans(aperture_width_m=1e-11), "scans[1]", "aperture width"),
     "scan-no-steps": (_two_scans(n_steps=0), "scans[1]", "n_steps"),
@@ -1050,7 +1036,6 @@ UNSTACKABLE = {
     "other-step": ({"step_m": 2e-4}, "step_m"),
     "other-start": ({"s_start_m": -2e-4}, "s_start_m"),
     "other-count": ({"n_steps": 5}, "n_steps"),
-    "other-anchor": ({"anchor_elems": 10}, "anchor_elems"),
 }
 
 

@@ -30,7 +30,6 @@ SCAN_DEFAULTS = {
     "stage_ratio": 1.07,
     "exposure_s": None,
     "frames_per_step": 4,
-    "anchor_elems": 20,
     "midline": "centroid",
 }
 

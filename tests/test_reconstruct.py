@@ -1,3 +1,4 @@
+import itertools
 import shutil
 import sys
 import threading
@@ -16,8 +17,9 @@ def _row_columns(matrix, i):
     return list(np.flatnonzero(matrix[i - 1]) + 1)
 
 
-def _intervals_connected(n, width_elems, left):
-    """Reference union-find: whether the rows' interval edges (lo, hi) join 0..n."""
+def _intervals_connected(n, widths):
+    """Reference union-find: whether the rows' interval edges (lo, hi) of the
+    stacked bands of the given widths join 0..n."""
     parent = list(range(n + 1))
 
     def root(v):
@@ -27,40 +29,31 @@ def _intervals_connected(n, width_elems, left):
         return v
 
     components = n + 1
-    for i in range(1, n + 1):
-        lo = root(max(i - left, 0))
-        hi = root(min(i - left + width_elems, n))
-        if lo != hi:
-            parent[lo] = hi
-            components -= 1
+    for width in widths:
+        left = min(ww.reconstruct.ANCHOR_ELEMS, width)
+        for i in range(1, n + 1):
+            lo = root(max(i - left, 0))
+            hi = root(min(i - left + width, n))
+            if lo != hi:
+                parent[lo] = hi
+                components -= 1
     return components == 1
 
 
-# (n, width_elems, anchor, band_left, band_right): 1-based row i of the
-# matrix holds ones at i - band_left < j <= i + band_right, clipped to [1, n];
-# the band offset band_left = min(anchor, width_elems)
+# (n, width_elems, band_left, band_right): 1-based row i of the matrix holds
+# ones at i - band_left < j <= i + band_right, clipped to [1, n]; the band
+# offset band_left = min(20, width_elems), 20 being the fixed anchor
 BANDS = [
-    (301, 50, 20, 20, 30),
-    (10, 3, 0, 0, 3),
-    (7, 7, 20, 7, 0),
-    (1, 1, 20, 1, 0),
-    (10, 8, 5, 5, 3),
-    (301, 50, 30, 30, 20),
-    (10, 8, 3, 3, 5),
-    (50, 8, 0, 0, 8),
-    (100, 6, 3, 3, 3),
-    (7, 7, 3, 3, 4),
-    (10, 8, 1, 1, 7),
-    (10, 8, 2, 2, 6),
-    (10, 8, 4, 4, 4),
-    (10, 8, 7, 7, 1),
-    (10, 8, 8, 8, 0),
+    (301, 50, 20, 30),
+    (301, 40, 20, 20),
+    (7, 7, 7, 0),
+    (1, 1, 1, 0),
+    (10, 8, 8, 0),
+    (50, 19, 19, 0),
+    (50, 20, 20, 0),
+    (50, 21, 20, 1),
+    (30, 25, 20, 5),
 ]
-
-
-def _anchors(width):
-    """Anchors whose band offsets are 0, 1, 2, w // 2, w - 1 and w, and one clipped to w."""
-    return sorted({0, 1, 2, width // 2, width - 1, width, width + 3})
 
 
 class TestApertureMatrix:
@@ -76,11 +69,6 @@ class TestApertureMatrix:
         a = ww.build_aperture_matrix(301, 50)
         assert _row_columns(a, 150) == list(range(131, 181))
 
-    def test_centered_opening(self):
-        # an anchor of half the width centres the aperture opening on the axis
-        a = ww.build_aperture_matrix(100, 6, anchor=3)
-        assert _row_columns(a, 50) == list(range(48, 54))
-
     def test_narrow_aperture_clips_the_anchor(self):
         a = ww.build_aperture_matrix(50, 8)
         assert _row_columns(a, 20) == list(range(13, 21))
@@ -90,17 +78,12 @@ class TestApertureMatrix:
             ww.build_aperture_matrix(10, 0)
         with pytest.raises(ww.ConfigurationError, match="width_elems"):
             ww.build_aperture_matrix(10, 11)
-        with pytest.raises(ww.ConfigurationError, match="anchor"):
-            ww.build_aperture_matrix(10, 5, anchor=-1)
 
     def test_equal_bands_however_spelled_are_one_object(self):
         a = ww.build_aperture_matrix(301, 40)
-        # each spelling puts 20 elements of the 40-element band left of the axis
-        for spelling in [(), (20,), (np.int64(20),)]:
-            assert ww.build_aperture_matrix(np.int64(301), 40, *spelling) is a
-        # anchors at or beyond the width all clip to one band
-        assert ww.build_aperture_matrix(301, 8, 8) is ww.build_aperture_matrix(301, 8, 20)
-        for other in [(300, 40), (301, 41), (301, 40, 21)]:
+        for spelling in [(np.int64(301), 40), (301, np.int64(40))]:
+            assert ww.build_aperture_matrix(*spelling) is a
+        for other in [(300, 40), (301, 41)]:
             b = ww.build_aperture_matrix(*other)
             assert b is not a and b is ww.build_aperture_matrix(*other)
 
@@ -119,32 +102,32 @@ class TestApertureMatrix:
         assert np.all(a.sum(axis=1)[20:281] == 40)
 
     @pytest.mark.parametrize(
-        "n, width, anchor, band_left, band_right",
+        "n, width, band_left, band_right",
         BANDS,
-        ids=[f"{n}-{left}-{right}" for n, _, _, left, right in BANDS],
+        ids=[f"{n}-{left}-{right}" for n, _, left, right in BANDS],
     )
-    def test_dense_matches_the_defining_loop(self, n, width, anchor, band_left, band_right):
+    def test_dense_matches_the_defining_loop(self, n, width, band_left, band_right):
         reference = np.zeros((n, n))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 reference[i - 1, j - 1] = i - band_left < j <= i + band_right
-        assert np.array_equal(ww.build_aperture_matrix(n, width, anchor), reference)
+        assert np.array_equal(ww.build_aperture_matrix(n, width), reference)
 
 
 @pytest.mark.parametrize("n", [7, 50, 241, 301])
 def test_aperture_matrix_equals_the_lag_matrix_masks(n):
     idx = np.arange(n)
     lag = idx[:, None] - idx  # row index minus column index
-    for width in sorted({1, 3, 40, 50, n} & set(range(1, n + 1))):
-        for anchor in (*_anchors(width), 20):
-            left = min(anchor, width)
-            expected = ((lag < left) & (lag >= left - width)).astype(float)
-            got = ww.build_aperture_matrix(n, width, anchor)
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    # widths on each side of the anchor of 20 and at it
+    for width in sorted({1, 3, 19, 20, 21, 40, 50, n} & set(range(1, n + 1))):
+        left = min(20, width)
+        expected = ((lag < left) & (lag >= left - width)).astype(float)
+        got = ww.build_aperture_matrix(n, width)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 class TestRank:
-    @given(n=st.integers(3, 40), width=st.integers(1, 12))
+    @given(n=st.integers(3, 40), width=st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_rank_matches_numpy(self, n, width):
         if width > n:
@@ -155,50 +138,46 @@ class TestRank:
     def test_full_rank_dims_is_consistent_with_rank_of(self):
         # the exact interval-graph test against the SVD rank of every matrix
         n_max = 60
-        for width in range(1, 13):
-            for anchor in (*_anchors(width), 20):
-                expected = [
-                    n
-                    for n in range(width, n_max + 1)
-                    if ww.rank_of(ww.build_aperture_matrix(n, width, anchor)) == n
-                ]
-                assert ww.full_rank_dims(width, n_max, anchor) == expected, (width, anchor)
+        for width in (*range(1, 13), 19, 20, 21, 22, 29):
+            expected = [
+                n
+                for n in range(width, n_max + 1)
+                if ww.rank_of(ww.build_aperture_matrix(n, width)) == n
+            ]
+            assert ww.full_rank_dims(width, n_max) == expected, width
 
     def test_full_rank_dims_reaches_every_branch_of_the_closed_form(self):
-        # the anchors give band offsets L = 0, L = 1, L = w and 1 < L < w;
+        # every n up to the anchor of 20 elements, and n mod w <= 1 beyond it;
         # rank_of is the oracle
         n_max = 64
-        for width in range(1, 17):
-            lefts = set()
-            for anchor in _anchors(width):
-                left = ww.reconstruct.band_left_elems(width, anchor)
-                lefts.add(left)
-                expected = [
-                    n
-                    for n in range(width, n_max + 1)
-                    if ww.rank_of(ww.build_aperture_matrix(n, width, anchor)) == n
-                ]
-                assert ww.full_rank_dims(width, n_max, anchor) == expected, (width, anchor)
-            assert {0, 1, width} <= lefts
+        for width in (1, 19, 20, 21, 31):
+            every = list(range(width, n_max + 1))
+            expected = [n for n in every if ww.rank_of(ww.build_aperture_matrix(n, width)) == n]
+            assert ww.full_rank_dims(width, n_max) == expected, width
+            assert (expected == every) == (width <= 20), width
 
     def test_full_rank_dims_matches_the_union_find(self):
-        # every width up to 60 at n <= 400; the band offset L (the anchor)
-        # cycles through the branches 0, 1, w, 2, w // 2 and w - 1
-        n_max = 400
+        # every width up to 60 at n < 200, at least three periods of n mod w
+        n_max = 199
         for width in range(1, 61):
-            left = min((0, 1, width, 2, width // 2, width - 1)[width % 6], width)
             expected = [
-                n for n in range(width, n_max + 1) if _intervals_connected(n, width, left)
+                n for n in range(width, n_max + 1) if _intervals_connected(n, [width])
             ]
-            assert ww.full_rank_dims(width, n_max, left) == expected, (width, left)
+            assert ww.full_rank_dims(width, n_max) == expected, width
+
+    def test_every_stack_of_two_widths_is_full_rank(self):
+        # so a rank-deficient solve has a single width, the case reconstruct
+        # warns about; every pair of distinct widths up to 60, at the eight
+        # smallest sizes, where the stack has the fewest rows
+        for narrow, wide in itertools.combinations(range(1, 61), 2):
+            for n in range(wide, wide + 8):
+                assert _intervals_connected(n, [narrow, wide]), (n, narrow, wide)
 
     def test_full_rank_dims_validation(self):
         with pytest.raises(ww.ConfigurationError, match="n_max"):
             ww.full_rank_dims(10, 5)
         with pytest.raises(ww.ConfigurationError, match="width_elems"):
             ww.full_rank_dims(0, 5)
-        with pytest.raises(ww.ConfigurationError, match="anchor"):
-            ww.full_rank_dims(5, 10, anchor=-1)
 
 
 def _assert_matches_gelsd(res, matrices, fluxes, cutoff=1e-10):
@@ -307,14 +286,14 @@ class TestSolveStacked:
 
     @given(
         n=st.integers(2, 40),
-        widths=st.lists(st.integers(1, 12), min_size=1, max_size=2),
-        anchor=st.integers(0, 13),
+        widths=st.lists(st.integers(1, 30), min_size=1, max_size=2),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_gelsd_oracle_on_small_systems(self, n, widths, anchor, seed):
-        # a width below the anchor is clipped, so stacked widths may get other band offsets
-        mats = [ww.build_aperture_matrix(n, min(w, n), anchor) for w in widths]
+    def test_matches_the_gelsd_oracle_on_small_systems(self, n, widths, seed):
+        # widths on each side of the anchor of 20, so stacked bands may take
+        # different offsets
+        mats = [ww.build_aperture_matrix(n, min(w, n)) for w in widths]
         rng = np.random.default_rng(seed)
         fluxes = [rng.random(n) + 0.1 for _ in mats]
         _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
@@ -380,8 +359,8 @@ class TestSolveStacked:
 
     def test_same_shape_systems_with_different_entries_each_miss(self, monkeypatch):
         calls = self._count_factorizations(monkeypatch)
-        for count, anchor in enumerate((20, 3), start=1):
-            mats = [ww.build_aperture_matrix(301, w, anchor) for w in (40, 50)]
+        for count, first in enumerate((40, 41), start=1):
+            mats = [ww.build_aperture_matrix(301, w) for w in (first, 50)]
             fluxes = _noisy_fluxes(mats, 4)
             _assert_matches_gelsd(ww.solve_stacked(mats, fluxes), mats, fluxes)
             assert len(calls) == count
@@ -409,8 +388,8 @@ class TestSolveStacked:
 
     def test_threads_alternating_same_shape_systems_get_their_own_factors(self):
         systems = [
-            [ww.build_aperture_matrix(60, w, anchor) for w in (7, 9)]
-            for anchor in (20, 3)
+            [ww.build_aperture_matrix(60, w) for w in (first, 9)]
+            for first in (7, 8)
         ]
         fluxes = _noisy_fluxes(systems[0], 7)
         expected = [ww.solve_stacked(mats, fluxes).p_hat for mats in systems]
