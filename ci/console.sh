@@ -2,8 +2,9 @@
 # Checks of the installed `whichway` console script: the rank command's
 # closed-form rule on known cases and its refusal of a config, a stage that
 # fails before writing, a run option placed before the subcommand, config
-# keys that are constants now ("opening" and "anchor_elems" in a scan,
-# "cutoff" in the reconstruction block), then the four commands end to end,
+# keys that are constants now ("opening" and "anchor_elems" in a scan, and
+# the reconstruction and metrics blocks with "cutoff", "smoothing_rms_m",
+# "peak_selector" and "guard_px"), then the four commands end to end,
 # a report that does not read reconstruction.csv, a reconstruct that rejects
 # a sidecar whose total flux is not its CSV's, scan artifacts that do not
 # depend on the core count, two reconstructs and two reports in one process
@@ -40,19 +41,23 @@ status=0
 test "$status" = 2
 test ! -e "$tmp/top" && test ! -e "$tmp/runs"
 # keys that are constants now: a config naming one exits 2 with one error
-# line that names the block and the key, and writes nothing
-while read -r key block config; do
+# line that names the unknown key, or the unknown block that held it, and
+# writes nothing
+while read -r key pattern config; do
   echo "$config" > "$tmp/$key.json"
   status=0
   whichway scan --config "$tmp/$key.json" --out "$tmp/$key" < /dev/null 2> "$tmp/err" || status=$?
   test "$status" = 2
   test "$(wc -l < "$tmp/err")" = 1
-  grep -q "^error: .*$block.*\"$key\"" "$tmp/err"
+  grep -q "^error: .*$pattern" "$tmp/err"
   test ! -e "$tmp/$key"
 done << 'EOF'
-opening scans\[0\] {"geometry": {}, "scans": [{"aperture_width_m": 0.004, "opening": "rightward"}]}
-anchor_elems scans\[0\] {"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 20}]}
-cutoff reconstruction {"geometry": {}, "reconstruction": {"cutoff": 1e-10}}
+opening scans\[0\].*"opening" {"geometry": {}, "scans": [{"aperture_width_m": 0.004, "opening": "rightward"}]}
+anchor_elems scans\[0\].*"anchor_elems" {"geometry": {}, "scans": [{"aperture_width_m": 0.004, "anchor_elems": 20}]}
+cutoff config.*"reconstruction" {"geometry": {}, "reconstruction": {"cutoff": 1e-10}}
+smoothing_rms_m config.*"reconstruction" {"geometry": {}, "reconstruction": {"smoothing_rms_m": 1.0}}
+peak_selector config.*"metrics" {"geometry": {}, "metrics": {"peak_selector": "central"}}
+guard_px config.*"metrics" {"geometry": {}, "metrics": {"guard_px": 600}}
 EOF
 whichway fringes --out "$tmp/run" --seed 0 --no-noise
 whichway scan --out "$tmp/run" --seed 0 --no-noise

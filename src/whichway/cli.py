@@ -157,9 +157,9 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
     widths_mm (in mm); either every one has a JSON sidecar next to it or
     none does, and with none every sidecar is None and every exposure 1.0.
     A sidecar must record the width in steps and anchor that the stacked
-    solve gives its scan: the width (in metres) in steps of the first CSV,
-    and ANCHOR_ELEMS; and its total_flux_sum must be the sum of its CSV's
-    F column.
+    solve gives its scan, the width (in metres) in steps of the first CSV
+    and ANCHOR_ELEMS, and the guard band of the pooled D, cfg.guard_px; and
+    its total_flux_sum must be the sum of its CSV's F column.
     """
     if (widths_mm is None) == bool(flux_csvs):
         raise ConfigurationError("--widths-mm is taken exactly when flux CSVs are given")
@@ -198,11 +198,13 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
         # a wrong-side flux fraction above 1/2 is no which-way bound
         if not 0 <= sidecar["contamination"] <= 0.5:
             raise DataError(f"{path}: 'contamination' must lie in [0, 1/2]")
-        solve = dict(width_elems=width_in_steps(width, step), anchor_elems=ANCHOR_ELEMS)
-        for key, value in solve.items():
+        taken = dict(
+            width_elems=width_in_steps(width, step), anchor_elems=ANCHOR_ELEMS, guard_px=cfg.guard_px
+        )
+        for key, value in taken.items():
             if key not in sidecar or sidecar[key] != value:
                 found = repr(sidecar[key]) if key in sidecar else "missing"
-                raise DataError(f"{path}: '{key}' is {found}; the stacked solve takes {value!r}")
+                raise DataError(f"{path}: '{key}' is {found}; this run takes {value!r}")
         # the pooled D weighs each scan by its total flux
         total, flux = sidecar["total_flux_sum"], table["F"]
         if not abs(total - flux.sum()) <= 1e-9 * np.abs(flux).sum():
@@ -217,7 +219,7 @@ def cmd_reconstruct(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Solve the stacked flux equations from scan CSVs."""
     # the scan step comes from the CSVs' s_mm column, not the config
     widths, tables, _, exposures = _read_scans(cfg, out, args.flux_csv, args.widths_mm)
-    result = reconstruct_tables(cfg, tables, widths, exposures)
+    result = reconstruct_tables(tables, widths, exposures)
     n = tables[0]["F"].size
     if len(widths) == 1 and result.effective_rank < n:
         print(
@@ -246,7 +248,7 @@ def cmd_reconstruct(cfg: RunConfig, args, out: Path) -> list[Path]:
 def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Duality report: V from the configured scans' stacked solve, D from their sidecars."""
     widths, tables, sidecars, exposures = _read_scans(cfg, out)
-    profile = result_profile(reconstruct_tables(cfg, tables, widths, exposures))
+    profile = result_profile(reconstruct_tables(tables, widths, exposures))
 
     # match the reconstruction against the direct fringe image, scaled
     # from the near plane to the pupil plane
@@ -262,7 +264,7 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
     )
     # left/right-signal reconstructions (which-way split of the pattern)
     lr_results = {
-        signal: reconstruct_tables(cfg, tables, widths, exposures, signal)
+        signal: reconstruct_tables(tables, widths, exposures, signal)
         for signal in ("left", "right")
     }
 

@@ -12,10 +12,10 @@ from functools import cache
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError
-from .instrument import DetectorConfig, ScanConfig
-from .metrics import DEFAULT_MATCH_HALF_WINDOW, PEAK_SELECTORS
+from .instrument import GUARD_PX, DetectorConfig, ScanConfig
+from .metrics import DEFAULT_MATCH_HALF_WINDOW, PEAK_SELECTOR
 from .optics import Geometry, GridSpec
-from .reconstruct import DEFAULT_RANK_CUTOFF
+from .reconstruct import DEFAULT_RANK_CUTOFF, SMOOTHING_RMS
 
 
 @dataclass(frozen=True)
@@ -27,26 +27,20 @@ class RunConfig:
     illumination_tilt: float
     scans: tuple
     detector: DetectorConfig
-    smoothing_rms: float
-    peak_selector: str
-    guard_px: int
     output_dir: str
     raw: dict  # the merged config with typed values, as hashed
 
     # fixed analysis settings, not config keys
     recon_cutoff = DEFAULT_RANK_CUTOFF
     window_half = DEFAULT_MATCH_HALF_WINDOW
+    smoothing_rms = SMOOTHING_RMS
+    peak_selector = PEAK_SELECTOR
+    guard_px = GUARD_PX
 
     def __post_init__(self):
-        # checked at load, so a value out of range stops a run before it
-        # has written anything
-        if not self.smoothing_rms >= 0:
-            raise ConfigurationError("reconstruction.smoothing_rms_m must be >= 0")
-        if self.peak_selector not in PEAK_SELECTORS:
-            raise ConfigurationError(f"metrics.peak_selector must be one of {PEAK_SELECTORS}")
-        if self.guard_px < 0:
-            raise ConfigurationError("metrics.guard_px must be >= 0")
-        # the scans are stacked into one solve, and each writes scan_<tag>.*
+        # checked at load, so a run that cannot be solved stops before it
+        # has written anything: the scans are stacked into one solve, and
+        # each writes scan_<tag>.*
         tags = [scan_tag(scan.aperture_width) for scan in self.scans]
         for i, scan in enumerate(self.scans[1:], start=1):
             if tags[i] in tags[:i]:
@@ -54,6 +48,12 @@ class RunConfig:
             for key in ("step_m", "s_start_m", "n_steps"):
                 if getattr(scan, _SCAN_KEYS[key][1]) != getattr(self.scans[0], _SCAN_KEYS[key][1]):
                     raise ConfigurationError(f"scans[{i}]: {key} must equal that of scans[0]")
+        for i, scan in enumerate(self.scans):
+            if scan.width_elems() > scan.n_steps:
+                raise ConfigurationError(
+                    f"scans[{i}]: the aperture spans {scan.width_elems()} steps, "
+                    f"more than n_steps = {scan.n_steps}"
+                )
 
     @property
     def h_scale(self) -> float:
@@ -96,11 +96,6 @@ _BLOCKS = {
         "gain_e_per_unit": (DetectorConfig, "gain"),
         "noise_enabled": (DetectorConfig, "noise_enabled"),
     },
-    "reconstruction": {"smoothing_rms_m": (RunConfig, "smoothing_rms")},
-    "metrics": {
-        "peak_selector": (RunConfig, "peak_selector"),
-        "guard_px": (RunConfig, "guard_px"),
-    },
 }
 
 # every entry of the "scans" list
@@ -120,8 +115,7 @@ _TOP_KEYS = {"output_dir": (RunConfig, "output_dir"), "seed": (DetectorConfig, "
 
 
 # the library's defaults, plus the reference bench's own choices: noise on,
-# a tilted illumination, two centroid scans, smoothing, the peak selector,
-# the guard band and the output directory
+# a tilted illumination, two centroid scans and the output directory
 DEFAULT_CONFIG = {
     "geometry": {key: getattr(Geometry(), a) for key, (_, a) in _BLOCKS["geometry"].items()},
     "source": {"illumination_tilt": 0.1, "grid_n": GridSpec().n},
@@ -133,8 +127,6 @@ DEFAULT_CONFIG = {
         **{key: getattr(DetectorConfig(), a) for key, (_, a) in _BLOCKS["detector"].items()},
         "noise_enabled": True,
     },
-    "reconstruction": {"smoothing_rms_m": 0.15e-3},
-    "metrics": {"peak_selector": "second_third", "guard_px": 20},
     "output_dir": "runs/default",
     "seed": DetectorConfig().rng_seed,
 }

@@ -35,6 +35,9 @@ from .reconstruct import band_left_elems
 # at unit gain); exposures default to putting the peak pixel at 70% of it
 FULL_WELL = 1e5
 AUTO_EXPOSURE_FRACTION = 0.7
+# flux more than GUARD_PX pixels from a step's midline counts as which-way
+# contamination (see assignment_probability)
+GUARD_PX = 20
 
 
 def width_in_steps(width: float, step: float) -> int:

@@ -17,7 +17,8 @@ from .optics import IntensityProfile
 
 PEAK_PROMINENCE_FRACTION = 0.02
 DEFAULT_MATCH_HALF_WINDOW = 5e-3
-PEAK_SELECTORS = ("central", "second_third")
+# the report's visibility selector (see visibility)
+PEAK_SELECTOR = "second_third"
 
 
 class VisibilityResult(NamedTuple):

@@ -25,6 +25,7 @@ from .optics import (
     fresnel_field,
 )
 from .reconstruct import (
+    SMOOTHING_RMS,
     ReconstructionResult,
     build_aperture_matrix,
     gaussian_smooth,
@@ -107,29 +108,24 @@ def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
     return outcomes
 
 
-def reconstruct_series(
-    cfg: RunConfig, series_list: list[ScanSeries], signal: str = "F"
-) -> ReconstructionResult:
+def reconstruct_series(series_list: list[ScanSeries], signal: str = "F") -> ReconstructionResult:
     """Stacked least-squares reconstruction from in-memory scan series."""
     scans = [series.config for series in series_list]
     widths, exposures = [s.aperture_width for s in scans], [s.exposure for s in scans]
     tables = [series.table() for series in series_list]
-    return reconstruct_tables(cfg, tables, widths, exposures, signal)
+    return reconstruct_tables(tables, widths, exposures, signal)
 
 
 def reconstruct_tables(
-    cfg: RunConfig,
-    tables: list[dict],
-    widths: list[float],
-    exposures: list[float],
-    signal: str = "F",
+    tables: list[dict], widths: list[float], exposures: list[float], signal: str = "F"
 ) -> ReconstructionResult:
     """Stacked least-squares reconstruction from scan tables.
 
     tables are column dicts as load_scan_csv and ScanSeries.table return
     them; all must share one uniform set of slit positions.  widths are
     the aperture widths in meters, converted to elements of that step.
-    The cutoff and the smoothing width come from cfg.
+    The solve truncates at DEFAULT_RANK_CUTOFF and smooths by SMOOTHING_RMS,
+    both constants of reconstruct.
     """
     s = tables[0]["s"]
     step = uniform_step(s, "scan slit positions")
@@ -141,10 +137,8 @@ def reconstruct_tables(
         raise ConfigurationError("stacked scans must use distinct aperture widths")
     mats = [build_aperture_matrix(s.size, w) for w in elems]
     vectors = [flux_vector(t, signal) for t in tables]
-    result = solve_stacked(
-        mats, [f for _, f in vectors], exposures, grid=vectors[0][0], cutoff=cfg.recon_cutoff
-    )
-    return gaussian_smooth(result, cfg.smoothing_rms)
+    result = solve_stacked(mats, [f for _, f in vectors], exposures, grid=vectors[0][0])
+    return gaussian_smooth(result, SMOOTHING_RMS)
 
 
 def result_profile(result: ReconstructionResult) -> IntensityProfile:

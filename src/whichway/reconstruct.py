@@ -28,6 +28,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 
 DEFAULT_RANK_CUTOFF = 1e-10
+# rms width (m) of the Gaussian that smooths the reconstructed pupil pattern
+SMOOTHING_RMS = 0.15e-3
 # steps the aperture's fixed left edge sits left of the pupil axis
 ANCHOR_ELEMS = 20
 

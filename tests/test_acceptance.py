@@ -79,7 +79,7 @@ def test_criterion_3_end_to_end_physics(
     capsys, quiet_cfg, quiet_series, scan_grid, pattern_truth
 ):
     t0 = time.perf_counter()
-    recon = pipeline.reconstruct_series(quiet_cfg, quiet_series)
+    recon = pipeline.reconstruct_series(quiet_series)
     elapsed = time.perf_counter() - t0
     truth = ww.ReconstructionResult(scan_grid, pattern_truth, 0.0, scan_grid.size, 0.0)
     truth = ww.gaussian_smooth(truth, quiet_cfg.smoothing_rms)

@@ -24,7 +24,7 @@ from whichway.instrument import ScanConfig, ScanSeries, load_scan_csv, run_scan
 from whichway.metrics import distinguishability, visibility
 from whichway.optics import GridSpec, amplitude_steps, double_slit_field, fresnel_field
 from whichway.pipeline import run_all_scans
-from whichway.reconstruct import build_aperture_matrix, full_rank_dims, solve_stacked
+from whichway.reconstruct import full_rank_dims
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED_ARTIFACTS = [
@@ -144,25 +144,6 @@ def test_single_width_reconstruction_warns_about_rank(cli_run, tmp_path, capsys)
     )
     assert rc == 0
     assert "rank-deficient" in capsys.readouterr().err
-
-
-def test_zero_smoothing_writes_the_unsmoothed_solve(cli_run, tmp_path):
-    config = tmp_path / "unsmoothed.json"
-    config.write_text(json.dumps({"geometry": {}, "reconstruction": {"smoothing_rms_m": 0}}))
-    out = tmp_path / "unsmoothed"
-    out.mkdir()
-    for name in ("scan_a4mm.csv", "scan_a4mm.json", "scan_a5mm.csv", "scan_a5mm.json"):
-        shutil.copy(cli_run / name, out / name)
-    assert main(["reconstruct", "--config", str(config), "--out", str(out)]) == 0
-    assert json.loads((out / "reconstruction.json").read_text())["smoothing_rms_m"] == 0.0
-    tables = [load_scan_csv(out / f"scan_a{w}mm.csv") for w in (4, 5)]
-    exposures = [json.loads((out / f"scan_a{w}mm.json").read_text())["exposure_s"] for w in (4, 5)]
-    mats = [build_aperture_matrix(tables[0]["F"].size, w) for w in (40, 50)]
-    cutoff = load_config(str(config)).recon_cutoff
-    # the matrices take the fluxes in ascending pupil offset -s, so reversed
-    solve = solve_stacked(mats, [t["F"][::-1] for t in tables], exposures, cutoff=cutoff)
-    _, p_hat = read_csv(out / "reconstruction.csv", ("position_mm", "P_hat")).values()
-    assert np.array_equal(p_hat, [float(f"{v:.9e}") for v in solve.p_hat])
 
 
 def test_rank_command(capsys):
@@ -445,6 +426,12 @@ CORRUPTIONS = {
         _edit_json(lambda d: d.pop("anchor_elems")),
         ["report", "reconstruct"],
     ),
+    # a scan's contamination is pooled into D only at this run's guard band
+    "sidecar-guard": (
+        "scan_a4mm.json",
+        _edit_json(lambda d: d.update(guard_px=30)),
+        ["report", "reconstruct"],
+    ),
     # the pooled D weighs the scans by their total flux, and a total that
     # is not its CSV's is a CSV scanned at another exposure
     "sidecar-flux-sum-x50": (
@@ -595,7 +582,7 @@ def test_h_scale_follows_the_geometry(tmp_path, capsys):
     assert load_config(str(path)).h_scale == 0.58 / 0.5
     path.write_text(json.dumps({"geometry": {}, "metrics": {"h_scale_m_per_pix": 3e-5}}))
     assert main(["report", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "h_scale_m_per_pix" in capsys.readouterr().err
+    assert 'in config: "metrics"' in capsys.readouterr().err
 
 
 def test_explicit_csvs_require_widths(cli_run, tmp_path):
@@ -636,7 +623,7 @@ def test_report_solves_v_from_the_configured_scans(cli_run, tmp_path, reconstruc
     tables = [load_scan_csv(p.with_suffix(".csv")) for p in paths]
     exposures = [json.loads(p.with_suffix(".json").read_text())["exposure_s"] for p in paths]
     widths = [scan.aperture_width for scan in cfg.scans]
-    solve = pipeline.reconstruct_tables(cfg, tables, widths, exposures)
+    solve = pipeline.reconstruct_tables(tables, widths, exposures)
     vis = visibility(pipeline.result_profile(solve), cfg.peak_selector)
     assert json.loads((run / "duality.json").read_text())["V"] == min(vis.value, 1.0)
 
@@ -648,7 +635,9 @@ def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
             {
                 "geometry": {},
                 "source": {"grid_n": 2**16},
-                "scans": [{"aperture_width_m": 4e-3, "n_steps": 7, "s_start_m": -3e-4}],
+                "scans": [
+                    {"aperture_width_m": 4e-3, "step_m": 1e-3, "n_steps": 7, "s_start_m": -3e-3}
+                ],
             }
         )
     )
@@ -669,7 +658,8 @@ def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
 def test_scan_profiles_replaces_the_step_files_of_a_longer_run(tmp_path):
     def scan_profiles(n_steps, out):
         path = tmp_path / f"steps{n_steps}.json"
-        scans = [{"aperture_width_m": 4e-3, "n_steps": n_steps, "s_start_m": -(n_steps // 2) * 1e-4}]
+        start = -(n_steps // 2) * 1e-3
+        scans = [{"aperture_width_m": 4e-3, "step_m": 1e-3, "n_steps": n_steps, "s_start_m": start}]
         path.write_text(json.dumps({"geometry": {}, "source": {"grid_n": 2**16}, "scans": scans}))
         argv = ["scan", "--profiles", "--config", str(path), "--out", str(out), "--no-noise"]
         assert main(argv) == 0
@@ -726,7 +716,8 @@ def test_too_many_electrons_for_the_noise_model_exit_2(tmp_path, capsys, key, va
     # numpy's Poisson draw refuses a mean beyond about 9.2e18, and 10^400
     # frames have no float value
     path = tmp_path / "bright.json"
-    path.write_text(json.dumps(_with("scans", n_steps=3, s_start_m=-1e-4, **{key: value})))
+    short = {"step_m": 1e-3, "n_steps": 4, "s_start_m": -2e-3}
+    path.write_text(json.dumps(_with("scans", **short, **{key: value})))
     out = tmp_path / "o"
     assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -951,10 +942,9 @@ MISTYPED = {
     "scan-opening": (_with("scans", opening="rightward"), 'in scans[0]: "opening"'),
     "scan-anchor": (_with("scans", anchor_elems=20), 'in scans[0]: "anchor_elems"'),
     "source-grid-span": (_with("source", grid_half_span_m=5e-3), 'in source: "grid_half_span_m"'),
-    "reconstruction-cutoff": (_with("reconstruction", cutoff=1.0), 'in reconstruction: "cutoff"'),
-    "reconstruction-window": (
-        _with("reconstruction", window_half_m=0.0), 'in reconstruction: "window_half_m"'
-    ),
+    # the reconstruction and metrics blocks are gone: every key they held is a constant
+    "reconstruction-cutoff": (_with("reconstruction", cutoff=1.0), 'in config: "reconstruction"'),
+    "reconstruction-window": (_with("reconstruction", window_half_m=0.0), 'in config: "reconstruction"'),
     "geometry-infinity": (_with("geometry", wavelength_m=math.inf), "geometry.wavelength_m"),
     "source-nan": (_with("source", illumination_tilt=math.nan), "source.illumination_tilt"),
     "source-numeric-string": (_with("source", grid_n="65536"), "source.grid_n"),
@@ -962,17 +952,18 @@ MISTYPED = {
     "detector-string-bool": (_with("detector", noise_enabled="no"), "detector.noise_enabled"),
     "detector-rng-seed": (_with("detector", rng_seed=7), "rng_seed"),
     "reconstruction-numeric-string": (
-        _with("reconstruction", smoothing_rms_m="1e-4"), "reconstruction.smoothing_rms_m"
+        _with("reconstruction", smoothing_rms_m="1e-4"), 'in config: "reconstruction"'
     ),
-    "metrics-fractional-guard": (_with("metrics", guard_px=20.7), "metrics.guard_px"),
-    "metrics-bool-guard": (_with("metrics", guard_px=True), "metrics.guard_px"),
-    "metrics-string-guard": (_with("metrics", guard_px="20"), "metrics.guard_px"),
+    "metrics-fractional-guard": (_with("metrics", guard_px=20.7), 'in config: "metrics"'),
+    "metrics-bool-guard": (_with("metrics", guard_px=True), 'in config: "metrics"'),
+    "metrics-string-guard": (_with("metrics", guard_px="20"), 'in config: "metrics"'),
     "seed-fractional": ({"geometry": {}, "seed": 1.9}, "seed"),
     "seed-negative": ({"geometry": {}, "seed": -1}, "seed"),
 }
 
 
-# (block, key, value) in range for its type but not for its use
+# (block, key, value) in range for its type but not for its use, in a block
+# that is gone: the key is a constant now, so the block is an unknown key
 OUT_OF_RANGE = {
     "metrics-negative-guard": ("metrics", "guard_px", -1),
     "reconstruction-negative-smoothing": ("reconstruction", "smoothing_rms_m", -1e-4),
@@ -983,20 +974,20 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("case", OUT_OF_RANGE)
 def test_out_of_range_config_values_exit_2_before_any_scan(tmp_path, capsys, case):
     block, key, value = OUT_OF_RANGE[case]
-    config = _with("scans", n_steps=3, s_start_m=-1e-4)
+    config = _with("scans", step_m=1e-3, n_steps=4, s_start_m=-2e-3)
     config[block] = {key: value}
     path = tmp_path / "range.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "o"
     assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and f"{block}.{key}" in err, err
-    assert not list(out.glob("scan_*"))
+    assert err == f'error: unknown key(s) in config: "{block}"\n', err
+    assert not out.exists()
 
 
 def _two_scans(**second):
     """Two short scans, the second with its keys replaced by second."""
-    short = {"n_steps": 3, "s_start_m": -1e-4}
+    short = {"step_m": 1e-3, "n_steps": 10, "s_start_m": -5e-3}
     return {
         "geometry": {},
         "scans": [{"aperture_width_m": 4e-3, **short}, {"aperture_width_m": 5e-3, **short, **second}],
@@ -1033,9 +1024,9 @@ def test_dataclass_range_errors_name_their_block(tmp_path, capsys, case):
 # cannot be stacked into one solve
 UNSTACKABLE = {
     "same-tag": ({"aperture_width_m": 4e-3}, "scan_a4mm"),
-    "other-step": ({"step_m": 2e-4}, "step_m"),
-    "other-start": ({"s_start_m": -2e-4}, "s_start_m"),
-    "other-count": ({"n_steps": 5}, "n_steps"),
+    "other-step": ({"step_m": 5e-4}, "step_m"),
+    "other-start": ({"s_start_m": -4e-3}, "s_start_m"),
+    "other-count": ({"n_steps": 11}, "n_steps"),
 }
 
 
@@ -1049,6 +1040,23 @@ def test_scans_that_cannot_be_stacked_exit_2_before_any_scan(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("error: scans[1]: ") and err.count("\n") == 1 and words in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fringes", "scan", "reconstruct", "report"])
+def test_an_aperture_wider_than_its_scan_exits_2_before_writing(tmp_path, capsys, command):
+    # the stacked solve takes a width of at most n_steps steps, so a config
+    # whose 5 mm aperture spans 50 steps of a 45-step scan stops every command
+    scans = [{"aperture_width_m": w, "n_steps": 45, "s_start_m": -2e-3} for w in (4e-3, 5e-3)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"geometry": {}, "scans": scans}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: scans[1]: the aperture spans 50 steps, more than n_steps = 45\n", err
+    assert not out.exists()
+    # an aperture as wide as the scan is taken
+    path.write_text(json.dumps({"geometry": {}, "scans": [{**scans[1], "n_steps": 50}]}))
+    assert load_config(str(path)).scans[0].width_elems() == 50
 
 
 @pytest.mark.parametrize("case", MISTYPED)
@@ -1065,9 +1073,10 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, case):
 
 def test_config_hash_covers_the_overrides(tmp_path):
     noisy = load_config()
-    assert noisy.config_hash().startswith("4b7caaef7c7c")
+    assert noisy.config_hash().startswith("d8f20c9544c6")
     # fixed analysis settings, not config keys, so not hashed
     assert (noisy.recon_cutoff, noisy.window_half, noisy.grid.half_span) == (1e-10, 5e-3, 40e-3)
+    assert (noisy.smoothing_rms, noisy.peak_selector, noisy.guard_px) == (0.15e-3, "second_third", 20)
     assert load_config(seed=0).config_hash() == noisy.config_hash()
     assert load_config(no_noise=True).config_hash() != noisy.config_hash()
     assert load_config(seed=3).detector.rng_seed == 3

@@ -1,6 +1,6 @@
 """No module in src/ or tests/ imports a name it never uses, the package
 runs without scipy (the tests keep it as their oracle), and every name the
-benchmark looks up exists."""
+benchmark looks up exists, the run config's attributes included."""
 import ast
 import importlib
 import json
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import whichway
+from whichway.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 # the package's __init__ imports only to re-export
@@ -94,3 +95,12 @@ def test_every_name_the_benchmark_looks_up_resolves():
         if not hasattr(owner, attr):
             missing.append(f"{owner_path}.{attr}")
     assert not missing, "perfbench/run.py looks up missing names: " + ", ".join(missing)
+
+
+def test_every_config_attribute_the_benchmark_reads_resolves():
+    # the harness reads fields and class constants of the run config alike
+    read = set(re.findall(r"\bcfg\.(\w+)", (ROOT / "perfbench" / "run.py").read_text()))
+    assert {"smoothing_rms", "peak_selector", "recon_cutoff", "window_half"} <= read
+    cfg = load_config()
+    missing = sorted(attr for attr in read if not hasattr(cfg, attr))
+    assert not missing, "perfbench/run.py reads missing config attributes: " + ", ".join(missing)

@@ -679,7 +679,7 @@ def test_run_all_scans_equals_run_scan_per_scan_in_order(monkeypatch, noise, cpu
     # CPUs give each scan its own thread, whatever the cores
     cfg = load_config(seed=3, no_noise=not noise)
     scans = tuple(
-        replace(cfg.scans[0], aperture_width=w, n_steps=41, s_start=-2e-3) for w in (3e-3, 4e-3, 5e-3)
+        replace(cfg.scans[0], aperture_width=w, n_steps=51, s_start=-2e-3) for w in (3e-3, 4e-3, 5e-3)
     )
     cfg = replace(cfg, scans=scans)
     source = pipeline.make_source(cfg)
