@@ -6,7 +6,9 @@
 # the reconstruction and metrics blocks with "cutoff", "smoothing_rms_m",
 # "peak_selector" and "guard_px"), then the four commands end to end,
 # a report that does not read reconstruction.csv, a reconstruct that rejects
-# a sidecar whose total flux is not its CSV's, scan artifacts that do not
+# a sidecar whose total flux is not its CSV's, a scan whose sidecar fails
+# (at an exposure too short for any light) that writes no file, neither into
+# a fresh directory nor over an existing run, scan artifacts that do not
 # depend on the core count, two reconstructs and two reports in one process
 # that write what separate processes wrote, a scan whose peak memory does
 # not grow with the source grid, and an output directory that cannot be
@@ -86,6 +88,24 @@ whichway reconstruct --out "$tmp/flux-x50" --seed 0 --no-noise > /dev/null 2> "$
 test "$status" = 3
 test "$(wc -l < "$tmp/err")" = 1
 grep -q '^error: ' "$tmp/err"
+# a scan whose sidecar fails writes nothing: at 1e-9 s no light reaches the
+# camera, so the noisy seed-0 scan exits non-zero with one error line, creates
+# no directory, and over an existing run leaves every scan file as it was
+echo '{"geometry": {}, "scans": [
+  {"aperture_width_m": 0.004, "midline": "centroid", "exposure_s": 1e-9},
+  {"aperture_width_m": 0.005, "midline": "centroid", "exposure_s": 1e-9}]}' > "$tmp/dark.json"
+cp -r "$tmp/run" "$tmp/dark-over"
+for out in "$tmp/dark-fresh/nested" "$tmp/dark-over"; do
+  status=0
+  whichway scan --config "$tmp/dark.json" --out "$out" --seed 0 > /dev/null 2> "$tmp/err" || status=$?
+  test "$status" != 0
+  test "$(wc -l < "$tmp/err")" = 1
+  grep -q '^error: ' "$tmp/err"
+done
+test ! -e "$tmp/dark-fresh"
+for f in scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
+  cmp "$tmp/run/$f" "$tmp/dark-over/$f"
+done
 # the scans run on one thread per usable core; their bits must not change
 taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
 whichway scan --out "$tmp/all-cores" --seed 0

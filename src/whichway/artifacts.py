@@ -3,8 +3,8 @@
 CSV: a header row, then one row per sample in a fixed numeric format per
 column, so that no cell needs quoting; lines end in \\r\\n, as csv.writer
 ends them.  JSON: one object with sorted keys, a 2-space indent and a
-trailing newline.  The readers raise DataError, naming the file, for
-anything malformed.
+trailing newline.  The writers create their file's parent directory.  The
+readers raise DataError, naming the file, for anything malformed.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ def write_csv(path, header, formats, columns) -> None:
     """Write the header, then the columns (arrays) row by row, each in its format spec."""
     row = ",".join("{:" + spec + "}" for spec in formats) + "\r\n"
     rows = "".join(row.format(*values) for values in zip(*(c.tolist() for c in columns)))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.write(rows)
@@ -80,6 +81,7 @@ def write_json(path, data: dict) -> None:
     A non-finite number raises ValueError: JSON has no NaN or Infinity.
     """
     text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(text + "\n")
 
 

@@ -128,17 +128,17 @@ def _scan_sidecar(series, cfg: RunConfig) -> dict:
 def cmd_scan(cfg: RunConfig, args, out: Path) -> list[Path]:
     """Run every configured scan and write one flux CSV (plus sidecar) each."""
     series_list = run_all_scans(cfg)
+    # every sidecar before any file, so a scan whose sidecar fails writes nothing
+    sidecars = [_scan_sidecar(series, cfg) for series in series_list]
     files = []
-    for series in series_list:
+    for series, sidecar in zip(series_list, sidecars):
         tag = scan_tag(series.config.aperture_width)
-        csv_path = out / f"scan_{tag}.csv"
+        csv_path, json_path = out / f"scan_{tag}.csv", out / f"scan_{tag}.json"
         series.to_csv(csv_path)
-        sidecar = out / f"scan_{tag}.json"
-        write_json(sidecar, _scan_sidecar(series, cfg))
-        files += [csv_path, sidecar]
+        write_json(json_path, sidecar)
+        files += [csv_path, json_path]
         if args.profiles:
             directory = out / f"profiles_{tag}"
-            directory.mkdir(exist_ok=True)
             for stale in directory.glob("step_*.csv"):  # a longer earlier scan's
                 stale.unlink()
             for k, values in enumerate(series.profiles):
@@ -274,15 +274,6 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
         v_method=f"peaks:{vis.method};prominence:2%",
         d_method=f"guard_px:{cfg.guard_px};pooled-contamination",
     )
-    duality_path = out / "duality.json"
-    write_json(duality_path, report.to_json_dict())
-
-    lr_files = []
-    for signal, res in lr_results.items():
-        path = out / f"reconstruction_{signal}.csv"
-        write_csv(path, *_RECONSTRUCTION_CSV, (res.grid * 1e3, res.p_hat))
-        lr_files.append(path)
-
     lines = [
         f"whichway run report (config {cfg.config_hash()[:12]})",
         f"V  = {report.v:.4f}   [{report.v_method}]",
@@ -305,6 +296,12 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
         "left/right reconstructions (peak-normalized) RMS difference: "
         f"{float(np.sqrt(np.mean((lp - rp) ** 2))):.4f}"
     )
+
+    duality_path = out / "duality.json"
+    write_json(duality_path, report.to_json_dict())
+    lr_files = [out / f"reconstruction_{signal}.csv" for signal in lr_results]
+    for path, res in zip(lr_files, lr_results.values()):
+        write_csv(path, *_RECONSTRUCTION_CSV, (res.grid * 1e3, res.p_hat))
     summary = out / "summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
@@ -375,18 +372,8 @@ def main(argv=None) -> int:
         )
         t0 = time.perf_counter()
         out = Path(cfg.output_dir)
-        made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
-        out.mkdir(parents=True, exist_ok=True)
-        try:
-            files = _STAGES[args.command](cfg, args, out)
-        except BaseException:
-            # a stage that fails before writing leaves no directory behind
-            for directory in made:
-                try:
-                    directory.rmdir()
-                except OSError:  # not empty: the stage wrote into it
-                    break
-            raise
+        # a stage computes, then writes: its first artifact creates out
+        files = _STAGES[args.command](cfg, args, out)
         _update_manifest(cfg, out, args.command, files, time.perf_counter() - t0)
         return 0
     except WhichwayError as exc:

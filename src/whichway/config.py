@@ -15,7 +15,7 @@ from .errors import ConfigurationError, DataError
 from .instrument import GUARD_PX, DetectorConfig, ScanConfig
 from .metrics import DEFAULT_MATCH_HALF_WINDOW, PEAK_SELECTOR
 from .optics import Geometry, GridSpec
-from .reconstruct import DEFAULT_RANK_CUTOFF, SMOOTHING_RMS
+from .reconstruct import DEFAULT_RANK_CUTOFF, SMOOTHING_RMS, smoothing_kernel_elems
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,14 @@ class RunConfig:
                 if getattr(scan, _SCAN_KEYS[key][1]) != getattr(self.scans[0], _SCAN_KEYS[key][1]):
                     raise ConfigurationError(f"scans[{i}]: {key} must equal that of scans[0]")
         for i, scan in enumerate(self.scans):
-            if scan.width_elems() > scan.n_steps:
-                raise ConfigurationError(
-                    f"scans[{i}]: the aperture spans {scan.width_elems()} steps, "
-                    f"more than n_steps = {scan.n_steps}"
-                )
+            # the stacked solve takes each aperture, and smooths on the scans' steps
+            kernel = smoothing_kernel_elems(self.smoothing_rms, scan.step)
+            for what, steps in (("aperture", scan.width_elems()), ("smoothing kernel", kernel)):
+                if steps > scan.n_steps:
+                    raise ConfigurationError(
+                        f"scans[{i}]: the {what} spans {steps} steps, "
+                        f"more than n_steps = {scan.n_steps}"
+                    )
 
     @property
     def h_scale(self) -> float:

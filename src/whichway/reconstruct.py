@@ -240,6 +240,12 @@ def solve_stacked(
     )
 
 
+def smoothing_kernel_elems(rms: float, pitch: float) -> int:
+    """Elements of gaussian_smooth's kernel of rms width, 5 sigma each side, at this pitch."""
+    # whole within 1e-9: a pitch read back from scan positions is off in its last bits
+    return 2 * math.ceil(5 * (rms / pitch) - 1e-9) + 1
+
+
 def gaussian_smooth(result: ReconstructionResult, rms: float) -> ReconstructionResult:
     """Convolve the recovered pattern with a unit-sum Gaussian of rms width.
 
@@ -253,14 +259,14 @@ def gaussian_smooth(result: ReconstructionResult, rms: float) -> ReconstructionR
     if rms == 0:
         return result
     sigma = rms / result.pitch
-    radius = math.ceil(5 * sigma)
+    size = smoothing_kernel_elems(rms, result.pitch)
     # np.convolve's "same" mode returns the longer of pattern and kernel
-    if 2 * radius + 1 > result.p_hat.size:
+    if size > result.p_hat.size:
         raise ConfigurationError(
-            f"smoothing rms {rms:g} needs a {2 * radius + 1}-element kernel, wider than "
+            f"smoothing rms {rms:g} needs a {size}-element kernel, wider than "
             f"the {result.p_hat.size}-element grid"
         )
-    k = np.arange(-radius, radius + 1)
+    k = np.arange(-(size // 2), size // 2 + 1)
     kernel = np.exp(-0.5 * (k / sigma) ** 2)
     kernel /= kernel.sum()
     smoothed = np.convolve(result.p_hat, kernel, mode="same")

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from whichway import pipeline
+from whichway import cli, pipeline
 from whichway.artifacts import read_csv
 from whichway.cli import _scan_sidecar, build_parser, main
 from whichway.config import load_config
-from whichway.errors import ConfigurationError
+from whichway.errors import ConfigurationError, DataError
 from whichway.instrument import ScanConfig, ScanSeries, load_scan_csv, run_scan
 from whichway.metrics import distinguishability, visibility
 from whichway.optics import GridSpec, amplitude_steps, double_slit_field, fresnel_field
@@ -313,6 +313,38 @@ def test_an_artifact_that_cannot_be_written_exits_3(tmp_path, capsys):
     error = f"error: {out / 'fringes.csv'}: {os.strerror(errno.EISDIR)}"
     assert capsys.readouterr().err.splitlines() == [error]
     assert (out / "run_manifest.json").read_bytes() == before
+
+
+def _fail_the_5mm_sidecar(monkeypatch):
+    """Make the 5 mm scan's sidecar raise DataError; the 4 mm one is computed first."""
+    real = cli.assignment_probability
+
+    def fails_at_5mm(series, guard_px):
+        if series.config.aperture_width == 5e-3:
+            raise DataError("no assignment for the 5 mm scan")
+        return real(series, guard_px)
+
+    monkeypatch.setattr(cli, "assignment_probability", fails_at_5mm)
+
+
+def test_a_scan_whose_sidecar_fails_creates_no_directory(tmp_path, monkeypatch, capsys):
+    _fail_the_5mm_sidecar(monkeypatch)
+    assert main(["scan", "--out", str(tmp_path / "a" / "b"), "--seed", "0"]) == 3
+    assert capsys.readouterr().err == "error: no assignment for the 5 mm scan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_scan_whose_sidecar_fails_keeps_an_existing_run(cli_run, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(cli_run, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(name for name in before if name.startswith("scan_")) == [
+        "scan_a4mm.csv", "scan_a4mm.json", "scan_a5mm.csv", "scan_a5mm.json"
+    ]
+    _fail_the_5mm_sidecar(monkeypatch)
+    # at another seed each file it wrote would differ from the seed-0 run's
+    assert main(["scan", "--out", str(out), "--seed", "1"]) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def _replace_cell(text, line, column, cell):
@@ -669,6 +701,20 @@ def test_scan_profiles_replaces_the_step_files_of_a_longer_run(tmp_path):
     again = scan_profiles(11, tmp_path / "rerun")
     assert sorted(again) == [f"step_{k:04d}.csv" for k in range(11)]
     assert again == scan_profiles(11, tmp_path / "fresh")
+
+
+def test_scan_profiles_create_their_directories_under_a_fresh_nested_out(tmp_path):
+    scans = [
+        {"aperture_width_m": w, "step_m": 1e-3, "n_steps": 7, "s_start_m": -3e-3}
+        for w in (4e-3, 5e-3)
+    ]
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"geometry": {}, "source": {"grid_n": 2**16}, "scans": scans}))
+    out = tmp_path / "a" / "b"
+    assert main(["scan", "--profiles", "--config", str(path), "--out", str(out)]) == 0
+    steps = [f"step_{k:04d}.csv" for k in range(7)]
+    for tag in ("a4mm", "a5mm"):
+        assert sorted(p.name for p in (out / f"profiles_{tag}").iterdir()) == steps
 
 
 def test_undersized_grid_exits_2(tmp_path, capsys):
@@ -1057,6 +1103,25 @@ def test_an_aperture_wider_than_its_scan_exits_2_before_writing(tmp_path, capsys
     # an aperture as wide as the scan is taken
     path.write_text(json.dumps({"geometry": {}, "scans": [{**scans[1], "n_steps": 50}]}))
     assert load_config(str(path)).scans[0].width_elems() == 50
+
+
+@pytest.mark.parametrize("command", ["fringes", "scan", "reconstruct", "report"])
+def test_a_scan_shorter_than_the_smoothing_kernel_exits_2_before_writing(
+    tmp_path, capsys, command
+):
+    # the 0.15 mm smoothing reaches 5 sigma, 7.5 steps of 0.1 mm rounded up
+    # to 8, to each side of its centre: 17 steps, more than a 15-step scan holds
+    scans = [{"aperture_width_m": w, "n_steps": 15, "s_start_m": -7e-4} for w in (1e-3, 1.2e-3)]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"geometry": {}, "scans": scans}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: scans[0]: the smoothing kernel spans 17 steps, more than n_steps = 15\n"
+    assert not out.exists()
+    # a scan as long as the kernel is taken
+    path.write_text(json.dumps({"geometry": {}, "scans": [{**s, "n_steps": 17} for s in scans]}))
+    assert load_config(str(path)).scans[0].n_steps == 17
 
 
 @pytest.mark.parametrize("case", MISTYPED)

@@ -486,6 +486,15 @@ class TestGaussianSmooth:
         with pytest.raises(ww.ConfigurationError, match=r"rms 1 .* 10-element grid"):
             ww.gaussian_smooth(self._result(np.ones(10)), 1.0)
 
+    def test_the_kernel_size_ignores_the_last_bits_of_the_pitch(self):
+        # 5 sigma of 0.15 mm is 5 steps of 0.15 mm; a pitch read back from a
+        # scan CSV's positions can lie an ulp either side of the step, and
+        # RunConfig checks the kernel against n_steps at the step itself
+        step = 0.15e-3
+        for pitch in (step, np.nextafter(step, 0), np.nextafter(step, 1)):
+            assert ww.reconstruct.smoothing_kernel_elems(step, pitch) == 11
+            assert ww.gaussian_smooth(self._result(np.ones(11), pitch), step).p_hat.size == 11
+
     @pytest.mark.parametrize("rms", [np.nan, np.inf, -np.inf])
     def test_non_finite_rms_raises(self, rms):
         # nan once raised math.ceil's ValueError and inf its OverflowError
