@@ -4,15 +4,15 @@
 # fails before writing, a run option placed before the subcommand, config
 # keys that are constants now ("opening" and "anchor_elems" in a scan, and
 # the reconstruction and metrics blocks with "cutoff", "smoothing_rms_m",
-# "peak_selector" and "guard_px"), then the four commands end to end,
-# a report that does not read reconstruction.csv, a reconstruct that rejects
-# a sidecar whose total flux is not its CSV's, a scan whose sidecar fails
-# (at an exposure too short for any light) that writes no file, neither into
-# a fresh directory nor over an existing run, scan artifacts that do not
-# depend on the core count, two reconstructs and two reports in one process
-# that write what separate processes wrote, a scan whose peak memory does
-# not grow with the source grid, and an output directory that cannot be
-# created.
+# "peak_selector" and "guard_px"), an illumination tilt beyond +-2, then the
+# four commands end to end, a report that does not read reconstruction.csv, a
+# reconstruct that rejects a sidecar whose total flux is not its CSV's, a scan
+# whose sidecar fails (at an exposure too short for any light) that writes no
+# file, neither into a fresh directory nor over an existing run, scan
+# artifacts that do not depend on the core count, two reconstructs and two
+# reports in one process that write what separate processes wrote, a scan
+# whose peak memory does not grow with the source grid, and an output
+# directory that cannot be created.
 #
 #     bash ci/console.sh
 set -euo pipefail
@@ -61,6 +61,15 @@ smoothing_rms_m config.*"reconstruction" {"geometry": {}, "reconstruction": {"sm
 peak_selector config.*"metrics" {"geometry": {}, "metrics": {"peak_selector": "central"}}
 guard_px config.*"metrics" {"geometry": {}, "metrics": {"guard_px": 600}}
 EOF
+# a tilt beyond +-2 would drive one slit's amplitude 1 -+ tilt/2 negative:
+# it exits 2 with one error line naming the key, and creates no directory
+echo '{"geometry": {}, "source": {"illumination_tilt": 2.5}}' > "$tmp/tilt.json"
+status=0
+whichway fringes --config "$tmp/tilt.json" --out "$tmp/tilt" 2> "$tmp/err" || status=$?
+test "$status" = 2
+test "$(wc -l < "$tmp/err")" = 1
+grep -q '^error: source\.illumination_tilt ' "$tmp/err"
+test ! -e "$tmp/tilt"
 whichway fringes --out "$tmp/run" --seed 0 --no-noise
 whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise

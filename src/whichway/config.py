@@ -38,6 +38,11 @@ class RunConfig:
     guard_px = GUARD_PX
 
     def __post_init__(self):
+        # the slits' amplitudes are 1 -+ tilt/2, so beyond +-2 one turns negative
+        if not -2.0 <= self.illumination_tilt <= 2.0:
+            raise ConfigurationError(
+                f"source.illumination_tilt must lie in [-2, 2], got {self.illumination_tilt!r}"
+            )
         # checked at load, so a run that cannot be solved stops before it
         # has written anything: the scans are stacked into one solve, and
         # each writes scan_<tag>.*
@@ -118,14 +123,11 @@ _TOP_KEYS = {"output_dir": (RunConfig, "output_dir"), "seed": (DetectorConfig, "
 
 
 # the library's defaults, plus the reference bench's own choices: noise on,
-# a tilted illumination, two centroid scans and the output directory
+# a tilted illumination, the 4 and 5 mm scans and the output directory
 DEFAULT_CONFIG = {
     "geometry": {key: getattr(Geometry(), a) for key, (_, a) in _BLOCKS["geometry"].items()},
     "source": {"illumination_tilt": 0.1, "grid_n": GridSpec().n},
-    "scans": [
-        {"aperture_width_m": 4e-3, "midline": "centroid"},
-        {"aperture_width_m": 5e-3, "midline": "centroid"},
-    ],
+    "scans": [{"aperture_width_m": 4e-3}, {"aperture_width_m": 5e-3}],
     "detector": {
         **{key: getattr(DetectorConfig(), a) for key, (_, a) in _BLOCKS["detector"].items()},
         "noise_enabled": True,

@@ -61,7 +61,7 @@ class ScanConfig:
     stage_ratio: float = 1.07
     exposure: float | None = None  # seconds; None = auto (70% full well)
     frames_per_step: int = 4
-    midline: str = "center"  # or "centroid"
+    midline: str = "centroid"  # or "center"
 
     def __post_init__(self):
         if not self.aperture_width > 0:

@@ -17,7 +17,7 @@ from .optics import IntensityProfile
 
 PEAK_PROMINENCE_FRACTION = 0.02
 DEFAULT_MATCH_HALF_WINDOW = 5e-3
-# the report's visibility selector (see visibility)
+# the name of visibility's one rule
 PEAK_SELECTOR = "second_third"
 
 
@@ -77,16 +77,18 @@ def _extrema(values: np.ndarray):
 
 
 def visibility(
-    profile: IntensityProfile, peak_selector: str = "central"
+    profile: IntensityProfile, peak_selector: str = PEAK_SELECTOR
 ) -> VisibilityResult:
-    """Fringe contrast (I_max - I_min) / (I_max + I_min).
+    """Fringe contrast (I_max - I_min) / (I_max + I_min), conservatively.
 
-    "central" uses the highest peak and the mean of its two neighboring
-    troughs.  "second_third" is the conservative variant: the second and
-    third peaks outward from the central one (on whichever side offers
-    them) and the troughs between them.  Peaks need a prominence of at
-    least 2% of the global maximum.
+    I_max is the mean of the second and third peaks outward from the
+    highest one (on whichever side offers them), I_min the mean of the
+    troughs between them.  Peaks need a prominence of at least 2% of the
+    global maximum.  peak_selector names this rule, "second_third"; any
+    other value is a ConfigurationError.
     """
+    if peak_selector != PEAK_SELECTOR:
+        raise ConfigurationError(f"unknown peak_selector {peak_selector!r}")
     values = profile.values
     peaks, troughs = _extrema(values)
     if peaks.size < 2 or troughs.size < 1:
@@ -95,35 +97,22 @@ def visibility(
             f"{troughs.size} troughs"
         )
     central = peaks[np.argmax(values[peaks])]
-    if peak_selector == "central":
-        lower = troughs[troughs < central]
-        upper = troughs[troughs > central]
-        nearest = []
-        if lower.size:
-            nearest.append(values[lower[-1]])
-        if upper.size:
-            nearest.append(values[upper[0]])
-        i_max = float(values[central])
-        i_min = float(np.mean(nearest))
-    elif peak_selector == "second_third":
-        right = peaks[peaks > central]
-        left = peaks[peaks < central][::-1]
-        side = right if right.size >= 2 else left
-        if side.size < 2:
-            raise NumericalError(
-                "need at least two secondary peaks on one side of the "
-                f"central peak; found {right.size} right, {left.size} left"
-            )
-        p2, p3 = side[0], side[1]
-        lo, hi = min(p2, p3), max(p2, p3)
-        between = troughs[(troughs > lo) & (troughs < hi)]
-        i_max = float(np.mean(values[[p2, p3]]))
-        if between.size:
-            i_min = float(np.mean(values[between]))
-        else:
-            i_min = float(values[lo + 1 : hi].min())
+    right = peaks[peaks > central]
+    left = peaks[peaks < central][::-1]
+    side = right if right.size >= 2 else left
+    if side.size < 2:
+        raise NumericalError(
+            "need at least two secondary peaks on one side of the "
+            f"central peak; found {right.size} right, {left.size} left"
+        )
+    p2, p3 = side[0], side[1]
+    lo, hi = min(p2, p3), max(p2, p3)
+    between = troughs[(troughs > lo) & (troughs < hi)]
+    i_max = float(np.mean(values[[p2, p3]]))
+    if between.size:
+        i_min = float(np.mean(values[between]))
     else:
-        raise ConfigurationError(f"unknown peak_selector {peak_selector!r}")
+        i_min = float(values[lo + 1 : hi].min())
     i_min = max(i_min, 0.0)  # noise can push troughs slightly negative
     v = (i_max - i_min) / (i_max + i_min)
     return VisibilityResult(float(v), peak_selector, i_max, i_min)

@@ -111,6 +111,25 @@ def test_rerun_is_byte_identical(cli_run, tmp_path):
         assert (out / name).read_bytes() == (cli_run / name).read_bytes(), name
 
 
+def test_listed_scans_without_a_midline_write_the_default_run(cli_run, tmp_path):
+    # a scan that names no midline splits at the centroid, as the default scans do
+    path = tmp_path / "listed.json"
+    scans = [{"aperture_width_m": 0.004}, {"aperture_width_m": 0.005}]
+    path.write_text(json.dumps({"geometry": {}, "scans": scans}))
+    out = tmp_path / "listed"
+    for cmd in ("fringes", "scan", "reconstruct", "report"):
+        assert main([cmd, "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
+    names = sorted(
+        f.name
+        for f in cli_run.iterdir()
+        if f.suffix in (".csv", ".json") and f.name != "run_manifest.json"
+    )
+    assert len(names) == 10
+    for name in names:
+        assert (out / name).read_bytes() == (cli_run / name).read_bytes(), name
+    assert json.loads((out / "duality.json").read_text())["D"] == 0.8945171050998821
+
+
 def test_reconstruct_composes_from_explicit_csvs(cli_run, tmp_path):
     out = tmp_path / "explicit"
     rc = main(
@@ -1008,27 +1027,49 @@ MISTYPED = {
 }
 
 
-# (block, key, value) in range for its type but not for its use, in a block
-# that is gone: the key is a constant now, so the block is an unknown key
+_TILT = "source.illumination_tilt must lie in [-2, 2], got "
+
+# (block, key, value, its one error line): a value in range for its type but
+# not for its use.  A key that is a constant now sits in a block that is gone,
+# so the block is an unknown key.  The slits' amplitudes are 1 -+ tilt/2, so a
+# tilt beyond +-2 would flip one slit's phase.
 OUT_OF_RANGE = {
-    "metrics-negative-guard": ("metrics", "guard_px", -1),
-    "reconstruction-negative-smoothing": ("reconstruction", "smoothing_rms_m", -1e-4),
-    "metrics-unknown-selector": ("metrics", "peak_selector", "brightest"),
+    "metrics-negative-guard": ("metrics", "guard_px", -1, 'unknown key(s) in config: "metrics"'),
+    "reconstruction-negative-smoothing": (
+        "reconstruction", "smoothing_rms_m", -1e-4, 'unknown key(s) in config: "reconstruction"'
+    ),
+    "metrics-unknown-selector": (
+        "metrics", "peak_selector", "brightest", 'unknown key(s) in config: "metrics"'
+    ),
+    "source-tilt-below": ("source", "illumination_tilt", -2.5, _TILT + "-2.5"),
+    "source-tilt-above": ("source", "illumination_tilt", 2.5, _TILT + "2.5"),
+    "source-tilt-overflow": ("source", "illumination_tilt", 1e300, _TILT + "1e+300"),
 }
 
 
 @pytest.mark.parametrize("case", OUT_OF_RANGE)
 def test_out_of_range_config_values_exit_2_before_any_scan(tmp_path, capsys, case):
-    block, key, value = OUT_OF_RANGE[case]
+    block, key, value, line = OUT_OF_RANGE[case]
     config = _with("scans", step_m=1e-3, n_steps=4, s_start_m=-2e-3)
     config[block] = {key: value}
     path = tmp_path / "range.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "o"
-    assert main(["scan", "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f'error: unknown key(s) in config: "{block}"\n', err
-    assert not out.exists()
+    for command in ("fringes", "scan", "reconstruct", "report"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err == f"error: {line}\n", (command, err)
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize("tilt", [-2.0, 2.0])
+def test_a_tilt_of_two_darkens_one_slit_and_runs(tmp_path, tilt):
+    # the which-way control: one slit's amplitude 1 -+ tilt/2 is zero
+    path = tmp_path / "tilt.json"
+    path.write_text(json.dumps({"geometry": {}, "source": {"illumination_tilt": tilt}}))
+    out = tmp_path / "o"
+    for command in ("fringes", "scan", "reconstruct", "report"):
+        assert main([command, "--config", str(path), "--out", str(out), "--seed", "0"]) == 0, command
 
 
 def _two_scans(**second):
@@ -1138,7 +1179,7 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, case):
 
 def test_config_hash_covers_the_overrides(tmp_path):
     noisy = load_config()
-    assert noisy.config_hash().startswith("d8f20c9544c6")
+    assert noisy.config_hash().startswith("e798dfab460c")
     # fixed analysis settings, not config keys, so not hashed
     assert (noisy.recon_cutoff, noisy.window_half, noisy.grid.half_span) == (1e-10, 5e-3, 40e-3)
     assert (noisy.smoothing_rms, noisy.peak_selector, noisy.guard_px) == (0.15e-3, "second_third", 20)

@@ -7,7 +7,7 @@ from scipy.signal import find_peaks
 import whichway as ww
 from whichway.artifacts import read_csv
 from whichway.config import load_config
-from whichway.metrics import PEAK_PROMINENCE_FRACTION, _find_peaks
+from whichway.metrics import PEAK_PROMINENCE_FRACTION, PEAK_SELECTOR, _find_peaks
 
 
 def _fringe_profile(contrast, n=600, period=40.0, phase=0.0, origin=0.0, pitch=1.0):
@@ -20,23 +20,26 @@ class TestVisibility:
     def test_recovers_the_contrast_of_a_pure_fringe(self):
         for contrast in (0.3, 0.6, 0.9):
             prof = _fringe_profile(contrast)
-            for selector in ("central", "second_third"):
-                v = ww.visibility(prof, selector)
-                assert v.value == pytest.approx(contrast, abs=1e-3)
-                assert v.method == selector
+            v = ww.visibility(prof, "second_third")
+            assert v.value == pytest.approx(contrast, abs=1e-3)
+            assert v.method == "second_third"
+
+    def test_the_default_rule_is_the_reports(self):
+        prof = _fringe_profile(0.6, phase=1.0)
+        assert ww.visibility(prof) == ww.visibility(prof, PEAK_SELECTOR)
 
     def test_negative_troughs_are_clamped(self):
         x = np.arange(500)
         values = np.cos(2 * np.pi * x / 50.0) + 0.98  # dips slightly below zero
         prof = ww.IntensityProfile(0.0, 1.0, values)
-        v = ww.visibility(prof, "central")
+        v = ww.visibility(prof, "second_third")
         assert v.i_min == 0.0
         assert v.value == 1.0
 
     def test_too_few_extrema_raises(self):
         flat = ww.IntensityProfile(0.0, 1.0, np.linspace(0, 1, 50))
         with pytest.raises(ww.NumericalError):
-            ww.visibility(flat, "central")
+            ww.visibility(flat, "second_third")
 
     def test_second_third_needs_two_side_peaks(self):
         x = np.arange(200)
@@ -49,23 +52,24 @@ class TestVisibility:
         with pytest.raises(ww.ConfigurationError):
             ww.visibility(_fringe_profile(0.5), "fourth")
 
+    def test_the_central_rule_is_gone(self):
+        with pytest.raises(ww.ConfigurationError, match="'central'"):
+            ww.visibility(_fringe_profile(0.5), "central")
+
     @given(
         contrast=st.floats(0.15, 0.95),
         scale=st.floats(1e-3, 1e3),
         shift=st.floats(-1e3, 1e3),
         phase=st.floats(0, 2 * np.pi),
-        selector=st.sampled_from(["central", "second_third"]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_invariance_under_scaling_and_translation(
-        self, contrast, scale, shift, phase, selector
-    ):
+    def test_invariance_under_scaling_and_translation(self, contrast, scale, shift, phase):
         base = _fringe_profile(contrast, phase=phase)
         moved = ww.IntensityProfile(
             base.origin + shift, base.pitch, scale * base.values
         )
-        v0 = ww.visibility(base, selector).value
-        v1 = ww.visibility(moved, selector).value
+        v0 = ww.visibility(base).value
+        v1 = ww.visibility(moved).value
         assert v1 == pytest.approx(v0, rel=1e-9, abs=1e-12)
 
 
