@@ -4,9 +4,10 @@
 # fails before writing, a run option placed before the subcommand, config
 # keys that are constants now ("opening" and "anchor_elems" in a scan, and
 # the reconstruction and metrics blocks with "cutoff", "smoothing_rms_m",
-# "peak_selector" and "guard_px"), an illumination tilt beyond +-2, then the
-# four commands end to end, a report that does not read reconstruction.csv, a
-# reconstruct that rejects a sidecar whose total flux is not its CSV's, a scan
+# "peak_selector" and "guard_px"), an illumination tilt beyond +-2, a readout
+# noise whose 4-frame sigma overflows, then the four commands end to end, a
+# report that does not read reconstruction.csv, a reconstruct that rejects a
+# sidecar whose total flux is not its CSV's, a scan
 # whose sidecar fails (at an exposure too short for any light) that writes no
 # file, neither into a fresh directory nor over an existing run, scan
 # artifacts that do not depend on the core count, two reconstructs and two
@@ -70,6 +71,15 @@ test "$status" = 2
 test "$(wc -l < "$tmp/err")" = 1
 grep -q '^error: source\.illumination_tilt ' "$tmp/err"
 test ! -e "$tmp/tilt"
+# a readout noise whose 4-frame sigma overflows the float range exits 2 with
+# one error line, before any draw, and creates no directory
+echo '{"geometry": {}, "detector": {"readout_noise_e": 1e308}}' > "$tmp/readout.json"
+status=0
+whichway scan --config "$tmp/readout.json" --out "$tmp/readout" 2> "$tmp/err" || status=$?
+test "$status" = 2
+test "$(wc -l < "$tmp/err")" = 1
+grep -q '^error: .*readout_noise_e.*frames_per_step' "$tmp/err"
+test ! -e "$tmp/readout"
 whichway fringes --out "$tmp/run" --seed 0 --no-noise
 whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise

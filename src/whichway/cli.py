@@ -281,9 +281,9 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
         f"V^2 + D^2 = {report.duality:.4f}  -> "
         + ("VIOLATED (> 1)" if report.violated else "within the bound"),
     ]
-    entries = {f"scan_{scan_tag(width)}": sidecar for width, sidecar in zip(widths, sidecars)}
-    for name, entry in sorted(entries.items()):
-        lines.append(f"  {name}: D = {distinguishability(1 - entry['contamination']):.4f}")
+    for width, sidecar in zip(widths, sidecars):
+        d_scan = distinguishability(1 - sidecar["contamination"])
+        lines.append(f"  scan_{scan_tag(width)}: D = {d_scan:.4f}")
     if match is not None:
         lines.append(
             f"profile match vs direct fringes: shift = {match.shift * 1e3:+.3f} mm, "

@@ -433,7 +433,8 @@ class _ScanOptics:
         terms = [np.array([left, left + scan.aperture_width]) * defocus,
                  -np.array([edges.min(initial=0.0), edges.max(initial=0.0)]) / l_s,
                  np.array([first, -first]) / l_c]
-        self.freq = np.array([sum(t.min() for t in terms), sum(t.max() for t in terms)]) / lam
+        with np.errstate(over="ignore"):  # an infinite frequency fails the sampling guard
+            self.freq = np.array([sum(t.min() for t in terms), sum(t.max() for t in terms)]) / lam
         self.freq_slope = (scan.stage_ratio / l_c - 1 / l_s) / lam
         self.gain = detector.gain
 
@@ -492,10 +493,11 @@ class _ScanOptics:
         return self.images([s])[0]
 
     def exposure(self) -> float:
-        peak = self.step(0.0).max() * self.gain
-        if peak <= 0:
+        peak = float(self.step(0.0).max()) * self.gain
+        exposure = AUTO_EXPOSURE_FRACTION * FULL_WELL / peak if peak > 0 else math.inf
+        if not math.isfinite(exposure):  # no flux, or too little for a finite exposure
             raise NumericalError("no flux reaches the detector; cannot set exposure")
-        return AUTO_EXPOSURE_FRACTION * FULL_WELL / peak
+        return exposure
 
 
 def run_scan(
@@ -533,6 +535,12 @@ def run_scan(
         chunks = [profiles[k : k + SCAN_BLOCK] for k in range(0, scan.n_steps, SCAN_BLOCK)]
         try:
             sigma = detector.readout_noise * math.sqrt(frames)
+            if not math.isfinite(sigma):
+                raise ConfigurationError(
+                    f"scan a{scan.aperture_width * 1e3:g}mm: readout_noise_e"
+                    f" {detector.readout_noise:g} and frames_per_step {frames} give a"
+                    " readout sigma beyond the float range"
+                )
             profiles *= frames * detector.gain
             for chunk in chunks:
                 chunk[...] = rng.poisson(chunk)
@@ -595,8 +603,8 @@ def ordered_sum(values) -> float:
 def pooled_assignment(pairs) -> tuple[float, float, float]:
     """Contamination pooled over several scans (all flux in one budget).
 
-    pairs holds one (contamination, total_flux) per scan, as
-    assignment_probability and the scan sidecars report them.
+    pairs holds one (contamination, total_flux) per scan, as the scan
+    sidecars report them.
     """
     wrong = total = 0.0
     for contamination, flux in pairs:
@@ -607,7 +615,7 @@ def pooled_assignment(pairs) -> tuple[float, float, float]:
 
 def _assignment(wrong: float, total: float) -> tuple[float, float, float]:
     if total <= 0:
-        raise NumericalError("zero total flux; assignment statistics undefined")
+        raise NumericalError(f"total flux {total:g} is not positive; assignment statistics undefined")
     contamination = wrong / total
     p = 1.0 - contamination
     return contamination, p, distinguishability(p)

@@ -1,9 +1,6 @@
 """Visibility, distinguishability, the duality quantity, and profile matching.
 
-match_profiles keeps the interpolated model rows of the last window and
-reference it matched, with a copy of both, and a later call whose window
-and reference compare equal to the copy only scales those rows (see
-match_profiles).
+match_profiles keeps the model rows of its last match (see match_profiles).
 """
 from __future__ import annotations
 
@@ -165,19 +162,10 @@ class MatchResult(NamedTuple):
     rms_residual: float
 
 
-# What the last match read of its window and reference: (window positions,
-# scaled reference abscissa, reference values, half window, reference peak in
-# the window, coarse shifts, their model rows, fine shifts, their model rows);
-# one run matches against one reference.  It is read once and rebound once
-# per call, so threads need no lock around it.
+# The last match's (key, reference values, reference peak, coarse shifts, their
+# rows, best coarse shift, fine rows); read once and rebound once per call, so
+# threads need no lock around it.
 _ROWS: tuple | None = None
-
-
-def _model_rows(xw, ref_x, ref_v, shifts) -> np.ndarray:
-    """The reference at xw - shift, one read-only row per shift."""
-    rows = np.interp(xw - shifts[:, None], ref_x, ref_v, left=0.0, right=0.0)
-    rows.flags.writeable = False
-    return rows
 
 
 def match_profiles(
@@ -196,15 +184,15 @@ def match_profiles(
 
     The model is reconstructed(x) ~ v_scale * reference(x - shift).
 
-    The model rows of a shift grid depend on the window positions, the
-    scaled reference and the shifts alone, not on the reconstruction's
-    values.  So copies of the last call's window positions, scaled abscissa
-    and reference values are kept, with the read-only rows of its coarse and
-    fine grids and the reference peak in its window.  A call whose three
-    arrays equal the copies, entry by entry, reuses the coarse rows and the
-    peak when its half window is the kept one, and the fine rows when its
-    fine grid equals the kept one; a reference edited in place misses and is
-    interpolated again.  The rows take 2 x 201 x (window samples) x 8 bytes.
+    The model rows depend on the window positions, the scaled reference and
+    the shifts, not on the reconstruction's values.  Positions are origin +
+    pitch * arange(n), so the key (both profiles' origin, pitch and n,
+    h_scale, half_window) fixes the window, the scaled abscissa and the
+    coarse grid, and the best coarse shift fixes the fine grid.  A call with
+    the last call's key and reference values (compared entry by entry with a
+    kept copy) reuses its read-only coarse rows and reference peak, and its
+    fine rows when its best coarse shift is the kept one; a reference edited
+    in place misses.  The rows take 2 x 201 x (window samples) x 8 bytes.
     """
     global _ROWS
     if not h_scale > 0:
@@ -212,7 +200,6 @@ def match_profiles(
     if reconstructed.n < 2 or reference.n < 2:
         raise ConfigurationError("profiles must each have at least 2 samples")
     ref_x = reference.positions * h_scale
-    ref_v = reference.values
     x = reconstructed.positions
     window = np.abs(x) <= half_window
     if not window.any():
@@ -222,19 +209,25 @@ def match_profiles(
     peak_rec = float(target.max())
     if peak_rec <= 0:
         raise NumericalError("reconstructed profile has no positive peak")
-    # the slot keeps copies, never the caller's values, which it may edit later
+    key = (reconstructed.origin, reconstructed.pitch, reconstructed.n,
+           reference.origin, reference.pitch, reference.n, h_scale, half_window)
     slot = _ROWS
-    hit = slot is not None and all(map(np.array_equal, slot[:3], (xw, ref_x, ref_v)))
-    if hit:
-        xw, ref_x, ref_v = slot[:3]
-    else:
-        ref_v = ref_v.copy()
+    hit = slot is not None and slot[0] == key and np.array_equal(slot[1], reference.values)
+    # the slot keeps a copy, never the caller's values, which it may edit later
+    ref_v = slot[1] if hit else reference.values.copy()
+
+    def model_rows(shifts: np.ndarray) -> np.ndarray:
+        """The reference at xw - shift, one read-only row per shift."""
+        rows = np.interp(xw - shifts[:, None], ref_x, ref_v, left=0.0, right=0.0)
+        rows.flags.writeable = False
+        return rows
+
     # fringed profiles make the objective oscillatory: a coarse grid over the
     # window, then one 100 times finer over a coarse step either side of its
     # best, which it holds, so it can only improve on it; a model row per shift
     half = 100
-    if hit and slot[3] == half_window:
-        peak_ref, coarse, coarse_rows = slot[4:7]
+    if hit:
+        peak_ref, coarse, coarse_rows = slot[2:5]
     else:
         in_win = (ref_x >= xw[0] - half_window) & (ref_x <= xw[-1] + half_window)
         if not in_win.any():
@@ -245,7 +238,7 @@ def match_profiles(
         if peak_ref <= 0:
             raise NumericalError("reference profile has no positive value in the matching window")
         coarse = np.linspace(-half_window, half_window, 2 * half + 1)
-        coarse_rows = _model_rows(xw, ref_x, ref_v, coarse)
+        coarse_rows = model_rows(coarse)
     v_scale = peak_rec / peak_ref
 
     def residuals(rows: np.ndarray) -> np.ndarray:
@@ -256,11 +249,8 @@ def match_profiles(
 
     best = coarse[np.argmin(residuals(coarse_rows))]
     fine = best + half_window / half**2 * np.arange(-half, half + 1)
-    if hit and np.array_equal(slot[7], fine):
-        fine_rows = slot[8]
-    else:
-        fine_rows = _model_rows(xw, ref_x, ref_v, fine)
-    _ROWS = (xw, ref_x, ref_v, half_window, peak_ref, coarse, coarse_rows, fine, fine_rows)
+    fine_rows = slot[6] if hit and slot[5] == best else model_rows(fine)
+    _ROWS = (key, ref_v, peak_ref, coarse, coarse_rows, best, fine_rows)
     rms = residuals(fine_rows)
     k = int(np.argmin(rms))
     return MatchResult(float(fine[k]), float(v_scale), float(rms[k]) / peak_rec)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -548,6 +549,18 @@ def test_summary_derives_each_scan_d_from_its_contamination(cli_run, tmp_path):
         assert f"  {name}: D = {distinguishability(1 - contamination):.4f}\n" in summary
 
 
+def test_summary_lists_each_scan_in_config_order(tmp_path):
+    # as strings scan_a10mm sorts before scan_a4mm; the summary keeps the config's order
+    path = tmp_path / "widths.json"
+    path.write_text(json.dumps({"geometry": {}, "scans": [{"aperture_width_m": 0.004},
+                                                          {"aperture_width_m": 0.010}]}))
+    out = tmp_path / "o"
+    for cmd in ("scan", "report"):
+        assert main([cmd, "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
+    lines = [line for line in (out / "summary.txt").read_text().splitlines() if ": D = " in line]
+    assert [line.split(":")[0] for line in lines] == ["  scan_a4mm", "  scan_a10mm"]
+
+
 def test_an_older_sidecars_opening_is_ignored(cli_run, tmp_path):
     # sidecars once recorded the aperture's "opening"; like any key the
     # solve does not check, it changes nothing
@@ -790,6 +803,43 @@ def test_too_many_electrons_for_the_noise_model_exit_2(tmp_path, capsys, key, va
     for name in ("exposure_s", "gain_e_per_unit", "frames_per_step"):
         assert name in err, err
     assert not list(out.glob("scan_*.csv"))
+
+
+# (config blocks beyond an empty geometry, scan flags, exit code, text of the
+# one error line): numbers that overflow or drown the scan's light
+NUMERIC_FAULTS = {
+    "gain-underflow": ({"detector": {"gain_e_per_unit": 1e-300}}, [], 4, "no flux reaches the detector"),
+    "gain-underflow-noiseless": (
+        {"detector": {"gain_e_per_unit": 1e-300}}, ["--no-noise"], 4, "no flux reaches the detector"
+    ),
+    "far-lens": ({"geometry": {"l_slits_lens_m": 1e300}}, [], 4, "no flux reaches the detector"),
+    "readout-overflow": (
+        {"detector": {"readout_noise_e": 1e308}}, [], 2, "readout_noise_e 1e+308 and frames_per_step 4"
+    ),
+    "pixel-pitch-overflow": ({"detector": {"pixel_pitch_m": 1e300}}, [], 2, "sampling bound violated"),
+    "readout-drowns-flux": ({"detector": {"readout_noise_e": 1e200}}, [], 4, "is not positive"),
+    "exposure-underflow": (
+        {"scans": [{"aperture_width_m": 4e-3, "exposure_s": 1e-300}]}, [], 4, "is not positive"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NUMERIC_FAULTS)
+def test_a_numeric_fault_in_the_scan_exits_with_one_error_line(tmp_path, capsys, case):
+    blocks, flags, code, text = NUMERIC_FAULTS[case]
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps({"geometry": {}, **blocks}))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["scan", "--config", str(path), "--out", str(out), "--seed", "0", *flags]) == code
+    # no numeric warning; the far lens still warns of its lens-equation defect
+    assert {str(w.message)[:20] for w in caught} == (
+        {"lens-equation defect"} if case == "far-lens" else set()
+    ), [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err, err
+    assert not list(out.glob("scan_*"))
 
 
 def _scan_config(tmp_path, *stage_ratios):

@@ -340,6 +340,27 @@ class TestMatchProfiles:
         assert edited != before
         assert edited == self._fresh(monkeypatch, *base)
 
+    def test_every_number_that_fixes_the_rows_is_keyed(self, monkeypatch):
+        # each change moves the window positions, the scaled reference abscissa
+        # or the coarse grid, so the kept rows cannot serve it
+        reference, tilted = self._reference(), self._tilted()
+
+        def moved(p, by=0.0, scale=1.0):
+            return ww.IntensityProfile(p.origin + by * p.pitch, p.pitch * scale, p.values)
+
+        base = (tilted, reference, 1.0, 5e-3)
+        for then in ((moved(tilted, by=1 / 3), reference, 1.0, 5e-3),
+                     (moved(tilted, scale=1.001), reference, 1.0, 5e-3),
+                     (tilted, moved(reference, by=1 / 3), 1.0, 5e-3),
+                     (tilted, moved(reference, scale=1.001), 1.0, 5e-3),
+                     (tilted, reference, 1.001, 5e-3),
+                     (tilted, reference, 1.0, 4.9e-3)):
+            ww.match_profiles(*base)
+            rows = self._kept_rows()
+            changed = ww.match_profiles(*then)
+            assert not any(a is b for a, b in zip(self._kept_rows(), rows))
+            assert changed == self._fresh(monkeypatch, *then)
+
     def test_the_kept_rows_are_read_only(self):
         ww.match_profiles(self._tilted(), self._reference(), 1.0, 5e-3)
         rows = self._kept_rows()
