@@ -9,7 +9,9 @@
 # report that does not read reconstruction.csv, a reconstruct that rejects a
 # sidecar whose total flux is not its CSV's, a scan
 # whose sidecar fails (at an exposure too short for any light) that writes no
-# file, neither into a fresh directory nor over an existing run, scan
+# file, neither into a fresh directory nor over an existing run, a short scan
+# whose readout noise alone sums positive that exits 4 below its light floor
+# and creates no directory, scan
 # artifacts that do not depend on the core count, two reconstructs and two
 # reports in one process that write what separate processes wrote, a scan
 # whose peak memory does not grow with the source grid, and an output
@@ -125,6 +127,17 @@ test ! -e "$tmp/dark-fresh"
 for f in scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
   cmp "$tmp/run/$f" "$tmp/dark-over/$f"
 done
+# four steps with no light, whose seed-0 readout noise sums to +23.4: the
+# total does not clear 5 sigma of that noise (960), so scan exits 4 with one
+# error line and creates no directory
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "step_m": 0.001,
+  "n_steps": 4, "s_start_m": -0.002, "exposure_s": 1e-300}]}' > "$tmp/no-light.json"
+status=0
+whichway scan --config "$tmp/no-light.json" --out "$tmp/no-light" --seed 0 2> "$tmp/err" || status=$?
+test "$status" = 4
+test "$(grep -c 'error:' "$tmp/err")" = 1
+grep -q '^error: scan a4mm: total flux .* is not above its light floor ' "$tmp/err"
+test ! -e "$tmp/no-light"
 # the scans run on one thread per usable core; their bits must not change
 taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
 whichway scan --out "$tmp/all-cores" --seed 0

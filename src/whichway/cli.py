@@ -12,17 +12,18 @@ import numpy as np
 from . import __version__
 from .artifacts import read_csv, read_json, write_csv, write_json
 from .config import RunConfig, load_config, scan_tag
-from .errors import ConfigurationError, DataError, WhichwayError
+from .errors import ConfigurationError, DataError, NumericalError, WhichwayError
 from .instrument import (
     _pixel_profile,
     assignment_probability,
     load_scan_csv,
-    ordered_sum,
     pooled_assignment,
     uniform_step,
     width_in_steps,
 )
-from .metrics import distinguishability, duality_check, match_profiles, visibility
+from .metrics import (
+    PEAK_PROMINENCE_FRACTION, distinguishability, duality_check, match_profiles, visibility
+)
 from .optics import IntensityProfile
 from .pipeline import (
     direct_fringe_profile,
@@ -61,6 +62,9 @@ _RECONSTRUCTION_CSV = (("position_mm", "P_hat"), (".9e", ".9e"))
 # the sidecar numbers that reconstruct and report read back
 _SIDECAR_NUMBERS = ("exposure_s", "contamination", "total_flux_sum")
 _SIDECAR_POSITIVE = ("exposure_s", "total_flux_sum")  # a scan never writes either <= 0
+# a noisy scan's total flux must exceed this many sigma of its pixels' summed
+# readout noise, beyond which its sign no longer depends on the draw
+LIGHT_FLOOR_SIGMAS = 5
 
 
 def _read_profile(path: Path) -> IntensityProfile:
@@ -105,10 +109,18 @@ def cmd_fringes(cfg: RunConfig, args, out: Path) -> list[Path]:
 
 
 def _scan_sidecar(series, cfg: RunConfig) -> dict:
+    sc, detector, total = series.config, cfg.detector, series.total_flux_sum
+    if detector.noise_enabled:
+        # the readout sigma of all the scan's pixels summed, in the profiles' units
+        pixels = series.profiles.size
+        sigma = detector.readout_noise * (pixels / sc.frames_per_step) ** 0.5 / detector.gain
+        if not total > LIGHT_FLOOR_SIGMAS * sigma:
+            raise NumericalError(
+                f"scan {scan_tag(sc.aperture_width)}: total flux {total:g} is not above its light"
+                f" floor {LIGHT_FLOOR_SIGMAS * sigma:g}, {LIGHT_FLOOR_SIGMAS} sigma of the readout"
+                f" noise summed over its {pixels} pixels"
+            )
     contamination, p, d = assignment_probability(series, cfg.guard_px)
-    # row totals summed in step order: a whole-matrix sum rounds differently
-    total = ordered_sum(series.profiles.sum(axis=1))
-    sc = series.config
     return {
         "aperture_width_m": sc.aperture_width,
         "width_elems": sc.width_elems(),
@@ -269,9 +281,9 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
     }
 
     report = duality_check(
-        min(vis.value, 1.0),
+        vis.value,  # at most 1: result_profile clips the pattern at 0
         d,
-        v_method=f"peaks:{vis.method};prominence:2%",
+        v_method=f"peaks:{vis.method};prominence:{PEAK_PROMINENCE_FRACTION:.0%}",
         d_method=f"guard_px:{cfg.guard_px};pooled-contamination",
     )
     lines = [

@@ -148,6 +148,11 @@ class ScanSeries:
         if not len(self.records) == len(self.profiles) == len(self.midlines) == self.config.n_steps:
             raise ConfigurationError("record, profile and midline counts must equal n_steps")
 
+    @property
+    def total_flux_sum(self) -> float:
+        """The row totals added in step order: a whole-matrix sum rounds differently."""
+        return ordered_sum(self.profiles.sum(axis=1))
+
     def table(self) -> dict:
         """The scan as the column dict that load_scan_csv returns (views of records)."""
         r = self.records
@@ -579,15 +584,12 @@ def assignment_probability(
         raise ConfigurationError("guard_px must be >= 0")
     profiles = series.profiles
     pixels = np.arange(profiles.shape[1])
-    # one masked sum per row, then the rows in step order, as the scan
-    # sidecars add their total flux: a whole-matrix sum rounds differently.
-    # The guard-band mask is built SCAN_BLOCK rows at a time
     wrong = np.empty(len(profiles))
     for start in range(0, len(profiles), SCAN_BLOCK):
         rows = slice(start, start + SCAN_BLOCK)
         beyond = np.abs(pixels - series.midlines[rows, np.newaxis]) > guard_px
         np.sum(profiles[rows], axis=1, where=beyond, out=wrong[rows])
-    return _assignment(ordered_sum(wrong), ordered_sum(profiles.sum(axis=1)))
+    return _assignment(ordered_sum(wrong), series.total_flux_sum)
 
 
 def ordered_sum(values) -> float:

@@ -20,7 +20,7 @@ from whichway import cli, pipeline
 from whichway.artifacts import read_csv
 from whichway.cli import _scan_sidecar, build_parser, main
 from whichway.config import load_config
-from whichway.errors import ConfigurationError, DataError
+from whichway.errors import ConfigurationError, DataError, NumericalError
 from whichway.instrument import ScanConfig, ScanSeries, load_scan_csv, run_scan
 from whichway.metrics import distinguishability, visibility
 from whichway.optics import GridSpec, amplitude_steps, double_slit_field, fresnel_field
@@ -79,15 +79,17 @@ def test_scan_sidecar_contents(cli_run):
 
 
 def test_scan_sidecar_total_adds_the_row_sums_in_step_order(quiet_cfg, quiet_series):
-    for series in quiet_series:
+    for series in [*quiet_series, _one_pixel_series([1e16, 1.0, 1.0, -1e16, 5.0])]:
         total = _scan_sidecar(series, quiet_cfg)["total_flux_sum"]
         # a left-to-right fold: Python 3.12's built-in sum() is compensated
         assert total == reduce(operator.add, (float(row.sum()) for row in series.profiles), 0.0)
+        assert series.total_flux_sum == total
 
 
-def test_scan_sidecar_total_adds_the_row_sums_left_to_right(quiet_cfg):
-    # a compensated sum, as Python 3.12's built-in sum(), gives 7.0
-    flux = np.array([1e16, 1.0, 1.0, -1e16, 5.0])
+def _one_pixel_series(flux):
+    """A scan of 64-pixel rows whose step k holds flux[k] in pixel 32, right of
+    its midline at 31.5."""
+    flux = np.asarray(flux, dtype=float)
     profiles = np.zeros((flux.size, 64))
     profiles[:, 32] = flux
     zeros = np.zeros(flux.size)
@@ -96,9 +98,27 @@ def test_scan_sidecar_total_adds_the_row_sums_left_to_right(quiet_cfg):
         names="step_index,slit_position,total_flux,left_signal,right_signal",
     )
     scan = ScanConfig(aperture_width=4e-3, n_steps=flux.size, exposure=1.0)
-    sidecar = _scan_sidecar(ScanSeries(scan, records, profiles, np.full(flux.size, 31.5)), quiet_cfg)
+    return ScanSeries(scan, records, profiles, np.full(flux.size, 31.5))
+
+
+def test_scan_sidecar_total_adds_the_row_sums_left_to_right(quiet_cfg):
+    # a compensated sum, as Python 3.12's built-in sum(), gives 7.0
+    sidecar = _scan_sidecar(_one_pixel_series([1e16, 1.0, 1.0, -1e16, 5.0]), quiet_cfg)
     assert sidecar["total_flux_sum"] == 5.0
     assert sidecar["contamination"] == 0.0
+
+
+def test_a_noisy_scan_must_clear_five_sigma_of_its_summed_readout_noise():
+    # 4 steps of 64 pixels at 4 frames and 6 e readout noise, gain 1: the
+    # summed readout sigma is 6 * sqrt(256 / 4) = 48, so the floor is 240
+    cfg = load_config(seed=0)
+    assert cfg.detector.noise_enabled
+    assert (cfg.detector.readout_noise, cfg.detector.gain) == (6.0, 1.0)
+    with pytest.raises(NumericalError, match=r"^scan a4mm: total flux 240 is not above its light floor 240, "):
+        _scan_sidecar(_one_pixel_series([60.0] * 4), cfg)
+    assert _scan_sidecar(_one_pixel_series([60.25] * 4), cfg)["total_flux_sum"] == 241.0
+    quiet = load_config(seed=0, no_noise=True)  # no readout noise, no floor
+    assert _scan_sidecar(_one_pixel_series([60.0] * 4), quiet)["total_flux_sum"] == 240.0
 
 
 def test_rerun_is_byte_identical(cli_run, tmp_path):
@@ -817,9 +837,18 @@ NUMERIC_FAULTS = {
         {"detector": {"readout_noise_e": 1e308}}, [], 2, "readout_noise_e 1e+308 and frames_per_step 4"
     ),
     "pixel-pitch-overflow": ({"detector": {"pixel_pitch_m": 1e300}}, [], 2, "sampling bound violated"),
-    "readout-drowns-flux": ({"detector": {"readout_noise_e": 1e200}}, [], 4, "is not positive"),
+    "readout-drowns-flux": (
+        {"detector": {"readout_noise_e": 1e200}}, [], 4, "is not above its light floor 1.38795e+203,"
+    ),
     "exposure-underflow": (
-        {"scans": [{"aperture_width_m": 4e-3, "exposure_s": 1e-300}]}, [], 4, "is not positive"
+        {"scans": [{"aperture_width_m": 4e-3, "exposure_s": 1e-300}]}, [], 4,
+        "total flux -954.022 is not above its light floor 8327.69,"
+    ),
+    # readout noise alone, whose sum here comes out positive
+    "no-light": (
+        {"scans": [{"aperture_width_m": 4e-3, "step_m": 1e-3, "n_steps": 4, "s_start_m": -2e-3,
+                    "exposure_s": 1e-300}]},
+        [], 4, "scan a4mm: total flux 23.4344 is not above its light floor 960,"
     ),
 }
 

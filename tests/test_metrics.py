@@ -36,6 +36,14 @@ class TestVisibility:
         assert v.i_min == 0.0
         assert v.value == 1.0
 
+    def test_side_peaks_with_no_trough_between_take_the_lowest_sample(self):
+        # the dip between the two side peaks is under 2% of the maximum, so
+        # it is no trough, and I_min is the lowest sample between the peaks
+        values = np.array([0.0, 10.0, 0.0, 5.0, 4.99, 5.0, 0.0])
+        v = ww.visibility(ww.IntensityProfile(0.0, 1.0, values))
+        assert (v.i_max, v.i_min) == (5.0, 4.99)
+        assert v.value == (5.0 - 4.99) / (5.0 + 4.99)
+
     def test_too_few_extrema_raises(self):
         flat = ww.IntensityProfile(0.0, 1.0, np.linspace(0, 1, 50))
         with pytest.raises(ww.NumericalError):
