@@ -12,7 +12,8 @@
 # file, neither into a fresh directory nor over an existing run, a short scan
 # whose readout noise alone sums positive that exits 4 below its light floor
 # and creates no directory, scan
-# artifacts that do not depend on the core count, two reconstructs and two
+# artifacts that do not depend on the core count, nor do those of three
+# scans that read two shared pupil tables, two reconstructs and two
 # reports in one process that write what separate processes wrote, a scan
 # whose peak memory does not grow with the source grid, and an output
 # directory that cannot be created.
@@ -143,6 +144,15 @@ taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
 whichway scan --out "$tmp/all-cores" --seed 0
 for f in scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
   cmp "$tmp/one-core/$f" "$tmp/all-cores/$f"
+done
+# the 4 and 5 mm scans read one pupil table and the 1 mm scan, whose left
+# edge differs, another; with shared tables the bits must not change either
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.001}, {"aperture_width_m": 0.004},
+  {"aperture_width_m": 0.005}]}' > "$tmp/groups.json"
+taskset -c 0 whichway scan --config "$tmp/groups.json" --out "$tmp/groups-one-core" --no-noise --seed 0
+whichway scan --config "$tmp/groups.json" --out "$tmp/groups-all-cores" --no-noise --seed 0
+for f in scan_a1mm.csv scan_a1mm.json scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
+  cmp "$tmp/groups-one-core/$f" "$tmp/groups-all-cores/$f"
 done
 # the factor cache and the profile match's rows carry nothing from one run to
 # the next: a noisy reconstruct and report, then --no-noise ones, made in one

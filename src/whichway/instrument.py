@@ -373,14 +373,60 @@ def _next_fast_len(n: int) -> int:
             return m
 
 
-class _ScanOptics:
+class _ScanPupil:
+    """The pupil of one scan on its aperture cells: cells of width h centred
+    at u_j tile the aperture, and pupil(v) is the Fresnel-integral field
+    (optics.fresnel_field) of the source's amplitude steps at offsets v
+    times the folded tilt factor exp(-i c v^2 / 2) of _ScanOptics.  At slit
+    position s = s_start + q h, q = 0 .. last, the cells read entries
+    last - q onwards of tabulate()'s table."""
+
+    def __init__(self, source_field: SampledField, geom: Geometry, scan: ScanConfig):
+        lam = geom.wavelength
+        per_step = math.ceil(scan.step / SUPPORT_PITCH * (1 - 1e-12))
+        self.h = h = scan.step / per_step
+        self.u = scan.aperture_left_edge() + h * (np.arange(scan.width_elems() * per_step) + 0.5)
+        self.steps = amplitude_steps(source_field)
+        self.chirp = np.pi * scan.stage_ratio / (lam * geom.dist_lens_detector)  # c / 2
+        self.fresnel = partial(fresnel_field, self.steps, geom.dist_slits_lens, lam)
+        self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
+
+    def pupil(self, v: np.ndarray, out=None) -> np.ndarray:
+        """The pupil at offsets v times the folded tilt factor exp(-i c v^2 / 2)."""
+        return np.multiply(self.fresnel(v), np.exp(-1j * self.chirp * v**2), out=out)
+
+    def tabulate(self) -> np.ndarray:
+        """The pupil at every scan position's cells, read-only, tabulated
+        FRESNEL_BLOCK entries at a time, so that no scratch array grows with
+        the scan's length."""
+        table = np.empty(self.last + self.u.size, complex)
+        for start in range(0, table.size, FRESNEL_BLOCK):
+            q = np.arange(start, min(start + FRESNEL_BLOCK, table.size)) - self.last
+            self.pupil(self.u[0] - self.s_start + self.h * q, out=table[start : start + q.size])
+        table.flags.writeable = False
+        return table
+
+
+def pupil_table(source_field: SampledField, geom: Geometry, scan: ScanConfig) -> np.ndarray:
+    """The scan's read-only pupil table, without the rest of its optics.
+
+    A scan with the same source, geometry, step, start, step count,
+    aperture left edge and stage ratio reads the same values from the
+    table's first entries, however wide its aperture; run_scan takes the
+    table of the widest such scan.
+    """
+    return _ScanPupil(source_field, geom, scan).tabulate()
+
+
+class _ScanOptics(_ScanPupil):
     """The step-invariant optics of one scan; images(positions) images the
     slits at each position, one batched transform per block of steps.
 
     No simulation grid is involved.  Cells of width h centred at u_j tile
     the aperture, so every aperture weight is 1.  The pupil U(u_j - s) is
     the Fresnel-integral field (optics.fresnel_field) of the source's
-    amplitude steps, read once, tabulated for the scan's positions; other s
+    amplitude steps, read once, tabulated for the scan's positions (the
+    first entries of a given table, or a table of its own); other s
     are evaluated directly.  Up to a unimodular factor the camera field is
     V(x) = h / sqrt(lambda L_C) sum_j U(u_j - s) lens(u_j) exp(i pi u_j^2 /
     (lambda L_C) - 2 pi i x u_j / (lambda L_C)), evaluated at SUBSAMPLES
@@ -398,23 +444,11 @@ class _ScanOptics:
     """
 
     def __init__(self, source_field: SampledField, geom: Geometry, scan: ScanConfig,
-                 detector: DetectorConfig):
+                 detector: DetectorConfig, table: np.ndarray | None = None):
+        super().__init__(source_field, geom, scan)
         lam, l_s, l_c = geom.wavelength, geom.dist_slits_lens, geom.dist_lens_detector
-        per_step = math.ceil(scan.step / SUPPORT_PITCH * (1 - 1e-12))
-        self.h = h = scan.step / per_step
-        left = scan.aperture_left_edge()
-        self.u = left + h * (np.arange(scan.width_elems() * per_step) + 0.5)
-        steps = amplitude_steps(source_field)
-        self.chirp = np.pi * scan.stage_ratio / (lam * l_c)  # c / 2
-        self.fresnel = partial(fresnel_field, steps, l_s, lam)
-        # the pupil at u_j - s for s = s_start + q h, q = 0 .. last, starts at last - q
-        self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
-        # tabulated FRESNEL_BLOCK entries at a time, so that no scratch array
-        # grows with the scan's length
-        self.table = np.empty(self.last + self.u.size, complex)
-        for start in range(0, self.table.size, FRESNEL_BLOCK):
-            q = np.arange(start, min(start + FRESNEL_BLOCK, self.table.size)) - self.last
-            self.pupil(self.u[0] - scan.s_start + h * q, out=self.table[start : start + q.size])
+        h, left = self.h, scan.aperture_left_edge()
+        self.table = (self.tabulate() if table is None else table)[: self.last + self.u.size]
         sub = detector.pixel_pitch / SUBSAMPLES
         first = -detector.n_pixels * detector.pixel_pitch / 2 - sub / 2
         k = 2 * np.pi * h / (lam * l_c)
@@ -433,7 +467,7 @@ class _ScanOptics:
         # ray optics: the integrand's local frequency is affine in the lit
         # source point (between the outermost amplitude steps), the cell and
         # the detector point -stage_ratio s + xi
-        edges = steps[0]
+        edges = self.steps[0]
         defocus = 1 / l_s + 1 / l_c - 1 / geom.focal_length
         terms = [np.array([left, left + scan.aperture_width]) * defocus,
                  -np.array([edges.min(initial=0.0), edges.max(initial=0.0)]) / l_s,
@@ -442,10 +476,6 @@ class _ScanOptics:
             self.freq = np.array([sum(t.min() for t in terms), sum(t.max() for t in terms)]) / lam
         self.freq_slope = (scan.stage_ratio / l_c - 1 / l_s) / lam
         self.gain = detector.gain
-
-    def pupil(self, v: np.ndarray, out=None) -> np.ndarray:
-        """The pupil at offsets v times the folded tilt factor exp(-i c v^2 / 2)."""
-        return np.multiply(self.fresnel(v), np.exp(-1j * self.chirp * v**2), out=out)
 
     def images(self, positions) -> np.ndarray:
         """Noiseless pixel values at each slit position, one row each, for
@@ -510,20 +540,24 @@ def run_scan(
     geom: Geometry,
     scan: ScanConfig,
     detector: DetectorConfig,
+    table: np.ndarray | None = None,
 ) -> ScanSeries:
     """Execute a full scan and record per-step pixel values and signals.
 
     At each slit position the source field's Fresnel-integral pupil is
     masked by the fixed aperture stop and imaged onto the camera pixels
-    riding the counter-moving stage (see _ScanOptics).  A forward pass
+    riding the counter-moving stage (see _ScanOptics).  The pupil comes
+    from table when one is given: the pupil_table of this scan or of a
+    wider one that reads the same values (see pupil_table).  Without one
+    the scan tabulates its own, to the same bits.  A forward pass
     images every step without noise; a detector pass then applies the
     exposure and, with noise on, the mean of frames_per_step frames, drawn
     from one stream seeded by (seed, width_elems): first the shot noise of
     every pixel in step order, then their readout noise, SCAN_BLOCK rows at
-    a time.  The scan shares no state with other scans, so
-    pipeline.run_all_scans runs several at once.
+    a time.  The scan writes no state that other scans read, and the table
+    is read-only, so pipeline.run_all_scans runs several at once.
     """
-    optics = _ScanOptics(source_field, geom, scan, detector)
+    optics = _ScanOptics(source_field, geom, scan, detector, table)
     exposure = scan.exposure
     if exposure is None:
         exposure = optics.exposure()

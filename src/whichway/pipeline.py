@@ -12,6 +12,7 @@ from .instrument import (
     ScanSeries,
     _pixel_profile,
     flux_vector,
+    pupil_table,
     run_scan,
     uniform_step,
     width_in_steps,
@@ -74,22 +75,35 @@ def _usable_cpus() -> int:
 def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
     """Every configured scan (run_scan), in config order.
 
-    The scans share only the source, which none of them writes, and each
-    draws its own noise stream, so they run on up to one thread per CPU
-    the process may use, the calling thread included; numpy's FFTs and
-    array loops release the GIL.  Each thread stops at its first failure,
-    and once every thread has ended the first scan in config order that
-    failed raises its error here.
+    The scans share their step, start and step count (RunConfig), so those
+    with one aperture left edge and one stage ratio read the same pupil
+    values: the calling thread tabulates each such group's pupil once, as
+    the table of its widest scan (instrument.pupil_table), before any scan
+    starts.  Where that table fails, each scan of the group tabulates its
+    own and fails in its turn.  The scans share only the source and these
+    read-only tables, and each draws its own noise stream, so they run on
+    up to one thread per CPU the process may use, the calling thread
+    included; numpy's FFTs and array loops release the GIL.  Each thread
+    stops at its first failure, and once every thread has ended the first
+    scan in config order that failed raises its error here.
     """
     source = make_source(cfg)
     scans = cfg.scans
+    keys = [(scan.aperture_left_edge(), scan.stage_ratio) for scan in scans]
+    tables: dict = {}
+    for i in sorted(range(len(scans)), key=lambda i: -scans[i].width_elems()):
+        if keys[i] not in tables:
+            try:
+                tables[keys[i]] = pupil_table(source, cfg.geometry, scans[i])
+            except Exception:  # so that the first failing scan in config order decides
+                tables[keys[i]] = None
     workers = min(len(scans), _usable_cpus())
     outcomes: list = [None] * len(scans)
 
     def work(first: int) -> None:
         for i in range(first, len(scans), workers):
             try:
-                outcomes[i] = run_scan(source, cfg.geometry, scans[i], cfg.detector)
+                outcomes[i] = run_scan(source, cfg.geometry, scans[i], cfg.detector, tables[keys[i]])
             except Exception as exc:
                 outcomes[i] = exc
                 return

@@ -916,10 +916,10 @@ def test_the_first_failing_scan_in_config_order_wins(tmp_path, capsys, monkeypat
         messages.append(f"error: {info.value}\n")
     assert messages[0] != messages[1]
 
-    def first_fails_last(source, geom, scan, det):
+    def first_fails_last(source, geom, scan, det, table=None):
         if scan == cfg.scans[0]:
             time.sleep(0.2)
-        return run_scan(source, geom, scan, det)
+        return run_scan(source, geom, scan, det, table)
 
     monkeypatch.setattr(pipeline, "run_scan", first_fails_last)
     assert _scan_error(path, tmp_path / "o", capsys, monkeypatch) == messages[0]

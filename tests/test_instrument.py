@@ -251,8 +251,8 @@ def _old_path(source, geom, scan, det, positions):
 class _OldPathOptics(instrument._ScanOptics):
     """_ScanOptics whose images come from the old path."""
 
-    def __init__(self, source, geom, scan, det):
-        super().__init__(source, geom, scan, det)
+    def __init__(self, source, geom, scan, det, table=None):
+        super().__init__(source, geom, scan, det, table)
         self.setup = source, geom, scan, det
 
     def images(self, positions):
@@ -672,37 +672,99 @@ def test_noise_drawn_in_row_chunks_equals_a_whole_matrix_draw(quiet_cfg, small_s
     _assert_scan_equals_expected(series, quiet.config.exposure, *expected)
 
 
+# (aperture width, stage ratio) of three scans, and how many pupil tables
+# they read: the 3-5 mm apertures share their left edge, the 1 mm one (10
+# steps, below the anchor) has its own, and a stage ratio has its own chirp
+TABLE_GROUPS = [
+    (((3e-3, 1.07), (4e-3, 1.07), (5e-3, 1.07)), 1),
+    (((1e-3, 1.07), (4e-3, 1.07), (5e-3, 1.08)), 3),
+]
+
+
 @pytest.mark.parametrize("cpus", [None, 1, 8], ids=["every-cpu", "one-cpu", "a-thread-per-scan"])
 @pytest.mark.parametrize("noise", [False, True], ids=["noiseless", "noisy"])
 def test_run_all_scans_equals_run_scan_per_scan_in_order(monkeypatch, noise, cpus):
     # three scans, so that with two threads one of them runs two; eight
     # CPUs give each scan its own thread, whatever the cores
-    cfg = load_config(seed=3, no_noise=not noise)
-    scans = tuple(
-        replace(cfg.scans[0], aperture_width=w, n_steps=51, s_start=-2e-3) for w in (3e-3, 4e-3, 5e-3)
-    )
-    cfg = replace(cfg, scans=scans)
-    source = pipeline.make_source(cfg)
-    expected = [ww.run_scan(source, cfg.geometry, scan, cfg.detector) for scan in scans]
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    threads = []
+    threads, tables = [], []
 
     def recorded(*args):
         threads.append(threading.get_ident())
+        tables.append(args[4])
         return ww.run_scan(*args)
 
     monkeypatch.setattr(pipeline, "run_scan", recorded)
-    got = pipeline.run_all_scans(cfg)
-    # the calling thread takes a share, and each usable CPU runs one thread
-    assert threading.get_ident() in threads
-    assert len(set(threads)) == min(len(scans), len(os.sched_getaffinity(0)))
-    assert len(got) == len(expected)
-    for series, reference in zip(got, expected):
-        assert series.config == reference.config  # the resolved exposure included
-        assert series.records.tobytes() == reference.records.tobytes()
+    for groups, n_tables in TABLE_GROUPS:
+        cfg = load_config(seed=3, no_noise=not noise)
+        scans = tuple(
+            replace(cfg.scans[0], aperture_width=w, stage_ratio=r, n_steps=51, s_start=-2e-3)
+            for w, r in groups
+        )
+        cfg = replace(cfg, scans=scans)
+        source = pipeline.make_source(cfg)
+        expected = [ww.run_scan(source, cfg.geometry, scan, cfg.detector) for scan in scans]
+        threads.clear()
+        tables.clear()
+        got = pipeline.run_all_scans(cfg)
+        # the calling thread takes a share, and each usable CPU runs one thread
+        assert threading.get_ident() in threads
+        assert len(set(threads)) == min(len(scans), len(os.sched_getaffinity(0)))
+        assert len({id(table) for table in tables}) == n_tables
+        assert len(got) == len(expected)
+        for series, reference in zip(got, expected):
+            assert series.config == reference.config  # the resolved exposure included
+            assert series.records.tobytes() == reference.records.tobytes()
+            assert series.profiles.tobytes() == reference.profiles.tobytes()
+            assert series.midlines.tobytes() == reference.midlines.tobytes()
+
+
+def test_the_default_run_tabulates_the_pupil_once(monkeypatch):
+    # the 4 mm scan reads the first 13,600 entries of the 5 mm scan's 14,000
+    positions = []
+
+    def counted(steps, distance, wavelength, x):
+        positions.append(np.size(x))
+        return fresnel_field(steps, distance, wavelength, x)
+
+    monkeypatch.setattr(instrument, "fresnel_field", counted)
+    pipeline.run_all_scans(load_config(seed=0))
+    assert sum(positions) == 300 * 40 + 50 * 40 == 14_000
+
+
+def test_a_table_that_fails_leaves_each_scan_its_own(monkeypatch, quiet_cfg):
+    scans = tuple(replace(scan, n_steps=51, s_start=-2e-3) for scan in quiet_cfg.scans)
+    cfg = replace(quiet_cfg, scans=scans)
+    source = pipeline.make_source(cfg)
+    expected = [ww.run_scan(source, cfg.geometry, scan, cfg.detector) for scan in scans]
+
+    def fails(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "pupil_table", fails)
+    for series, reference in zip(pipeline.run_all_scans(cfg), expected, strict=True):
         assert series.profiles.tobytes() == reference.profiles.tobytes()
-        assert series.midlines.tobytes() == reference.midlines.tobytes()
+
+
+def test_the_pupil_table_is_the_scan_optics_table(quiet_cfg, small_source):
+    geom, det = quiet_cfg.geometry, quiet_cfg.detector
+    wide, narrow = (ww.ScanConfig(aperture_width=w, n_steps=21, s_start=-1e-3) for w in (5e-3, 4e-3))
+    table = instrument.pupil_table(small_source, geom, wide)
+    assert table.tobytes() == instrument._ScanOptics(small_source, geom, wide, det).table.tobytes()
+    # a narrower aperture of the same left edge reads the first entries
+    own = instrument._ScanOptics(small_source, geom, narrow, det).table
+    shared = instrument._ScanOptics(small_source, geom, narrow, det, table).table
+    assert own.size == table.size - 10 * 40 and shared.tobytes() == own.tobytes()
+
+
+def test_a_shared_pupil_table_cannot_be_written(quiet_cfg, small_source):
+    scan = ww.ScanConfig(aperture_width=4e-3, n_steps=3, s_start=-1e-3)
+    table = instrument.pupil_table(small_source, quiet_cfg.geometry, scan)
+    optics = instrument._ScanOptics(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector, table)
+    for array in (table, optics.table):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def _single_step_series(values, midline="center"):
