@@ -4,7 +4,8 @@
 # fails before writing, a run option placed before the subcommand, config
 # keys that are constants now ("opening" and "anchor_elems" in a scan, and
 # the reconstruction and metrics blocks with "cutoff", "smoothing_rms_m",
-# "peak_selector" and "guard_px"), an illumination tilt beyond +-2, a readout
+# "peak_selector" and "guard_px", and a scan's "midline" of "center", the
+# rule that went), an illumination tilt beyond +-2, a readout
 # noise whose 4-frame sigma overflows, then the four commands end to end, a
 # report that does not read reconstruction.csv, a reconstruct that rejects a
 # sidecar whose total flux is not its CSV's, a scan
@@ -48,7 +49,7 @@ test "$status" = 2
 test ! -e "$tmp/top" && test ! -e "$tmp/runs"
 # keys that are constants now: a config naming one exits 2 with one error
 # line that names the unknown key, or the unknown block that held it, and
-# writes nothing
+# writes nothing; so does a midline other than the centroid, naming its scan
 while read -r key pattern config; do
   echo "$config" > "$tmp/$key.json"
   status=0
@@ -64,6 +65,7 @@ cutoff config.*"reconstruction" {"geometry": {}, "reconstruction": {"cutoff": 1e
 smoothing_rms_m config.*"reconstruction" {"geometry": {}, "reconstruction": {"smoothing_rms_m": 1.0}}
 peak_selector config.*"metrics" {"geometry": {}, "metrics": {"peak_selector": "central"}}
 guard_px config.*"metrics" {"geometry": {}, "metrics": {"guard_px": 600}}
+midline scans\[0\].*midline {"geometry": {}, "scans": [{"aperture_width_m": 0.004, "midline": "center"}]}
 EOF
 # a tilt beyond +-2 would drive one slit's amplitude 1 -+ tilt/2 negative:
 # it exits 2 with one error line naming the key, and creates no directory

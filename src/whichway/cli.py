@@ -11,13 +11,15 @@ import numpy as np
 
 from . import __version__
 from .artifacts import read_csv, read_json, write_csv, write_json
-from .config import RunConfig, load_config, scan_tag
+from .config import RunConfig, load_config
 from .errors import ConfigurationError, DataError, NumericalError, WhichwayError
 from .instrument import (
+    GUARD_PX,
     _pixel_profile,
     assignment_probability,
     load_scan_csv,
     pooled_assignment,
+    scan_tag,
     uniform_step,
     width_in_steps,
 )
@@ -120,14 +122,14 @@ def _scan_sidecar(series, cfg: RunConfig) -> dict:
                 f" floor {LIGHT_FLOOR_SIGMAS * sigma:g}, {LIGHT_FLOOR_SIGMAS} sigma of the readout"
                 f" noise summed over its {pixels} pixels"
             )
-    contamination, p, d = assignment_probability(series, cfg.guard_px)
+    contamination, p, d = assignment_probability(series)
     return {
         "aperture_width_m": sc.aperture_width,
         "width_elems": sc.width_elems(),
         "anchor_elems": ANCHOR_ELEMS,
         "exposure_s": sc.exposure,
         "stage_ratio": sc.stage_ratio,
-        "guard_px": cfg.guard_px,
+        "guard_px": GUARD_PX,
         "contamination": contamination,
         "p_correct": p,
         "distinguishability": d,
@@ -170,7 +172,7 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
     none does, and with none every sidecar is None and every exposure 1.0.
     A sidecar must record the width in steps and anchor that the stacked
     solve gives its scan, the width (in metres) in steps of the first CSV
-    and ANCHOR_ELEMS, and the guard band of the pooled D, cfg.guard_px; and
+    and ANCHOR_ELEMS, and the guard band of the pooled D, GUARD_PX; and
     its total_flux_sum must be the sum of its CSV's F column.
     """
     if (widths_mm is None) == bool(flux_csvs):
@@ -211,7 +213,7 @@ def _read_scans(cfg: RunConfig, out: Path, flux_csvs=(), widths_mm=None):
         if not 0 <= sidecar["contamination"] <= 0.5:
             raise DataError(f"{path}: 'contamination' must lie in [0, 1/2]")
         taken = dict(
-            width_elems=width_in_steps(width, step), anchor_elems=ANCHOR_ELEMS, guard_px=cfg.guard_px
+            width_elems=width_in_steps(width, step), anchor_elems=ANCHOR_ELEMS, guard_px=GUARD_PX
         )
         for key, value in taken.items():
             if key not in sidecar or sidecar[key] != value:
@@ -268,9 +270,9 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
     fringes_csv = out / "fringes.csv"
     if fringes_csv.exists():
         reference = _read_profile(fringes_csv)
-        match = match_profiles(profile, reference, cfg.h_scale, half_window=cfg.window_half)
+        match = match_profiles(profile, reference, cfg.h_scale)
 
-    vis = visibility(profile, cfg.peak_selector)
+    vis = visibility(profile)
     _, _, d = pooled_assignment(
         (float(s["contamination"]), float(s["total_flux_sum"])) for s in sidecars
     )
@@ -284,7 +286,7 @@ def cmd_report(cfg: RunConfig, args, out: Path) -> list[Path]:
         vis.value,  # at most 1: result_profile clips the pattern at 0
         d,
         v_method=f"peaks:{vis.method};prominence:{PEAK_PROMINENCE_FRACTION:.0%}",
-        d_method=f"guard_px:{cfg.guard_px};pooled-contamination",
+        d_method=f"guard_px:{GUARD_PX};pooled-contamination",
     )
     lines = [
         f"whichway run report (config {cfg.config_hash()[:12]})",

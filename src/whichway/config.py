@@ -12,7 +12,7 @@ from functools import cache
 from pathlib import Path
 
 from .errors import ConfigurationError, DataError
-from .instrument import GUARD_PX, DetectorConfig, ScanConfig
+from .instrument import DetectorConfig, ScanConfig, scan_tag
 from .metrics import DEFAULT_MATCH_HALF_WINDOW, PEAK_SELECTOR
 from .optics import Geometry, GridSpec
 from .reconstruct import DEFAULT_RANK_CUTOFF, SMOOTHING_RMS, smoothing_kernel_elems
@@ -30,12 +30,11 @@ class RunConfig:
     output_dir: str
     raw: dict  # the merged config with typed values, as hashed
 
-    # fixed analysis settings, not config keys
+    # fixed analysis settings, not config keys, read only by perfbench/run.py
     recon_cutoff = DEFAULT_RANK_CUTOFF
     window_half = DEFAULT_MATCH_HALF_WINDOW
     smoothing_rms = SMOOTHING_RMS
     peak_selector = PEAK_SELECTOR
-    guard_px = GUARD_PX
 
     def __post_init__(self):
         # the slits' amplitudes are 1 -+ tilt/2, so beyond +-2 one turns negative
@@ -55,7 +54,7 @@ class RunConfig:
                     raise ConfigurationError(f"scans[{i}]: {key} must equal that of scans[0]")
         for i, scan in enumerate(self.scans):
             # the stacked solve takes each aperture, and smooths on the scans' steps
-            kernel = smoothing_kernel_elems(self.smoothing_rms, scan.step)
+            kernel = smoothing_kernel_elems(SMOOTHING_RMS, scan.step)
             for what, steps in (("aperture", scan.width_elems()), ("smoothing kernel", kernel)):
                 if steps > scan.n_steps:
                     raise ConfigurationError(
@@ -75,11 +74,6 @@ class RunConfig:
         return hashlib.sha256(
             json.dumps(physical, sort_keys=True).encode()
         ).hexdigest()
-
-
-def scan_tag(width_m: float) -> str:
-    """The tag in a scan's file names, scan_<tag>.csv and .json."""
-    return f"a{width_m * 1e3:g}mm"
 
 
 # JSON key -> (dataclass, field), one table per config block

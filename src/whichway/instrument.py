@@ -40,6 +40,11 @@ AUTO_EXPOSURE_FRACTION = 0.7
 GUARD_PX = 20
 
 
+def scan_tag(width_m: float) -> str:
+    """The tag in a scan's file names, scan_<tag>.csv and .json."""
+    return f"a{width_m * 1e3:g}mm"
+
+
 def width_in_steps(width: float, step: float) -> int:
     """Aperture width in scan-step elements; must divide evenly."""
     w = width / step
@@ -61,7 +66,9 @@ class ScanConfig:
     stage_ratio: float = 1.07
     exposure: float | None = None  # seconds; None = auto (70% full well)
     frames_per_step: int = 4
-    midline: str = "centroid"  # or "center"
+    # the one rule; the field and its scans[].midline key stay only while
+    # perfbench/run.py and smoke.py name them (ROADMAP items 21 and 22)
+    midline: str = "centroid"
 
     def __post_init__(self):
         if not self.aperture_width > 0:
@@ -76,8 +83,8 @@ class ScanConfig:
             raise ConfigurationError("exposure must be > 0")
         if self.frames_per_step < 1:
             raise ConfigurationError("frames_per_step must be >= 1")
-        if self.midline not in ("center", "centroid"):
-            raise ConfigurationError("midline must be 'center' or 'centroid'")
+        if self.midline != "centroid":
+            raise ConfigurationError("midline must be 'centroid'")
         if self.width_elems() < 1:  # which also needs a whole number of steps
             raise ConfigurationError(f"aperture width {self.aperture_width} is below one scan step")
 
@@ -319,23 +326,19 @@ def split_signals(values: np.ndarray, midline: float) -> tuple[float, float]:
     return left, total - left
 
 
-def _midlines(profiles: np.ndarray, mode: str) -> np.ndarray:
-    """Midline of each row of profiles, in pixel-index units.
-
-    "center" is the detector center; "centroid" the row's flux centroid,
-    or the center where the row holds no flux or (a dim noisy row can) a
-    centroid off the detector.
-    """
+def _midlines(profiles: np.ndarray) -> np.ndarray:
+    """Midline of each row of profiles, in pixel-index units: the row's flux
+    centroid, or the detector center where the row holds no flux or (a dim
+    noisy row can) a centroid off the detector."""
     n_steps, n = profiles.shape
     midlines = np.full(n_steps, (n - 1) / 2)
-    if mode == "centroid":
-        totals = profiles.sum(axis=1)
-        # einsum, not @: neither wakes OpenBLAS's thread pool here, but @
-        # raises the peak RSS of short scans by 0.1-0.5 MB
-        moments = np.einsum("ij,j->i", profiles, np.arange(n, dtype=float))
-        centroids = np.divide(moments, totals, out=np.full(n_steps, -1.0), where=totals > 0)
-        on = (centroids >= 0) & (centroids <= n - 1)
-        midlines[on] = centroids[on]
+    totals = profiles.sum(axis=1)
+    # einsum, not @: neither wakes OpenBLAS's thread pool here, but @
+    # raises the peak RSS of short scans by 0.1-0.5 MB
+    moments = np.einsum("ij,j->i", profiles, np.arange(n, dtype=float))
+    centroids = np.divide(moments, totals, out=np.full(n_steps, -1.0), where=totals > 0)
+    on = (centroids >= 0) & (centroids <= n - 1)
+    midlines[on] = centroids[on]
     return midlines
 
 
@@ -576,7 +579,7 @@ def run_scan(
             sigma = detector.readout_noise * math.sqrt(frames)
             if not math.isfinite(sigma):
                 raise ConfigurationError(
-                    f"scan a{scan.aperture_width * 1e3:g}mm: readout_noise_e"
+                    f"scan {scan_tag(scan.aperture_width)}: readout_noise_e"
                     f" {detector.readout_noise:g} and frames_per_step {frames} give a"
                     " readout sigma beyond the float range"
                 )
@@ -585,13 +588,13 @@ def run_scan(
                 chunk[...] = rng.poisson(chunk)
         except (OverflowError, ValueError) as exc:  # K past the float range; "lam value too large"
             raise ConfigurationError(
-                f"scan a{scan.aperture_width * 1e3:g}mm: exposure_s {exposure:g}, gain_e_per_unit"
+                f"scan {scan_tag(scan.aperture_width)}: exposure_s {exposure:g}, gain_e_per_unit"
                 f" {detector.gain:g} and frames_per_step {frames} give too many electrons ({exc})"
             ) from exc
         for chunk in chunks:
             chunk += rng.normal(0.0, sigma, chunk.shape)
         profiles /= frames * detector.gain
-    midlines = _midlines(profiles, scan.midline)
+    midlines = _midlines(profiles)
     left, right = np.array([split_signals(row, m) for row, m in zip(profiles, midlines)]).T
     records = np.rec.fromarrays(
         [np.arange(scan.n_steps), positions, left + right, left, right],
@@ -601,7 +604,7 @@ def run_scan(
 
 
 def assignment_probability(
-    series: ScanSeries, guard_px: int
+    series: ScanSeries, guard_px: int = GUARD_PX
 ) -> tuple[float, float, float]:
     """Which-way statistics from the guard-band contamination bound.
 
@@ -610,9 +613,9 @@ def assignment_probability(
     contamination = (guard-exceeding flux summed over steps) / (total
     flux), p = 1 - contamination, and D from metrics.distinguishability.
 
-    The midline is the one each step was split at (ScanSeries.midlines):
-    the fixed detector center, or the per-step flux centroid, which tracks
-    the small residual image drift left by the stage ratio.
+    The midline is the one each step was split at (ScanSeries.midlines),
+    the step's flux centroid, which tracks the residual image drift left
+    by the stage ratio.
     """
     if guard_px < 0:
         raise ConfigurationError("guard_px must be >= 0")

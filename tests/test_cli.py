@@ -21,7 +21,7 @@ from whichway.artifacts import read_csv
 from whichway.cli import _scan_sidecar, build_parser, main
 from whichway.config import load_config
 from whichway.errors import ConfigurationError, DataError, NumericalError
-from whichway.instrument import ScanConfig, ScanSeries, load_scan_csv, run_scan
+from whichway.instrument import GUARD_PX, ScanConfig, ScanSeries, load_scan_csv, run_scan
 from whichway.metrics import distinguishability, visibility
 from whichway.optics import GridSpec, amplitude_steps, double_slit_field, fresnel_field
 from whichway.pipeline import run_all_scans
@@ -359,7 +359,7 @@ def _fail_the_5mm_sidecar(monkeypatch):
     """Make the 5 mm scan's sidecar raise DataError; the 4 mm one is computed first."""
     real = cli.assignment_probability
 
-    def fails_at_5mm(series, guard_px):
+    def fails_at_5mm(series, guard_px=GUARD_PX):
         if series.config.aperture_width == 5e-3:
             raise DataError("no assignment for the 5 mm scan")
         return real(series, guard_px)
@@ -929,10 +929,12 @@ def test_the_first_failing_scan_in_config_order_wins(tmp_path, capsys, monkeypat
     pipeline._usable_cpus() < 2 or not os.path.isdir("/proc/self/task"),
     reason="needs 2 usable CPUs and /proc",
 )
-def test_the_scan_stage_leaves_the_blas_pool_idle(tmp_path):
+@pytest.mark.parametrize("stage", ["scan", "fringes"])
+def test_the_scan_and_fringes_stages_leave_the_blas_pool_idle(tmp_path, stage):
     # an OpenBLAS call above its threading threshold wakes the pool, whose
     # idle worker then spins on the second CPU: a one-scan stage that made
-    # such calls used 1.6-2.0 CPU seconds a wall second, one without uses 1
+    # such calls used 1.6-2.0 CPU seconds a wall second, one without uses 1;
+    # neither the scan nor the fringes stage makes one
     config = tmp_path / "one.json"
     config.write_text(json.dumps({"geometry": {}, "scans": [{"aperture_width_m": 4e-3}]}))
     # numpy starts the pool on import, and its worker spins for a while
@@ -959,12 +961,12 @@ def test_the_scan_stage_leaves_the_blas_pool_idle(tmp_path):
         "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
         "    return usage.ru_utime + usage.ru_stime\n"
         "cpu0, wall0 = cpu(), time.perf_counter()\n"
-        "assert main(['scan', '--no-noise', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert main([sys.argv[3], '--no-noise', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
         "print((cpu() - cpu0) / (time.perf_counter() - wall0))"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", code, str(config), str(tmp_path / "run")],
+        [sys.executable, "-c", code, str(config), str(tmp_path / "run"), stage],
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"},
         capture_output=True,
         text=True,
@@ -1166,6 +1168,7 @@ BLOCK_OUT_OF_RANGE = {
     "scan-width-between-steps": (_two_scans(aperture_width_m=4.05e-3), "scans[1]", "aperture width"),
     "scan-width-below-a-step": (_two_scans(aperture_width_m=1e-11), "scans[1]", "aperture width"),
     "scan-no-steps": (_two_scans(n_steps=0), "scans[1]", "n_steps"),
+    "scan-center-midline": (_two_scans(midline="center"), "scans[1]", "midline"),
     "detector-few-pixels": ({**_two_scans(), "detector": {"n_pixels": 10}}, "detector", "n_pixels"),
     "geometry-negative-wavelength": (
         {**_two_scans(), "geometry": {"wavelength_m": -1e-7}}, "geometry", "wavelength"
@@ -1261,7 +1264,8 @@ def test_config_hash_covers_the_overrides(tmp_path):
     assert noisy.config_hash().startswith("e798dfab460c")
     # fixed analysis settings, not config keys, so not hashed
     assert (noisy.recon_cutoff, noisy.window_half, noisy.grid.half_span) == (1e-10, 5e-3, 40e-3)
-    assert (noisy.smoothing_rms, noisy.peak_selector, noisy.guard_px) == (0.15e-3, "second_third", 20)
+    assert (noisy.smoothing_rms, noisy.peak_selector) == (0.15e-3, "second_third")
+    assert not hasattr(noisy, "guard_px")  # instrument.GUARD_PX is its one owner
     assert load_config(seed=0).config_hash() == noisy.config_hash()
     assert load_config(no_noise=True).config_hash() != noisy.config_hash()
     assert load_config(seed=3).detector.rng_seed == 3

@@ -13,7 +13,7 @@ from scipy.signal import CZT
 import whichway as ww
 from whichway import instrument, pipeline
 from whichway.artifacts import write_csv
-from whichway.config import load_config, scan_tag
+from whichway.config import load_config
 from whichway.instrument import (
     AUTO_EXPOSURE_FRACTION,
     FULL_WELL,
@@ -21,6 +21,7 @@ from whichway.instrument import (
     _midlines,
     _next_fast_len,
     ordered_sum,
+    scan_tag,
 )
 from whichway.optics import GridSpec, SampledField, amplitude_steps, double_slit_field, fresnel_field
 
@@ -92,8 +93,9 @@ class TestScanConfig:
         assert scan5.aperture_left_edge() == pytest.approx(-1.95e-3)
 
     def test_validation(self):
-        with pytest.raises(ww.ConfigurationError):
-            ww.ScanConfig(aperture_width=4e-3, midline="median")
+        for midline in ("median", "center"):  # the centroid is the one rule
+            with pytest.raises(ww.ConfigurationError, match="midline must be 'centroid'"):
+                ww.ScanConfig(aperture_width=4e-3, midline=midline)
         with pytest.raises(ww.ConfigurationError):
             ww.ScanConfig(aperture_width=-1e-3)
 
@@ -340,7 +342,7 @@ def _expected_scan(quiet_profiles, scan, det):
         counts = rng.poisson(quiet_profiles * scale).astype(float)
         counts += rng.normal(0.0, det.readout_noise * np.sqrt(frames), rows.shape)
         rows = counts / scale
-    signals = [ww.split_signals(row, m) for row, m in zip(rows, _midlines(rows, scan.midline))]
+    signals = [ww.split_signals(row, m) for row, m in zip(rows, _midlines(rows))]
     return rows, signals
 
 
@@ -374,13 +376,11 @@ def test_run_scan_matches_the_oracle(quiet_cfg, small_source, width):
     )
     _assert_within_oracle(quiet.profiles[checked] / exposure, oracle[1:])
     # exposure, noise, midline and split on top of the noiseless rows
-    for midline in ("center", "centroid"):
-        for noise in (False, True):
-            scan = replace(base, midline=midline)
-            det = ww.DetectorConfig(noise_enabled=noise, rng_seed=11)
-            series = ww.run_scan(small_source, geom, scan, det)
-            expected = _expected_scan(quiet.profiles, scan, det)
-            _assert_scan_equals_expected(series, exposure, *expected)
+    for noise in (False, True):
+        det = ww.DetectorConfig(noise_enabled=noise, rng_seed=11)
+        series = ww.run_scan(small_source, geom, base, det)
+        expected = _expected_scan(quiet.profiles, base, det)
+        _assert_scan_equals_expected(series, exposure, *expected)
 
 
 # (width in steps, steps of the band left of the pupil axis): below, at and
@@ -441,20 +441,19 @@ def test_centroid_midline_off_the_detector_falls_back_to_the_center(quiet_cfg, s
     on = (totals > 0) & ~off
     assert off.any() and on.any()
     midlines = series.midlines
-    assert np.array_equal(midlines, _midlines(series.profiles, "centroid"))
+    assert np.array_equal(midlines, _midlines(series.profiles))
     assert np.all(midlines[off] == det.center_index)
     assert np.allclose(midlines[on], centroids[on], rtol=1e-12)
 
 
-def _midlines_row_by_row(profiles, mode):
+def _midlines_row_by_row(profiles):
     """The midline rule one row at a time."""
     n = profiles.shape[1]
     midlines = np.full(len(profiles), (n - 1) / 2)
-    if mode == "centroid":
-        for k, row in enumerate(profiles):
-            total = row.sum()
-            if total > 0 and 0 <= (centroid := np.sum(np.arange(n) * row) / total) <= n - 1:
-                midlines[k] = centroid
+    for k, row in enumerate(profiles):
+        total = row.sum()
+        if total > 0 and 0 <= (centroid := np.sum(np.arange(n) * row) / total) <= n - 1:
+            midlines[k] = centroid
     return midlines
 
 
@@ -478,10 +477,9 @@ def test_midlines_and_contamination_match_a_row_by_row_loop(quiet_cfg, quiet_ser
 
     bright, dim = noisy(None), noisy(1e-9)
     for series in (*quiet_series, bright, dim):
-        for mode in ("center", "centroid"):
-            expected = _midlines_row_by_row(series.profiles, mode)
-            assert np.allclose(_midlines(series.profiles, mode), expected, rtol=1e-12, atol=0)
-        assert np.array_equal(series.midlines, _midlines(series.profiles, series.config.midline))
+        expected = _midlines_row_by_row(series.profiles)
+        assert np.allclose(series.midlines, expected, rtol=1e-12, atol=0)
+        assert np.array_equal(series.midlines, _midlines(series.profiles))
     for series in (*quiet_series, bright):
         for guard_px in (20, 100):
             expected = _contamination_row_by_row(series.profiles, series.midlines, guard_px)
@@ -767,15 +765,17 @@ def test_a_shared_pupil_table_cannot_be_written(quiet_cfg, small_source):
             array[0] = 0
 
 
-def _single_step_series(values, midline="center"):
+def _single_step_series(values, midline=50.0):
+    """A one-step scan of values split at midline, a pixel number (default the
+    center of 101 pixels)."""
     values = np.asarray(values, dtype=float)
     total = values.sum()
     records = np.rec.fromarrays(
         [[0], [0.0], [total], [0.0], [total]],
         names="step_index,slit_position,total_flux,left_signal,right_signal",
     )
-    cfg = ww.ScanConfig(aperture_width=4e-3, n_steps=1, midline=midline)
-    return ww.ScanSeries(cfg, records, values[np.newaxis], _midlines(values[np.newaxis], midline))
+    cfg = ww.ScanConfig(aperture_width=4e-3, n_steps=1)
+    return ww.ScanSeries(cfg, records, values[np.newaxis], np.array([midline]))
 
 
 def test_ordered_sum_adds_left_to_right():
@@ -804,7 +804,9 @@ class TestAssignmentProbability:
     def test_centroid_midline_follows_the_image(self):
         values = np.zeros(101)
         values[80] = 10.0  # far off center, but tight around its own centroid
-        series = _single_step_series(values, midline="centroid")
+        (centroid,) = _midlines(values[np.newaxis])
+        assert centroid == 80.0
+        series = _single_step_series(values, centroid)
         c, _, d = ww.assignment_probability(series, guard_px=20)
         assert c == 0.0 and d == 1.0
 
