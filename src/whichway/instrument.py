@@ -21,7 +21,6 @@ from .artifacts import read_csv, write_csv
 from .errors import ConfigurationError, DataError, NumericalError
 from .metrics import distinguishability
 from .optics import (
-    FRESNEL_BLOCK,
     Geometry,
     IntensityProfile,
     SampledField,
@@ -352,15 +351,14 @@ def auto_exposure(
     return _ScanOptics(source_field, geom, scan, detector).exposure()
 
 
-# Scan imaging: the aperture is cut into cells of at most SUPPORT_PITCH that
-# divide the scan step, and each pixel gets SUBSAMPLES image points.  The
-# sampling guard allows the integrand MAX_CYCLES_PER_CELL cycles per cell.
-# Steps are imaged SCAN_BLOCK at a time, in buffers that every block reuses
-# (under 1 MB for the zero-padded complex field), and their noise is drawn
-# SCAN_BLOCK rows at a time: small enough for concurrent scans to fit.
-SUPPORT_PITCH = 2.5e-6
-SUBSAMPLES = 4
+# Scan imaging: aperture cells of at most SUPPORT_PITCH, else FALLBACK_PITCH,
+# a sampling guard of MAX_CYCLES_PER_CELL cycles per cell, TABLE_BLOCK pupil
+# entries tabulated at a time (0.4 MB of scratch), and SCAN_BLOCK steps imaged
+# and noised at a time, in reused buffers small enough for concurrent scans.
+SUPPORT_PITCH = 10e-6
+FALLBACK_PITCH = 2.5e-6
 MAX_CYCLES_PER_CELL = 0.25
+TABLE_BLOCK = 1024
 SCAN_BLOCK = 8
 
 
@@ -377,107 +375,112 @@ def _next_fast_len(n: int) -> int:
 
 
 class _ScanPupil:
-    """The pupil of one scan on its aperture cells: cells of width h centred
-    at u_j tile the aperture, and pupil(v) is the Fresnel-integral field
-    (optics.fresnel_field) of the source's amplitude steps at offsets v
-    times the folded tilt factor exp(-i c v^2 / 2) of _ScanOptics.  At slit
-    position s = s_start + q h, q = 0 .. last, the cells read entries
-    last - q onwards of tabulate()'s table."""
+    """The pupil of one scan at the n + 1 edges u_e of its n aperture cells of
+    width h: pupil(v) is the Fresnel-integral field (optics.fresnel_field) of
+    the source's amplitude steps at offsets v times the folded tilt factor
+    exp(-i c v^2 / 2) of _ScanOptics; at slit position s = s_start + q h the
+    edges read entries last - q onwards of tabulate()'s table.  A step has the
+    fewest cells of at most SUPPORT_PITCH, or else FALLBACK_PITCH, whose width
+    guard_h passes the sampling guard (cycles) at s = 0 and every scan
+    position, rounded up to an even count."""
 
-    def __init__(self, source_field: SampledField, geom: Geometry, scan: ScanConfig):
-        lam = geom.wavelength
-        per_step = math.ceil(scan.step / SUPPORT_PITCH * (1 - 1e-12))
-        self.h = h = scan.step / per_step
-        self.u = scan.aperture_left_edge() + h * (np.arange(scan.width_elems() * per_step) + 0.5)
+    def __init__(self, source_field: SampledField, geom: Geometry, scan: ScanConfig,
+                 detector: DetectorConfig):
+        lam, l_s, l_c = geom.wavelength, geom.dist_slits_lens, geom.dist_lens_detector
+        left = scan.aperture_left_edge()
         self.steps = amplitude_steps(source_field)
-        self.chirp = np.pi * scan.stage_ratio / (lam * geom.dist_lens_detector)  # c / 2
-        self.fresnel = partial(fresnel_field, self.steps, geom.dist_slits_lens, lam)
+        # ray optics: the integrand's local frequency is affine in the lit source
+        # point (between the outermost amplitude steps), the cell and the camera
+        # point -stage_ratio s + xi, to an eighth of a pixel beyond the detector
+        edges, half = self.steps[0], (detector.n_pixels / 2 + 1 / 8) * detector.pixel_pitch
+        defocus = 1 / l_s + 1 / l_c - 1 / geom.focal_length
+        terms = [np.array([left, left + scan.aperture_width]) * defocus,
+                 -np.array([edges.min(initial=0.0), edges.max(initial=0.0)]) / l_s,
+                 np.array([-half, half]) / l_c]
+        with np.errstate(over="ignore"):  # an infinite frequency fails the sampling guard
+            self.freq = np.array([sum(t.min() for t in terms), sum(t.max() for t in terms)]) / lam
+        self.freq_slope = (scan.stage_ratio / l_c - 1 / l_s) / lam
+        ends = np.array([0.0, scan.s_start, scan.s_start + (scan.n_steps - 1) * scan.step])
+        for pitch in (SUPPORT_PITCH, FALLBACK_PITCH):  # the guard is convex in s
+            per_step = math.ceil(scan.step / pitch * (1 - 1e-12))
+            self.guard_h = scan.step / per_step
+            if not (self.cycles(ends) > MAX_CYCLES_PER_CELL).any():
+                break
+        per_step += per_step % 2  # Simpson's rule takes an even count
+        self.h = h = scan.step / per_step
+        self.u = left + h * np.arange(scan.width_elems() * per_step + 1)
+        self.chirp = np.pi * scan.stage_ratio / (lam * l_c)  # c / 2
+        self.fresnel = partial(fresnel_field, self.steps, l_s, lam)
         self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
+        self.key = (left, scan.stage_ratio, h)  # with RunConfig's step, start and count
+
+    def cycles(self, s: np.ndarray) -> np.ndarray:
+        """The integrand's most cycles per guard cell at each slit position s."""
+        return self.guard_h * np.abs(self.freq + self.freq_slope * s[:, np.newaxis]).max(axis=1)
 
     def pupil(self, v: np.ndarray, out=None) -> np.ndarray:
         """The pupil at offsets v times the folded tilt factor exp(-i c v^2 / 2)."""
         return np.multiply(self.fresnel(v), np.exp(-1j * self.chirp * v**2), out=out)
 
     def tabulate(self) -> np.ndarray:
-        """The pupil at every scan position's cells, read-only, tabulated
-        FRESNEL_BLOCK entries at a time, so that no scratch array grows with
+        """The pupil at every scan position's edges, read-only, tabulated
+        TABLE_BLOCK entries at a time, so that no scratch array grows with
         the scan's length."""
         table = np.empty(self.last + self.u.size, complex)
-        for start in range(0, table.size, FRESNEL_BLOCK):
-            q = np.arange(start, min(start + FRESNEL_BLOCK, table.size)) - self.last
+        for start in range(0, table.size, TABLE_BLOCK):
+            q = np.arange(start, min(start + TABLE_BLOCK, table.size)) - self.last
             self.pupil(self.u[0] - self.s_start + self.h * q, out=table[start : start + q.size])
         table.flags.writeable = False
         return table
 
 
-def pupil_table(source_field: SampledField, geom: Geometry, scan: ScanConfig) -> np.ndarray:
+def pupil_table(source_field: SampledField, geom: Geometry, scan: ScanConfig,
+                detector: DetectorConfig) -> np.ndarray:
     """The scan's read-only pupil table, without the rest of its optics.
 
-    A scan with the same source, geometry, step, start, step count,
-    aperture left edge and stage ratio reads the same values from the
-    table's first entries, however wide its aperture; run_scan takes the
-    table of the widest such scan.
+    A scan of the same source, geometry, step, start, step count and
+    _ScanPupil.key reads the same values from the table's first entries,
+    however wide its aperture; run_scan takes the widest such scan's table.
     """
-    return _ScanPupil(source_field, geom, scan).tabulate()
+    return _ScanPupil(source_field, geom, scan, detector).tabulate()
 
 
 class _ScanOptics(_ScanPupil):
     """The step-invariant optics of one scan; images(positions) images the
-    slits at each position, one batched transform per block of steps.
-
-    No simulation grid is involved.  Cells of width h centred at u_j tile
-    the aperture, so every aperture weight is 1.  The pupil U(u_j - s) is
-    the Fresnel-integral field (optics.fresnel_field) of the source's
-    amplitude steps, read once, tabulated for the scan's positions (the
-    first entries of a given table, or a table of its own); other s
-    are evaluated directly.  Up to a unimodular factor the camera field is
-    V(x) = h / sqrt(lambda L_C) sum_j U(u_j - s) lens(u_j) exp(i pi u_j^2 /
-    (lambda L_C) - 2 pi i x u_j / (lambda L_C)), evaluated at SUBSAMPLES
-    points per pixel plus one beyond each end of the detector by Bluestein's
-    chirp-z transform: a chirp premultiply, one FFT convolution and a chirp
-    postmultiply.  The detector's offset -stage_ratio s is the linear phase
-    exp(i c s u), c = 2 pi stage_ratio / (lambda L_C), on the cells, which
-    is exp(i c u^2 / 2) exp(-i c (u - s)^2 / 2) exp(i c s^2 / 2): the first
-    factor and the chirp premultiply are step-invariant and sit in weights,
-    the second rides with the pupil, and the third is one phase per step
-    that |V|^2 drops.  So a step is a row of pupil values times weights,
-    and SCAN_BLOCK rows share one FFT call; each row's bits do not depend
-    on the block.  A pixel sums |V|^2 over its points with the
-    Euler-Maclaurin end correction from its neighbours.
+    slits at each position.  No simulation grid is involved: a step reads its
+    pupil U(u_e - s) from the table, or evaluates it off the table's
+    positions.  By Simpson's rule, and up to a unimodular factor, the camera
+    field at detector point xi is V(xi) = sum_e a_e exp(-i kappa u_e xi),
+    kappa = 2 pi / (lambda L_C), a_e = Simpson weight x U(u_e - s) lens(u_e)
+    exp(i pi u_e^2 / (lambda L_C) + i c s u_e) / sqrt(lambda L_C).  The
+    camera's offset -stage_ratio s gives that exp(i c s u), c = 2 pi
+    stage_ratio / (lambda L_C), which is exp(i c u^2 / 2) exp(-i c (u - s)^2
+    / 2) exp(i c s^2 / 2): the first factor sits in weights, the second rides
+    with the pupil, |V|^2 drops the third.  So |V(xi)|^2 = sum_{D=-n..n} R(D)
+    exp(-i kappa h D xi), R the autocorrelation of a row of pupil values
+    times weights, and a pixel of width w at xi_p is its closed-form integral
+    Re sum_{D=0..n} (2 - [D = 0]) R(D) w sinc(kappa h D w / 2) exp(-i kappa
+    h D xi_p): one Bluestein chirp-z transform for all pixels (a chirp
+    premultiply in lag_weights, an FFT convolution, a chirp postmultiply).
+    SCAN_BLOCK rows share each FFT call; a row's bits do not depend on the block.
     """
 
     def __init__(self, source_field: SampledField, geom: Geometry, scan: ScanConfig,
                  detector: DetectorConfig, table: np.ndarray | None = None):
-        super().__init__(source_field, geom, scan)
-        lam, l_s, l_c = geom.wavelength, geom.dist_slits_lens, geom.dist_lens_detector
-        h, left = self.h, scan.aperture_left_edge()
-        self.table = (self.tabulate() if table is None else table)[: self.last + self.u.size]
-        sub = detector.pixel_pitch / SUBSAMPLES
-        first = -detector.n_pixels * detector.pixel_pitch / 2 - sub / 2
-        k = 2 * np.pi * h / (lam * l_c)
-        n, self.m = self.u.size, detector.n_pixels * SUBSAMPLES + 2
-        w, a = np.exp(-1j * k * sub), np.exp(1j * k * first)
-        j = np.arange(max(self.m, n))
-        # the chirps w^(j^2/2) and a^-j from one complex log of each base:
-        # w ** b takes the log of w again for every element
-        wk2 = np.exp(j**2 / 2.0 * np.log(w))
-        self.wk2 = wk2[: self.m]
-        self.nfft = _next_fast_len(n + self.m - 1)
-        self.fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[: self.m])), self.nfft)
-        self.weights = _lens_phase(self.u, geom)
+        super().__init__(source_field, geom, scan, detector)
+        lam, l_c = geom.wavelength, geom.dist_lens_detector
+        n, m, w = self.u.size - 1, detector.n_pixels, detector.pixel_pitch
+        self.table = (self.tabulate() if table is None else table)[: self.last + n + 1]
+        simpson = np.concatenate(([1.0], np.tile([4.0, 2.0], n // 2)[:-1], [1.0])) * self.h / 3
+        self.weights = _lens_phase(self.u, geom) * simpson / math.sqrt(lam * l_c)
         self.weights *= np.exp(1j * (np.pi / (lam * l_c) + self.chirp) * self.u**2)
-        self.weights *= h * np.sqrt(sub / (lam * l_c)) * np.exp(-j[:n] * np.log(a)) * wk2[:n]
-        # ray optics: the integrand's local frequency is affine in the lit
-        # source point (between the outermost amplitude steps), the cell and
-        # the detector point -stage_ratio s + xi
-        edges = self.steps[0]
-        defocus = 1 / l_s + 1 / l_c - 1 / geom.focal_length
-        terms = [np.array([left, left + scan.aperture_width]) * defocus,
-                 -np.array([edges.min(initial=0.0), edges.max(initial=0.0)]) / l_s,
-                 np.array([first, -first]) / l_c]
-        with np.errstate(over="ignore"):  # an infinite frequency fails the sampling guard
-            self.freq = np.array([sum(t.min() for t in terms), sum(t.max() for t in terms)]) / lam
-        self.freq_slope = (scan.stage_ratio / l_c - 1 / l_s) / lam
+        theta = 2 * np.pi * self.h * w / (lam * l_c)  # kappa h w, a lag's phase across a pixel
+        lag, k = np.arange(n + 1.0), np.arange(-n, m, dtype=float)
+        pixel = np.where(lag > 0, 2 * w, w) * np.sinc(theta * lag / (2 * np.pi))
+        self.lag_weights = pixel * np.exp(-1j * theta * lag * (lag / 2 - detector.center_index))
+        self.n_acf, self.nfft = _next_fast_len(2 * n + 1), _next_fast_len(n + m)
+        self.kernel = fft(np.exp(0.5j * theta * k**2), self.nfft)
+        self.post = np.exp(-0.5j * theta * k[n:] ** 2)
         self.gain = detector.gain
 
     def images(self, positions) -> np.ndarray:
@@ -485,7 +488,7 @@ class _ScanOptics(_ScanPupil):
         unit exposure.  Every position is held to the sampling bound before
         any is imaged; the first that fails raises, named as scan step k."""
         positions = np.asarray(positions, dtype=float)
-        cycles = self.h * np.abs(self.freq + self.freq_slope * positions[:, np.newaxis]).max(axis=1)
+        cycles = self.cycles(positions)
         if (cycles > MAX_CYCLES_PER_CELL).any():
             k = int(np.argmax(cycles > MAX_CYCLES_PER_CELL))
             raise ConfigurationError(
@@ -496,34 +499,30 @@ class _ScanOptics(_ScanPupil):
         q = (positions - self.s_start) / self.h
         i = self.last - np.round(q)
         tabulated = (np.abs(q - np.round(q)) < 1e-6) & (0 <= i) & (i <= self.last)
-        n, m = self.u.size, self.m
-        pixels = np.empty((positions.size, (m - 2) // SUBSAMPLES))
-        padded = np.empty((min(SCAN_BLOCK, positions.size), self.nfft), complex)
-        squares = np.empty((len(padded), m))
+        edges, m = self.u.size, self.post.size
+        pixels = np.empty((positions.size, m))
+        acf = np.empty((min(SCAN_BLOCK, positions.size), self.n_acf), complex)
+        czt = np.empty((len(acf), self.nfft), complex)
         for start in range(0, positions.size, SCAN_BLOCK):
             out = pixels[start : start + SCAN_BLOCK]
-            field = padded[: len(out)]
-            for row, k in zip(field, range(start, start + len(out))):
+            a, z = acf[: len(out)], czt[: len(out)]
+            for row, k in zip(z, range(start, start + len(out))):
                 if tabulated[k]:
-                    pupil = self.table[int(i[k]) : int(i[k]) + n]
+                    pupil = self.table[int(i[k]) : int(i[k]) + edges]
                 else:
                     pupil = self.pupil(self.u - positions[k])
-                np.multiply(pupil, self.weights, out=row[:n])
-            field[:, n:] = 0
-            fft(field, out=field)
-            field *= self.fwk2
-            points = ifft(field, out=field)[:, n - 1 : n + m - 1]
-            points *= self.wk2
-            power = np.square(points.real, out=squares[: len(out)])
-            power += points.imag**2
-            out[...] = power[:, 1:-1:SUBSAMPLES]
-            for r in range(2, SUBSAMPLES + 1):  # left to right, as numpy sums a short row
-                out += power[:, r:-1:SUBSAMPLES]
-            # a pixel's midpoint sum misses d^2 (f'(b) - f'(a)) / 24; d f' at
-            # an edge is the difference of the two points around it
-            slope = power[:, 1::SUBSAMPLES] - power[:, 0:-1:SUBSAMPLES]
-            out += (slope[:, 1:] - slope[:, :-1]) / 24
-            np.maximum(out, 0.0, out=out)
+                np.multiply(pupil, self.weights, out=row[:edges])
+            fft(z[:, :edges], self.n_acf, out=a)
+            re, im = a.real, a.imag
+            np.add(np.square(re, out=re), np.square(im, out=im), out=re)
+            im[...] = 0
+            ifft(a, out=a)  # the autocorrelation R, lags 0 .. n first
+            a[:, :edges] *= self.lag_weights
+            fft(a[:, :edges], self.nfft, out=z)
+            z *= self.kernel
+            values = ifft(z, out=z)[:, edges - 1 : edges - 1 + m]  # pixel p at lag p + n
+            values *= self.post
+            np.maximum(values.real, 0.0, out=out)
         return pixels
 
     def step(self, s: float) -> np.ndarray:

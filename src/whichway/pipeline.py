@@ -11,6 +11,7 @@ from .errors import ConfigurationError, DataError
 from .instrument import (
     ScanSeries,
     _pixel_profile,
+    _ScanPupil,
     flux_vector,
     pupil_table,
     run_scan,
@@ -76,25 +77,25 @@ def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
     """Every configured scan (run_scan), in config order.
 
     The scans share their step, start and step count (RunConfig), so those
-    with one aperture left edge and one stage ratio read the same pupil
-    values: the calling thread tabulates each such group's pupil once, as
-    the table of its widest scan (instrument.pupil_table), before any scan
-    starts.  Where that table fails, each scan of the group tabulates its
-    own and fails in its turn.  The scans share only the source and these
-    read-only tables, and each draws its own noise stream, so they run on
-    up to one thread per CPU the process may use, the calling thread
-    included; numpy's FFTs and array loops release the GIL.  Each thread
+    with one aperture left edge, stage ratio and cell width (_ScanPupil.key)
+    read the same pupil values: the calling thread tabulates each such
+    group's pupil once, as its widest scan's table (instrument.pupil_table),
+    before any scan starts.  Where that table fails, each scan of the group
+    tabulates its own and fails in its turn.  The scans share only the
+    source and these read-only tables, and each draws its own noise stream,
+    so they run on up to one thread per CPU the process may use, the calling
+    thread included; numpy's FFTs and array loops release the GIL.  Each thread
     stops at its first failure, and once every thread has ended the first
     scan in config order that failed raises its error here.
     """
     source = make_source(cfg)
     scans = cfg.scans
-    keys = [(scan.aperture_left_edge(), scan.stage_ratio) for scan in scans]
+    keys = [_ScanPupil(source, cfg.geometry, scan, cfg.detector).key for scan in scans]
     tables: dict = {}
     for i in sorted(range(len(scans)), key=lambda i: -scans[i].width_elems()):
         if keys[i] not in tables:
             try:
-                tables[keys[i]] = pupil_table(source, cfg.geometry, scans[i])
+                tables[keys[i]] = pupil_table(source, cfg.geometry, scans[i], cfg.detector)
             except Exception:  # so that the first failing scan in config order decides
                 tables[keys[i]] = None
     workers = min(len(scans), _usable_cpus())

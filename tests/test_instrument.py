@@ -1,4 +1,3 @@
-import math
 import operator
 import os
 import threading
@@ -8,7 +7,6 @@ from functools import partial, reduce
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.signal import CZT
 
 import whichway as ww
 from whichway import instrument, pipeline
@@ -21,7 +19,6 @@ from whichway.instrument import (
     _midlines,
     _next_fast_len,
     ordered_sum,
-    scan_tag,
 )
 from whichway.optics import GridSpec, SampledField, amplitude_steps, double_slit_field, fresnel_field
 
@@ -121,8 +118,8 @@ def test_split_signals():
 
 # The direct-quadrature oracle of a scan step.  Nothing is periodic and no
 # FFT is used.  The aperture is cut into 10 um panels of 5 Gauss-Legendre
-# nodes each (mean node spacing 2 um, finer than the engine's 2.5 um
-# cells), which end exactly at the aperture edges.  The pupil at each node
+# nodes each (mean node spacing 2 um, finer than the engine's cells of at
+# most 10 um), which end exactly at the aperture edges.  The pupil at each node
 # is the Fresnel-integral field, itself checked against quadrature of the
 # Fresnel kernel in test_optics.  Each pixel integrates |V|^2 over 8
 # Gauss-Legendre points.
@@ -130,9 +127,10 @@ ORACLE_PANEL = 10e-6
 ORACLE_PANEL_NODES = 5
 ORACLE_PIXEL_NODES = 8
 # the scan engine must match the oracle to these fractions of each step's
-# peak pixel and of its flux
-ORACLE_PEAK_TOL = 1e-3
-ORACLE_FLUX_TOL = 1e-3
+# peak pixel and of its flux (on the 2^16-2^18 sources at 2-8 mm it reads at
+# most 5.1e-6 and 3.7e-5)
+ORACLE_PEAK_TOL = 1e-5
+ORACLE_FLUX_TOL = 1e-4
 
 
 def _oracle_profiles(geom, scan, det, steps):
@@ -164,12 +162,12 @@ def _oracle_profiles(geom, scan, det, steps):
     return np.einsum("psq,q->sp", power, det.pixel_pitch / 2 * weights)
 
 
-def _assert_within_oracle(rows, oracle):
+def _assert_within_oracle(rows, oracle, peak_tol=ORACLE_PEAK_TOL, flux_tol=ORACLE_FLUX_TOL):
     """Per row: the largest pixel error over the peak pixel, and the flux error."""
     peak = np.abs(rows - oracle).max(axis=1) / oracle.max(axis=1)
     flux = np.abs(rows.sum(axis=1) / oracle.sum(axis=1) - 1)
-    assert peak.max() <= ORACLE_PEAK_TOL, f"peak-pixel errors {peak}"
-    assert flux.max() <= ORACLE_FLUX_TOL, f"flux errors {flux}"
+    assert peak.max() <= peak_tol, f"peak-pixel errors {peak}"
+    assert flux.max() <= flux_tol, f"flux errors {flux}"
 
 
 @pytest.fixture(scope="module")
@@ -179,20 +177,43 @@ def small_source(quiet_cfg):
     )
 
 
-@pytest.mark.parametrize("width", [2e-3, 4e-3, 8e-3])
-def test_scan_engine_matches_the_oracle(quiet_cfg, width):
+# Each case is (scan, the width of its cells, the peak and flux tolerances).
+# The default 301-step scan at four widths; 81 steps of 0.05 mm, where 5
+# cells of 10 um a step are rounded up to 6 for an even count; and a camera
+# that lags the image (stage ratio 0.2) at s of -38 to -10 mm, where 10 um
+# cells fail the sampling guard and 2.5 um cells pass.  That camera sees
+# only the image's far tail, 1e-10 as bright as the s = 0 step, where the
+# integrand turns up to the guard's 0.25 cycles a cell and Simpson's rule
+# errs by about (pi / 2)^4 / 180: 4.0e-2 of the peak and 3.9e-2 of the flux
+# at s = -38 mm (the four-point midpoint engine read 0.10 and 0.15).
+ORACLE_SCANS = {
+    **{f"{width:g}": (dict(aperture_width=width), 1e-5, ORACLE_PEAK_TOL, ORACLE_FLUX_TOL)
+       for width in (2e-3, 4e-3, 5e-3, 8e-3)},
+    "odd": (dict(aperture_width=4.05e-3, step=5e-5), 5e-5 / 6, ORACLE_PEAK_TOL, ORACLE_FLUX_TOL),
+    "lagging": (
+        dict(aperture_width=4e-3, step=1e-3, n_steps=29, s_start=-38e-3, stage_ratio=0.2),
+        2.5e-6, 5e-2, 5e-2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_SCANS)
+def test_scan_engine_matches_the_oracle(quiet_cfg, case):
     geom, det = quiet_cfg.geometry, quiet_cfg.detector
-    scan = ww.ScanConfig(aperture_width=width)  # the default 301-step scan
-    positions = [scan.s_start + k * scan.step for k in (0, 75, 150, 225, 300)]
+    kwargs, h, peak_tol, flux_tol = ORACLE_SCANS[case]
+    scan = ww.ScanConfig(**kwargs)
+    positions = [scan.s_start + k * scan.step for k in np.linspace(0, scan.n_steps - 1, 5).round()]
     rows, steps = [], []
     for grid_n in (2**16, 2**17, 2**18):
         source = double_slit_field(
             geom, GridSpec(grid_n, quiet_cfg.grid.half_span), quiet_cfg.illumination_tilt
         )
         optics = instrument._ScanOptics(source, geom, scan, det)
+        assert optics.h == pytest.approx(h, rel=1e-12) and optics.u.size % 2 == 1
         rows += [optics.step(s) for s in positions]
         steps += [(source, s) for s in positions]
-    _assert_within_oracle(np.array(rows), _oracle_profiles(geom, scan, det, steps))
+    oracle = _oracle_profiles(geom, scan, det, steps)
+    _assert_within_oracle(np.array(rows), oracle, peak_tol, flux_tol)
 
 
 def test_auto_exposure_targets_the_full_well_fraction(quiet_cfg, source):
@@ -216,106 +237,6 @@ def test_steps_off_the_scan_positions_evaluate_the_pupil_directly(quiet_cfg, sma
     shifted = replace(scan, s_start=scan.s_start + instrument.SUPPORT_PITCH / 3)
     direct = instrument._ScanOptics(small_source, geom, shifted, det).step(s)
     assert np.allclose(direct, tabulated, rtol=1e-9, atol=1e-12 * tabulated.max())
-
-
-# The engine before the detector tilt and the chirps were folded into
-# per-scan weights: each step's cells times the pupil, the thin lens, the
-# L_C chirp and the detector-offset tilt exp(i s tilt), through
-# scipy.signal.CZT onto SUBSAMPLES points per pixel and one beyond each end.
-# Only the rounding differs from the engine, so rows must agree to
-# OLD_PATH_TOL of each step's peak.
-OLD_PATH_TOL = 1e-12
-
-
-def _old_path(source, geom, scan, det, positions):
-    """Noiseless unit-exposure pixel rows at positions, and the CZT used."""
-    lam, l_s, l_c = geom.wavelength, geom.dist_slits_lens, geom.dist_lens_detector
-    per_step = math.ceil(scan.step / instrument.SUPPORT_PITCH * (1 - 1e-12))
-    h = scan.step / per_step
-    u = scan.aperture_left_edge() + h * (np.arange(scan.width_elems() * per_step) + 0.5)
-    sub = det.pixel_pitch / instrument.SUBSAMPLES
-    weights = np.exp(-1j * np.pi * u**2 / (lam * geom.focal_length))
-    weights *= np.exp(1j * np.pi * u**2 / (lam * l_c)) * h * np.sqrt(sub / (lam * l_c))
-    tilt = 2 * np.pi * scan.stage_ratio / (lam * l_c) * u
-    first = -det.n_pixels * det.pixel_pitch / 2 - sub / 2
-    k = 2 * np.pi * h / (lam * l_c)
-    czt = CZT(u.size, det.n_pixels * instrument.SUBSAMPLES + 2,
-              w=np.exp(-1j * k * sub), a=np.exp(1j * k * first))
-    s = np.asarray(positions, dtype=float)[:, np.newaxis]
-    pupil = fresnel_field(amplitude_steps(source), l_s, lam, u - s)
-    points = czt(pupil * weights * np.exp(1j * s * tilt))
-    power = points.real**2 + points.imag**2
-    pixels = power[:, 1:-1].reshape(s.size, det.n_pixels, instrument.SUBSAMPLES).sum(axis=2)
-    pixels += np.diff(np.diff(power)[:, :: instrument.SUBSAMPLES]) / 24
-    return np.maximum(pixels, 0.0), czt
-
-
-class _OldPathOptics(instrument._ScanOptics):
-    """_ScanOptics whose images come from the old path."""
-
-    def __init__(self, source, geom, scan, det, table=None):
-        super().__init__(source, geom, scan, det, table)
-        self.setup = source, geom, scan, det
-
-    def images(self, positions):
-        return _old_path(*self.setup, positions)[0]
-
-
-@pytest.mark.parametrize("index, n, nfft", [(0, 1600, 5760), (1, 2000, 6125)])
-def test_run_scan_matches_the_old_path(quiet_cfg, source, quiet_series, index, n, nfft):
-    # every step of the default 4 and 5 mm scans, the exposure step included
-    geom, det = quiet_cfg.geometry, quiet_cfg.detector
-    series = quiet_series[index]
-    scan = series.config
-    old, czt = _old_path(source, geom, scan, det, [0.0, *series.records.slit_position])
-    optics = instrument._ScanOptics(source, geom, scan, det)
-    m = det.n_pixels * instrument.SUBSAMPLES + 2
-    assert (czt.n, czt.m, czt._nfft) == (optics.u.size, optics.m, optics.nfft) == (n, m, nfft)
-    assert scan.exposure * old[0].max() == pytest.approx(
-        AUTO_EXPOSURE_FRACTION * FULL_WELL, rel=OLD_PATH_TOL
-    )
-    rows = series.profiles / scan.exposure
-    error = np.abs(rows - old[1:]).max(axis=1) / old[1:].max(axis=1)
-    assert error.max() <= OLD_PATH_TOL, f"largest error {error.max():.3g} of a step's peak"
-
-
-# The chirps come from one complex log per base, where numpy's power takes
-# the log per element.  With glibc the two agree to the bit, but where the
-# power multiplies out a small integer exponent (|b| < 100: 7 entries of
-# w^(j^2/2), 98 of a^-j) it drifts from the exact power by up to 14 ulp,
-# and the log form by under 9.  A libm whose clog or cexp differs fails
-# here before it fails the old-path test.
-CHIRP_ULP = 32
-
-
-@pytest.mark.parametrize("width", [2e-3, 4e-3, 5e-3, 8e-3])
-def test_the_chirps_equal_numpys_complex_power(quiet_cfg, small_source, width):
-    # apertures of 800 to 3200 cells at the default scan step
-    geom, det = quiet_cfg.geometry, quiet_cfg.detector
-    optics = instrument._ScanOptics(small_source, geom, ww.ScanConfig(aperture_width=width), det)
-    lam, l_c = geom.wavelength, geom.dist_lens_detector
-    sub = det.pixel_pitch / instrument.SUBSAMPLES
-    first = -det.n_pixels * det.pixel_pitch / 2 - sub / 2
-    k = 2 * np.pi * optics.h / (lam * l_c)
-    w, a = np.exp(-1j * k * sub), np.exp(1j * k * first)
-    n = optics.u.size
-    j = np.arange(max(optics.m, n))
-    wk2 = w ** (j**2 / 2.0)
-    eps = np.finfo(float).eps
-    assert np.abs(optics.wk2 - wk2[: optics.m]).max() <= CHIRP_ULP * eps
-    weights = instrument._lens_phase(optics.u, geom)
-    weights *= np.exp(1j * (np.pi / (lam * l_c) + optics.chirp) * optics.u**2)
-    weights *= optics.h * np.sqrt(sub / (lam * l_c)) * a ** -j[:n] * wk2[:n]
-    assert np.all(np.abs(optics.weights - weights) <= CHIRP_ULP * eps * np.abs(weights))
-
-
-def test_seed_0_scan_csvs_equal_the_old_path_bytes(cli_run, tmp_path, monkeypatch):
-    monkeypatch.setattr(instrument, "_ScanOptics", _OldPathOptics)
-    cfg = load_config(seed=0)
-    for scan, series in zip(cfg.scans, pipeline.run_all_scans(cfg)):
-        name = f"scan_{scan_tag(scan.aperture_width)}.csv"
-        series.to_csv(tmp_path / name)
-        assert (tmp_path / name).read_bytes() == (cli_run / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("block", [1, 7, instrument.SCAN_BLOCK, 301])
@@ -371,10 +292,12 @@ def test_run_scan_matches_the_oracle(quiet_cfg, small_source, width):
     checked = [0, 5, 11]
     positions = [0.0, *(base.s_start + k * base.step for k in checked)]
     oracle = _oracle_profiles(geom, base, quiet_det, [(small_source, s) for s in positions])
-    assert exposure * oracle[0].max() == pytest.approx(
-        AUTO_EXPOSURE_FRACTION * FULL_WELL, rel=ORACLE_PEAK_TOL
-    )
-    _assert_within_oracle(quiet.profiles[checked] / exposure, oracle[1:])
+    # a one-step aperture's image spreads over the whole detector, whose far
+    # pixels 10 um Simpson cells resolve to 2.1e-5 of the peak (the four-point
+    # midpoint engine: 8.1e-6)
+    peak_tol = 3e-5 if width == 5e-4 else ORACLE_PEAK_TOL
+    assert exposure * oracle[0].max() == pytest.approx(AUTO_EXPOSURE_FRACTION * FULL_WELL, rel=peak_tol)
+    _assert_within_oracle(quiet.profiles[checked] / exposure, oracle[1:], peak_tol)
     # exposure, noise, midline and split on top of the noiseless rows
     for noise in (False, True):
         det = ww.DetectorConfig(noise_enabled=noise, rng_seed=11)
@@ -719,7 +642,7 @@ def test_run_all_scans_equals_run_scan_per_scan_in_order(monkeypatch, noise, cpu
 
 
 def test_the_default_run_tabulates_the_pupil_once(monkeypatch):
-    # the 4 mm scan reads the first 13,600 entries of the 5 mm scan's 14,000
+    # the 4 mm scan reads the first 3,401 entries of the 5 mm scan's 3,501
     positions = []
 
     def counted(steps, distance, wavelength, x):
@@ -728,7 +651,7 @@ def test_the_default_run_tabulates_the_pupil_once(monkeypatch):
 
     monkeypatch.setattr(instrument, "fresnel_field", counted)
     pipeline.run_all_scans(load_config(seed=0))
-    assert sum(positions) == 300 * 40 + 50 * 40 == 14_000
+    assert sum(positions) == 300 * 10 + 50 * 10 + 1 == 3_501
 
 
 def test_a_table_that_fails_leaves_each_scan_its_own(monkeypatch, quiet_cfg):
@@ -748,17 +671,17 @@ def test_a_table_that_fails_leaves_each_scan_its_own(monkeypatch, quiet_cfg):
 def test_the_pupil_table_is_the_scan_optics_table(quiet_cfg, small_source):
     geom, det = quiet_cfg.geometry, quiet_cfg.detector
     wide, narrow = (ww.ScanConfig(aperture_width=w, n_steps=21, s_start=-1e-3) for w in (5e-3, 4e-3))
-    table = instrument.pupil_table(small_source, geom, wide)
+    table = instrument.pupil_table(small_source, geom, wide, det)
     assert table.tobytes() == instrument._ScanOptics(small_source, geom, wide, det).table.tobytes()
     # a narrower aperture of the same left edge reads the first entries
     own = instrument._ScanOptics(small_source, geom, narrow, det).table
     shared = instrument._ScanOptics(small_source, geom, narrow, det, table).table
-    assert own.size == table.size - 10 * 40 and shared.tobytes() == own.tobytes()
+    assert own.size == table.size - 10 * 10 and shared.tobytes() == own.tobytes()
 
 
 def test_a_shared_pupil_table_cannot_be_written(quiet_cfg, small_source):
     scan = ww.ScanConfig(aperture_width=4e-3, n_steps=3, s_start=-1e-3)
-    table = instrument.pupil_table(small_source, quiet_cfg.geometry, scan)
+    table = instrument.pupil_table(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector)
     optics = instrument._ScanOptics(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector, table)
     for array in (table, optics.table):
         with pytest.raises(ValueError, match="read-only"):
