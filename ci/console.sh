@@ -14,7 +14,10 @@
 # whose readout noise alone sums positive that exits 4 below its light floor
 # and creates no directory, scan
 # artifacts that do not depend on the core count, nor do those of three
-# scans that read two shared pupil tables, two reconstructs and two
+# scans that read two shared pupil tables, a 4 and a 5 mm scan whose 5 mm
+# scan (stage ratio 5) fails the imaging sampling bound, which exits 2 with
+# one error line naming a5mm, the same on one core as on all, and creates no
+# directory, two reconstructs and two
 # reports in one process that write what separate processes wrote, a scan
 # whose peak memory does not grow with the source grid, and an output
 # directory that cannot be created.
@@ -156,6 +159,21 @@ whichway scan --config "$tmp/groups.json" --out "$tmp/groups-all-cores" --no-noi
 for f in scan_a1mm.csv scan_a1mm.json scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
   cmp "$tmp/groups-one-core/$f" "$tmp/groups-all-cores/$f"
 done
+# a sampling-bound failure names its scan: the same one error line on one
+# core and on all, exit 2, and no directory
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004},
+  {"aperture_width_m": 0.005, "stage_ratio": 5.0}]}' > "$tmp/bound.json"
+one=0
+taskset -c 0 whichway scan --config "$tmp/bound.json" --out "$tmp/bound-one" 2> "$tmp/err-one" || one=$?
+all=0
+whichway scan --config "$tmp/bound.json" --out "$tmp/bound-all" 2> "$tmp/err-all" || all=$?
+test "$one" = 2
+test "$all" = 2
+test "$(wc -l < "$tmp/err-one")" = 1
+grep -q '^error: scan a5mm: scan step 0 .*sampling bound' "$tmp/err-one"
+cmp "$tmp/err-one" "$tmp/err-all"
+test ! -e "$tmp/bound-one"
+test ! -e "$tmp/bound-all"
 # the factor cache and the profile match's rows carry nothing from one run to
 # the next: a noisy reconstruct and report, then --no-noise ones, made in one
 # process write what a process of its own wrote for each

@@ -354,12 +354,13 @@ def auto_exposure(
 # Scan imaging: aperture cells of at most SUPPORT_PITCH, else FALLBACK_PITCH,
 # a sampling guard of MAX_CYCLES_PER_CELL cycles per cell, TABLE_BLOCK pupil
 # entries tabulated at a time (0.4 MB of scratch), and SCAN_BLOCK steps imaged
-# and noised at a time, in reused buffers small enough for concurrent scans.
+# and noised at a time, in reused buffers small enough for concurrent scans
+# (at 8, two scan threads trade the GIL around each short FFT and draw).
 SUPPORT_PITCH = 10e-6
 FALLBACK_PITCH = 2.5e-6
 MAX_CYCLES_PER_CELL = 0.25
 TABLE_BLOCK = 1024
-SCAN_BLOCK = 8
+SCAN_BLOCK = 32
 
 
 def _next_fast_len(n: int) -> int:
@@ -413,6 +414,7 @@ class _ScanPupil:
         self.fresnel = partial(fresnel_field, self.steps, l_s, lam)
         self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
         self.key = (left, scan.stage_ratio, h)  # with RunConfig's step, start and count
+        self.tag = scan_tag(scan.aperture_width)
 
     def cycles(self, s: np.ndarray) -> np.ndarray:
         """The integrand's most cycles per guard cell at each slit position s."""
@@ -492,7 +494,8 @@ class _ScanOptics(_ScanPupil):
         if (cycles > MAX_CYCLES_PER_CELL).any():
             k = int(np.argmax(cycles > MAX_CYCLES_PER_CELL))
             raise ConfigurationError(
-                f"scan step {k} (s = {positions[k]:.4g} m): imaging sampling bound violated: "
+                f"scan {self.tag}: scan step {k} (s = {positions[k]:.4g} m): imaging sampling"
+                " bound violated: "
                 f"{cycles[k]:.3g} cycles per aperture cell (at most {MAX_CYCLES_PER_CELL}); "
                 "the detector lies too far from the slit image"
             )
@@ -501,24 +504,28 @@ class _ScanOptics(_ScanPupil):
         tabulated = (np.abs(q - np.round(q)) < 1e-6) & (0 <= i) & (i <= self.last)
         edges, m = self.u.size, self.post.size
         pixels = np.empty((positions.size, m))
-        acf = np.empty((min(SCAN_BLOCK, positions.size), self.n_acf), complex)
-        czt = np.empty((len(acf), self.nfft), complex)
+        # the two transforms take turns in one buffer, each on contiguous rows;
+        # both start from the block's rows of edge coefficients
+        rows = np.empty((min(SCAN_BLOCK, positions.size), edges), complex)
+        both = np.empty(len(rows) * max(self.n_acf, self.nfft), complex)
         for start in range(0, positions.size, SCAN_BLOCK):
             out = pixels[start : start + SCAN_BLOCK]
-            a, z = acf[: len(out)], czt[: len(out)]
-            for row, k in zip(z, range(start, start + len(out))):
+            r = rows[: len(out)]
+            a = both[: len(out) * self.n_acf].reshape(len(out), self.n_acf)
+            z = both[: len(out) * self.nfft].reshape(len(out), self.nfft)
+            for row, k in zip(r, range(start, start + len(out))):
                 if tabulated[k]:
                     pupil = self.table[int(i[k]) : int(i[k]) + edges]
                 else:
                     pupil = self.pupil(self.u - positions[k])
-                np.multiply(pupil, self.weights, out=row[:edges])
-            fft(z[:, :edges], self.n_acf, out=a)
+                np.multiply(pupil, self.weights, out=row)
+            fft(r, self.n_acf, out=a)
             re, im = a.real, a.imag
             np.add(np.square(re, out=re), np.square(im, out=im), out=re)
             im[...] = 0
             ifft(a, out=a)  # the autocorrelation R, lags 0 .. n first
-            a[:, :edges] *= self.lag_weights
-            fft(a[:, :edges], self.nfft, out=z)
+            np.multiply(a[:, :edges], self.lag_weights, out=r)
+            fft(r, self.nfft, out=z)
             z *= self.kernel
             values = ifft(z, out=z)[:, edges - 1 : edges - 1 + m]  # pixel p at lag p + n
             values *= self.post

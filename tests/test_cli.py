@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -892,7 +893,7 @@ def _scan_error(path, out, capsys, monkeypatch):
     assert threading.active_count() == baseline
     assert uncaught == []
     err = capsys.readouterr().err
-    assert err.startswith("error: scan step ") and err.count("\n") == 1, err
+    assert re.match(r"error: scan a\d+mm: scan step ", err) and err.count("\n") == 1, err
     assert not list(out.glob("scan_*.csv"))
     return err
 
@@ -900,6 +901,7 @@ def _scan_error(path, out, capsys, monkeypatch):
 def test_a_failing_second_scan_exits_2_as_on_one_cpu(tmp_path, capsys, monkeypatch):
     path = _scan_config(tmp_path, 1.07, 0.2)
     threaded = _scan_error(path, tmp_path / "threads", capsys, monkeypatch)
+    assert threaded.startswith("error: scan a5mm: scan step 3 ")  # the failing scan is named
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _scan_error(path, tmp_path / "serial", capsys, monkeypatch) == threaded
 

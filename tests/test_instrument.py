@@ -344,7 +344,8 @@ def test_scan_step_leaving_the_grid_names_the_first_such_step(quiet_cfg, small_s
 
     monkeypatch.setattr(instrument, "ifft", counted)
     with pytest.raises(
-        ww.ConfigurationError, match=r"^scan step 3 \(s = 0\.039 m\): imaging sampling bound"
+        ww.ConfigurationError,
+        match=r"^scan a4mm: scan step 3 \(s = 0\.039 m\): imaging sampling bound",
     ):
         ww.run_scan(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector)
     # every position is checked before any is imaged: no step was imaged
@@ -367,6 +368,9 @@ def test_centroid_midline_off_the_detector_falls_back_to_the_center(quiet_cfg, s
     assert np.array_equal(midlines, _midlines(series.profiles))
     assert np.all(midlines[off] == det.center_index)
     assert np.allclose(midlines[on], centroids[on], rtol=1e-12)
+    # its records split each row at that midline, as split_signals does
+    quiet = ww.run_scan(small_source, quiet_cfg.geometry, scan, ww.DetectorConfig())
+    _assert_scan_equals_expected(series, scan.exposure, *_expected_scan(quiet.profiles, scan, det))
 
 
 def _midlines_row_by_row(profiles):
@@ -424,16 +428,37 @@ def test_assignment_probability_equals_the_whole_matrix_masked_sum(quiet_cfg, qu
             assert ww.assignment_probability(series, guard_px)[0] == contamination
 
 
+# images' scratch beyond its pixels: SCAN_BLOCK rows of the steps' edge
+# coefficients and of the longer of the two transforms (2.5 MB at 32 rows for
+# a 4 mm scan on 2.5 um cells, 0.9 MB on 10 um cells), and about 0.4 MB of
+# numpy's ufunc buffers for the strided block views; 64 rows would take 5.4 MB
+IMAGES_SCRATCH_CAP = 4 * 2**20
+
+
 def test_the_scan_optics_scratch_does_not_grow_with_the_scan(quiet_cfg, source, traced_peak):
-    # the pupil table grows with the scan; nothing else the optics allocate may
-    def scratch(n_steps):
-        scan = ww.ScanConfig(aperture_width=4e-3, n_steps=n_steps, s_start=-(n_steps // 2) * 1e-4)
+    # the pupil table grows with the scan; nothing else the optics allocate
+    # may, and imaging a scan needs no more than its pixels and one block's
+    # buffers: on 10 um cells, and on the 2.5 um cells of a camera that lags
+    # the image (stage ratio 0.2, s from -38 mm) and fails the guard at 10 um
+    def scratch(n_steps, h, **kwargs):
+        scan = ww.ScanConfig(aperture_width=4e-3, n_steps=n_steps, **kwargs)
         build = partial(instrument._ScanOptics, source, quiet_cfg.geometry, scan, quiet_cfg.detector)
         build()
         optics, peak = traced_peak(build)
-        return peak - optics.table.nbytes
+        assert optics.h == pytest.approx(h, rel=1e-12)
+        positions = scan.s_start + scan.step * np.arange(n_steps)
+        optics.images(positions[:1])  # numpy keeps each transform length's plan
+        pixels, imaged = traced_peak(partial(optics.images, positions))
+        return peak - optics.table.nbytes, imaged - pixels.nbytes
 
-    assert scratch(1001) == pytest.approx(scratch(101), rel=0.1)
+    for h, kwargs in [
+        (10e-6, lambda n: dict(s_start=-(n // 2) * 1e-4)),
+        (2.5e-6, lambda n: dict(step=2e-5, s_start=-38e-3, stage_ratio=0.2)),
+    ]:
+        (built, imaged), (built_long, imaged_long) = (scratch(n, h, **kwargs(n)) for n in (101, 1001))
+        assert built_long == pytest.approx(built, rel=0.1)
+        assert imaged_long == pytest.approx(imaged, rel=0.1)
+        assert imaged_long < IMAGES_SCRATCH_CAP
 
 
 def test_scan_series_needs_a_midline_per_step(quiet_series):
@@ -655,17 +680,37 @@ def test_the_default_run_tabulates_the_pupil_once(monkeypatch):
 
 
 def test_a_table_that_fails_leaves_each_scan_its_own(monkeypatch, quiet_cfg):
-    scans = tuple(replace(scan, n_steps=51, s_start=-2e-3) for scan in quiet_cfg.scans)
+    # the 4 and 5 mm scans share a table, the 3 mm one at another stage ratio
+    # has its own; every table fails, then only the 3 mm one's
+    scans = tuple(
+        replace(quiet_cfg.scans[0], aperture_width=w, stage_ratio=r, n_steps=51, s_start=-2e-3)
+        for w, r in ((4e-3, 1.07), (5e-3, 1.07), (3e-3, 1.08))
+    )
     cfg = replace(quiet_cfg, scans=scans)
     source = pipeline.make_source(cfg)
     expected = [ww.run_scan(source, cfg.geometry, scan, cfg.detector) for scan in scans]
+    tables = {}
 
-    def fails(*args):
-        raise MemoryError
+    def recorded(*args):
+        tables[args[2].aperture_width] = args[4]
+        return ww.run_scan(*args)
 
-    monkeypatch.setattr(pipeline, "pupil_table", fails)
-    for series, reference in zip(pipeline.run_all_scans(cfg), expected, strict=True):
-        assert series.profiles.tobytes() == reference.profiles.tobytes()
+    monkeypatch.setattr(pipeline, "run_scan", recorded)
+    for failing in ((1.07, 1.08), (1.08,)):
+
+        def fails(source, geom, scan, det):
+            if scan.stage_ratio in failing:
+                raise MemoryError
+            return instrument.pupil_table(source, geom, scan, det)
+
+        monkeypatch.setattr(pipeline, "pupil_table", fails)
+        tables.clear()
+        for series, reference in zip(pipeline.run_all_scans(cfg), expected, strict=True):
+            assert series.records.tobytes() == reference.records.tobytes()
+            assert series.profiles.tobytes() == reference.profiles.tobytes()
+        assert tables[3e-3] is None
+        assert (tables[4e-3] is None) == (1.07 in failing)
+        assert tables[4e-3] is tables[5e-3]
 
 
 def test_the_pupil_table_is_the_scan_optics_table(quiet_cfg, small_source):
