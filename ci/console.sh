@@ -49,7 +49,8 @@ test -z "$(ls -A "$tmp/empty")"
 status=0
 (cd "$tmp" && whichway --out "$tmp/top" fringes 2> /dev/null) || status=$?
 test "$status" = 2
-test ! -e "$tmp/top" && test ! -e "$tmp/runs"
+test ! -e "$tmp/top"
+test ! -e "$tmp/runs"
 # keys that are constants now: a config naming one exits 2 with one error
 # line that names the unknown key, or the unknown block that held it, and
 # writes nothing; so does a midline other than the centroid, naming its scan
@@ -207,7 +208,8 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' \
 }
 small="$(scan_peak_kb 17)"
 large="$(scan_peak_kb 24)"
-test "$((large - small))" -lt 4096 && test "$((small - large))" -lt 4096
+test "$((large - small))" -lt 4096
+test "$((small - large))" -lt 4096
 # an --out that names a file exits 3 with one error line
 status=0
 whichway fringes --out "$tmp/run/summary.txt" 2> "$tmp/err" || status=$?

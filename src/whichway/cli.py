@@ -122,7 +122,11 @@ def _scan_sidecar(series, cfg: RunConfig) -> dict:
                 f" floor {LIGHT_FLOOR_SIGMAS * sigma:g}, {LIGHT_FLOOR_SIGMAS} sigma of the readout"
                 f" noise summed over its {pixels} pixels"
             )
-    contamination, p, d = assignment_probability(series)
+    try:
+        contamination, p, d = assignment_probability(series)
+    except DataError as exc:
+        raise DataError(f"scan {scan_tag(sc.aperture_width)}: {exc}: more than half the flux lies"
+                        f" beyond the {GUARD_PX}-px guard band (GUARD_PX)") from exc
     return {
         "aperture_width_m": sc.aperture_width,
         "width_elems": sc.width_elems(),

@@ -413,7 +413,8 @@ class _ScanPupil:
         self.chirp = np.pi * scan.stage_ratio / (lam * l_c)  # c / 2
         self.fresnel = partial(fresnel_field, self.steps, l_s, lam)
         self.s_start, self.last = scan.s_start, (scan.n_steps - 1) * per_step
-        self.key = (left, scan.stage_ratio, h)  # with RunConfig's step, start and count
+        # a scan of equal key, step, start and count reads the first entries of a wider one's table
+        self.key = (left, scan.stage_ratio, h)
         self.tag = scan_tag(scan.aperture_width)
 
     def cycles(self, s: np.ndarray) -> np.ndarray:
@@ -434,17 +435,6 @@ class _ScanPupil:
             self.pupil(self.u[0] - self.s_start + self.h * q, out=table[start : start + q.size])
         table.flags.writeable = False
         return table
-
-
-def pupil_table(source_field: SampledField, geom: Geometry, scan: ScanConfig,
-                detector: DetectorConfig) -> np.ndarray:
-    """The scan's read-only pupil table, without the rest of its optics.
-
-    A scan of the same source, geometry, step, start, step count and
-    _ScanPupil.key reads the same values from the table's first entries,
-    however wide its aperture; run_scan takes the widest such scan's table.
-    """
-    return _ScanPupil(source_field, geom, scan, detector).tabulate()
 
 
 class _ScanOptics(_ScanPupil):
@@ -532,12 +522,8 @@ class _ScanOptics(_ScanPupil):
             np.maximum(values.real, 0.0, out=out)
         return pixels
 
-    def step(self, s: float) -> np.ndarray:
-        """Noiseless pixel values at slit position s, for unit exposure."""
-        return self.images([s])[0]
-
     def exposure(self) -> float:
-        peak = float(self.step(0.0).max()) * self.gain
+        peak = float(self.images([0.0])[0].max()) * self.gain
         exposure = AUTO_EXPOSURE_FRACTION * FULL_WELL / peak if peak > 0 else math.inf
         if not math.isfinite(exposure):  # no flux, or too little for a finite exposure
             raise NumericalError("no flux reaches the detector; cannot set exposure")
@@ -556,9 +542,9 @@ def run_scan(
     At each slit position the source field's Fresnel-integral pupil is
     masked by the fixed aperture stop and imaged onto the camera pixels
     riding the counter-moving stage (see _ScanOptics).  The pupil comes
-    from table when one is given: the pupil_table of this scan or of a
-    wider one that reads the same values (see pupil_table).  Without one
-    the scan tabulates its own, to the same bits.  A forward pass
+    from table when one is given: the _ScanPupil table of this scan or of
+    a wider one of equal _ScanPupil.key.  Without one the scan tabulates
+    its own, to the same bits.  A forward pass
     images every step without noise; a detector pass then applies the
     exposure and, with noise on, the mean of frames_per_step frames, drawn
     from one stream seeded by (seed, width_elems): first the shot noise of

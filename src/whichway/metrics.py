@@ -68,11 +68,6 @@ def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
     return peaks[heights - np.maximum(left, right) >= prominence]
 
 
-def _extrema(values: np.ndarray):
-    prominence = PEAK_PROMINENCE_FRACTION * values.max()
-    return _find_peaks(values, prominence), _find_peaks(-values, prominence)
-
-
 def visibility(
     profile: IntensityProfile, peak_selector: str = PEAK_SELECTOR
 ) -> VisibilityResult:
@@ -87,7 +82,8 @@ def visibility(
     if peak_selector != PEAK_SELECTOR:
         raise ConfigurationError(f"unknown peak_selector {peak_selector!r}")
     values = profile.values
-    peaks, troughs = _extrema(values)
+    prominence = PEAK_PROMINENCE_FRACTION * values.max()
+    peaks, troughs = _find_peaks(values, prominence), _find_peaks(-values, prominence)
     if peaks.size < 2 or troughs.size < 1:
         raise NumericalError(
             f"too few extrema for visibility: {peaks.size} peaks, "

@@ -22,13 +22,6 @@ from numpy.fft import fft, fftfreq, ifft
 
 from .errors import ConfigurationError
 
-# sinc convention used throughout: sinc(u) = sin(u)/u, sinc(0) = 1.
-# numpy's np.sinc(t) = sin(pi t)/(pi t), so we always pass u/pi to it.
-
-
-def _sinc(u):
-    return np.sinc(np.asarray(u) / np.pi)
-
 
 @dataclass(frozen=True)
 class Geometry:
@@ -492,7 +485,7 @@ def fraunhofer_intensity(geom: Geometry, screen_distance: float, x):
     lam_l = geom.wavelength * screen_distance
     u_fringe = np.pi * geom.slit_sep * x / lam_l
     u_env = np.pi * geom.slit_width * x / lam_l
-    return np.cos(u_fringe) ** 2 * _sinc(u_env) ** 2
+    return np.cos(u_fringe) ** 2 * np.sinc(u_env / np.pi) ** 2  # np.sinc(t) = sin(pi t)/(pi t)
 
 
 def fringe_scale(geom: Geometry) -> float:

@@ -13,7 +13,6 @@ from .instrument import (
     _pixel_profile,
     _ScanPupil,
     flux_vector,
-    pupil_table,
     run_scan,
     uniform_step,
     width_in_steps,
@@ -77,9 +76,8 @@ def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
     """Every configured scan (run_scan), in config order.
 
     The scans share their step, start and step count (RunConfig), so those
-    with one aperture left edge, stage ratio and cell width (_ScanPupil.key)
-    read the same pupil values: the calling thread tabulates each such
-    group's pupil once, as its widest scan's table (instrument.pupil_table),
+    of one _ScanPupil.key read the same pupil values: the calling thread
+    tabulates each such group's pupil once, as its widest scan's table,
     before any scan starts.  Where that table fails, each scan of the group
     tabulates its own and fails in its turn.  The scans share only the
     source and these read-only tables, and each draws its own noise stream,
@@ -90,21 +88,22 @@ def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
     """
     source = make_source(cfg)
     scans = cfg.scans
-    keys = [_ScanPupil(source, cfg.geometry, scan, cfg.detector).key for scan in scans]
+    pupils = [_ScanPupil(source, cfg.geometry, scan, cfg.detector) for scan in scans]
     tables: dict = {}
     for i in sorted(range(len(scans)), key=lambda i: -scans[i].width_elems()):
-        if keys[i] not in tables:
+        if pupils[i].key not in tables:
             try:
-                tables[keys[i]] = pupil_table(source, cfg.geometry, scans[i], cfg.detector)
+                tables[pupils[i].key] = pupils[i].tabulate()
             except Exception:  # so that the first failing scan in config order decides
-                tables[keys[i]] = None
+                tables[pupils[i].key] = None
     workers = min(len(scans), _usable_cpus())
     outcomes: list = [None] * len(scans)
 
     def work(first: int) -> None:
         for i in range(first, len(scans), workers):
             try:
-                outcomes[i] = run_scan(source, cfg.geometry, scans[i], cfg.detector, tables[keys[i]])
+                table = tables[pupils[i].key]
+                outcomes[i] = run_scan(source, cfg.geometry, scans[i], cfg.detector, table)
             except Exception as exc:
                 outcomes[i] = exc
                 return

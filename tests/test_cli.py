@@ -122,6 +122,21 @@ def test_a_noisy_scan_must_clear_five_sigma_of_its_summed_readout_noise():
     assert _scan_sidecar(_one_pixel_series([60.0] * 4), quiet)["total_flux_sum"] == 240.0
 
 
+def test_a_scan_with_most_flux_beyond_the_guard_band_is_named(tmp_path, capsys):
+    # a 0.1 mm aperture barely resolves the slits: p falls below 1/2
+    scans = [
+        {"aperture_width_m": w, "n_steps": 51, "s_start_m": -0.0025} for w in (0.0001, 0.0002)
+    ]
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"geometry": {}, "scans": scans}))
+    out = tmp_path / "o"
+    assert main(["scan", "--config", str(path), "--out", str(out), "--no-noise"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan a0.1mm: ") and err.count("\n") == 1, err
+    assert f"more than half the flux lies beyond the {GUARD_PX}-px guard band" in err, err
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(cli_run, tmp_path):
     out = tmp_path / "again"
     for cmd in ("fringes", "scan", "reconstruct", "report"):
@@ -371,7 +386,10 @@ def _fail_the_5mm_sidecar(monkeypatch):
 def test_a_scan_whose_sidecar_fails_creates_no_directory(tmp_path, monkeypatch, capsys):
     _fail_the_5mm_sidecar(monkeypatch)
     assert main(["scan", "--out", str(tmp_path / "a" / "b"), "--seed", "0"]) == 3
-    assert capsys.readouterr().err == "error: no assignment for the 5 mm scan\n"
+    assert capsys.readouterr().err == (
+        "error: scan a5mm: no assignment for the 5 mm scan: more than half the flux lies"
+        f" beyond the {GUARD_PX}-px guard band (GUARD_PX)\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

@@ -210,7 +210,7 @@ def test_scan_engine_matches_the_oracle(quiet_cfg, case):
         )
         optics = instrument._ScanOptics(source, geom, scan, det)
         assert optics.h == pytest.approx(h, rel=1e-12) and optics.u.size % 2 == 1
-        rows += [optics.step(s) for s in positions]
+        rows += [optics.images([s])[0] for s in positions]
         steps += [(source, s) for s in positions]
     oracle = _oracle_profiles(geom, scan, det, steps)
     _assert_within_oracle(np.array(rows), oracle, peak_tol, flux_tol)
@@ -221,7 +221,7 @@ def test_auto_exposure_targets_the_full_well_fraction(quiet_cfg, source):
     scan = quiet_cfg.scans[0]
     det = quiet_cfg.detector
     exposure = ww.auto_exposure(source, geom, scan, det)
-    peak = instrument._ScanOptics(source, geom, scan, det).step(0.0).max()
+    peak = instrument._ScanOptics(source, geom, scan, det).images([0.0])[0].max()
     target = AUTO_EXPOSURE_FRACTION * FULL_WELL
     assert peak * exposure * det.gain == pytest.approx(target, rel=1e-12)
     (oracle,) = _oracle_profiles(geom, scan, det, [(source, 0.0)])
@@ -232,10 +232,10 @@ def test_steps_off_the_scan_positions_evaluate_the_pupil_directly(quiet_cfg, sma
     geom, det = quiet_cfg.geometry, quiet_cfg.detector
     scan = ww.ScanConfig(aperture_width=4e-3, n_steps=3, s_start=-1e-3)
     s = scan.s_start + scan.step
-    tabulated = instrument._ScanOptics(small_source, geom, scan, det).step(s)
+    tabulated = instrument._ScanOptics(small_source, geom, scan, det).images([s])[0]
     # a scan shifted by a third of an aperture cell has no position at s
     shifted = replace(scan, s_start=scan.s_start + instrument.SUPPORT_PITCH / 3)
-    direct = instrument._ScanOptics(small_source, geom, shifted, det).step(s)
+    direct = instrument._ScanOptics(small_source, geom, shifted, det).images([s])[0]
     assert np.allclose(direct, tabulated, rtol=1e-9, atol=1e-12 * tabulated.max())
 
 
@@ -248,7 +248,7 @@ def test_scan_rows_do_not_depend_on_the_block(quiet_cfg, small_source, monkeypat
     series = ww.run_scan(small_source, geom, scan, det)
     monkeypatch.undo()
     optics = instrument._ScanOptics(small_source, geom, scan, det)
-    single = [optics.step(s) for s in series.records.slit_position]
+    single = [optics.images([s])[0] for s in series.records.slit_position]
     assert np.array_equal(series.profiles, single)
 
 
@@ -698,12 +698,13 @@ def test_a_table_that_fails_leaves_each_scan_its_own(monkeypatch, quiet_cfg):
     monkeypatch.setattr(pipeline, "run_scan", recorded)
     for failing in ((1.07, 1.08), (1.08,)):
 
-        def fails(source, geom, scan, det):
-            if scan.stage_ratio in failing:
-                raise MemoryError
-            return instrument.pupil_table(source, geom, scan, det)
+        class Fails(instrument._ScanPupil):
+            def tabulate(self):
+                if self.key[1] in failing:  # the stage ratio
+                    raise MemoryError
+                return super().tabulate()
 
-        monkeypatch.setattr(pipeline, "pupil_table", fails)
+        monkeypatch.setattr(pipeline, "_ScanPupil", Fails)
         tables.clear()
         for series, reference in zip(pipeline.run_all_scans(cfg), expected, strict=True):
             assert series.records.tobytes() == reference.records.tobytes()
@@ -716,7 +717,7 @@ def test_a_table_that_fails_leaves_each_scan_its_own(monkeypatch, quiet_cfg):
 def test_the_pupil_table_is_the_scan_optics_table(quiet_cfg, small_source):
     geom, det = quiet_cfg.geometry, quiet_cfg.detector
     wide, narrow = (ww.ScanConfig(aperture_width=w, n_steps=21, s_start=-1e-3) for w in (5e-3, 4e-3))
-    table = instrument.pupil_table(small_source, geom, wide, det)
+    table = instrument._ScanPupil(small_source, geom, wide, det).tabulate()
     assert table.tobytes() == instrument._ScanOptics(small_source, geom, wide, det).table.tobytes()
     # a narrower aperture of the same left edge reads the first entries
     own = instrument._ScanOptics(small_source, geom, narrow, det).table
@@ -726,7 +727,7 @@ def test_the_pupil_table_is_the_scan_optics_table(quiet_cfg, small_source):
 
 def test_a_shared_pupil_table_cannot_be_written(quiet_cfg, small_source):
     scan = ww.ScanConfig(aperture_width=4e-3, n_steps=3, s_start=-1e-3)
-    table = instrument.pupil_table(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector)
+    table = instrument._ScanPupil(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector).tabulate()
     optics = instrument._ScanOptics(small_source, quiet_cfg.geometry, scan, quiet_cfg.detector, table)
     for array in (table, optics.table):
         with pytest.raises(ValueError, match="read-only"):
