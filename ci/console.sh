@@ -12,7 +12,8 @@
 # whose sidecar fails (at an exposure too short for any light) that writes no
 # file, neither into a fresh directory nor over an existing run, a short scan
 # whose readout noise alone sums positive that exits 4 below its light floor
-# and creates no directory, scan
+# and creates no directory, a noisy `scan --profiles` that writes the step
+# files of its --no-noise run, scan
 # artifacts that do not depend on the core count, nor do those of three
 # scans that read two shared pupil tables, a 4 and a 5 mm scan whose 5 mm
 # scan (stage ratio 5) fails the imaging sampling bound, which exits 2 with
@@ -134,7 +135,7 @@ test ! -e "$tmp/dark-fresh"
 for f in scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
   cmp "$tmp/run/$f" "$tmp/dark-over/$f"
 done
-# four steps with no light, whose seed-0 readout noise sums to +23.4: the
+# four steps with no light, whose seed-0 readout noise sums to +30.0: the
 # total does not clear 5 sigma of that noise (960), so scan exits 4 with one
 # error line and creates no directory
 echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "step_m": 0.001,
@@ -145,6 +146,16 @@ test "$status" = 4
 test "$(grep -c 'error:' "$tmp/err")" = 1
 grep -q '^error: scan a4mm: total flux .* is not above its light floor ' "$tmp/err"
 test ! -e "$tmp/no-light"
+# the step files hold each step's expected image: a noisy scan writes the
+# bytes of its --no-noise run
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004, "step_m": 0.001,
+  "n_steps": 7, "s_start_m": -0.003}]}' > "$tmp/steps.json"
+whichway scan --profiles --config "$tmp/steps.json" --out "$tmp/steps-noisy" --seed 0 > /dev/null
+whichway scan --profiles --config "$tmp/steps.json" --out "$tmp/steps-quiet" --seed 0 --no-noise > /dev/null
+test "$(ls "$tmp/steps-noisy/profiles_a4mm" | wc -l)" = 7
+for f in "$tmp"/steps-quiet/profiles_a4mm/step_*.csv; do
+  cmp "$f" "$tmp/steps-noisy/profiles_a4mm/${f##*/}"
+done
 # the scans run on one thread per usable core; their bits must not change
 taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
 whichway scan --out "$tmp/all-cores" --seed 0

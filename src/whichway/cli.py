@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("fringes", parents=[common], help="direct fringe image at D")
     p_scan = sub.add_parser("scan", parents=[common], help="run the aperture scans")
     p_scan.add_argument(
-        "--profiles", action="store_true", help="also export per-step profiles"
+        "--profiles", action="store_true",
+        help="also export each step's expected camera pixels, without detector noise",
     )
     p_rec = sub.add_parser(
         "reconstruct", parents=[common], help="reconstruct the pupil pattern"

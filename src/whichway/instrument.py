@@ -138,11 +138,12 @@ class ScanSeries:
     """One scan as a table.
 
     records is a numpy record array with one row per step and the fields
-    step_index, slit_position, total_flux, left_signal and right_signal;
-    profiles is the (n_steps, n_pixels) matrix whose row k holds the pixel
-    values of step k in detector-local coordinates; midlines holds each
-    step's midline in pixel-index units, where its left and right signals
-    were split.
+    step_index, slit_position, total_flux, left_signal, right_signal and
+    beyond_guard, the step's flux more than GUARD_PX pixels from its
+    midline; profiles is the (n_steps, n_pixels) matrix whose row k holds
+    the expected, noiseless pixel values of step k in detector-local
+    coordinates; midlines holds each step's midline in pixel-index units,
+    where its left and right signals were split.
     """
 
     config: ScanConfig
@@ -156,8 +157,8 @@ class ScanSeries:
 
     @property
     def total_flux_sum(self) -> float:
-        """The row totals added in step order: a whole-matrix sum rounds differently."""
-        return ordered_sum(self.profiles.sum(axis=1))
+        """The steps' total fluxes added in step order: a whole-column sum rounds differently."""
+        return ordered_sum(self.records.total_flux)
 
     def table(self) -> dict:
         """The scan as the column dict that load_scan_csv returns (views of records)."""
@@ -314,7 +315,8 @@ def split_signals(values: np.ndarray, midline: float) -> tuple[float, float]:
     """Split one step's pixel values at a midline given in pixel-index units.
 
     left = sum of pixels with index strictly below the midline, right the
-    remainder; the two always add up to the row total exactly.
+    remainder; the two always add up to the row total exactly.  A noiseless
+    scan's left and right signals are these, to the bit.
     """
     if midline < 0 or midline > values.size - 1:
         raise ConfigurationError(
@@ -327,18 +329,41 @@ def split_signals(values: np.ndarray, midline: float) -> tuple[float, float]:
 
 def _midlines(profiles: np.ndarray) -> np.ndarray:
     """Midline of each row of profiles, in pixel-index units: the row's flux
-    centroid, or the detector center where the row holds no flux or (a dim
-    noisy row can) a centroid off the detector."""
+    centroid, or the detector center where the row holds no flux."""
     n_steps, n = profiles.shape
-    midlines = np.full(n_steps, (n - 1) / 2)
     totals = profiles.sum(axis=1)
     # einsum, not @: neither wakes OpenBLAS's thread pool here, but @
     # raises the peak RSS of short scans by 0.1-0.5 MB
     moments = np.einsum("ij,j->i", profiles, np.arange(n, dtype=float))
-    centroids = np.divide(moments, totals, out=np.full(n_steps, -1.0), where=totals > 0)
-    on = (centroids >= 0) & (centroids <= n - 1)
-    midlines[on] = centroids[on]
-    return midlines
+    return np.divide(moments, totals, out=np.full(n_steps, (n - 1) / 2), where=totals > 0)
+
+
+def _step_sums(profiles: np.ndarray, midlines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's flux and pixel count in four columns: the whole row, left of
+    its midline, beyond the guard band (more than GUARD_PX pixels from the
+    midline), and left and beyond.  Masked sums, SCAN_BLOCK rows at a time:
+    numpy adds each unmasked run of pixels as it adds that slice, so the left
+    column is split_signals' left to the bit."""
+    n_steps, n = profiles.shape
+    flux, pixels = np.empty((n_steps, 4)), np.empty((n_steps, 4))
+    for start in range(0, n_steps, SCAN_BLOCK):
+        rows = slice(start, start + SCAN_BLOCK)
+        block, offset = profiles[rows], np.arange(n) - midlines[rows, np.newaxis]
+        block.sum(axis=1, out=flux[rows, 0])
+        for k, mask in enumerate([offset < 0, np.abs(offset) > GUARD_PX, offset < -GUARD_PX], 1):
+            np.sum(block, axis=1, where=mask, out=flux[rows, k])
+            pixels[rows, k] = mask.sum(axis=1)
+    pixels[:, 0] = n
+    return flux, pixels
+
+
+def _pixel_sets(columns: np.ndarray) -> np.ndarray:
+    """_step_sums' columns as the four contiguous pixel sets they cut each row
+    into: left beyond the guard band, left within it, right within it and
+    right beyond it."""
+    row, left, beyond, far_left = columns.T
+    return np.stack([far_left, left - far_left, row - left - beyond + far_left,
+                     beyond - far_left], axis=1)
 
 
 def auto_exposure(
@@ -544,13 +569,15 @@ def run_scan(
     riding the counter-moving stage (see _ScanOptics).  The pupil comes
     from table when one is given: the _ScanPupil table of this scan or of
     a wider one of equal _ScanPupil.key.  Without one the scan tabulates
-    its own, to the same bits.  A forward pass
-    images every step without noise; a detector pass then applies the
-    exposure and, with noise on, the mean of frames_per_step frames, drawn
-    from one stream seeded by (seed, width_elems): first the shot noise of
-    every pixel in step order, then their readout noise, SCAN_BLOCK rows at
-    a time.  The scan writes no state that other scans read, and the table
-    is read-only, so pipeline.run_all_scans runs several at once.
+    its own, to the same bits.  A forward pass images every step without
+    noise and applies the exposure; each step's midline is the centroid of
+    that expected image, which it cuts into four contiguous pixel sets
+    (_pixel_sets).  With noise on, the detector pass draws the mean of
+    frames_per_step frames of each set's summed pixels, from one stream
+    seeded by (seed, width_elems): first the shot noise of every set in
+    step order, then their readout noise.  The scan writes no state that
+    other scans read, and the table is read-only, so
+    pipeline.run_all_scans runs several at once.
     """
     optics = _ScanOptics(source_field, geom, scan, detector, table)
     exposure = scan.exposure
@@ -559,66 +586,57 @@ def run_scan(
     positions = scan.s_start + np.arange(scan.n_steps) * scan.step
     profiles = optics.images(positions)
     profiles *= exposure
+    midlines = _midlines(profiles)
+    flux, pixels = _step_sums(profiles, midlines)
     if detector.noise_enabled:
         # K frames of Poisson(e) shot noise sum to Poisson(K e), and K readouts
-        # of rms sigma to N(0, K sigma^2): one draw of each gives the K-frame sum.
-        # Drawn in row chunks, each pass takes the same values from the stream
-        # as one whole-matrix draw, without its int64 and float temporaries
+        # of rms sigma to N(0, K sigma^2); sums of independent Poisson and
+        # normal values keep their laws, so one draw of each gives a pixel
+        # set's K-frame sum.  Rounding can take a set's mean below 0: clip it
         frames = scan.frames_per_step
         rng = np.random.default_rng((detector.rng_seed, scan.width_elems()))
-        chunks = [profiles[k : k + SCAN_BLOCK] for k in range(0, scan.n_steps, SCAN_BLOCK)]
         try:
             sigma = detector.readout_noise * math.sqrt(frames)
-            if not math.isfinite(sigma):
+            if not math.isfinite(sigma * math.sqrt(profiles.shape[1])):  # the largest set's
                 raise ConfigurationError(
                     f"scan {scan_tag(scan.aperture_width)}: readout_noise_e"
                     f" {detector.readout_noise:g} and frames_per_step {frames} give a"
                     " readout sigma beyond the float range"
                 )
-            profiles *= frames * detector.gain
-            for chunk in chunks:
-                chunk[...] = rng.poisson(chunk)
+            scale = frames * detector.gain
+            counts = rng.poisson(np.maximum(_pixel_sets(flux), 0.0) * scale)
         except (OverflowError, ValueError) as exc:  # K past the float range; "lam value too large"
             raise ConfigurationError(
                 f"scan {scan_tag(scan.aperture_width)}: exposure_s {exposure:g}, gain_e_per_unit"
                 f" {detector.gain:g} and frames_per_step {frames} give too many electrons ({exc})"
             ) from exc
-        for chunk in chunks:
-            chunk += rng.normal(0.0, sigma, chunk.shape)
-        profiles /= frames * detector.gain
-    midlines = _midlines(profiles)
-    left, right = np.array([split_signals(row, m) for row, m in zip(profiles, midlines)]).T
+        readout = rng.normal(0.0, sigma * np.sqrt(_pixel_sets(pixels)))
+        far_left, near_left, near_right, far_right = ((counts + readout) / scale).T
+        left, right, beyond = far_left + near_left, near_right + far_right, far_left + far_right
+    else:
+        left, beyond = flux[:, 1], flux[:, 2]
+        right = flux[:, 0] - left
     records = np.rec.fromarrays(
-        [np.arange(scan.n_steps), positions, left + right, left, right],
-        names="step_index,slit_position,total_flux,left_signal,right_signal",
+        [np.arange(scan.n_steps), positions, left + right, left, right, beyond],
+        names="step_index,slit_position,total_flux,left_signal,right_signal,beyond_guard",
     )
     return ScanSeries(replace(scan, exposure=exposure), records, profiles, midlines)
 
 
-def assignment_probability(
-    series: ScanSeries, guard_px: int = GUARD_PX
-) -> tuple[float, float, float]:
+def assignment_probability(series: ScanSeries) -> tuple[float, float, float]:
     """Which-way statistics from the guard-band contamination bound.
 
-    Flux landing more than guard_px pixels from the midline sits on the
-    wrong side of the opposite slit image and bounds the mis-assignment:
-    contamination = (guard-exceeding flux summed over steps) / (total
-    flux), p = 1 - contamination, and D from metrics.distinguishability.
+    Flux landing more than GUARD_PX pixels from its step's midline (the
+    records' beyond_guard) sits on the wrong side of the opposite slit
+    image and bounds the mis-assignment: contamination = (that flux summed
+    over steps) / (total flux), p = 1 - contamination, and D from
+    metrics.distinguishability.
 
     The midline is the one each step was split at (ScanSeries.midlines),
-    the step's flux centroid, which tracks the residual image drift left
-    by the stage ratio.
+    the centroid of the step's expected image, which tracks the residual
+    image drift left by the stage ratio.
     """
-    if guard_px < 0:
-        raise ConfigurationError("guard_px must be >= 0")
-    profiles = series.profiles
-    pixels = np.arange(profiles.shape[1])
-    wrong = np.empty(len(profiles))
-    for start in range(0, len(profiles), SCAN_BLOCK):
-        rows = slice(start, start + SCAN_BLOCK)
-        beyond = np.abs(pixels - series.midlines[rows, np.newaxis]) > guard_px
-        np.sum(profiles[rows], axis=1, where=beyond, out=wrong[rows])
-    return _assignment(ordered_sum(wrong), series.total_flux_sum)
+    return _assignment(ordered_sum(series.records.beyond_guard), series.total_flux_sum)
 
 
 def ordered_sum(values) -> float:

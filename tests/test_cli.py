@@ -82,7 +82,9 @@ def test_scan_sidecar_contents(cli_run):
 def test_scan_sidecar_total_adds_the_row_sums_in_step_order(quiet_cfg, quiet_series):
     for series in [*quiet_series, _one_pixel_series([1e16, 1.0, 1.0, -1e16, 5.0])]:
         total = _scan_sidecar(series, quiet_cfg)["total_flux_sum"]
-        # a left-to-right fold: Python 3.12's built-in sum() is compensated
+        # a left-to-right fold: Python 3.12's built-in sum() is compensated;
+        # a noiseless step's F is its row sum
+        assert total == reduce(operator.add, series.records.total_flux.tolist(), 0.0)
         assert total == reduce(operator.add, (float(row.sum()) for row in series.profiles), 0.0)
         assert series.total_flux_sum == total
 
@@ -95,8 +97,8 @@ def _one_pixel_series(flux):
     profiles[:, 32] = flux
     zeros = np.zeros(flux.size)
     records = np.rec.fromarrays(
-        [np.arange(flux.size), zeros, flux, zeros, flux],
-        names="step_index,slit_position,total_flux,left_signal,right_signal",
+        [np.arange(flux.size), zeros, flux, zeros, flux, zeros],
+        names="step_index,slit_position,total_flux,left_signal,right_signal,beyond_guard",
     )
     scan = ScanConfig(aperture_width=4e-3, n_steps=flux.size, exposure=1.0)
     return ScanSeries(scan, records, profiles, np.full(flux.size, 31.5))
@@ -164,7 +166,7 @@ def test_listed_scans_without_a_midline_write_the_default_run(cli_run, tmp_path)
     assert len(names) == 10
     for name in names:
         assert (out / name).read_bytes() == (cli_run / name).read_bytes(), name
-    assert json.loads((out / "duality.json").read_text())["D"] == 0.8945280251595207
+    assert json.loads((out / "duality.json").read_text())["D"] == 0.8962769218231363
 
 
 def test_reconstruct_composes_from_explicit_csvs(cli_run, tmp_path):
@@ -375,10 +377,10 @@ def _fail_the_5mm_sidecar(monkeypatch):
     """Make the 5 mm scan's sidecar raise DataError; the 4 mm one is computed first."""
     real = cli.assignment_probability
 
-    def fails_at_5mm(series, guard_px=GUARD_PX):
+    def fails_at_5mm(series):
         if series.config.aperture_width == 5e-3:
             raise DataError("no assignment for the 5 mm scan")
-        return real(series, guard_px)
+        return real(series)
 
     monkeypatch.setattr(cli, "assignment_probability", fails_at_5mm)
 
@@ -756,6 +758,11 @@ def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
         x, values = read_csv(csv_path, ("position_m", "value")).values()
         assert np.allclose(x, centres, rtol=1e-11, atol=0)
         assert np.allclose(values, series.profiles[k], rtol=1e-11, atol=0)
+    # each step's expected image, so a noisy scan writes its --no-noise run's bytes
+    quiet = tmp_path / "quiet"
+    assert main(["scan", "--profiles", "--config", str(path), "--out", str(quiet), "--no-noise"]) == 0
+    for csv_path in files:
+        assert csv_path.read_bytes() == (quiet / "profiles_a4mm" / csv_path.name).read_bytes()
 
 
 def test_scan_profiles_replaces_the_step_files_of_a_longer_run(tmp_path):
@@ -861,13 +868,13 @@ NUMERIC_FAULTS = {
     ),
     "exposure-underflow": (
         {"scans": [{"aperture_width_m": 4e-3, "exposure_s": 1e-300}]}, [], 4,
-        "total flux -954.022 is not above its light floor 8327.69,"
+        "total flux -325.925 is not above its light floor 8327.69,"
     ),
     # readout noise alone, whose sum here comes out positive
     "no-light": (
         {"scans": [{"aperture_width_m": 4e-3, "step_m": 1e-3, "n_steps": 4, "s_start_m": -2e-3,
                     "exposure_s": 1e-300}]},
-        [], 4, "scan a4mm: total flux 23.4344 is not above its light floor 960,"
+        [], 4, "scan a4mm: total flux 29.9702 is not above its light floor 960,"
     ),
 }
 
@@ -1029,9 +1036,9 @@ def test_seed_0_duality_values_are_pinned(cli_run):
     # a change to the forward model, the noise draw or the estimators moves
     # these on purpose
     report = json.loads((cli_run / "duality.json").read_text())
-    assert report["V"] == pytest.approx(0.8362361664278135, rel=1e-9)
-    assert report["D"] == pytest.approx(0.8945280251595207, rel=1e-9)
-    assert report["duality"] == pytest.approx(1.4994713138376778, rel=1e-9)
+    assert report["V"] == pytest.approx(0.8435239799075689, rel=1e-9)
+    assert report["D"] == pytest.approx(0.8962769218231363, rel=1e-9)
+    assert report["duality"] == pytest.approx(1.5148450252718613, rel=1e-9)
 
 
 def test_the_noiseless_headline_holds_to_the_imaging_tolerance(tmp_path):
