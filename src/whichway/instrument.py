@@ -327,34 +327,31 @@ def split_signals(values: np.ndarray, midline: float) -> tuple[float, float]:
     return left, total - left
 
 
-def _midlines(profiles: np.ndarray) -> np.ndarray:
-    """Midline of each row of profiles, in pixel-index units: the row's flux
-    centroid, or the detector center where the row holds no flux."""
+def _step_sums(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's midline, in pixel-index units (its flux centroid, or the
+    detector center where the row holds no flux), and its flux and pixel
+    count in four columns: the whole row, left of its midline, beyond the
+    guard band (more than GUARD_PX pixels from the midline), and left and
+    beyond.  SCAN_BLOCK rows at a time, each summed once for its centroid and
+    its masked sums: numpy adds each unmasked run of pixels as it adds that
+    slice, so the left column is split_signals' left to the bit."""
     n_steps, n = profiles.shape
-    totals = profiles.sum(axis=1)
-    # einsum, not @: neither wakes OpenBLAS's thread pool here, but @
-    # raises the peak RSS of short scans by 0.1-0.5 MB
-    moments = np.einsum("ij,j->i", profiles, np.arange(n, dtype=float))
-    return np.divide(moments, totals, out=np.full(n_steps, (n - 1) / 2), where=totals > 0)
-
-
-def _step_sums(profiles: np.ndarray, midlines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's flux and pixel count in four columns: the whole row, left of
-    its midline, beyond the guard band (more than GUARD_PX pixels from the
-    midline), and left and beyond.  Masked sums, SCAN_BLOCK rows at a time:
-    numpy adds each unmasked run of pixels as it adds that slice, so the left
-    column is split_signals' left to the bit."""
-    n_steps, n = profiles.shape
+    index = np.arange(n, dtype=float)
+    midlines = np.full(n_steps, (n - 1) / 2)
     flux, pixels = np.empty((n_steps, 4)), np.empty((n_steps, 4))
     for start in range(0, n_steps, SCAN_BLOCK):
         rows = slice(start, start + SCAN_BLOCK)
-        block, offset = profiles[rows], np.arange(n) - midlines[rows, np.newaxis]
-        block.sum(axis=1, out=flux[rows, 0])
+        block, totals = profiles[rows], flux[rows, 0]
+        block.sum(axis=1, out=totals)
+        # einsum, not @: neither wakes OpenBLAS's thread pool here, but @
+        # raises the peak RSS of short scans by 0.1-0.5 MB
+        np.divide(np.einsum("ij,j->i", block, index), totals, out=midlines[rows], where=totals > 0)
+        offset = index - midlines[rows, np.newaxis]
         for k, mask in enumerate([offset < 0, np.abs(offset) > GUARD_PX, offset < -GUARD_PX], 1):
             np.sum(block, axis=1, where=mask, out=flux[rows, k])
             pixels[rows, k] = mask.sum(axis=1)
     pixels[:, 0] = n
-    return flux, pixels
+    return midlines, flux, pixels
 
 
 def _pixel_sets(columns: np.ndarray) -> np.ndarray:
@@ -586,8 +583,7 @@ def run_scan(
     positions = scan.s_start + np.arange(scan.n_steps) * scan.step
     profiles = optics.images(positions)
     profiles *= exposure
-    midlines = _midlines(profiles)
-    flux, pixels = _step_sums(profiles, midlines)
+    midlines, flux, pixels = _step_sums(profiles)
     if detector.noise_enabled:
         # K frames of Poisson(e) shot noise sum to Poisson(K e), and K readouts
         # of rms sigma to N(0, K sigma^2); sums of independent Poisson and

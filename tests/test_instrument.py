@@ -18,8 +18,8 @@ from whichway.instrument import (
     FULL_WELL,
     GUARD_PX,
     _bin_intensity,
-    _midlines,
     _next_fast_len,
+    _step_sums,
     ordered_sum,
 )
 from whichway.optics import GridSpec, SampledField, amplitude_steps, double_slit_field, fresnel_field
@@ -248,10 +248,15 @@ def test_scan_rows_do_not_depend_on_the_block(quiet_cfg, small_source, monkeypat
     scan = ww.ScanConfig(aperture_width=5e-3, n_steps=n_steps, s_start=-3e-3, exposure=1.0)
     monkeypatch.setattr(instrument, "SCAN_BLOCK", block)
     series = ww.run_scan(small_source, geom, scan, det)
+    monkeypatch.setattr(instrument, "SCAN_BLOCK", 301)
+    whole = ww.run_scan(small_source, geom, scan, det)
     monkeypatch.undo()
     optics = instrument._ScanOptics(small_source, geom, scan, det)
     single = [optics.images([s])[0] for s in series.records.slit_position]
     assert np.array_equal(series.profiles, single)
+    # each block takes its rows' centroids and sums from its own totals
+    assert series.records.tobytes() == whole.records.tobytes()
+    assert series.midlines.tobytes() == whole.midlines.tobytes()
 
 
 def _expected_scan(quiet_profiles, scan, det):
@@ -400,7 +405,7 @@ def test_midlines_and_contamination_match_a_row_by_row_loop(quiet_cfg, quiet_ser
     for series in (*quiet_series, bright, dim):
         expected = _midlines_row_by_row(series.profiles)
         assert np.allclose(series.midlines, expected, rtol=1e-12, atol=0)
-        assert np.array_equal(series.midlines, _midlines(series.profiles))
+        assert np.array_equal(series.midlines, _step_sums(series.profiles)[0])
     assert bright.midlines.tobytes() == bright_quiet.midlines.tobytes()
     assert dim.midlines.tobytes() == dim_quiet.midlines.tobytes()
     for series in (*quiet_series, bright_quiet):
@@ -424,7 +429,7 @@ def test_assignment_probability_equals_the_whole_matrix_masked_sum(quiet_cfg, qu
 def test_a_row_without_flux_is_split_at_the_detector_center():
     rows = np.zeros((2, 64))
     rows[1, 40] = 3.0
-    assert _midlines(rows).tolist() == [31.5, 40.0]
+    assert _step_sums(rows)[0].tolist() == [31.5, 40.0]
 
 
 # images' scratch beyond its pixels: SCAN_BLOCK rows of the steps' edge
@@ -781,15 +786,16 @@ def test_a_shared_pupil_table_cannot_be_written(quiet_cfg, small_source):
 def _single_step_series(values, midline=50.0):
     """A one-step noiseless scan of values split at midline, a pixel number
     (default the center of 101 pixels), with run_scan's signals."""
-    values = np.asarray(values, dtype=float)[np.newaxis]
-    ((row, left, beyond, _),), _ = instrument._step_sums(values, np.array([midline]))
-    right = row - left
+    values = np.asarray(values, dtype=float)
+    left = float(values[: math.ceil(midline)].sum())
+    right = float(values.sum()) - left
+    beyond = float(values[np.abs(np.arange(values.size) - midline) > GUARD_PX].sum())
     records = np.rec.fromarrays(
         [[0], [0.0], [left + right], [left], [right], [beyond]],
         names="step_index,slit_position,total_flux,left_signal,right_signal,beyond_guard",
     )
     cfg = ww.ScanConfig(aperture_width=4e-3, n_steps=1)
-    return ww.ScanSeries(cfg, records, values, np.array([midline]))
+    return ww.ScanSeries(cfg, records, values[np.newaxis], np.array([midline]))
 
 
 def test_ordered_sum_adds_left_to_right():
@@ -818,7 +824,7 @@ class TestAssignmentProbability:
     def test_centroid_midline_follows_the_image(self):
         values = np.zeros(101)
         values[80] = 10.0  # far off center, but tight around its own centroid
-        (centroid,) = _midlines(values[np.newaxis])
+        (centroid,), _, _ = _step_sums(values[np.newaxis])
         assert centroid == 80.0
         series = _single_step_series(values, centroid)
         c, _, d = ww.assignment_probability(series)
