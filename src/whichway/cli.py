@@ -32,6 +32,7 @@ from .pipeline import (
     reconstruct_tables,
     result_profile,
     run_all_scans,
+    scan_profiles,
 )
 from .reconstruct import ANCHOR_ELEMS, iter_full_rank_dims
 
@@ -113,8 +114,8 @@ def cmd_fringes(cfg: RunConfig, args, out: Path) -> list[Path]:
 def _scan_sidecar(series, cfg: RunConfig) -> dict:
     sc, detector, total = series.config, cfg.detector, series.total_flux_sum
     if detector.noise_enabled:
-        # the readout sigma of all the scan's pixels summed, in the profiles' units
-        pixels = series.profiles.size
+        # the readout sigma of all the scan's pixels summed, in the flux's units
+        pixels = sc.n_steps * detector.n_pixels
         sigma = detector.readout_noise * (pixels / sc.frames_per_step) ** 0.5 / detector.gain
         if not total > LIGHT_FLOOR_SIGMAS * sigma:
             raise NumericalError(
@@ -159,7 +160,7 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> list[Path]:
             directory = out / f"profiles_{tag}"
             for stale in directory.glob("step_*.csv"):  # a longer earlier scan's
                 stale.unlink()
-            for k, values in enumerate(series.profiles):
+            for k, values in enumerate(scan_profiles(cfg, series)):
                 prof = _pixel_profile(cfg.detector, values)
                 path = directory / f"step_{k:04d}.csv"
                 write_csv(path, *_PROFILE_CSV, (prof.positions, prof.values))

@@ -140,20 +140,18 @@ class ScanSeries:
     records is a numpy record array with one row per step and the fields
     step_index, slit_position, total_flux, left_signal, right_signal and
     beyond_guard, the step's flux more than GUARD_PX pixels from its
-    midline; profiles is the (n_steps, n_pixels) matrix whose row k holds
-    the expected, noiseless pixel values of step k in detector-local
-    coordinates; midlines holds each step's midline in pixel-index units,
-    where its left and right signals were split.
+    midline; midlines holds each step's midline in pixel-index units, where
+    its left and right signals were split (pipeline.scan_profiles gives the
+    steps' pixels).
     """
 
     config: ScanConfig
     records: np.recarray
-    profiles: np.ndarray
     midlines: np.ndarray
 
     def __post_init__(self):
-        if not len(self.records) == len(self.profiles) == len(self.midlines) == self.config.n_steps:
-            raise ConfigurationError("record, profile and midline counts must equal n_steps")
+        if not len(self.records) == len(self.midlines) == self.config.n_steps:
+            raise ConfigurationError("record and midline counts must equal n_steps")
 
     @property
     def total_flux_sum(self) -> float:
@@ -316,7 +314,8 @@ def split_signals(values: np.ndarray, midline: float) -> tuple[float, float]:
 
     left = sum of pixels with index strictly below the midline, right the
     remainder; the two always add up to the row total exactly.  A noiseless
-    scan's left and right signals are these, to the bit.
+    scan's left and right signals are these within 1e-12 of its peak step
+    flux (run_scan).
     """
     if midline < 0 or midline > values.size - 1:
         raise ConfigurationError(
@@ -325,42 +324,6 @@ def split_signals(values: np.ndarray, midline: float) -> tuple[float, float]:
     left = float(values[: math.ceil(midline)].sum())
     total = float(values.sum())
     return left, total - left
-
-
-def _step_sums(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's midline, in pixel-index units (its flux centroid, or the
-    detector center where the row holds no flux), and its flux and pixel
-    count in four columns: the whole row, left of its midline, beyond the
-    guard band (more than GUARD_PX pixels from the midline), and left and
-    beyond.  SCAN_BLOCK rows at a time, each summed once for its centroid and
-    its masked sums: numpy adds each unmasked run of pixels as it adds that
-    slice, so the left column is split_signals' left to the bit."""
-    n_steps, n = profiles.shape
-    index = np.arange(n, dtype=float)
-    midlines = np.full(n_steps, (n - 1) / 2)
-    flux, pixels = np.empty((n_steps, 4)), np.empty((n_steps, 4))
-    for start in range(0, n_steps, SCAN_BLOCK):
-        rows = slice(start, start + SCAN_BLOCK)
-        block, totals = profiles[rows], flux[rows, 0]
-        block.sum(axis=1, out=totals)
-        # einsum, not @: neither wakes OpenBLAS's thread pool here, but @
-        # raises the peak RSS of short scans by 0.1-0.5 MB
-        np.divide(np.einsum("ij,j->i", block, index), totals, out=midlines[rows], where=totals > 0)
-        offset = index - midlines[rows, np.newaxis]
-        for k, mask in enumerate([offset < 0, np.abs(offset) > GUARD_PX, offset < -GUARD_PX], 1):
-            np.sum(block, axis=1, where=mask, out=flux[rows, k])
-            pixels[rows, k] = mask.sum(axis=1)
-    pixels[:, 0] = n
-    return midlines, flux, pixels
-
-
-def _pixel_sets(columns: np.ndarray) -> np.ndarray:
-    """_step_sums' columns as the four contiguous pixel sets they cut each row
-    into: left beyond the guard band, left within it, right within it and
-    right beyond it."""
-    row, left, beyond, far_left = columns.T
-    return np.stack([far_left, left - far_left, row - left - beyond + far_left,
-                     beyond - far_left], axis=1)
 
 
 def auto_exposure(
@@ -375,14 +338,16 @@ def auto_exposure(
 
 # Scan imaging: aperture cells of at most SUPPORT_PITCH, else FALLBACK_PITCH,
 # a sampling guard of MAX_CYCLES_PER_CELL cycles per cell, TABLE_BLOCK pupil
-# entries tabulated at a time (0.4 MB of scratch), and SCAN_BLOCK steps imaged
-# and noised at a time, in reused buffers small enough for concurrent scans
-# (at 8, two scan threads trade the GIL around each short FFT and draw).
+# entries tabulated at a time (0.4 MB of scratch), and SCAN_BLOCK steps summed
+# or imaged at a time in one reused buffer, small enough for concurrent scans
+# (3.3 MB for a 4 mm scan on 2.5 um cells).  Warm run_all_scans of the default
+# run took 16.3 ms at 64 rows, 18.0 at 48 and 19.0 at 32 on a 2-vCPU host (at
+# 8, two scan threads trade the GIL around each short FFT and draw).
 SUPPORT_PITCH = 10e-6
 FALLBACK_PITCH = 2.5e-6
 MAX_CYCLES_PER_CELL = 0.25
 TABLE_BLOCK = 1024
-SCAN_BLOCK = 32
+SCAN_BLOCK = 64
 
 
 def _next_fast_len(n: int) -> int:
@@ -476,7 +441,13 @@ class _ScanOptics(_ScanPupil):
     Re sum_{D=0..n} (2 - [D = 0]) R(D) w sinc(kappa h D w / 2) exp(-i kappa
     h D xi_p): one Bluestein chirp-z transform for all pixels (a chirp
     premultiply in lag_weights, an FFT convolution, a chirp postmultiply).
-    SCAN_BLOCK rows share each FFT call; a row's bits do not depend on the block.
+    sums(positions) sums those pixels without them: over the j pixels left of
+    edge j (at xi = (j - m/2) w), with theta = kappa h w and z_D = exp(-i
+    theta D), they sum to S_j = R(0) j w + Re sum_{D>0} R(D) c_D (z_D^(j -
+    m/2) - z_D^(-m/2)), c_D = 2 i w / (theta D); the first moment (m - 1) S_m
+    - sum_{p=1..m-1} S_p sums z_D^(p - m/2) in closed form (the Dirichlet
+    kernel).  SCAN_BLOCK rows share each FFT call; a row's bits do not depend
+    on the block.
     """
 
     def __init__(self, source_field: SampledField, geom: Geometry, scan: ScanConfig,
@@ -496,12 +467,23 @@ class _ScanOptics(_ScanPupil):
         self.kernel = fft(np.exp(0.5j * theta * k**2), self.nfft)
         self.post = np.exp(-0.5j * theta * k[n:] ** 2)
         self.gain = detector.gain
+        # sums' functionals of R: the total S_m, the first moment and S_0's lag
+        # part, conjugated so that Re(R f) is a real dot product of interleaved floats
+        phase, self.pitch = theta * lag[1:], w
+        c, half = 2j * w / phase, np.exp(-0.5j * m * phase)  # c_D and z_D^(m/2)
+        dirichlet = np.sin((m - 1) * phase / 2) / np.sin(phase / 2)
+        f = np.array([[m * w], [m * (m - 1) * w / 2], [0]], complex).repeat(n + 1, axis=1)
+        f[:, 1:] = c * np.array([half - half.conj(), (m - 1) * half - dirichlet, half.conj()])
+        self.functionals = f.conj().view(float)
+        self.step_power = np.exp(1j * phase)  # conj(z_D)
+        self.edge_row = c.conj() * np.exp(1j * phase * (m // 2 - m / 2))  # at edge m // 2
 
-    def images(self, positions) -> np.ndarray:
-        """Noiseless pixel values at each slit position, one row each, for
-        unit exposure.  Every position is held to the sampling bound before
-        any is imaged; the first that fails raises, named as scan step k."""
-        positions = np.asarray(positions, dtype=float)
+    def _lag_sums(self, positions: np.ndarray, width: int):
+        """(rows, block) for each SCAN_BLOCK of positions: the block's slice of
+        them and a (rows, width) buffer whose first n + 1 columns hold its
+        steps' lag sums R(D), D = 0..n; the rest is free.  Every position is
+        held to the sampling bound before any is imaged; the first that fails
+        raises, named as scan step k."""
         cycles = self.cycles(positions)
         if (cycles > MAX_CYCLES_PER_CELL).any():
             k = int(np.argmax(cycles > MAX_CYCLES_PER_CELL))
@@ -514,35 +496,76 @@ class _ScanOptics(_ScanPupil):
         q = (positions - self.s_start) / self.h
         i = self.last - np.round(q)
         tabulated = (np.abs(q - np.round(q)) < 1e-6) & (0 <= i) & (i <= self.last)
-        edges, m = self.u.size, self.post.size
-        pixels = np.empty((positions.size, m))
-        # the two transforms take turns in one buffer, each on contiguous rows;
-        # both start from the block's rows of edge coefficients
-        rows = np.empty((min(SCAN_BLOCK, positions.size), edges), complex)
-        both = np.empty(len(rows) * max(self.n_acf, self.nfft), complex)
+        edges = self.u.size
+        both = np.empty(min(SCAN_BLOCK, positions.size) * width, complex)
         for start in range(0, positions.size, SCAN_BLOCK):
-            out = pixels[start : start + SCAN_BLOCK]
-            r = rows[: len(out)]
-            a = both[: len(out) * self.n_acf].reshape(len(out), self.n_acf)
-            z = both[: len(out) * self.nfft].reshape(len(out), self.nfft)
-            for row, k in zip(r, range(start, start + len(out))):
+            rows = slice(start, min(start + SCAN_BLOCK, positions.size))
+            block = both[: (rows.stop - start) * width].reshape(-1, width)
+            a = block[:, : self.n_acf]  # the steps' edge coefficients, transformed in place
+            for row, k in zip(a, range(start, rows.stop)):
                 if tabulated[k]:
                     pupil = self.table[int(i[k]) : int(i[k]) + edges]
                 else:
                     pupil = self.pupil(self.u - positions[k])
-                np.multiply(pupil, self.weights, out=row)
-            fft(r, self.n_acf, out=a)
+                np.multiply(pupil, self.weights, out=row[:edges])
+            a[:, edges:] = 0
+            fft(a, out=a)
             re, im = a.real, a.imag
             np.add(np.square(re, out=re), np.square(im, out=im), out=re)
             im[...] = 0
             ifft(a, out=a)  # the autocorrelation R, lags 0 .. n first
-            np.multiply(a[:, :edges], self.lag_weights, out=r)
-            fft(r, self.nfft, out=z)
+            yield rows, block
+
+    def images(self, positions) -> np.ndarray:
+        """Noiseless pixel values at each slit position, one row each, for unit
+        exposure; both transforms run in place in one buffer."""
+        positions = np.asarray(positions, dtype=float)
+        edges, m = self.u.size, self.post.size
+        pixels = np.empty((positions.size, m))
+        for rows, block in self._lag_sums(positions, max(self.n_acf, self.nfft)):
+            z = block[:, : self.nfft]
+            z[:, :edges] *= self.lag_weights
+            z[:, edges:] = 0
+            fft(z, out=z)
             z *= self.kernel
             values = ifft(z, out=z)[:, edges - 1 : edges - 1 + m]  # pixel p at lag p + n
             values *= self.post
-            np.maximum(values.real, 0.0, out=out)
+            np.maximum(values.real, 0.0, out=pixels[rows])
         return pixels
+
+    def sums(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each step's midline in pixel-index units (its flux centroid, or the
+        detector center where it holds no flux), its pixel edges 0, a, j, b, m
+        (left of the midline beyond the guard band, left within it, right
+        within it, right beyond it) and the flux left of each for unit
+        exposure.  Edge a's row conj(c_D z_D^(a - m/2)) passes from step to
+        step by integer powers of conj(z_D), and on to j and b row by row (a
+        strided block product takes ufunc buffers): no step depends on the block."""
+        m, n, u = self.post.size, self.u.size - 1, self.step_power
+        powers = {gap: u**gap for gap in (GUARD_PX, GUARD_PX + 1)}  # between a, j and b
+        midlines = np.full(positions.size, (m - 1) / 2)
+        cuts, flux = np.tile([0, 0, 0, 0, m], (positions.size, 1)), np.zeros((positions.size, 5))
+        at, state = m // 2, self.edge_row.copy()
+        for rows, block in self._lag_sums(positions, self.n_acf):
+            lags, row = block[:, : n + 1].view(float), block[:, n + 1 : 2 * n + 1]
+            total, moment, offset = np.einsum("ij,kj->ki", lags, self.functionals)
+            mid = np.divide(moment, total, out=midlines[rows], where=total > 0)
+            j = np.ceil(mid).astype(int)
+            # at an integral midline, pixel j + GUARD_PX is not beyond the guard band
+            cut = j[:, np.newaxis] + [-GUARD_PX, 0, GUARD_PX] + np.outer(mid == j, [0, 0, 1])
+            for k, edge in enumerate(cut[:, 0].tolist()):
+                if edge != at:
+                    state *= u ** (edge - at)
+                row[k], at = state, edge
+            left = np.empty((len(row), 3))
+            for c in range(3):
+                for edge_row, gap in zip(row, (cut[:, c] - cut[:, c - 1]).tolist() if c else ()):
+                    edge_row *= powers[gap]
+                np.einsum("ij,ij->i", lags[:, 2:], row.view(float), out=left[:, c])
+            left += lags[:, :1] * self.pitch * cut - offset[:, np.newaxis]
+            cuts[rows, 1:4], flux[rows, 4] = np.clip(cut, 0, m), total
+            flux[rows, 1:4] = np.where(cut <= 0, 0, np.where(cut >= m, total[:, np.newaxis], left))
+        return midlines, cuts, flux
 
     def exposure(self) -> float:
         peak = float(self.images([0.0])[0].max()) * self.gain
@@ -559,31 +582,30 @@ def run_scan(
     detector: DetectorConfig,
     table: np.ndarray | None = None,
 ) -> ScanSeries:
-    """Execute a full scan and record per-step pixel values and signals.
+    """Execute a full scan and record per-step signals.
 
     At each slit position the source field's Fresnel-integral pupil is
     masked by the fixed aperture stop and imaged onto the camera pixels
     riding the counter-moving stage (see _ScanOptics).  The pupil comes
     from table when one is given: the _ScanPupil table of this scan or of
     a wider one of equal _ScanPupil.key.  Without one the scan tabulates
-    its own, to the same bits.  A forward pass images every step without
-    noise and applies the exposure; each step's midline is the centroid of
-    that expected image, which it cuts into four contiguous pixel sets
-    (_pixel_sets).  With noise on, the detector pass draws the mean of
-    frames_per_step frames of each set's summed pixels, from one stream
-    seeded by (seed, width_elems): first the shot noise of every set in
-    step order, then their readout noise.  The scan writes no state that
-    other scans read, and the table is read-only, so
-    pipeline.run_all_scans runs several at once.
+    its own, to the same bits.  No pixel is imaged: _ScanOptics.sums takes
+    each step's midline (the centroid of its expected image) and the four
+    contiguous pixel sets it and the guard band cut straight from the
+    step's lag sum, within 1e-12 of the peak step flux of images()' sums.
+    With noise on, the detector pass draws the mean of frames_per_step
+    frames of each set's summed pixels, from one stream seeded by (seed,
+    width_elems): first the shot noise of every set in step order, then
+    their readout noise.  The scan writes no state that other scans read,
+    and the table is read-only, so pipeline.run_all_scans runs several at once.
     """
     optics = _ScanOptics(source_field, geom, scan, detector, table)
     exposure = scan.exposure
     if exposure is None:
         exposure = optics.exposure()
     positions = scan.s_start + np.arange(scan.n_steps) * scan.step
-    profiles = optics.images(positions)
-    profiles *= exposure
-    midlines, flux, pixels = _step_sums(profiles)
+    midlines, edges, flux = optics.sums(positions)
+    sets = np.diff(flux * exposure)
     if detector.noise_enabled:
         # K frames of Poisson(e) shot noise sum to Poisson(K e), and K readouts
         # of rms sigma to N(0, K sigma^2); sums of independent Poisson and
@@ -593,30 +615,27 @@ def run_scan(
         rng = np.random.default_rng((detector.rng_seed, scan.width_elems()))
         try:
             sigma = detector.readout_noise * math.sqrt(frames)
-            if not math.isfinite(sigma * math.sqrt(profiles.shape[1])):  # the largest set's
+            if not math.isfinite(sigma * math.sqrt(detector.n_pixels)):  # the largest set's
                 raise ConfigurationError(
                     f"scan {scan_tag(scan.aperture_width)}: readout_noise_e"
                     f" {detector.readout_noise:g} and frames_per_step {frames} give a"
                     " readout sigma beyond the float range"
                 )
             scale = frames * detector.gain
-            counts = rng.poisson(np.maximum(_pixel_sets(flux), 0.0) * scale)
+            counts = rng.poisson(np.maximum(sets, 0.0) * scale)
         except (OverflowError, ValueError) as exc:  # K past the float range; "lam value too large"
             raise ConfigurationError(
                 f"scan {scan_tag(scan.aperture_width)}: exposure_s {exposure:g}, gain_e_per_unit"
                 f" {detector.gain:g} and frames_per_step {frames} give too many electrons ({exc})"
             ) from exc
-        readout = rng.normal(0.0, sigma * np.sqrt(_pixel_sets(pixels)))
-        far_left, near_left, near_right, far_right = ((counts + readout) / scale).T
-        left, right, beyond = far_left + near_left, near_right + far_right, far_left + far_right
-    else:
-        left, beyond = flux[:, 1], flux[:, 2]
-        right = flux[:, 0] - left
+        sets = (counts + rng.normal(0.0, sigma * np.sqrt(np.diff(edges)))) / scale
+    far_left, near_left, near_right, far_right = sets.T
+    left, right, beyond = far_left + near_left, near_right + far_right, far_left + far_right
     records = np.rec.fromarrays(
         [np.arange(scan.n_steps), positions, left + right, left, right, beyond],
         names="step_index,slit_position,total_flux,left_signal,right_signal,beyond_guard",
     )
-    return ScanSeries(replace(scan, exposure=exposure), records, profiles, midlines)
+    return ScanSeries(replace(scan, exposure=exposure), records, midlines)
 
 
 def assignment_probability(series: ScanSeries) -> tuple[float, float, float]:

@@ -11,6 +11,7 @@ from .errors import ConfigurationError, DataError
 from .instrument import (
     ScanSeries,
     _pixel_profile,
+    _ScanOptics,
     _ScanPupil,
     flux_vector,
     run_scan,
@@ -120,6 +121,12 @@ def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
         if isinstance(outcome, Exception):
             raise outcome
     return outcomes
+
+
+def scan_profiles(cfg: RunConfig, series: ScanSeries) -> np.ndarray:
+    """The expected pixels of each step of cfg's scan series, one row each."""
+    optics = _ScanOptics(make_source(cfg), cfg.geometry, series.config, cfg.detector)
+    return optics.images(series.records.slit_position) * series.config.exposure
 
 
 def reconstruct_series(series_list: list[ScanSeries], signal: str = "F") -> ReconstructionResult:

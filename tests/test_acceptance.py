@@ -100,13 +100,14 @@ def test_criterion_3_end_to_end_physics(
     )
 
 
-def test_criterion_4_geometry_constants(capsys, quiet_series):
+def test_criterion_4_geometry_constants(capsys, quiet_cfg, quiet_series):
     w_scale = ww.fringe_scale(ww.Geometry())
     scale_ok = abs(w_scale - 1.520e-3) / 1.520e-3 < 1e-3
 
     # slit-image separation from the central step of the 4 mm scan
     series4 = quiet_series[0]
-    central = series4.profiles[np.argmin(np.abs(series4.records.slit_position))]
+    profiles = pipeline.scan_profiles(quiet_cfg, series4)
+    central = profiles[np.argmin(np.abs(series4.records.slit_position))]
     peaks, _ = find_peaks(central, prominence=0.1 * central.max())
     separation = int(np.ptp(peaks)) if peaks.size >= 2 else 0
     sep_ok = peaks.size == 2 and 19 <= separation <= 21

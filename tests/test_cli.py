@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -82,26 +83,26 @@ def test_scan_sidecar_contents(cli_run):
 def test_scan_sidecar_total_adds_the_row_sums_in_step_order(quiet_cfg, quiet_series):
     for series in [*quiet_series, _one_pixel_series([1e16, 1.0, 1.0, -1e16, 5.0])]:
         total = _scan_sidecar(series, quiet_cfg)["total_flux_sum"]
-        # a left-to-right fold: Python 3.12's built-in sum() is compensated;
-        # a noiseless step's F is its row sum
+        # a left-to-right fold: Python 3.12's built-in sum() is compensated
         assert total == reduce(operator.add, series.records.total_flux.tolist(), 0.0)
-        assert total == reduce(operator.add, (float(row.sum()) for row in series.profiles), 0.0)
         assert series.total_flux_sum == total
+    for series in quiet_series:
+        # a noiseless step's F is its row sum within 1e-12 of the peak step's
+        rows = pipeline.scan_profiles(quiet_cfg, series).sum(axis=1)
+        assert np.abs(series.records.total_flux - rows).max() <= 1e-12 * rows.max()
 
 
 def _one_pixel_series(flux):
-    """A scan of 64-pixel rows whose step k holds flux[k] in pixel 32, right of
-    its midline at 31.5."""
+    """A scan whose step k holds flux[k] in pixel 32 of 64, right of its
+    midline at 31.5."""
     flux = np.asarray(flux, dtype=float)
-    profiles = np.zeros((flux.size, 64))
-    profiles[:, 32] = flux
     zeros = np.zeros(flux.size)
     records = np.rec.fromarrays(
         [np.arange(flux.size), zeros, flux, zeros, flux, zeros],
         names="step_index,slit_position,total_flux,left_signal,right_signal,beyond_guard",
     )
     scan = ScanConfig(aperture_width=4e-3, n_steps=flux.size, exposure=1.0)
-    return ScanSeries(scan, records, profiles, np.full(flux.size, 31.5))
+    return ScanSeries(scan, records, np.full(flux.size, 31.5))
 
 
 def test_scan_sidecar_total_adds_the_row_sums_left_to_right(quiet_cfg):
@@ -115,6 +116,7 @@ def test_a_noisy_scan_must_clear_five_sigma_of_its_summed_readout_noise():
     # 4 steps of 64 pixels at 4 frames and 6 e readout noise, gain 1: the
     # summed readout sigma is 6 * sqrt(256 / 4) = 48, so the floor is 240
     cfg = load_config(seed=0)
+    cfg = replace(cfg, detector=replace(cfg.detector, n_pixels=64))
     assert cfg.detector.noise_enabled
     assert (cfg.detector.readout_noise, cfg.detector.gain) == (6.0, 1.0)
     with pytest.raises(NumericalError, match=r"^scan a4mm: total flux 240 is not above its light floor 240, "):
@@ -754,6 +756,7 @@ def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
     assert main(["scan", "--profiles", "--config", str(path), "--out", str(out)]) == 0
     cfg = load_config(str(path))
     (series,) = run_all_scans(cfg)
+    profiles = pipeline.scan_profiles(cfg, series)
     files = sorted((out / "profiles_a4mm").iterdir())
     assert [f.name for f in files] == [f"step_{k:04d}.csv" for k in range(7)]
     det = cfg.detector
@@ -761,7 +764,7 @@ def test_scan_profiles_writes_each_step_in_pixel_coordinates(tmp_path):
     for k, csv_path in enumerate(files):
         x, values = read_csv(csv_path, ("position_m", "value")).values()
         assert np.allclose(x, centres, rtol=1e-11, atol=0)
-        assert np.allclose(values, series.profiles[k], rtol=1e-11, atol=0)
+        assert np.allclose(values, profiles[k], rtol=1e-11, atol=0)
     # each step's expected image, so a noisy scan writes its --no-noise run's bytes
     quiet = tmp_path / "quiet"
     assert main(["scan", "--profiles", "--config", str(path), "--out", str(quiet), "--no-noise"]) == 0
