@@ -7,9 +7,11 @@
 # - `rank` and the four commands end to end: the console script's entry
 #   point and each command's imports, which only the installed script in a
 #   new process shows;
-# - the default scan artifacts' bits on one core (`taskset -c 0`) and on
-#   all: the cores that a BLAS library may thread over are fixed when the
-#   process starts;
+# - the scans' bits on one core (`taskset -c 0`) and on all: the default
+#   scan artifacts, three scans that read two shared pupil tables, and the
+#   one error line of a scan that fails the imaging sampling bound.  A
+#   scan's thread count follows the cores that its process may use, which
+#   are fixed when the process starts;
 # - two reconstructs and two reports in one process against those of
 #   processes of their own: the module-level caches (the factored solve,
 #   the profile match's rows) start empty only in a new process;
@@ -29,13 +31,36 @@ whichway scan --out "$tmp/run" --seed 0 --no-noise
 whichway reconstruct --out "$tmp/run" --seed 0 --no-noise
 whichway report --out "$tmp/run" --seed 0 --no-noise
 test -s "$tmp/run/summary.txt"
-# a scan's bits must not follow the cores, as they would through a threaded
-# BLAS product in the scan stage; ROADMAP item 17 extends this to every artifact
+# the scans run on one thread per usable core; their bits must not change
 taskset -c 0 whichway scan --out "$tmp/one-core" --seed 0
 whichway scan --out "$tmp/all-cores" --seed 0
 for f in scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
   cmp "$tmp/one-core/$f" "$tmp/all-cores/$f"
 done
+# the 4 and 5 mm scans read one pupil table and the 1 mm scan, whose left
+# edge differs, another; with shared tables the bits must not change either
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.001}, {"aperture_width_m": 0.004},
+  {"aperture_width_m": 0.005}]}' > "$tmp/groups.json"
+taskset -c 0 whichway scan --config "$tmp/groups.json" --out "$tmp/groups-one-core" --no-noise --seed 0
+whichway scan --config "$tmp/groups.json" --out "$tmp/groups-all-cores" --no-noise --seed 0
+for f in scan_a1mm.csv scan_a1mm.json scan_a4mm.csv scan_a4mm.json scan_a5mm.csv scan_a5mm.json; do
+  cmp "$tmp/groups-one-core/$f" "$tmp/groups-all-cores/$f"
+done
+# a sampling-bound failure names its scan: the same one error line on one
+# core and on all, exit 2, and no directory
+echo '{"geometry": {}, "scans": [{"aperture_width_m": 0.004},
+  {"aperture_width_m": 0.005, "stage_ratio": 5.0}]}' > "$tmp/bound.json"
+one=0
+taskset -c 0 whichway scan --config "$tmp/bound.json" --out "$tmp/bound-one" 2> "$tmp/err-one" || one=$?
+all=0
+whichway scan --config "$tmp/bound.json" --out "$tmp/bound-all" 2> "$tmp/err-all" || all=$?
+test "$one" = 2
+test "$all" = 2
+test "$(wc -l < "$tmp/err-one")" = 1
+grep -q '^error: scan a5mm: scan step 0 .*sampling bound' "$tmp/err-one"
+cmp "$tmp/err-one" "$tmp/err-all"
+test ! -e "$tmp/bound-one"
+test ! -e "$tmp/bound-all"
 # the factor cache and the profile match's rows carry nothing from one run to
 # the next: a noisy reconstruct and report, then --no-noise ones, made in one
 # process write what a process of its own wrote for each

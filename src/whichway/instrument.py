@@ -339,9 +339,10 @@ def auto_exposure(
 # Scan imaging: aperture cells of at most SUPPORT_PITCH, else FALLBACK_PITCH,
 # a sampling guard of MAX_CYCLES_PER_CELL cycles per cell, TABLE_BLOCK pupil
 # entries tabulated at a time (0.4 MB of scratch), and SCAN_BLOCK steps summed
-# or imaged at a time in one reused buffer (3.3 MB for a 4 mm scan on 2.5 um
-# cells).  Warm run_all_scans of the default run took 17.9 ms at 64 rows, 18.1
-# at 48 and 18.0 at 32 on a 2-vCPU host (medians of 30 interleaved calls).
+# or imaged at a time in one reused buffer, small enough for concurrent scans
+# (3.3 MB for a 4 mm scan on 2.5 um cells).  Warm run_all_scans of the default
+# run took 16.3 ms at 64 rows, 18.0 at 48 and 19.0 at 32 on a 2-vCPU host (at
+# 8, two scan threads trade the GIL around each short FFT and draw).
 SUPPORT_PITCH = 10e-6
 FALLBACK_PITCH = 2.5e-6
 MAX_CYCLES_PER_CELL = 0.25
@@ -595,7 +596,8 @@ def run_scan(
     With noise on, the detector pass draws the mean of frames_per_step
     frames of each set's summed pixels, from one stream seeded by (seed,
     width_elems): first the shot noise of every set in step order, then
-    their readout noise.
+    their readout noise.  The scan writes no state that other scans read,
+    and the table is read-only, so pipeline.run_all_scans runs several at once.
     """
     optics = _ScanOptics(source_field, geom, scan, detector, table)
     exposure = scan.exposure

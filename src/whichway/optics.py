@@ -456,7 +456,7 @@ def fresnel_field(steps: tuple, distance: float, wavelength: float, x) -> np.nda
         t = np.sqrt(2.0 / (wavelength * distance)) * (edges - flat[block, np.newaxis])
         s, c = fresnel(t)
         # einsum, not @: a product this size wakes OpenBLAS's thread pool, whose
-        # idle worker then spins on the second CPU
+        # idle worker then spins on a core that another scan could use
         np.einsum("ij,j->i", c + 1j * s, jumps, out=out[block])
     field *= np.exp(-0.25j * np.pi) / np.sqrt(2.0)
     return field

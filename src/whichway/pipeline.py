@@ -1,6 +1,9 @@
 """End-to-end glue: source -> pupil -> scans -> reconstruction -> report."""
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from .config import RunConfig
@@ -63,15 +66,26 @@ def pupil_truth(
     return _binned_power(source, geom.dist_slits_lens, geom.wavelength, positions, step)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
 def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
     """Every configured scan (run_scan), in config order.
 
     The scans share their step, start and step count (RunConfig), so those
-    of one _ScanPupil.key read the same pupil values: each such group's
-    pupil is tabulated once, as its widest scan's table, before any scan
-    runs.  Where that table fails, each scan of the group tabulates its own
-    and fails in its turn, so the first scan in config order that fails
-    raises its error here.
+    of one _ScanPupil.key read the same pupil values: the calling thread
+    tabulates each such group's pupil once, as its widest scan's table,
+    before any scan starts.  Where that table fails, each scan of the group
+    tabulates its own and fails in its turn.  The scans share only the
+    source and these read-only tables, and each draws its own noise stream,
+    so they run on up to one thread per CPU the process may use, the calling
+    thread included; numpy's FFTs and array loops release the GIL.  Each thread
+    stops at its first failure, and once every thread has ended the first
+    scan in config order that failed raises its error here.
     """
     source = make_source(cfg)
     scans = cfg.scans
@@ -83,10 +97,30 @@ def run_all_scans(cfg: RunConfig) -> list[ScanSeries]:
                 tables[pupils[i].key] = pupils[i].tabulate()
             except Exception:  # so that the first failing scan in config order decides
                 tables[pupils[i].key] = None
-    return [
-        run_scan(source, cfg.geometry, scan, cfg.detector, tables[pupil.key])
-        for scan, pupil in zip(scans, pupils)
-    ]
+    workers = min(len(scans), _usable_cpus())
+    outcomes: list = [None] * len(scans)
+
+    def work(first: int) -> None:
+        for i in range(first, len(scans), workers):
+            try:
+                table = tables[pupils[i].key]
+                outcomes[i] = run_scan(source, cfg.geometry, scans[i], cfg.detector, table)
+            except Exception as exc:
+                outcomes[i] = exc
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def scan_profiles(cfg: RunConfig, series: ScanSeries) -> np.ndarray:

@@ -933,8 +933,10 @@ def _scan_error(path, out, capsys, monkeypatch):
 
 def test_a_failing_second_scan_exits_2_as_on_one_cpu(tmp_path, capsys, monkeypatch):
     path = _scan_config(tmp_path, 1.07, 0.2)
-    err = _scan_error(path, tmp_path / "o", capsys, monkeypatch)
-    assert err.startswith("error: scan a5mm: scan step 3 ")  # the failing scan is named
+    threaded = _scan_error(path, tmp_path / "threads", capsys, monkeypatch)
+    assert threaded.startswith("error: scan a5mm: scan step 3 ")  # the failing scan is named
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _scan_error(path, tmp_path / "serial", capsys, monkeypatch) == threaded
 
 
 def test_the_first_failing_scan_in_config_order_wins(tmp_path, capsys, monkeypatch):
@@ -959,7 +961,7 @@ def test_the_first_failing_scan_in_config_order_wins(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2 or not os.path.isdir("/proc/self/task"),
+    pipeline._usable_cpus() < 2 or not os.path.isdir("/proc/self/task"),
     reason="needs 2 usable CPUs and /proc",
 )
 @pytest.mark.parametrize("stage", ["scan", "fringes"])

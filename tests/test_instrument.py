@@ -1,5 +1,6 @@
 import math
 import operator
+import os
 import threading
 from dataclasses import replace
 from functools import partial, reduce
@@ -782,12 +783,17 @@ TABLE_GROUPS = [
 ]
 
 
+@pytest.mark.parametrize("cpus", [None, 1, 8], ids=["every-cpu", "one-cpu", "a-thread-per-scan"])
 @pytest.mark.parametrize("noise", [False, True], ids=["noiseless", "noisy"])
-def test_run_all_scans_equals_run_scan_per_scan_in_order(monkeypatch, noise):
+def test_run_all_scans_equals_run_scan_per_scan_in_order(monkeypatch, noise, cpus):
+    # three scans, so that with two threads one of them runs two; eight
+    # CPUs give each scan its own thread, whatever the cores
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     threads, tables = [], []
 
     def recorded(*args):
-        threads.append((threading.get_ident(), threading.active_count()))
+        threads.append(threading.get_ident())
         tables.append(args[4])
         return ww.run_scan(*args)
 
@@ -804,8 +810,9 @@ def test_run_all_scans_equals_run_scan_per_scan_in_order(monkeypatch, noise):
         threads.clear()
         tables.clear()
         got = pipeline.run_all_scans(cfg)
-        # every scan runs on the calling thread, and no other thread starts
-        assert threads == [(threading.get_ident(), threading.active_count())] * len(scans)
+        # the calling thread takes a share, and each usable CPU runs one thread
+        assert threading.get_ident() in threads
+        assert len(set(threads)) == min(len(scans), len(os.sched_getaffinity(0)))
         assert len({id(table) for table in tables}) == n_tables
         assert len(got) == len(expected)
         for series, reference in zip(got, expected):
