@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from whichway import cli, pipeline
+from whichway import __version__, cli, pipeline
 from whichway.artifacts import read_csv
 from whichway.cli import _scan_sidecar, build_parser, main
 from whichway.config import load_config
@@ -86,10 +86,6 @@ def test_scan_sidecar_total_adds_the_row_sums_in_step_order(quiet_cfg, quiet_ser
         # a left-to-right fold: Python 3.12's built-in sum() is compensated
         assert total == reduce(operator.add, series.records.total_flux.tolist(), 0.0)
         assert series.total_flux_sum == total
-    for series in quiet_series:
-        # a noiseless step's F is its row sum within 1e-12 of the peak step's
-        rows = pipeline.scan_profiles(quiet_cfg, series).sum(axis=1)
-        assert np.abs(series.records.total_flux - rows).max() <= 1e-12 * rows.max()
 
 
 def _one_pixel_series(flux):
@@ -141,33 +137,19 @@ def test_a_scan_with_most_flux_beyond_the_guard_band_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_rerun_is_byte_identical(cli_run, tmp_path):
-    out = tmp_path / "again"
-    for cmd in ("fringes", "scan", "reconstruct", "report"):
-        assert main([cmd, "--out", str(out), "--seed", "0"]) == 0
-    # everything except the manifest (which records wall-clock timings)
-    for name in EXPECTED_ARTIFACTS:
-        if name == "run_manifest.json":
-            continue
-        assert (out / name).read_bytes() == (cli_run / name).read_bytes(), name
-
-
 def test_listed_scans_without_a_midline_write_the_default_run(cli_run, tmp_path):
-    # a scan that names no midline splits at the centroid, as the default scans do
+    # a scan that names no midline splits at the centroid, as the default
+    # scans do, and a second run writes every artifact to the bit again
     path = tmp_path / "listed.json"
     scans = [{"aperture_width_m": 0.004}, {"aperture_width_m": 0.005}]
     path.write_text(json.dumps({"geometry": {}, "scans": scans}))
     out = tmp_path / "listed"
     for cmd in ("fringes", "scan", "reconstruct", "report"):
         assert main([cmd, "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
-    names = sorted(
-        f.name
-        for f in cli_run.iterdir()
-        if f.suffix in (".csv", ".json") and f.name != "run_manifest.json"
-    )
-    assert len(names) == 10
-    for name in names:
-        assert (out / name).read_bytes() == (cli_run / name).read_bytes(), name
+    # everything except the manifest (which records wall-clock timings)
+    for name in EXPECTED_ARTIFACTS:
+        if name != "run_manifest.json":
+            assert (out / name).read_bytes() == (cli_run / name).read_bytes(), name
     assert json.loads((out / "duality.json").read_text())["D"] == 0.8962769218231363
 
 
@@ -1030,6 +1012,13 @@ def test_scan_records_do_not_depend_on_the_grid_span(quiet_cfg):
 def test_parser_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
 
 
 def test_duality_report_artifact(cli_run):
